@@ -14,7 +14,6 @@ from v0lver import CONSTANT_PRODUCT as curve
 from v0lver import (
     RebateSchedule,
     Reserves,
-    Vault,
     apply_rebated_move,
     max_lvr,
     vault_reenter,
@@ -57,9 +56,7 @@ print(f"pool {pool_v:.1f} + vault {vx + vy * eps:.1f} = "
 # Re-entry: fold the vault back in as a price-preserving deposit. The
 # converting agent swaps the vault basket for the (v/2, v/2eps) shape; the
 # swap happens at eps, so the converter breaks even.
-vault = Vault()
-vault.deposit(vx, vy)
-re = vault_reenter(curve, move.new_reserves, vault, eps)
+re = vault_reenter(curve, move.new_reserves, move.vault_deposit, eps)
 print(f"\nre-entry adds {re.added} to the pool")
 print(f"pool after: ({re.new_reserves.x:.2f}, {re.new_reserves.y:.2f}), "
       f"price {curve.price(re.new_reserves):.1f}, "
@@ -71,7 +68,5 @@ print(f"converter flow ({cx:+.2f}, {cy:+.2f}) is worth {cx + cy * eps:+.2f} at e
 # rebate is a real transfer from the arbitrageur back to the LPs.
 for beta in (0.0, 0.2, 0.5, 0.8):
     m = apply_rebated_move(curve, r, eps, beta)
-    v = Vault()
-    v.deposit(*m.vault_deposit)
-    k_end = curve.invariant(vault_reenter(curve, m.new_reserves, v, eps).new_reserves)
+    k_end = curve.invariant(vault_reenter(curve, m.new_reserves, m.vault_deposit, eps).new_reserves)
     print(f"beta {beta:.1f}: k after move + re-entry = {k_end:10.1f}")

@@ -1,7 +1,7 @@
 """Agent-based simulation of an LVR-rebating CFMM with committed order flow.
 
 The package layers cleanly: curve math (``cfmm``), rebated price moves and
-the vault (``rebate``), batch escrow and uniform-price settlement
+vault re-entry (``rebate``), batch escrow and uniform-price settlement
 (``allocation``), the block-by-block protocol state machine (``engine``),
 stochastic agents (``agents``), and the simulation driver plus experiment
 suite (``sim``) behind a CLI (``cli``).
@@ -54,15 +54,12 @@ from .errors import (
 from .rebate import (
     ZERO_REBATE,
     RebateSchedule,
-    Vault,
     apply_rebated_move,
-    producer_arb_payoff,
     vault_reenter,
 )
 from .sim import (
     RunMetrics,
     RunResult,
-    baseline_cfmm_replay,
     dominance_sweep,
     equilibrium_experiment,
     lvr_experiment,

@@ -8,7 +8,7 @@ size — priced at the pool price ``p`` frozen when the batch was allocated:
     (count * max_y * p,  count * max_x / p)
 
 The producer funds a ``producer_fraction`` share of that escrow and the pool
-reserves back the remainder.
+reserves back the remainder as an earmark.
 
 Settlement replicates what batch-executing the revealed orders directly
 against the pool snapshot would do. For market orders on a constant-product
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cfmm import Price, Reserves
-from .errors import DomainError, FundingError
+from .errors import DomainError
 
 # Relative tolerance used when checking a proposed clearing price.
 CLEARING_RTOL = 1e-9
@@ -121,15 +121,14 @@ def escrow_size(count: int, price, max_x: float, max_y: float) -> tuple[float, f
     return count * max_y * p, count * max_x / p
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class AllocationPool:
-    """Escrow for one allocated batch.
+    """Escrow terms of one allocated batch, fixed at allocation.
 
-    ``x``/``y`` track the bookkeeping reserves (initial escrow plus routed
-    settlement flows); ``producer_x``/``producer_y`` is the producer-funded
-    share physically held by the escrow, the remainder being an earmark
-    against the pool reserves. ``snapshot`` is the pool reserve point the
-    batch replicates against, frozen at allocation time.
+    ``escrow`` is the booked ``(x, y)`` escrow. The producer funds the
+    ``producer_fraction`` share of it into the batch's ledger account; the
+    pool reserves back the rest as an earmark. ``snapshot`` is the pool
+    reserve point the batch replicates against.
     """
 
     label: int
@@ -138,16 +137,9 @@ class AllocationPool:
     count: int
     producer_fraction: float
     snapshot: Reserves
-    x: float
-    y: float
-    producer_x: float
-    producer_y: float
+    escrow: tuple[float, float]
     producer: str
-    oct_ids: list[int] = field(default_factory=list)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.count == 0
+    oct_ids: tuple[int, ...] = ()
 
 
 def create_allocation_pool(
@@ -161,25 +153,15 @@ def create_allocation_pool(
     label: int,
     created_at: int,
     producer: str,
-    pool_reserves: Reserves | None = None,
 ) -> AllocationPool:
     """Build and size the escrow for a batch of ``count`` orders.
 
     The producer funds ``producer_fraction`` of the escrow; the rest is
-    backed by the pool. When ``pool_reserves`` is given, the pool-backed
-    share is checked against it. ``count == 0`` yields an empty pool (the
-    update was pure arbitrage).
+    backed by the pool. ``count == 0`` yields an empty pool (the update was
+    pure arbitrage).
     """
     if not (0.0 <= producer_fraction < 1.0):
         raise DomainError(f"producer fraction must lie in [0, 1), got {producer_fraction!r}")
-    ex, ey = escrow_size(count, price, max_x, max_y)
-    pool_share = 1.0 - producer_fraction
-    if pool_reserves is not None and (
-        pool_share * ex > pool_reserves.x or pool_share * ey > pool_reserves.y
-    ):
-        raise FundingError(
-            f"pool reserves cannot back the escrow share ({pool_share * ex!r}, {pool_share * ey!r})"
-        )
     return AllocationPool(
         label=label,
         created_at=created_at,
@@ -187,10 +169,7 @@ def create_allocation_pool(
         count=count,
         producer_fraction=producer_fraction,
         snapshot=snapshot,
-        x=ex,
-        y=ey,
-        producer_x=producer_fraction * ex,
-        producer_y=producer_fraction * ey,
+        escrow=escrow_size(count, price, max_x, max_y),
         producer=producer,
     )
 
@@ -387,16 +366,16 @@ def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> bool:
     return vol >= best - CLEARING_RTOL * scale
 
 
-def redistribute(pool: AllocationPool) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Split the escrow remainder between the pool and the producer.
+def redistribute(
+    remainder: tuple[float, float], beta: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Split an escrow remainder between the pool and the producer.
 
     Returns ``(to_pool, to_producer)`` in the ``1 - beta : beta`` ratio the
     escrow was funded with. Negative remainders mean the escrow was breached,
     which bounded orders make impossible.
     """
-    if pool.x < 0 or pool.y < 0:
-        raise DomainError("allocation pool reserves went negative")
-    beta = pool.producer_fraction
-    to_producer = (beta * pool.x, beta * pool.y)
-    to_pool = ((1.0 - beta) * pool.x, (1.0 - beta) * pool.y)
-    return to_pool, to_producer
+    rx, ry = remainder
+    if rx < 0 or ry < 0:
+        raise DomainError("allocation escrow remainder went negative")
+    return ((1.0 - beta) * rx, (1.0 - beta) * ry), (beta * rx, beta * ry)

@@ -116,16 +116,6 @@ CONSTANT_PRODUCT = ConstantProduct()
 CURVES = {ConstantProduct.kind: CONSTANT_PRODUCT}
 
 
-def price(curve, r: Reserves) -> Price:
-    """Marginal pool price of token y in token x."""
-    return curve.price(r)
-
-
-def reserves_at_price(curve, k: float, p: float) -> Reserves:
-    """Reserve point on level curve ``k`` whose pool price is ``p``."""
-    return curve.reserves_at_price(k, p)
-
-
 def check_same_curve(curve, before: Reserves, after: Reserves, rtol: float = PRICE_MATCH_RTOL):
     """Raise unless both reserve points sit on the same level curve."""
     kb, ka = curve.invariant(before), curve.invariant(after)

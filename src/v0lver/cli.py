@@ -40,6 +40,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _clean(obj):
     """Make a structure strictly JSON-safe (NaN/inf become null)."""
     if isinstance(obj, float):
@@ -170,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
         if jobs:
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("run", help="simulate one scenario run")
     common(p)
@@ -178,17 +188,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lvr", help="rebate-capture experiment across runs")
     common(p, jobs=True)
-    p.add_argument("--runs", type=int, default=200)
+    p.add_argument("--runs", type=_positive_int, default=200)
     p.set_defaults(func=cmd_lvr)
 
     p = sub.add_parser("equilibrium", help="update-gap distribution across runs")
     common(p, jobs=True)
-    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--runs", type=_positive_int, default=100)
     p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("sweep", help="producer strategy grid payoffs")
     common(p)
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=_positive_int, default=10_000)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="check a scenario and print its normal form")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .allocation import (
     AllocationPool,
@@ -45,8 +45,6 @@ from .errors import (
 from .rebate import (
     RebateSchedule,
     RebatedMoveResult,
-    ReentryResult,
-    Vault,
     apply_rebated_move,
     vault_reenter,
 )
@@ -188,8 +186,6 @@ class ChainState:
         self.mempool: dict[int, Oct] = {}
         self.inserted_by_height: dict[int, list[int]] = {}
         self.open_allocations: dict[int, AllocationPool] = {}
-        self.vault = Vault()
-        self.earmark = [0.0, 0.0]  # pool-backed escrow share outstanding
         self.balances: dict[str, list[float]] = {POOL: [reserves.x, reserves.y]}
         for party, (bx, by) in (balances or {}).items():
             self.balances[party] = [float(bx), float(by)]
@@ -250,6 +246,15 @@ class ChainState:
 
     def pool_constant(self) -> float:
         return self.curve.invariant(self.pool_reserves())
+
+    def earmark(self) -> tuple[float, float]:
+        """Pool-backed escrow share of the open allocations."""
+        ex = ey = 0.0
+        for pool in self.open_allocations.values():
+            share = 1.0 - pool.producer_fraction
+            ex += share * pool.escrow[0]
+            ey += share * pool.escrow[1]
+        return ex, ey
 
     # ----------------------------------------------------------------- actions
 
@@ -322,7 +327,6 @@ class ChainState:
         move = apply_rebated_move(self.curve, self.pool_reserves(), p, beta)
         self._transfer(POOL, producer, *move.producer_flow)
         self._transfer(POOL, VAULT, *move.vault_deposit)
-        self.vault.deposit(*move.vault_deposit)
 
         batch: list[int] = []
         for height in range(self.last_alloc_label + 1, alloc_label + 1):
@@ -341,26 +345,22 @@ class ChainState:
                 label=alloc_label,
                 created_at=h,
                 producer=producer,
-                pool_reserves=None,
             )
-            pool_share = 1.0 - beta
-            need_x = self.earmark[0] + pool_share * pool.x
-            need_y = self.earmark[1] + pool_share * pool.y
+            ex, ey = receipt_escrow = pool.escrow
+            held_x, held_y = self.earmark()
+            need_x = held_x + (1.0 - beta) * ex
+            need_y = held_y + (1.0 - beta) * ey
             if need_x > snapshot.x or need_y > snapshot.y:
                 raise FundingError(
                     f"pool reserves cannot back escrow earmarks ({need_x!r}, {need_y!r})"
                 )
-            self.earmark[0] = need_x
-            self.earmark[1] = need_y
-            self._transfer(producer, self._escrow_party(alloc_label), pool.producer_x, pool.producer_y)
-            pool.oct_ids = batch
+            self._transfer(producer, self._escrow_party(alloc_label), beta * ex, beta * ey)
             for oct_id in batch:
                 oct = self.octs[oct_id]
                 oct.state = OctState.ALLOCATED
                 oct.allocated_at = h
                 oct.label = alloc_label
-            self.open_allocations[alloc_label] = pool
-            receipt_escrow = (pool.x, pool.y)
+            self.open_allocations[alloc_label] = replace(pool, oct_ids=tuple(batch))
 
         self.last_alloc_label = alloc_label
         self.last_update_block = h
@@ -476,27 +476,22 @@ class ChainState:
             oct.state = OctState.EXECUTED
 
         dx, dy = settlement.pool_delta
-        pool.x += dx
-        pool.y += dy
-        scale = abs(pool.x) + abs(pool.y) + abs(dx) + abs(dy) + 1.0
-        if pool.x < -_NEG_TOL * scale or pool.y < -_NEG_TOL * scale:
-            raise InvariantViolation(
-                f"allocation escrow {label} breached: ({pool.x!r}, {pool.y!r})"
-            )
-        pool.x = max(pool.x, 0.0)
-        pool.y = max(pool.y, 0.0)
+        rx = pool.escrow[0] + dx
+        ry = pool.escrow[1] + dy
+        scale = abs(rx) + abs(ry) + abs(dx) + abs(dy) + 1.0
+        if rx < -_NEG_TOL * scale or ry < -_NEG_TOL * scale:
+            raise InvariantViolation(f"allocation escrow {label} breached: ({rx!r}, {ry!r})")
+        remainder = (max(rx, 0.0), max(ry, 0.0))
         # Pool reserves take their share of the batch imbalance; the rest of
         # the physical flows stay with the escrow (the producer's share).
         pool_share = 1.0 - pool.producer_fraction
         self._transfer(escrow, POOL, pool_share * dx, pool_share * dy, guard=False)
 
-        to_pool, to_producer = redistribute(pool)
+        to_pool, to_producer = redistribute(remainder, pool.producer_fraction)
         self._transfer(escrow, pool.producer, *to_producer, guard=False)
         acct = self._account(escrow)
         if abs(acct[0]) > _NEG_TOL * scale or abs(acct[1]) > _NEG_TOL * scale:
             raise InvariantViolation(f"escrow {escrow} not fully unwound: {acct!r}")
-        self.earmark[0] -= pool_share * (pool.count * self.max_y * pool.price)
-        self.earmark[1] -= pool_share * (pool.count * self.max_x / pool.price)
         del self.open_allocations[label]
 
         receipt = ExecutionReceipt(
@@ -508,7 +503,7 @@ class ChainState:
             orders=orders,
             fill_owners=tuple(fill_owners),
             burned=tuple(burned),
-            remaining=(pool.x, pool.y),
+            remaining=remainder,
             to_pool=to_pool,
             to_producer=to_producer,
             producer=pool.producer,
@@ -549,16 +544,15 @@ class ChainState:
 
         reentry = None
         freq = self.conversion_frequency
-        if freq > 0 and (h + 1) % freq == 0 and not self.vault.is_empty:
+        vault = tuple(self.balances[VAULT])
+        if freq > 0 and (h + 1) % freq == 0 and vault != (0.0, 0.0):
             who = converter if converter is not None else "converter"
-            result = vault_reenter(self.curve, self.pool_reserves(), self.vault, eps)
+            result = vault_reenter(self.curve, self.pool_reserves(), vault, eps)
             # The converter swaps the vault basket for the price-preserving
             # one; value-neutral at eps, so outside liquidity may go through
             # a transiently negative account.
-            self._transfer(VAULT, who, self.vault.x, self.vault.y, guard=False)
+            self._transfer(VAULT, who, *vault, guard=False)
             self._transfer(who, POOL, *result.added, guard=False)
-            self.vault.x = 0.0
-            self.vault.y = 0.0
             reentry = ReentryReceipt(
                 height=h,
                 eps=float(eps),
@@ -574,6 +568,6 @@ class ChainState:
                 converter=who,
             )
 
-        self._emit("block_end", pool=tuple(self.balances[POOL]), vault=(self.vault.x, self.vault.y))
+        self._emit("block_end", pool=tuple(self.balances[POOL]), vault=tuple(self.balances[VAULT]))
         self.height = h + 1
         return BlockReceipt(height=h, executions=tuple(executions), reentry=reentry)

@@ -1,4 +1,4 @@
-"""LVR-rebate price moves and the pool-owned vault.
+"""LVR-rebate price moves and vault re-entry.
 
 When a block producer moves the pool price, only a fraction ``1 - beta`` of
 the full reserve swap goes through the producer; the pool then sheds enough
@@ -7,15 +7,15 @@ producer's target. The producer's arbitrage take is therefore capped at
 ``(1 - beta)`` of the full LVR opportunity, with equality when the target is
 the external market price.
 
-Vault holdings periodically re-enter the pool: the imbalance is converted at
-the external price (an idealized arbitrageur takes the other side) and the
-proceeds are deposited in a price-preserving ratio, so the pool constant
-weakly increases at every re-entry.
+The vault, an account in the engine's ledger, periodically re-enters the
+pool: the imbalance is converted at the external price (an idealized
+arbitrageur takes the other side) and the proceeds are deposited in a
+price-preserving ratio, so the pool constant weakly increases at every
+re-entry.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cfmm import Price, Reserves
 from .errors import DomainError
@@ -25,7 +25,7 @@ from .errors import DomainError
 class RebateSchedule:
     """Rebate fraction as a function of the update gap ``z = H - H_a``.
 
-    v1 ships the linear shape: ``beta(z) = beta0 * (1 - z / z_max)`` for
+    The schedule is linear: ``beta(z) = beta0 * (1 - z / z_max)`` for
     ``z < z_max`` and zero from ``z_max`` on. ``z_max = 0`` disables rebates
     entirely (``beta == 0`` everywhere), which reduces the protocol to a
     plain CFMM.
@@ -33,11 +33,8 @@ class RebateSchedule:
 
     z_max: int
     beta0: float
-    shape: str = "linear"
 
     def __post_init__(self):
-        if self.shape != "linear":
-            raise DomainError(f"unsupported rebate schedule shape {self.shape!r}")
         if not isinstance(self.z_max, int) or self.z_max < 0:
             raise DomainError(f"z_max must be a non-negative integer, got {self.z_max!r}")
         if not (0.0 <= self.beta0 < 1.0):
@@ -55,36 +52,6 @@ class RebateSchedule:
 
 #: Schedule that pays no rebate anywhere; the plain-CFMM fallback.
 ZERO_REBATE = RebateSchedule(z_max=0, beta0=0.0)
-
-
-def beta_at(schedule: RebateSchedule, gap: int) -> float:
-    """Rebate fraction paid for an update with gap ``z = H - H_a``."""
-    return schedule.value_at(gap)
-
-
-@dataclass(slots=True)
-class Vault:
-    """Side account holding tokens shed by rebated moves.
-
-    It only grows through ``apply_rebated_move`` deposits and only shrinks
-    when ``vault_reenter`` folds it back into the pool.
-    """
-
-    x: float = 0.0
-    y: float = 0.0
-
-    def deposit(self, dx: float, dy: float):
-        if dx < 0 or dy < 0:
-            raise DomainError("vault deposits must be non-negative")
-        self.x += dx
-        self.y += dy
-
-    @property
-    def is_empty(self) -> bool:
-        return self.x == 0.0 and self.y == 0.0
-
-    def value_at(self, eps: float) -> float:
-        return self.x + self.y * float(eps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,11 +125,6 @@ def apply_rebated_move(curve, reserves: Reserves, target_price, rebate: float) -
     )
 
 
-def producer_arb_payoff(result: RebatedMoveResult, eps: float) -> float:
-    """The producer's move payoff marked at external price ``eps``."""
-    return result.producer_payoff_at(eps)
-
-
 @dataclass(frozen=True, slots=True)
 class ReentryResult:
     """Outcome of folding the vault back into the pool at price ``eps``.
@@ -176,20 +138,21 @@ class ReentryResult:
     converter_flow: tuple[float, float]
 
 
-def vault_reenter(curve, reserves: Reserves, vault: Vault, eps: float) -> ReentryResult:
+def vault_reenter(curve, reserves: Reserves, vault: tuple[float, float], eps: float) -> ReentryResult:
     """Convert the vault at ``eps`` and deposit it in an ``eps``-ratio split.
 
     The vault's total value ``v`` (at ``eps``) is split into equal-value
-    halves ``(v/2, v/(2*eps))``, the shape of a price-preserving deposit for
+    halves ``(v/2, v/(2*eps))``, the split of a price-preserving deposit for
     a pool sitting at price ``eps``. The conversion trades the imbalance at
     exactly ``eps``, so the converting agent's flow has zero value; the pool
-    constant weakly increases. The vault is not mutated here — callers drain
-    it when they route the token movements.
+    constant weakly increases. ``vault`` is the ``(x, y)`` holding to fold
+    in; callers drain it when they route the token movements.
     """
     e = Price(eps)
-    if vault.x < 0 or vault.y < 0:
+    vx, vy = vault
+    if vx < 0 or vy < 0:
         raise DomainError("vault holdings must be non-negative")
-    v = vault.x + vault.y * e
+    v = vx + vy * e
     if v == 0.0:
         return ReentryResult(reserves, (0.0, 0.0), (0.0, 0.0))
     add_x = v / 2.0
@@ -198,5 +161,5 @@ def vault_reenter(curve, reserves: Reserves, vault: Vault, eps: float) -> Reentr
     return ReentryResult(
         new_reserves=new,
         added=(add_x, add_y),
-        converter_flow=(vault.x - add_x, vault.y - add_y),
+        converter_flow=(vx - add_x, vy - add_y),
     )

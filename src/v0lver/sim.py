@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .agents import (
 from .allocation import Order, OrderSide
 from .cfmm import CURVES, Reserves, max_lvr
 from .config import ScenarioConfig
-from .engine import ChainState, OctState
+from .engine import VAULT, ChainState, OctState
 from .errors import ConfigError
 
 PRODUCER = "producer"
@@ -87,41 +87,13 @@ class RunMetrics:
         return math.sqrt(var / n)
 
     def to_dict(self) -> dict:
-        return {
-            "blocks": self.blocks,
-            "n_updates": self.n_updates,
-            "updates_by_gap": {str(g): c for g, c in sorted(self.updates_by_gap.items())},
-            "realized_lvr": self.realized_lvr,
-            "full_lvr": self.full_lvr,
-            "lvr_ratio": self.lvr_ratio,
-            "producer_flow_value": self.producer_flow_value,
-            "producer_escrow_net": self.producer_escrow_net,
-            "producer_order_pnl": self.producer_order_pnl,
-            "converter_value": self.converter_value,
-            "update_costs": self.update_costs,
-            "n_octs": self.n_octs,
-            "n_executed": self.n_executed,
-            "n_burned": self.n_burned,
-            "n_user_fills": self.n_user_fills,
-            "user_dev_mean": self.user_dev_mean,
-            "user_dev_se": self.user_dev_se,
-            "volume_y": self.volume_y,
-            "ops": self.ops,
-            "final_eps": self.final_eps,
-            "final_pool_x": self.final_pool_x,
-            "final_pool_y": self.final_pool_y,
-            "final_k": self.final_k,
-            "final_vault_value": self.final_vault_value,
-            "conservation_error": self.conservation_error,
-        }
-
-
-@dataclass(slots=True)
-class Trace:
-    """Replayable record of what touched the pool, for twin comparisons."""
-
-    updates: list = field(default_factory=list)  # (height, label, price)
-    executions: list = field(default_factory=list)  # (height, label, orders)
+        d = asdict(self)
+        # The raw deviation sums are reported as their mean and standard error.
+        del d["user_dev_sum"], d["user_dev_sq"]
+        d["updates_by_gap"] = {str(g): c for g, c in sorted(self.updates_by_gap.items())}
+        d.update(lvr_ratio=self.lvr_ratio, user_dev_mean=self.user_dev_mean,
+                 user_dev_se=self.user_dev_se)
+        return d
 
 
 @dataclass(slots=True)
@@ -129,10 +101,9 @@ class RunResult:
     metrics: RunMetrics
     blocks: list
     events: list | None = None
-    trace: Trace | None = None
 
 
-def run_scenario(cfg: ScenarioConfig, seed: int, *, collect_trace: bool = False) -> RunResult:
+def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
     cfg.validate()
     curve = CURVES[cfg.curve]
     schedule = cfg.rebate_schedule()
@@ -158,7 +129,6 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, collect_trace: bool = False)
     eps = proc.eps
     prev_eps = eps
     metrics = RunMetrics(blocks=cfg.blocks)
-    trace = Trace() if collect_trace else None
     rows = []
     private_orders: dict[int, Order] = {}
     no_reveal: set[int] = set()
@@ -227,8 +197,6 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, collect_trace: bool = False)
             metrics.full_lvr += max_lvr(curve, pre, eps)[1]
             ex, ey = receipt.escrow
             label_info[label] = (eps, receipt.beta, receipt.beta * ex, receipt.beta * ey)
-            if trace is not None:
-                trace.updates.append((h, label, float(target)))
             row.update(update=1, gap=receipt.gap, beta=receipt.beta, update_price=float(target))
 
         n_revealed = 0
@@ -270,8 +238,6 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, collect_trace: bool = False)
                 for oct_id in dead:
                     del private_orders[oct_id]
                     no_reveal.discard(oct_id)
-            if trace is not None:
-                trace.executions.append((h, er.label, er.orders))
         if block.reentry is not None:
             metrics.ops += 1
             cx, cy = block.reentry.converter_flow
@@ -280,58 +246,27 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, collect_trace: bool = False)
             metrics.realized_lvr -= ax + ay * eps
 
         pool = chain.pool_reserves()
+        vault = chain.balances[VAULT]
         row.update(
             pool_x=pool.x,
             pool_y=pool.y,
             pool_price=chain.pool_price(),
             pool_k=chain.pool_constant(),
-            vault_x=chain.vault.x,
-            vault_y=chain.vault.y,
+            vault_x=vault[0],
+            vault_y=vault[1],
         )
         rows.append(row)
 
-    metrics.realized_lvr -= chain.vault.value_at(eps)
+    vault_value = chain.balances[VAULT][0] + chain.balances[VAULT][1] * eps
+    metrics.realized_lvr -= vault_value
     metrics.final_eps = eps
     pool = chain.pool_reserves()
     metrics.final_pool_x = pool.x
     metrics.final_pool_y = pool.y
     metrics.final_k = chain.pool_constant()
-    metrics.final_vault_value = chain.vault.value_at(eps)
+    metrics.final_vault_value = vault_value
     metrics.conservation_error = chain.conservation_error()
-    return RunResult(metrics=metrics, blocks=rows, events=chain.events, trace=trace)
-
-
-def baseline_cfmm_replay(curve, reserves: Reserves, trace: Trace, blocks: int) -> list[tuple[int, float, float]]:
-    """Drive a plain CFMM through a recorded trace.
-
-    Updates become full arbitrage moves to the recorded price; each batch is
-    re-settled from its recorded orders against this walk's own snapshot at
-    the allocation block. Returns end-of-block reserves. With rebates
-    disabled the protocol should shadow this walk exactly (up to float
-    noise); any divergence means the escrow plumbing leaked.
-    """
-    from .allocation import clearing_price_with_limits
-
-    upd_by_h: dict[int, list] = {}
-    for h, label, price in trace.updates:
-        upd_by_h.setdefault(h, []).append((label, price))
-    exe_by_h: dict[int, list] = {}
-    for h, label, orders in trace.executions:
-        exe_by_h.setdefault(h, []).append((label, orders))
-
-    r = reserves
-    snapshots: dict[int, Reserves] = {}
-    out = []
-    for h in range(blocks):
-        for label, price in upd_by_h.get(h, ()):
-            r = curve.reserves_at_price(curve.invariant(r), price)
-            snapshots[label] = r
-        for label, orders in sorted(exe_by_h.get(h, ())):
-            settled = clearing_price_with_limits(curve, snapshots[label], orders)
-            dx, dy = settled.pool_delta
-            r = Reserves(r.x + dx, r.y + dy)
-        out.append((h, r.x, r.y))
-    return out
+    return RunResult(metrics=metrics, blocks=rows, events=chain.events)
 
 
 # --- experiments --------------------------------------------------------------
@@ -371,9 +306,11 @@ def lvr_experiment(cfg: ScenarioConfig, seed: int, runs: int = 200, jobs: int = 
     results = run_many(cfg, seed, runs, jobs)
     ratios = [m.lvr_ratio for m in results if not math.isnan(m.lvr_ratio)]
     n = len(ratios)
+    if not n:
+        raise ConfigError(f"no run produced an LVR ratio: none of the {runs} runs extracted value")
     mean = sum(ratios) / n
     var = sum((r - mean) ** 2 for r in ratios) / (n - 1) if n > 1 else 0.0
-    se = math.sqrt(var / n) if n else math.nan
+    se = math.sqrt(var / n)
     half = 1.96 * se
     return {
         "runs": n,

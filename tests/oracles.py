@@ -3,11 +3,17 @@
 Everything here deliberately avoids the package's own formulas: clearing
 prices come from sign-bracketed bisection on the level-curve constraint,
 optimal arbitrage from dense grid search on the curve itself. Slow and
-dumb, on purpose.
+dumb, on purpose. The plain-CFMM replay is the exception: it reuses the
+package's curve and clearing formulas, because what it checks is the
+protocol's escrow and vault plumbing around them.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from v0lver.allocation import clearing_price_with_limits
+from v0lver.cfmm import Reserves
+from v0lver.engine import ChainState
 
 
 def bisect_market_clearing(snapshot_x: float, snapshot_y: float, dx: float, dy: float,
@@ -118,3 +124,55 @@ def brentq_vault_shed(x: float, y: float, target: float, beta: float):
         s = brentq(f, 0.0, mid_x * (1.0 - 1e-12), xtol=1e-15, rtol=8.9e-16)
         return mid_x - s, mid_y, s, 0.0
     return x, y, 0.0, 0.0
+
+
+def record_receipts(monkeypatch):
+    """Collect every update and execution receipt ``ChainState`` returns.
+
+    Returns ``(updates, executions)``, two lists that fill in call order
+    while ``monkeypatch`` is active.
+    """
+    updates, executions = [], []
+    for name, sink in (("apply_update_tx", updates), ("execute_batch", executions)):
+        monkeypatch.setattr(ChainState, name, _recording(getattr(ChainState, name), sink))
+    return updates, executions
+
+
+def _recording(method, sink):
+    def recorded(self, *args, **kwargs):
+        receipt = method(self, *args, **kwargs)
+        sink.append(receipt)
+        return receipt
+
+    return recorded
+
+
+def baseline_cfmm_replay(curve, reserves: Reserves, updates, executions, blocks: int):
+    """Drive a plain CFMM through the receipts of a protocol run.
+
+    Updates become full arbitrage moves to the receipt's price; each batch is
+    re-settled from its revealed orders against this walk's own snapshot at
+    the allocation block. Returns end-of-block ``(height, x, y)`` reserves.
+    With rebates disabled the protocol should shadow this walk exactly (up to
+    float noise); any divergence means the escrow plumbing leaked.
+    """
+    upd_by_h: dict[int, list] = {}
+    for u in updates:
+        upd_by_h.setdefault(u.height, []).append(u)
+    exe_by_h: dict[int, list] = {}
+    for e in executions:
+        exe_by_h.setdefault(e.height, []).append(e)
+
+    r = reserves
+    snapshots: dict[int, Reserves] = {}
+    out = []
+    for h in range(blocks):
+        for u in upd_by_h.get(h, ()):
+            r = curve.reserves_at_price(curve.invariant(r), u.price)
+            snapshots[u.label] = r
+        for e in exe_by_h.get(h, ()):
+            settled = clearing_price_with_limits(curve, snapshots[e.label], e.orders)
+            dx, dy = settled.pool_delta
+            r = Reserves(r.x + dx, r.y + dy)
+        out.append((h, r.x, r.y))
+    return out

@@ -30,7 +30,6 @@ from v0lver.errors import (
 )
 from v0lver.rebate import RebateSchedule, apply_rebated_move
 from v0lver.sim import (
-    baseline_cfmm_replay,
     dominance_sweep,
     equilibrium_experiment,
     lvr_experiment,
@@ -39,7 +38,7 @@ from v0lver.sim import (
     user_price_experiment,
 )
 
-from oracles import bisect_market_clearing
+from oracles import baseline_cfmm_replay, bisect_market_clearing, record_receipts
 
 C = CONSTANT_PRODUCT
 SCN = builtin_scenarios()
@@ -153,12 +152,13 @@ class TestCriterion6Equilibrium:
 
 
 class TestCriterion7Fallback:
-    def test_criterion_7_zero_rebate_reduces_to_a_plain_cfmm(self):
+    def test_criterion_7_zero_rebate_reduces_to_a_plain_cfmm(self, monkeypatch):
         cfg = SCN["fallback"]
         assert cfg.z_max == 0 and cfg.beta0 == 0.0
-        res = run_scenario(cfg, 7, collect_trace=True)
+        updates, executions = record_receipts(monkeypatch)
+        res = run_scenario(cfg, 7)
         replay = baseline_cfmm_replay(
-            C, Reserves(cfg.pool_x, cfg.pool_y), res.trace, cfg.blocks
+            C, Reserves(cfg.pool_x, cfg.pool_y), updates, executions, cfg.blocks
         )
         worst = 0.0
         by_height = {row["height"]: row for row in res.blocks}

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v0lver.allocation import (
-    AllocationPool,
     Order,
     OrderSide,
     allocation_bound,
@@ -16,7 +15,7 @@ from v0lver.allocation import (
     verify_clearing_price,
 )
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
-from v0lver.errors import DomainError, FundingError
+from v0lver.errors import DomainError
 
 from oracles import bisect_market_clearing
 
@@ -253,69 +252,28 @@ class TestEscrowSizing:
         pool = create_allocation_pool(
             3, 2.0, 4.0, 1.0, 0.25, SNAP, label=5, created_at=7, producer="p"
         )
-        assert (pool.x, pool.y) == pytest.approx((6.0, 6.0))
-        assert (pool.producer_x, pool.producer_y) == pytest.approx((1.5, 1.5))
+        assert pool.escrow == pytest.approx((6.0, 6.0))
+        assert pool.producer_fraction == 0.25
         assert pool.label == 5 and pool.created_at == 7
-        assert not pool.is_empty
-
-    def test_create_pool_checks_pool_backing(self):
-        with pytest.raises(FundingError):
-            create_allocation_pool(
-                1000,
-                1.0,
-                10.0,
-                10.0,
-                0.0,
-                SNAP,
-                label=1,
-                created_at=1,
-                producer="p",
-                pool_reserves=SNAP,
-            )
+        assert pool.count == 3
 
     def test_empty_pool(self):
         pool = create_allocation_pool(
             0, 2.0, 4.0, 1.0, 0.5, SNAP, label=1, created_at=1, producer="p"
         )
-        assert pool.is_empty
-        assert (pool.x, pool.y) == (0.0, 0.0)
+        assert pool.count == 0
+        assert pool.escrow == (0.0, 0.0)
 
 
 class TestRedistribute:
     def test_splits_by_funding_ratio(self):
-        pool = AllocationPool(
-            label=1,
-            created_at=1,
-            price=1.0,
-            count=2,
-            producer_fraction=0.25,
-            snapshot=SNAP,
-            x=10.0,
-            y=20.0,
-            producer_x=0.0,
-            producer_y=0.0,
-            producer="p",
-        )
-        to_pool, to_producer = redistribute(pool)
+        to_pool, to_producer = redistribute((10.0, 20.0), 0.25)
         assert to_pool == pytest.approx((7.5, 15.0))
         assert to_producer == pytest.approx((2.5, 5.0))
 
     def test_rejects_breached_escrow(self):
-        pool = AllocationPool(
-            label=1,
-            created_at=1,
-            price=1.0,
-            count=1,
-            producer_fraction=0.5,
-            snapshot=SNAP,
-            x=-1.0,
-            y=0.0,
-            producer_x=0.0,
-            producer_y=0.0,
-            producer="p",
-        )
         with pytest.raises(DomainError):
-            redistribute(pool)
+            redistribute((-1.0, 0.0), 0.5)
 
 
 class TestOrderValidation:

@@ -12,8 +12,6 @@ from v0lver.cfmm import (
     check_same_curve,
     lvr_value,
     max_lvr,
-    price,
-    reserves_at_price,
 )
 from v0lver.errors import DomainError
 
@@ -34,12 +32,12 @@ class TestPrimitives:
                 Reserves(*bad)
 
     def test_pool_price(self):
-        assert price(C, Reserves(10_000, 100)) == 100.0
+        assert C.price(Reserves(10_000, 100)) == 100.0
         assert C.price(Reserves(100, 100)) == 1.0
 
     def test_reserves_at_price_round_figures(self):
         # k = 1e6 at p = 110.25 lands on exactly (10500, 1e6/10500)
-        r = reserves_at_price(C, 1_000_000.0, 110.25)
+        r = C.reserves_at_price(1_000_000.0, 110.25)
         assert r.x == pytest.approx(10_500.0, rel=1e-12)
         assert r.y == pytest.approx(1_000_000.0 / 10_500.0, rel=1e-12)
         assert r.x / r.y == pytest.approx(110.25, rel=1e-12)

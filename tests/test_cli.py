@@ -176,6 +176,24 @@ class TestExitCodes:
         assert main(["run", "--scenario", "default", "--out", "/tmp/x",
                      "--format", "xml"]) == 1
 
+    @pytest.mark.parametrize("command, flag", [
+        ("lvr", "--runs"), ("lvr", "--jobs"), ("equilibrium", "--runs"),
+        ("equilibrium", "--jobs"), ("sweep", "--trials"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_counts_below_one_exit_one(self, command, flag, value, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main([command, "--scenario", "lvr", "--out", out, flag, value]) == 1
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_lvr_without_extraction_exits_one(self, tmp_path, capsys):
+        scn = tmp_path / "flat.json"
+        scn.write_text(json.dumps({"blocks": 20, "price": {"sigma": 0.0}}))
+        out = str(tmp_path / "out")
+        assert main(["lvr", "--scenario", str(scn), "--out", out, "--runs", "2"]) == 1
+        assert "no run produced an LVR ratio" in capsys.readouterr().err
+
     def test_missing_scenario_file(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["run", "--scenario", str(tmp_path / "nope.json"),

@@ -82,7 +82,7 @@ class TestLifecycle:
         assert receipt.beta == pytest.approx(0.8)
         assert receipt.count == 2
         assert chain.pool_price() == pytest.approx(102.0, rel=1e-12)
-        assert not chain.vault.is_empty
+        assert chain.balances[VAULT] != [0.0, 0.0]
         assert oct_a.state is OctState.ALLOCATED
 
         chain.reveal_order(oct_a.id, o_a)
@@ -110,7 +110,7 @@ class TestLifecycle:
         assert chain.balances[COLLATERAL] == pytest.approx([0.0, 0.0], abs=1e-9)
         assert chain.balances[BURNED] == [0.0, 0.0]
         # the vault was converted at the block boundary (frequency 1)
-        assert chain.vault.is_empty
+        assert chain.balances[VAULT] == [0.0, 0.0]
         assert chain.balances[VAULT] == pytest.approx([0.0, 0.0], abs=1e-12)
         assert chain.conservation_error() < 1e-9
         assert chain.height == 1
@@ -271,7 +271,7 @@ class TestZeroRebateFallback:
             got = chain.pool_reserves()
             assert got.x == pytest.approx(expect.x, rel=1e-12)
             assert got.y == pytest.approx(expect.y, rel=1e-12)
-            assert chain.vault.is_empty
+            assert chain.balances[VAULT] == [0.0, 0.0]
             chain.advance_block(price)
         assert chain.pool_constant() == pytest.approx(k0, rel=1e-12)
         assert chain.balances[VAULT] == [0.0, 0.0]
@@ -282,18 +282,30 @@ class TestVaultConversion:
     def test_vault_reenters_on_schedule(self):
         chain = make_chain(conversion_frequency=3)
         chain.apply_update_tx("prod", 0, 103.0)
-        assert not chain.vault.is_empty
+        assert chain.balances[VAULT] != [0.0, 0.0]
         k_before = chain.pool_constant()
         chain.advance_block(103.0, converter="prod")  # height 0 -> 1, 1 % 3 != 0
-        assert not chain.vault.is_empty
+        assert chain.balances[VAULT] != [0.0, 0.0]
         chain.advance_block(103.0, converter="prod")  # 2 % 3 != 0
-        assert not chain.vault.is_empty
+        assert chain.balances[VAULT] != [0.0, 0.0]
         block = chain.advance_block(103.0, converter="prod")  # 3 % 3 == 0
-        assert chain.vault.is_empty
+        assert chain.balances[VAULT] == [0.0, 0.0]
         assert block.reentry is not None
         fx, fy = block.reentry.converter_flow
         assert fx + fy * 103.0 == pytest.approx(0.0, abs=1e-9)
         assert chain.pool_constant() > k_before
+        assert chain.conservation_error() < 1e-9
+
+    def test_funded_vault_reenters_at_first_block_end(self):
+        chain = make_chain(balances={"prod": (10_000.0, 100.0), VAULT: (5.0, 0.0)})
+        s0 = chain.total_supply()
+        k0 = chain.pool_constant()
+        block = chain.advance_block(100.0, converter="prod")
+        assert block.reentry is not None
+        assert block.reentry.added == pytest.approx((2.5, 0.025))
+        assert chain.balances[VAULT] == [0.0, 0.0]
+        assert chain.pool_constant() > k0
+        assert chain.total_supply() == pytest.approx(s0, rel=1e-12)
         assert chain.conservation_error() < 1e-9
 
     def test_conversion_disabled(self):
@@ -301,7 +313,7 @@ class TestVaultConversion:
         chain.apply_update_tx("prod", 0, 103.0)
         for _ in range(5):
             assert chain.advance_block(103.0).reentry is None
-        assert not chain.vault.is_empty
+        assert chain.balances[VAULT] != [0.0, 0.0]
 
 
 class TestLedger:

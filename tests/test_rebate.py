@@ -6,10 +6,7 @@ from v0lver.errors import DomainError
 from v0lver.rebate import (
     ZERO_REBATE,
     RebateSchedule,
-    Vault,
     apply_rebated_move,
-    beta_at,
-    producer_arb_payoff,
     vault_reenter,
 )
 
@@ -29,10 +26,6 @@ class TestSchedule:
         assert ZERO_REBATE.value_at(0) == 0.0
         assert ZERO_REBATE.value_at(7) == 0.0
 
-    def test_beta_at_delegates(self):
-        s = RebateSchedule(z_max=2, beta0=0.5)
-        assert beta_at(s, 1) == 0.25
-
     def test_validation(self):
         with pytest.raises(DomainError):
             RebateSchedule(z_max=-1, beta0=0.5)
@@ -40,8 +33,6 @@ class TestSchedule:
             RebateSchedule(z_max=2, beta0=1.0)
         with pytest.raises(DomainError):
             RebateSchedule(z_max=2, beta0=0.0)
-        with pytest.raises(DomainError):
-            RebateSchedule(z_max=2, beta0=0.5, shape="convex")
         with pytest.raises(DomainError):
             RebateSchedule(z_max=4, beta0=0.8).value_at(-1)
 
@@ -59,7 +50,7 @@ class TestRebatedMove:
         assert res.producer_flow == pytest.approx((-50.0, 25.0))
         # payoff at eps = 4 is (1 - beta) * L = 0.5 * 100
         assert res.producer_payoff_at(4.0) == pytest.approx(50.0, rel=1e-12)
-        assert producer_arb_payoff(res, 4.0) == pytest.approx(50.0, rel=1e-12)
+        assert res.producer_payoff_at(4.0) == pytest.approx(50.0, rel=1e-12)
 
     def test_matches_root_finding_oracle(self):
         for x, y, tp, beta in [
@@ -144,22 +135,10 @@ class TestRebatedMove:
 
 
 class TestVault:
-    def test_deposit_and_value(self):
-        v = Vault()
-        assert v.is_empty
-        v.deposit(1.0, 2.0)
-        v.deposit(0.5, 0.0)
-        assert (v.x, v.y) == (1.5, 2.0)
-        assert v.value_at(4.0) == 9.5
-        with pytest.raises(DomainError):
-            v.deposit(-1.0, 0.0)
-
     def test_reentry_worked_example(self):
         # vault (0, 37.5) folded into pool (150, 37.5) at eps = 4:
         # value 150 splits into (75, 18.75); the converter's flow nets zero.
-        v = Vault()
-        v.deposit(0.0, 37.5)
-        res = vault_reenter(C, Reserves(150.0, 37.5), v, 4.0)
+        res = vault_reenter(C, Reserves(150.0, 37.5), (0.0, 37.5), 4.0)
         assert res.added == pytest.approx((75.0, 18.75))
         assert res.converter_flow == pytest.approx((-75.0, 18.75))
         assert res.new_reserves.x == pytest.approx(225.0)
@@ -168,7 +147,7 @@ class TestVault:
 
     def test_reentry_on_empty_vault_is_noop(self):
         r = Reserves(10, 10)
-        res = vault_reenter(C, r, Vault(), 2.0)
+        res = vault_reenter(C, r, (0.0, 0.0), 2.0)
         assert res.new_reserves == r
         assert res.added == (0.0, 0.0)
 
@@ -180,14 +159,12 @@ class TestVault:
         eps=st.floats(1e-2, 1e2),
     )
     def test_reentry_is_value_neutral_and_grows_k(self, x, y, vx, vy, eps):
-        v = Vault()
-        v.deposit(vx, vy)
         r = Reserves(x, y)
-        res = vault_reenter(C, r, v, eps)
+        res = vault_reenter(C, r, (vx, vy), eps)
         fx, fy = res.converter_flow
-        assert fx + fy * eps == pytest.approx(0.0, abs=1e-9 * max(1.0, v.value_at(eps)))
+        assert fx + fy * eps == pytest.approx(0.0, abs=1e-9 * max(1.0, vx + vy * eps))
         assert C.invariant(res.new_reserves) >= C.invariant(r) * (1.0 - 1e-12)
         ax, ay = res.added
-        assert v.x + v.y * eps == pytest.approx(
+        assert vx + vy * eps == pytest.approx(
             ax + ay * eps, rel=1e-12, abs=1e-12
         )

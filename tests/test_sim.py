@@ -8,7 +8,6 @@ from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
 from v0lver.config import builtin_scenarios
 from v0lver.errors import ConfigError
 from v0lver.sim import (
-    baseline_cfmm_replay,
     dominance_sweep,
     equilibrium_experiment,
     lvr_experiment,
@@ -16,6 +15,8 @@ from v0lver.sim import (
     run_scenario,
     user_price_experiment,
 )
+
+from oracles import baseline_cfmm_replay, record_receipts
 
 SCN = builtin_scenarios()
 
@@ -94,11 +95,12 @@ class TestScenarioRuns:
 
 
 class TestBaselineReplay:
-    def test_zero_rebate_protocol_shadows_plain_cfmm(self):
+    def test_zero_rebate_protocol_shadows_plain_cfmm(self, monkeypatch):
         cfg = shrink(SCN["fallback"], 50)
-        res = run_scenario(cfg, 11, collect_trace=True)
+        updates, executions = record_receipts(monkeypatch)
+        res = run_scenario(cfg, 11)
         replay = baseline_cfmm_replay(
-            CONSTANT_PRODUCT, Reserves(cfg.pool_x, cfg.pool_y), res.trace, cfg.blocks
+            CONSTANT_PRODUCT, Reserves(cfg.pool_x, cfg.pool_y), updates, executions, cfg.blocks
         )
         assert len(replay) == cfg.blocks
         by_height = {row["height"]: row for row in res.blocks}
@@ -106,11 +108,12 @@ class TestBaselineReplay:
             assert by_height[h]["pool_x"] == pytest.approx(x, rel=1e-9, abs=1e-9)
             assert by_height[h]["pool_y"] == pytest.approx(y, rel=1e-9, abs=1e-9)
 
-    def test_rebates_make_the_protocol_diverge(self):
+    def test_rebates_make_the_protocol_diverge(self, monkeypatch):
         cfg = shrink(SCN["default"], 30)
-        res = run_scenario(cfg, 11, collect_trace=True)
+        updates, executions = record_receipts(monkeypatch)
+        res = run_scenario(cfg, 11)
         replay = baseline_cfmm_replay(
-            CONSTANT_PRODUCT, Reserves(cfg.pool_x, cfg.pool_y), res.trace, cfg.blocks
+            CONSTANT_PRODUCT, Reserves(cfg.pool_x, cfg.pool_y), updates, executions, cfg.blocks
         )
         final = res.blocks[-1]
         assert final["pool_x"] != pytest.approx(replay[-1][1], rel=1e-9)
