@@ -14,6 +14,7 @@ import numpy as np
 from .allocation import Order, OrderSide
 from .cfmm import Reserves
 from .config import FlowModel, ProducerModel
+from .errors import DomainError
 from .rebate import RebateSchedule, apply_rebated_move
 
 
@@ -27,13 +28,14 @@ class PriceProcess:
 
     def step(self, rng: np.random.Generator) -> float:
         z = rng.standard_normal()
-        self.eps *= math.exp(self.drift - 0.5 * self.sigma**2 + self.sigma * z)
+        try:
+            self.eps *= math.exp(self.drift - 0.5 * self.sigma**2 + self.sigma * z)
+        except OverflowError:
+            self.eps = math.inf
+        if not 0.0 < self.eps < math.inf:
+            raise DomainError(f"price walk left the float range at {self.eps!r}: price.drift "
+                              f"{self.drift!r} or price.sigma {self.sigma!r} is too extreme")
         return self.eps
-
-    def sample_factors(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n independent one-step multiplicative factors."""
-        z = rng.standard_normal(n)
-        return np.exp(self.drift - 0.5 * self.sigma**2 + self.sigma * z)
 
 
 def gen_user_orders(

@@ -229,7 +229,7 @@ def _fills_from_fractions(orders, frac, p):
     return tuple(fills), sold_x, sold_y
 
 
-def _settlement_at(curve, snapshot, orders, p, rtol=CLEARING_RTOL):
+def _settlement_at(curve, snapshot, orders, p):
     """Try to clear the batch at uniform price ``p``.
 
     Infra-marginal orders (limits strictly admitting ``p``, and markets) must
@@ -246,7 +246,7 @@ def _settlement_at(curve, snapshot, orders, p, rtol=CLEARING_RTOL):
     ms = sum(s for _, s in marg_s)
     chord = curve.chord_y(snapshot, p)
     scale = max(snapshot.y, abs(chord), (in_x + mb) / p, in_y + ms, 1e-30)
-    tol = rtol * scale
+    tol = CLEARING_RTOL * scale
 
     # Net y demand minus supply with all marginals included, versus the chord.
     gap = (in_x + mb) / p - (in_y + ms) - chord
@@ -257,7 +257,7 @@ def _settlement_at(curve, snapshot, orders, p, rtol=CLEARING_RTOL):
         if mb <= 0.0:
             return None
         phi_b = (p * (in_y + ms + chord) - in_x) / mb
-        if phi_b < -rtol or phi_b > 1.0 + rtol:
+        if phi_b < -CLEARING_RTOL or phi_b > 1.0 + CLEARING_RTOL:
             return None
         phi_b = min(max(phi_b, 0.0), 1.0)
     else:
@@ -265,7 +265,7 @@ def _settlement_at(curve, snapshot, orders, p, rtol=CLEARING_RTOL):
             return None
         phi_s = ((in_x + mb) / p - chord) - in_y
         phi_s /= ms
-        if phi_s < -rtol or phi_s > 1.0 + rtol:
+        if phi_s < -CLEARING_RTOL or phi_s > 1.0 + CLEARING_RTOL:
             return None
         phi_s = min(max(phi_s, 0.0), 1.0)
 

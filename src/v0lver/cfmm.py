@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-# Relative tolerance for "these reserves sit on the same level curve".
-FEASIBILITY_RTOL = 1e-12
 # Relative tolerance for "the pool price matches the requested price".
 PRICE_MATCH_RTOL = 1e-9
 

@@ -8,10 +8,11 @@ loud failure.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import sys
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .cfmm import CURVES
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .rebate import RebateSchedule
 
 SCHEMA_VERSION = 1
@@ -19,10 +20,39 @@ SCHEMA_VERSION = 1
 UPDATE_POLICIES = ("always", "never", "best_response", "threshold")
 PRICE_POLICIES = ("external", "offset", "stale")
 
+#: Where scenario JSON nests ``ScenarioConfig`` fields: section -> {field: key}.
+#: Every other field, the price, flow and producer models included, is a
+#: top-level key of its own name.
+_LAYOUT = {
+    "pool": {"pool_x": "x", "pool_y": "y"},
+    "rebate": {"z_max": "z_max", "beta0": "beta0"},
+    "bounds": {"max_x": "max_x", "max_y": "max_y"},
+    "users": {"user_budget_x": "budget_x", "user_budget_y": "budget_y"},
+}
+_JSON_PATH = {name: f"{s}.{key}" for s, keys in _LAYOUT.items() for name, key in keys.items()}
+
+#: The types each annotation accepts; annotations are strings (postponed evaluation).
+_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
 
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
+
+
+def _check_types(obj, section: str = ""):
+    """Type-check scalar fields (a bool is no number); ``section`` is a model's JSON key."""
+    for f in fields(obj):
+        if f.type not in _TYPES:
+            continue  # a nested model checks its own fields
+        value = getattr(obj, f.name)
+        ok = isinstance(value, _TYPES[f.type]) and isinstance(value, bool) == (f.type == "bool")
+        if ok and f.type == "float":
+            ok = abs(value) <= sys.float_info.max  # exact for ints; NaN and inf fail
+        if not ok:
+            where = f"{section}.{f.name}" if section else _JSON_PATH.get(f.name, f.name)
+            what = "a finite number" if f.type == "float" else f"of type {f.type}"
+            raise ConfigError(f"{where} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,6 +68,7 @@ class PriceModel:
     drift: float = 0.0
 
     def validate(self):
+        _check_types(self, "price")
         _require(self.initial > 0, "price.initial must be > 0")
         _require(self.sigma >= 0, "price.sigma must be >= 0")
 
@@ -61,9 +92,12 @@ class FlowModel:
     no_reveal_prob: float = 0.0
 
     def validate(self):
-        _require(self.arrival >= 0, "flow.arrival must be >= 0")
+        _check_types(self, "flow")
+        # Orders per block: numpy's Poisson draw fails near 1e19, memory far sooner.
+        _require(0 <= self.arrival <= 1e5, "flow.arrival must lie in [0, 1e5]")
         _require(0 <= self.limit_prob <= 1, "flow.limit_prob must lie in [0, 1]")
-        _require(self.limit_width >= 0, "flow.limit_width must be >= 0")
+        # A width of 1 or more can draw a limit price at or below zero.
+        _require(0 <= self.limit_width < 1, "flow.limit_width must lie in [0, 1)")
         _require(0 < self.value_frac <= 1, "flow.value_frac must lie in (0, 1]")
         _require(0 <= self.no_reveal_prob <= 1, "flow.no_reveal_prob must lie in [0, 1]")
 
@@ -93,6 +127,7 @@ class ProducerModel:
     budget_y: float = 1_000.0
 
     def validate(self):
+        _check_types(self, "producer")
         _require(self.update_policy in UPDATE_POLICIES,
                  f"producer.update_policy must be one of {UPDATE_POLICIES}")
         _require(self.price_policy in PRICE_POLICIES,
@@ -102,7 +137,8 @@ class ProducerModel:
         _require(0 <= self.censor_rate <= 1, "producer.censor_rate must lie in [0, 1]")
         _require(self.update_cost >= 0, "producer.update_cost must be >= 0")
         _require(0 <= self.min_keep <= 1, "producer.min_keep must lie in [0, 1]")
-        _require(self.budget_x >= 0 and self.budget_y >= 0, "producer budgets must be >= 0")
+        _require(self.budget_x >= 0 and self.budget_y >= 0,
+                 "producer.budget_x and producer.budget_y must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,20 +162,21 @@ class ScenarioConfig:
     producer: ProducerModel = field(default_factory=ProducerModel)
 
     def validate(self) -> "ScenarioConfig":
+        _check_types(self)
         _require(bool(self.name), "name must be non-empty")
         _require(self.blocks > 0, "blocks must be > 0")
-        _require(self.pool_x > 0 and self.pool_y > 0, "pool reserves must be > 0")
+        _require(self.pool_x > 0 and self.pool_y > 0, "pool.x and pool.y must be > 0")
         _require(self.curve in CURVES, f"curve must be one of {sorted(CURVES)}")
-        _require(isinstance(self.z_max, int) and self.z_max >= 0,
-                 "rebate.z_max must be a non-negative integer")
-        _require(0 <= self.beta0 < 1, "rebate.beta0 must lie in [0, 1)")
-        _require((self.z_max > 0) == (self.beta0 > 0),
-                 "rebate.beta0 must be > 0 exactly when rebate.z_max > 0")
-        _require(self.max_x > 0 and self.max_y > 0, "order bounds must be > 0")
+        try:
+            self.rebate_schedule()
+        except DomainError as e:
+            raise ConfigError(f"rebate.{e}") from None
+        _require(self.z_max > 0 or self.beta0 == 0, "rebate.beta0 must be 0 when z_max is 0")
+        _require(self.max_x > 0 and self.max_y > 0, "bounds.max_x and bounds.max_y must be > 0")
         _require(self.reveal_window >= 0, "reveal_window must be >= 0")
         _require(self.conversion_frequency >= 0, "conversion_frequency must be >= 0")
         _require(self.user_budget_x >= 0 and self.user_budget_y >= 0,
-                 "user budgets must be >= 0")
+                 "users.budget_x and users.budget_y must be >= 0")
         self.price.validate()
         self.flow.validate()
         self.producer.validate()
@@ -150,83 +187,41 @@ class ScenarioConfig:
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "name": cfg.name,
-        "blocks": cfg.blocks,
-        "pool": {"x": cfg.pool_x, "y": cfg.pool_y},
-        "curve": cfg.curve,
-        "rebate": {"z_max": cfg.z_max, "beta0": cfg.beta0},
-        "bounds": {"max_x": cfg.max_x, "max_y": cfg.max_y},
-        "reveal_window": cfg.reveal_window,
-        "conversion_frequency": cfg.conversion_frequency,
-        "record_events": cfg.record_events,
-        "users": {"budget_x": cfg.user_budget_x, "budget_y": cfg.user_budget_y},
-        "price": asdict(cfg.price),
-        "flow": asdict(cfg.flow),
-        "producer": asdict(cfg.producer),
-    }
+    out = {"version": SCHEMA_VERSION}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        out[f.name] = asdict(value) if is_dataclass(value) else value
+    for section, keys in _LAYOUT.items():
+        out[section] = {key: out.pop(name) for name, key in keys.items()}
+    return out
 
 
-def _section(raw: dict, key: str, cls):
-    sub = raw.pop(key, None)
-    if sub is None:
-        return cls()
+def _pop_object(raw: dict, key: str, known) -> dict:
+    sub = raw.pop(key, {})
     _require(isinstance(sub, dict), f"{key} must be an object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(sub) - allowed
+    unknown = set(sub) - set(known)
     _require(not unknown, f"unknown keys in {key}: {sorted(unknown)}")
-    try:
-        return cls(**sub)
-    except TypeError as e:
-        raise ConfigError(f"bad {key} section: {e}") from None
+    return sub
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
+    """Read scenario JSON; a key left out takes the dataclass default."""
     _require(isinstance(raw, dict), "scenario must be a JSON object")
     raw = dict(raw)
     version = raw.pop("version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION, f"unsupported scenario version {version!r}")
-    pool = raw.pop("pool", {})
-    rebate = raw.pop("rebate", {})
-    bounds = raw.pop("bounds", {})
-    users = raw.pop("users", {})
-    for label, sub, keys in (
-        ("pool", pool, {"x", "y"}),
-        ("rebate", rebate, {"z_max", "beta0"}),
-        ("bounds", bounds, {"max_x", "max_y"}),
-        ("users", users, {"budget_x", "budget_y"}),
-    ):
-        _require(isinstance(sub, dict), f"{label} must be an object")
-        unknown = set(sub) - keys
-        _require(not unknown, f"unknown keys in {label}: {sorted(unknown)}")
-    price = _section(raw, "price", PriceModel)
-    flow = _section(raw, "flow", FlowModel)
-    producer = _section(raw, "producer", ProducerModel)
-    top = {
-        "name": raw.pop("name", "default"),
-        "blocks": raw.pop("blocks", 200),
-        "curve": raw.pop("curve", "constant_product"),
-        "reveal_window": raw.pop("reveal_window", 2),
-        "conversion_frequency": raw.pop("conversion_frequency", 5),
-        "record_events": raw.pop("record_events", False),
-    }
+    given = {}
+    for section, keys in _LAYOUT.items():
+        sub = _pop_object(raw, section, keys.values())
+        given.update((name, sub[key]) for name, key in keys.items() if key in sub)
+    for f in fields(ScenarioConfig):
+        model = f.default_factory
+        if is_dataclass(model):
+            given[f.name] = model(**_pop_object(raw, f.name, [g.name for g in fields(model)]))
+        elif f.name not in _JSON_PATH and f.name in raw:
+            given[f.name] = raw.pop(f.name)
     _require(not raw, f"unknown scenario keys: {sorted(raw)}")
-    cfg = ScenarioConfig(
-        pool_x=pool.get("x", 10_000.0),
-        pool_y=pool.get("y", 100.0),
-        z_max=rebate.get("z_max", 4),
-        beta0=rebate.get("beta0", 0.8),
-        max_x=bounds.get("max_x", 10.0),
-        max_y=bounds.get("max_y", 0.1),
-        user_budget_x=users.get("budget_x", 100_000.0),
-        user_budget_y=users.get("budget_y", 1_000.0),
-        price=price,
-        flow=flow,
-        producer=producer,
-        **top,
-    )
-    return cfg.validate()
+    return ScenarioConfig(**given).validate()
 
 
 def scenario_to_json(cfg: ScenarioConfig) -> str:
@@ -246,44 +241,36 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 def builtin_scenarios() -> dict[str, ScenarioConfig]:
     """Named scenario presets usable anywhere a scenario file is."""
-    base = dict(pool_x=10_000.0, pool_y=100.0, max_x=10.0, max_y=0.1)
     scenarios = [
         ScenarioConfig(
             name="default",
-            blocks=200,
             flow=FlowModel(arrival=2.0, limit_prob=0.3, limit_width=0.02,
                            no_reveal_prob=0.02),
-            **base,
         ),
         # Rebate capture with no user flow: every block is a pure
         # arbitrage update, so the kept fraction is cleanly measurable.
         # Short conversion windows keep the vault's mark-to-market noise
         # from drowning the ratio statistic.
-        ScenarioConfig(name="lvr", blocks=500, conversion_frequency=2, **base),
+        ScenarioConfig(name="lvr", blocks=500, conversion_frequency=2),
         # Zero-rebate schedule: the protocol degenerates to a plain CFMM.
         ScenarioConfig(
             name="fallback",
-            blocks=200,
             z_max=0,
             beta0=0.0,
             flow=FlowModel(arrival=2.0, limit_prob=0.3, limit_width=0.02,
                            no_reveal_prob=0.02),
-            **base,
         ),
         # Heavy market-order flow for execution-price statistics.
         ScenarioConfig(
             name="neutrality",
             blocks=3000,
             flow=FlowModel(arrival=4.0),
-            **base,
         ),
         # Competitive producer deciding each block whether updating pays.
         ScenarioConfig(
             name="equilibrium",
-            blocks=200,
             flow=FlowModel(arrival=1.0),
             producer=ProducerModel(update_policy="best_response", update_cost=2e-6),
-            **base,
         ),
         # Grid parameters for the strategy sweep; blocks unused there.
         ScenarioConfig(
@@ -291,7 +278,6 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
             blocks=100,
             beta0=0.5,
             flow=FlowModel(arrival=4.0),
-            **base,
         ),
         # A producer that refuses to share: waits out the schedule and
         # updates only when the rebate has decayed to zero.
@@ -300,7 +286,6 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
             blocks=300,
             flow=FlowModel(arrival=1.0),
             producer=ProducerModel(update_policy="threshold", min_keep=1.0),
-            **base,
         ),
     ]
     return {cfg.name: cfg.validate() for cfg in scenarios}

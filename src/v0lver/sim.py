@@ -350,11 +350,13 @@ def equilibrium_experiment(cfg: ScenarioConfig, seed: int, runs: int = 100, jobs
         for g, c in m.updates_by_gap.items():
             gaps[g] = gaps.get(g, 0) + c
     total = sum(gaps.values())
+    if not total:
+        raise ConfigError(f"no run made an update: none of the {runs} runs updated the pool")
     return {
         "runs": len(results),
         "updates": total,
         "updates_by_gap": {str(g): c for g, c in sorted(gaps.items())},
-        "frac_gap0": gaps.get(0, 0) / total if total else math.nan,
+        "frac_gap0": gaps.get(0, 0) / total,
     }
 
 

@@ -13,17 +13,28 @@ from v0lver.agents import (
 from v0lver.allocation import OrderSide
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
 from v0lver.config import FlowModel, ProducerModel
+from v0lver.errors import DomainError
 from v0lver.rebate import ZERO_REBATE, RebateSchedule
 
 C = CONSTANT_PRODUCT
 SCHEDULE = RebateSchedule(z_max=4, beta0=0.8)
 
 
+def step_factors(proc, rng, n):
+    """n independent one-step multiplicative factors, each drawn by ``proc.step``."""
+    start = proc.eps
+    factors = np.empty(n)
+    for i in range(n):
+        proc.eps = start
+        factors[i] = proc.step(rng) / start
+    return factors
+
+
 class TestPriceProcess:
     def test_martingale_in_expectation(self):
         rng = np.random.default_rng(0)
         proc = PriceProcess(eps=100.0, sigma=0.05)
-        factors = proc.sample_factors(rng, 200_000)
+        factors = step_factors(proc, rng, 200_000)
         # E[factor] = 1 for the drift-corrected walk
         assert factors.mean() == pytest.approx(1.0, abs=3 * factors.std() / 200_000**0.5)
 
@@ -37,8 +48,14 @@ class TestPriceProcess:
     def test_drift_shifts_the_mean(self):
         rng = np.random.default_rng(1)
         proc = PriceProcess(eps=1.0, sigma=0.01, drift=0.5)
-        factors = proc.sample_factors(rng, 50_000)
+        factors = step_factors(proc, rng, 50_000)
         assert factors.mean() == pytest.approx(np.exp(0.5), rel=1e-2)
+
+    @pytest.mark.parametrize("sigma, drift", [(1e200, 0.0), (0.02, 800.0), (0.02, -800.0)])
+    def test_walk_out_of_float_range_names_the_fields(self, sigma, drift):
+        proc = PriceProcess(eps=100.0, sigma=sigma, drift=drift)
+        with pytest.raises(DomainError, match=r"price\.drift .* price\.sigma"):
+            proc.step(np.random.default_rng(0))
 
 
 class TestUserFlow:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import pytest
@@ -193,6 +194,35 @@ class TestExitCodes:
         out = str(tmp_path / "out")
         assert main(["lvr", "--scenario", str(scn), "--out", out, "--runs", "2"]) == 1
         assert "no run produced an LVR ratio" in capsys.readouterr().err
+
+    def test_equilibrium_without_update_exits_one(self, tmp_path, capsys):
+        scn = tmp_path / "idle.json"
+        scn.write_text(json.dumps({"blocks": 20, "producer": {"update_policy": "never"}}))
+        out = str(tmp_path / "out")
+        assert main(["equilibrium", "--scenario", str(scn), "--out", out, "--runs", "2"]) == 1
+        assert "no run made an update" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, path", [
+        ({"blocks": "10"}, "blocks"),
+        ({"blocks": 10.5}, "blocks"),
+        ({"blocks": True}, "blocks"),
+        ({"name": 5}, "name"),
+        ({"reveal_window": 1.5}, "reveal_window"),
+        ({"record_events": "yes"}, "record_events"),
+        ({"curve": ["x"]}, "curve"),
+        ({"flow": {"arrival": "4"}}, "flow.arrival"),
+        ({"flow": {"limit_width": 5}}, "flow.limit_width"),
+        ({"price": {"sigma": math.inf}}, "price.sigma"),
+        ({"price": {"sigma": 1e200}}, "price.sigma"),
+        ({"price": {"drift": 800}}, "price.drift"),
+        ({"rebate": {"z_max": 4.0}}, "rebate.z_max"),
+    ])
+    def test_bad_field_exits_one_naming_it(self, raw, path, tmp_path, capsys):
+        scn = tmp_path / "bad.json"
+        scn.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and path in err
 
     def test_missing_scenario_file(self, tmp_path):
         out = str(tmp_path / "out")

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
 from v0lver.config import (
+    FlowModel,
+    PriceModel,
     builtin_scenarios,
     load_scenario,
     scenario_from_dict,
@@ -68,9 +73,46 @@ class TestValidation:
             {"reveal_window": -1},
             {"conversion_frequency": -2},
             {"curve": "hyperbolic"},
+            {"blocks": "10"},
+            {"blocks": 10.5},
+            {"blocks": True},
+            {"name": 5},
+            {"reveal_window": 1.5},
+            {"record_events": "yes"},
+            {"curve": ["x"]},
+            {"z_max": 4.0},
+            {"pool_x": math.inf},
+            {"beta0": math.nan},
+            {"max_y": 10**400},
+            {"price": PriceModel(sigma=math.inf)},
+            {"flow": FlowModel(arrival="4")},
+            {"flow": FlowModel(limit_width=1.0)},
+            {"flow": FlowModel(limit_width=5)},
+            {"flow": FlowModel(arrival=1e6)},
         ):
             with pytest.raises(ConfigError):
                 dataclasses.replace(cfg, **change).validate()
+
+    @pytest.mark.parametrize("raw, path", [
+        ({"blocks": "10"}, "blocks"),
+        ({"blocks": True}, "blocks"),
+        ({"pool": {"x": "1"}}, "pool.x"),
+        ({"rebate": {"z_max": 4.0}}, "rebate.z_max"),
+        ({"rebate": {"beta0": 2.0}}, "rebate.beta0"),
+        ({"users": {"budget_y": math.nan}}, "users.budget_y"),
+        ({"flow": {"arrival": "4"}}, "flow.arrival"),
+        ({"flow": {"limit_width": 5}}, "flow.limit_width"),
+        ({"price": {"sigma": math.inf}}, "price.sigma"),
+        ({"producer": {"censor_rate": False}}, "producer.censor_rate"),
+    ])
+    def test_errors_name_the_json_path(self, raw, path):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)} "):
+            scenario_from_dict(raw)
+
+    def test_sections_must_be_objects(self):
+        for key in ("pool", "rebate", "price", "producer"):
+            with pytest.raises(ConfigError, match=f"^{key} must be an object"):
+                scenario_from_dict({key: [1]})
 
     def test_rejects_bad_policies(self):
         cfg = builtin_scenarios()["default"]
@@ -89,3 +131,12 @@ class TestValidation:
         assert s.z_max == cfg.z_max and s.beta0 == cfg.beta0
         fallback = builtin_scenarios()["fallback"].rebate_schedule()
         assert fallback.value_at(0) == 0.0
+
+
+class TestScenarioFiles:
+    def test_files_are_the_builtins_written_out(self):
+        scenarios = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+        builtins = builtin_scenarios()
+        assert sorted(p.stem for p in scenarios.glob("*.json")) == sorted(builtins)
+        for name, cfg in builtins.items():
+            assert (scenarios / f"{name}.json").read_bytes() == scenario_to_json(cfg).encode(), name
