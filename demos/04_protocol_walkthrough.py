@@ -84,5 +84,7 @@ chain.apply_update_tx("prod", 1, 102.5)
 chain.advance_block(102.5, converter="prod")
 chain.advance_block(102.5, converter="prod")
 block = chain.advance_block(102.5, converter="prod")
-print(f"\nunrevealed oct burned: {block.executions[0].burned}")
+for oct in block.executions[0].burned:
+    print(f"\nunrevealed oct {oct.id} of {oct.owner} burned "
+          f"{oct.collateral} {oct.collateral_token} of collateral")
 show(chain, "after the burn")

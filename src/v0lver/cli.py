@@ -23,14 +23,6 @@ from . import sim
 from .config import builtin_scenarios, load_scenario, scenario_to_dict, scenario_to_json
 from .errors import InvariantViolation, V0lverError
 
-BLOCK_COLUMNS = [
-    "height", "eps", "pool_x", "pool_y", "pool_price", "pool_k",
-    "vault_x", "vault_y", "update", "gap", "beta", "update_price",
-    "n_submitted", "n_inserted", "n_revealed", "n_executed", "n_burned",
-    "volume_y",
-]
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; for us 2 means an internal bug."""
 
@@ -112,12 +104,9 @@ def cmd_run(args) -> int:
     result = sim.run_scenario(cfg, args.seed)
     out.write_json("summary.json", _summary("run", cfg, args.seed,
                                             {"metrics": result.metrics.to_dict()}))
-    out.write_table("blocks", BLOCK_COLUMNS, result.blocks, args.format)
-    if result.events is not None:
-        out.write_ndjson(
-            "events.ndjson",
-            ({"height": e.height, "kind": e.kind, **e.data} for e in result.events),
-        )
+    out.write_table("blocks", list(result.blocks[0]), result.blocks, args.format)
+    if cfg.record_events:
+        out.write_ndjson("events.ndjson", (e for block in result.receipts for e in block.events()))
     return 0
 
 

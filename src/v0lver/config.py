@@ -133,7 +133,8 @@ class ProducerModel:
         _require(self.price_policy in PRICE_POLICIES,
                  f"producer.price_policy must be one of {PRICE_POLICIES}")
         _require(self.price_offset > 0, "producer.price_offset must be > 0")
-        _require(self.self_trade_alpha >= 0, "producer.self_trade_alpha must be >= 0")
+        # The own order is alpha times an order bound, and orders above the bound are refused.
+        _require(0 <= self.self_trade_alpha <= 1, "producer.self_trade_alpha must lie in [0, 1]")
         _require(0 <= self.censor_rate <= 1, "producer.censor_rate must lie in [0, 1]")
         _require(self.update_cost >= 0, "producer.update_cost must be >= 0")
         _require(0 <= self.min_keep <= 1, "producer.min_keep must lie in [0, 1]")
@@ -209,7 +210,8 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     _require(isinstance(raw, dict), "scenario must be a JSON object")
     raw = dict(raw)
     version = raw.pop("version", SCHEMA_VERSION)
-    _require(version == SCHEMA_VERSION, f"unsupported scenario version {version!r}")
+    _require(type(version) is int and version == SCHEMA_VERSION,
+             f"version must be the integer {SCHEMA_VERSION}, got {version!r}")
     given = {}
     for section, keys in _LAYOUT.items():
         sub = _pop_object(raw, section, keys.values())

@@ -17,6 +17,9 @@ plain CFMM — and settlement flows are routed so each side ends up with its
 Order commitments are modeled as salted digests with honest binding: the
 engine computes the commitment at submission, keeps only commitment, side
 and collateral, and checks the digest again at reveal.
+
+What happens in a block is recorded once, in the ``BlockReceipt`` that
+``advance_block`` returns; events, block rows and run metrics derive from it.
 """
 from __future__ import annotations
 
@@ -82,27 +85,17 @@ class Oct:
     collateral_token: str  # "x" or "y", the token the hidden order sells
     collateral: float
     state: OctState = OctState.PENDING
-    submitted_at: int = -1
-    inserted_at: int = -1
     allocated_at: int = -1
-    label: int = -1
     revealed: Order | None = None
 
 
 @dataclass(frozen=True, slots=True)
-class Event:
-    height: int
-    kind: str
-    data: dict
-
-
-@dataclass(frozen=True, slots=True)
 class UpdateReceipt:
-    height: int
     label: int
     gap: int
     beta: float
     price: float
+    before: Reserves  # the pool reserves the move started from
     move: RebatedMoveResult
     count: int
     escrow: tuple[float, float]
@@ -112,25 +105,17 @@ class UpdateReceipt:
 
 @dataclass(frozen=True, slots=True)
 class ExecutionReceipt:
-    height: int
-    label: int
-    created_at: int
-    allocation_price: float
+    pool: AllocationPool
     settlement: Settlement
     orders: tuple[Order, ...]
     fill_owners: tuple[str, ...]
-    burned: tuple[tuple[str, str, float], ...]  # (owner, token, amount)
-    remaining: tuple[float, float]
+    burned: tuple[Oct, ...]
     to_pool: tuple[float, float]
     to_producer: tuple[float, float]
-    producer: str
-    n_allocated: int
-    n_revealed: int
 
 
 @dataclass(frozen=True, slots=True)
 class ReentryReceipt:
-    height: int
     eps: float
     added: tuple[float, float]
     converter_flow: tuple[float, float]
@@ -139,9 +124,52 @@ class ReentryReceipt:
 
 @dataclass(frozen=True, slots=True)
 class BlockReceipt:
+    """Everything that happened in one block, and its closing balances.
+
+    ``inserts`` holds one ``(producer, ids)`` pair per non-empty insertion;
+    ``pool`` and ``vault`` are the ledger balances at block end.
+    """
+
     height: int
+    submitted: tuple[Oct, ...]
+    inserts: tuple[tuple[str, tuple[int, ...]], ...]
+    update: UpdateReceipt | None
+    revealed: tuple[int, ...]
     executions: tuple[ExecutionReceipt, ...]
     reentry: ReentryReceipt | None
+    pool: tuple[float, float]
+    vault: tuple[float, float]
+
+    def events(self) -> list[dict]:
+        """The block's ``events.ndjson`` records, in protocol phase order."""
+        h = self.height
+
+        def ev(kind, **data):
+            return {"height": h, "kind": kind, **data}
+
+        out = [ev("oct_submitted", id=o.id, owner=o.owner, token=o.collateral_token,
+                  collateral=o.collateral) for o in self.submitted]
+        out += [ev("octs_inserted", ids=list(ids), producer=p) for p, ids in self.inserts]
+        u = self.update
+        if u is not None:
+            out.append(ev("update_applied", label=u.label, gap=u.gap, beta=u.beta, price=u.price,
+                          producer_flow=u.move.producer_flow,
+                          vault_deposit=u.move.vault_deposit, count=u.count,
+                          escrow=u.escrow, producer=u.producer))
+        out += [ev("oct_revealed", id=i) for i in self.revealed]
+        for e in self.executions:
+            out += [ev("oct_burned", id=o.id, owner=o.owner, amount=o.collateral)
+                    for o in e.burned]
+            out.append(ev("batch_executed", label=e.pool.label, price=e.settlement.price,
+                          pool_delta=e.settlement.pool_delta, n_allocated=e.pool.count,
+                          n_revealed=len(e.orders), n_burned=len(e.burned),
+                          to_pool=e.to_pool, to_producer=e.to_producer))
+        r = self.reentry
+        if r is not None:
+            out.append(ev("vault_reentered", eps=r.eps, added=r.added,
+                          converter_flow=r.converter_flow, converter=r.converter))
+        out.append(ev("block_end", pool=self.pool, vault=self.vault))
+        return out
 
 
 class ChainState:
@@ -150,8 +178,8 @@ class ChainState:
     The per-block call order a driver is expected to follow mirrors the
     protocol: submit OCTs, insert a subset, optionally apply one update
     transaction, apply reveals, then ``advance_block`` — which executes due
-    batches, periodically folds the vault back into the pool, and increments
-    the height.
+    batches, periodically folds the vault back into the pool, increments
+    the height and returns the block's receipt.
     """
 
     def __init__(
@@ -165,7 +193,6 @@ class ChainState:
         reveal_window: int = 2,
         conversion_frequency: int = 1,
         balances: dict[str, tuple[float, float]] | None = None,
-        record_events: bool = False,
     ):
         if max_x <= 0 or max_y <= 0:
             raise DomainError("order bounds must be > 0")
@@ -181,7 +208,6 @@ class ChainState:
         self.conversion_frequency = int(conversion_frequency)
         self.height = 0
         self.last_alloc_label = -1
-        self.last_update_block = -1
         self.octs: dict[int, Oct] = {}
         self.mempool: dict[int, Oct] = {}
         self.inserted_by_height: dict[int, list[int]] = {}
@@ -193,8 +219,15 @@ class ChainState:
         self.balances.setdefault(COLLATERAL, [0.0, 0.0])
         self.balances.setdefault(BURNED, [0.0, 0.0])
         self._next_oct_id = 0
-        self.events: list[Event] | None = [] if record_events else None
         self._supply0 = self.total_supply()
+        self._open_block()
+
+    def _open_block(self):
+        self._submitted: list[Oct] = []
+        self._inserts: list[tuple[str, tuple[int, ...]]] = []
+        self._update: UpdateReceipt | None = None
+        self._revealed: list[int] = []
+        self._executions: list[ExecutionReceipt] = []
 
     # ------------------------------------------------------------------ ledger
 
@@ -217,12 +250,8 @@ class ChainState:
             scale = abs(dx) + abs(dy) + 1.0
             if s[0] < -_NEG_TOL * scale or s[1] < -_NEG_TOL * scale:
                 raise FundingError(
-                    f"{src} overdrawn moving ({dx!r}, {dy!r}) to {dst}: {s!r}"
+                    f"{src} overdrawn moving ({dx!r}, {dy!r}) to {dst}: {s!r}", party=src
                 )
-
-    def _emit(self, kind: str, **data):
-        if self.events is not None:
-            self.events.append(Event(height=self.height, kind=kind, data=data))
 
     def total_supply(self) -> tuple[float, float]:
         tx = ty = 0.0
@@ -277,12 +306,11 @@ class ChainState:
             commitment=commit_order(order, salt=str(oct_id)),
             collateral_token=token,
             collateral=bound,
-            submitted_at=self.height,
         )
         self._transfer(owner, COLLATERAL, bound if token == "x" else 0.0, bound if token == "y" else 0.0)
         self.octs[oct_id] = oct
         self.mempool[oct_id] = oct
-        self._emit("oct_submitted", id=oct_id, owner=owner, token=token, collateral=bound)
+        self._submitted.append(oct)
         return oct
 
     def insert_octs(self, producer: str, oct_ids) -> list[int]:
@@ -290,20 +318,17 @@ class ChainState:
         ids = list(oct_ids)
         seen = set()
         for oct_id in ids:
-            oct = self.octs.get(oct_id)
-            if oct is None or oct_id not in self.mempool or oct_id in seen:
+            # The mempool holds exactly the pending OCTs.
+            if oct_id not in self.mempool or oct_id in seen:
                 raise InvalidTransition(f"oct {oct_id!r} is not in the mempool")
-            if oct.state is not OctState.PENDING:
-                raise InvalidTransition(f"oct {oct_id!r} already inserted")
             seen.add(oct_id)
         block = self.inserted_by_height.setdefault(self.height, [])
         for oct_id in ids:
             oct = self.mempool.pop(oct_id)
             oct.state = OctState.INSERTED
-            oct.inserted_at = self.height
             block.append(oct_id)
         if ids:
-            self._emit("octs_inserted", ids=ids, producer=producer)
+            self._inserts.append((producer, tuple(ids)))
         return ids
 
     def apply_update_tx(self, producer: str, alloc_label: int, price) -> UpdateReceipt:
@@ -314,7 +339,7 @@ class ChainState:
         The rebate fraction follows the schedule at gap ``H - H_a``.
         """
         h = self.height
-        if self.last_update_block == h:
+        if self._update is not None:
             raise InvalidTransition(f"block {h} already carries an update transaction")
         if not (self.last_alloc_label < alloc_label <= h):
             raise InvalidTransition(
@@ -324,7 +349,8 @@ class ChainState:
         gap = h - alloc_label
         beta = self.schedule.value_at(gap)
 
-        move = apply_rebated_move(self.curve, self.pool_reserves(), p, beta)
+        before = self.pool_reserves()
+        move = apply_rebated_move(self.curve, before, p, beta)
         self._transfer(POOL, producer, *move.producer_flow)
         self._transfer(POOL, VAULT, *move.vault_deposit)
 
@@ -352,46 +378,30 @@ class ChainState:
             need_y = held_y + (1.0 - beta) * ey
             if need_x > snapshot.x or need_y > snapshot.y:
                 raise FundingError(
-                    f"pool reserves cannot back escrow earmarks ({need_x!r}, {need_y!r})"
+                    f"pool reserves cannot back escrow earmarks ({need_x!r}, {need_y!r})",
+                    party=POOL,
                 )
-            self._transfer(producer, self._escrow_party(alloc_label), beta * ex, beta * ey)
+            self._transfer(producer, f"alloc:{alloc_label}", beta * ex, beta * ey)
             for oct_id in batch:
                 oct = self.octs[oct_id]
                 oct.state = OctState.ALLOCATED
                 oct.allocated_at = h
-                oct.label = alloc_label
             self.open_allocations[alloc_label] = replace(pool, oct_ids=tuple(batch))
 
         self.last_alloc_label = alloc_label
-        self.last_update_block = h
-        receipt = UpdateReceipt(
-            height=h,
+        self._update = UpdateReceipt(
             label=alloc_label,
             gap=gap,
             beta=beta,
             price=float(p),
+            before=before,
             move=move,
             count=count,
             escrow=receipt_escrow,
             snapshot=snapshot,
             producer=producer,
         )
-        self._emit(
-            "update_applied",
-            label=alloc_label,
-            gap=gap,
-            beta=beta,
-            price=float(p),
-            producer_flow=move.producer_flow,
-            vault_deposit=move.vault_deposit,
-            count=count,
-            escrow=receipt_escrow,
-            producer=producer,
-        )
-        return receipt
-
-    def _escrow_party(self, label: int) -> str:
-        return f"alloc:{label}"
+        return self._update
 
     def reveal_order(self, oct_id: int, order: Order):
         """Reveal the order behind an allocated OCT within the window."""
@@ -408,22 +418,22 @@ class ChainState:
             raise InvalidTransition(f"order breaches the collateral of oct {oct_id}")
         oct.revealed = order
         oct.state = OctState.REVEALED
-        self._emit("oct_revealed", id=oct_id)
+        self._revealed.append(oct_id)
 
     def execute_batch(self, label: int, proposed_price=None) -> ExecutionReceipt:
         """Settle one allocated batch and redistribute its escrow.
 
         Unrevealed OCTs burn their collateral. With ``proposed_price`` the
         engine verifies the proposal instead of trusting it, rejecting prices
-        that fail the volume-maximality check.
+        that fail the volume-maximality check. The execution receipt is also
+        part of the current block's receipt.
         """
         pool = self.open_allocations.get(label)
         if pool is None:
             raise InvalidTransition(f"no open allocation with label {label!r}")
-        h = self.height
         octs = [self.octs[i] for i in pool.oct_ids]
         revealed = [o for o in octs if o.state is OctState.REVEALED]
-        if h < pool.created_at + self.reveal_window and len(revealed) < len(octs):
+        if self.height < pool.created_at + self.reveal_window and len(revealed) < len(octs):
             raise InvalidTransition(f"batch {label} is not due (reveals outstanding)")
 
         burned = []
@@ -433,8 +443,7 @@ class ChainState:
                 amt_y = oct.collateral if oct.collateral_token == "y" else 0.0
                 self._transfer(COLLATERAL, BURNED, amt_x, amt_y)
                 oct.state = OctState.BURNED
-                burned.append((oct.owner, oct.collateral_token, oct.collateral))
-                self._emit("oct_burned", id=oct.id, owner=oct.owner, amount=oct.collateral)
+                burned.append(oct)
 
         orders = tuple(o.revealed for o in revealed)
         if proposed_price is not None:
@@ -454,7 +463,7 @@ class ChainState:
                     f"solver clearing price {settlement.price!r} failed self-verification"
                 )
 
-        escrow = self._escrow_party(label)
+        escrow = f"alloc:{label}"
         filled_by_index = {f.index: f for f in settlement.fills}
         fill_owners = []
         p = settlement.price
@@ -495,32 +504,15 @@ class ChainState:
         del self.open_allocations[label]
 
         receipt = ExecutionReceipt(
-            height=h,
-            label=label,
-            created_at=pool.created_at,
-            allocation_price=pool.price,
+            pool=pool,
             settlement=settlement,
             orders=orders,
             fill_owners=tuple(fill_owners),
             burned=tuple(burned),
-            remaining=remainder,
-            to_pool=to_pool,
-            to_producer=to_producer,
-            producer=pool.producer,
-            n_allocated=len(octs),
-            n_revealed=len(revealed),
-        )
-        self._emit(
-            "batch_executed",
-            label=label,
-            price=settlement.price,
-            pool_delta=settlement.pool_delta,
-            n_allocated=len(octs),
-            n_revealed=len(revealed),
-            n_burned=len(burned),
             to_pool=to_pool,
             to_producer=to_producer,
         )
+        self._executions.append(receipt)
         return receipt
 
     def advance_block(self, eps, converter: str | None = None) -> BlockReceipt:
@@ -532,15 +524,12 @@ class ChainState:
         value-neutral other side of it.
         """
         h = self.height
-        executions = []
         for label in sorted(self.open_allocations):
             pool = self.open_allocations[label]
-            octs = [self.octs[i] for i in pool.oct_ids]
-            due = h >= pool.created_at + self.reveal_window or all(
-                o.state is OctState.REVEALED for o in octs
-            )
-            if due:
-                executions.append(self.execute_batch(label))
+            if h >= pool.created_at + self.reveal_window or all(
+                self.octs[i].state is OctState.REVEALED for i in pool.oct_ids
+            ):
+                self.execute_batch(label)
 
         reentry = None
         freq = self.conversion_frequency
@@ -554,20 +543,23 @@ class ChainState:
             self._transfer(VAULT, who, *vault, guard=False)
             self._transfer(who, POOL, *result.added, guard=False)
             reentry = ReentryReceipt(
-                height=h,
-                eps=float(eps),
-                added=result.added,
-                converter_flow=result.converter_flow,
-                converter=who,
-            )
-            self._emit(
-                "vault_reentered",
                 eps=float(eps),
                 added=result.added,
                 converter_flow=result.converter_flow,
                 converter=who,
             )
 
-        self._emit("block_end", pool=tuple(self.balances[POOL]), vault=tuple(self.balances[VAULT]))
+        block = BlockReceipt(
+            height=h,
+            submitted=tuple(self._submitted),
+            inserts=tuple(self._inserts),
+            update=self._update,
+            revealed=tuple(self._revealed),
+            executions=tuple(self._executions),
+            reentry=reentry,
+            pool=tuple(self.balances[POOL]),
+            vault=tuple(self.balances[VAULT]),
+        )
+        self._open_block()
         self.height = h + 1
-        return BlockReceipt(height=h, executions=tuple(executions), reentry=reentry)
+        return block

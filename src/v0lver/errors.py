@@ -24,7 +24,14 @@ class InvalidTransition(V0lverError):
 
 
 class FundingError(V0lverError):
-    """An account cannot cover a required deposit or escrow."""
+    """An account cannot cover a required deposit or escrow.
+
+    ``party`` is the ledger account that ran short, when one did.
+    """
+
+    def __init__(self, message: str, party: str | None = None):
+        super().__init__(message)
+        self.party = party
 
 
 class VerificationError(V0lverError):

@@ -34,8 +34,8 @@ from .agents import (
 from .allocation import Order, OrderSide
 from .cfmm import CURVES, Reserves, max_lvr
 from .config import ScenarioConfig
-from .engine import VAULT, ChainState, OctState
-from .errors import ConfigError
+from .engine import POOL, BlockReceipt, ChainState, OctState
+from .errors import ConfigError, FundingError
 
 PRODUCER = "producer"
 USERS = "users"
@@ -98,22 +98,28 @@ class RunMetrics:
 
 @dataclass(slots=True)
 class RunResult:
+    """A run's metrics, block rows and block receipts (rows and metrics derive from the receipts)."""
+
     metrics: RunMetrics
     blocks: list
-    events: list | None = None
+    receipts: list
+
+
+#: The scenario fields that fund each ledger account a run can overdraw.
+_FUNDED_BY = {
+    USERS: "users.budget_x/users.budget_y",
+    PRODUCER: "producer.budget_x/producer.budget_y",
+    POOL: "pool.x/pool.y",
+}
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
     cfg.validate()
     curve = CURVES[cfg.curve]
-    schedule = cfg.rebate_schedule()
-    ss = np.random.SeedSequence(seed)
-    price_rng, flow_rng, prod_rng = (np.random.default_rng(s) for s in ss.spawn(3))
-
     chain = ChainState(
         curve,
         Reserves(cfg.pool_x, cfg.pool_y),
-        schedule,
+        cfg.rebate_schedule(),
         max_x=cfg.max_x,
         max_y=cfg.max_y,
         reveal_window=cfg.reveal_window,
@@ -122,30 +128,50 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
             USERS: (cfg.user_budget_x, cfg.user_budget_y),
             PRODUCER: (cfg.producer.budget_x, cfg.producer.budget_y),
         },
-        record_events=cfg.record_events,
     )
+    try:
+        steps = list(_drive(cfg, seed, chain))
+    except FundingError as e:
+        if e.party not in _FUNDED_BY:
+            raise
+        raise FundingError(f"{e} (funded by {_FUNDED_BY[e.party]})", party=e.party) from None
 
-    proc = PriceProcess(eps=cfg.price.initial, sigma=cfg.price.sigma, drift=cfg.price.drift)
-    eps = proc.eps
-    prev_eps = eps
     metrics = RunMetrics(blocks=cfg.blocks)
     rows = []
+    for block, eps in steps:
+        rows.append(_block_row(curve, block, eps))
+        _tally(metrics, cfg, curve, block, rows)
+    last = rows[-1]
+    vault_value = last["vault_x"] + last["vault_y"] * last["eps"]
+    metrics.realized_lvr -= vault_value
+    metrics.final_eps = last["eps"]
+    metrics.final_pool_x = last["pool_x"]
+    metrics.final_pool_y = last["pool_y"]
+    metrics.final_k = last["pool_k"]
+    metrics.final_vault_value = vault_value
+    metrics.conservation_error = chain.conservation_error()
+    return RunResult(metrics=metrics, blocks=rows, receipts=[block for block, _ in steps])
+
+
+def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
+    """Advance ``chain`` through the scenario, yielding each block's receipt and external price."""
+    ss = np.random.SeedSequence(seed)
+    price_rng, flow_rng, prod_rng = (np.random.default_rng(s) for s in ss.spawn(3))
+    proc = PriceProcess(eps=cfg.price.initial, sigma=cfg.price.sigma, drift=cfg.price.drift)
+    eps = prev_eps = proc.eps
     private_orders: dict[int, Order] = {}
     no_reveal: set[int] = set()
-    label_info: dict[int, tuple[float, float, float, float]] = {}  # eps, beta, dep_x, dep_y
 
     for h in range(cfg.blocks):
         if h > 0:
             prev_eps = eps
             eps = proc.step(price_rng)
 
-        n_submitted = 0
         for order in gen_user_orders(flow_rng, cfg.flow, eps, cfg.max_x, cfg.max_y, USERS):
             oct = chain.submit_oct(USERS, order)
             private_orders[oct.id] = order
             if cfg.flow.no_reveal_prob > 0 and flow_rng.random() < cfg.flow.no_reveal_prob:
                 no_reveal.add(oct.id)
-            n_submitted += 1
         alpha = cfg.producer.self_trade_alpha
         if alpha > 0:
             if cfg.producer.price_offset >= 1.0:
@@ -154,119 +180,98 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
                 own = Order(OrderSide.BUY_Y, alpha * cfg.max_x, None, PRODUCER)
             oct = chain.submit_oct(PRODUCER, own)
             private_orders[oct.id] = own
-            n_submitted += 1
-        metrics.n_octs += n_submitted
-        metrics.ops += n_submitted
 
-        inserted = chain.insert_octs(
+        chain.insert_octs(
             PRODUCER, choose_inserts(prod_rng, chain.mempool.keys(), cfg.producer.censor_rate)
         )
-        metrics.ops += len(inserted)
-
-        row = {
-            "height": h,
-            "eps": eps,
-            "update": 0,
-            "gap": -1,
-            "beta": 0.0,
-            "update_price": math.nan,
-            "n_submitted": n_submitted,
-            "n_inserted": len(inserted),
-            "n_revealed": 0,
-            "n_executed": 0,
-            "n_burned": 0,
-            "volume_y": 0.0,
-        }
-
         decision = decide_update(
-            cfg.producer, schedule, curve, chain.pool_reserves(), h,
+            cfg.producer, chain.schedule, chain.curve, chain.pool_reserves(), h,
             chain.last_alloc_label, eps, prev_eps,
         )
         if decision is not None:
-            label, target = decision
-            pre = chain.pool_reserves()
-            receipt = chain.apply_update_tx(PRODUCER, label, target)
-            metrics.ops += 1
-            metrics.n_updates += 1
-            metrics.updates_by_gap[receipt.gap] = metrics.updates_by_gap.get(receipt.gap, 0) + 1
-            metrics.update_costs += cfg.producer.update_cost
-            fx, fy = receipt.move.producer_flow
-            vx, vy = receipt.move.vault_deposit
-            metrics.producer_flow_value += fx + fy * eps
-            metrics.realized_lvr += (fx + vx) + (fy + vy) * eps
-            metrics.full_lvr += max_lvr(curve, pre, eps)[1]
-            ex, ey = receipt.escrow
-            label_info[label] = (eps, receipt.beta, receipt.beta * ex, receipt.beta * ey)
-            row.update(update=1, gap=receipt.gap, beta=receipt.beta, update_price=float(target))
-
-        n_revealed = 0
+            chain.apply_update_tx(PRODUCER, *decision)
         for oct_id in sorted(private_orders):
             oct = chain.octs[oct_id]
             if oct.state is OctState.ALLOCATED and oct_id not in no_reveal:
                 chain.reveal_order(oct_id, private_orders.pop(oct_id))
-                n_revealed += 1
-        metrics.ops += n_revealed
-        row["n_revealed"] = n_revealed
 
         block = chain.advance_block(eps, converter=PRODUCER)
-        metrics.ops += 1
         for er in block.executions:
-            metrics.ops += 1
-            metrics.n_executed += er.n_revealed
-            metrics.n_burned += len(er.burned)
-            metrics.volume_y += er.settlement.volume_y
-            row["n_executed"] += er.n_revealed
-            row["n_burned"] += len(er.burned)
-            row["volume_y"] += er.settlement.volume_y
-            eps_alloc, _beta, dep_x, dep_y = label_info.pop(er.label)
-            tx, ty = er.to_producer
-            metrics.producer_escrow_net += (tx - dep_x) + (ty - dep_y) * eps
-            for f in er.settlement.fills:
-                order = er.orders[f.index]
-                if order.owner == USERS:
-                    metrics.n_user_fills += 1
-                    dev = er.settlement.price / eps_alloc - 1.0
-                    metrics.user_dev_sum += dev
-                    metrics.user_dev_sq += dev * dev
-                elif order.owner == PRODUCER:
-                    if order.side is OrderSide.SELL_Y:
-                        metrics.producer_order_pnl += f.bought - f.sold * eps
-                    else:
-                        metrics.producer_order_pnl += f.bought * eps - f.sold
-            if er.burned:
-                dead = [i for i in private_orders if chain.octs[i].state is OctState.BURNED]
-                for oct_id in dead:
-                    del private_orders[oct_id]
-                    no_reveal.discard(oct_id)
-        if block.reentry is not None:
-            metrics.ops += 1
-            cx, cy = block.reentry.converter_flow
-            metrics.converter_value += cx + cy * eps
-            ax, ay = block.reentry.added
-            metrics.realized_lvr -= ax + ay * eps
+            for oct in er.burned:
+                del private_orders[oct.id]
+                no_reveal.discard(oct.id)
+        yield block, eps
 
-        pool = chain.pool_reserves()
-        vault = chain.balances[VAULT]
-        row.update(
-            pool_x=pool.x,
-            pool_y=pool.y,
-            pool_price=chain.pool_price(),
-            pool_k=chain.pool_constant(),
-            vault_x=vault[0],
-            vault_y=vault[1],
-        )
-        rows.append(row)
 
-    vault_value = chain.balances[VAULT][0] + chain.balances[VAULT][1] * eps
-    metrics.realized_lvr -= vault_value
-    metrics.final_eps = eps
-    pool = chain.pool_reserves()
-    metrics.final_pool_x = pool.x
-    metrics.final_pool_y = pool.y
-    metrics.final_k = chain.pool_constant()
-    metrics.final_vault_value = vault_value
-    metrics.conservation_error = chain.conservation_error()
-    return RunResult(metrics=metrics, blocks=rows, events=chain.events)
+def _block_row(curve, block: BlockReceipt, eps: float) -> dict:
+    """The ``blocks.csv`` row of one block at external price ``eps``, keys in column order."""
+    u = block.update
+    pool = Reserves(*block.pool)
+    return {
+        "height": block.height,
+        "eps": eps,
+        "pool_x": pool.x,
+        "pool_y": pool.y,
+        "pool_price": float(curve.price(pool)),
+        "pool_k": curve.invariant(pool),
+        "vault_x": block.vault[0],
+        "vault_y": block.vault[1],
+        "update": int(u is not None),
+        "gap": -1 if u is None else u.gap,
+        "beta": 0.0 if u is None else u.beta,
+        "update_price": math.nan if u is None else u.price,
+        "n_submitted": len(block.submitted),
+        "n_inserted": sum(len(ids) for _, ids in block.inserts),
+        "n_revealed": len(block.revealed),
+        "n_executed": sum(len(er.orders) for er in block.executions),
+        "n_burned": sum(len(er.burned) for er in block.executions),
+        "volume_y": sum((er.settlement.volume_y for er in block.executions), 0.0),
+    }
+
+
+def _tally(m: RunMetrics, cfg: ScenarioConfig, curve, block: BlockReceipt, rows: list):
+    """Add one block's share of the run metrics; float sums go per update, execution and fill."""
+    row = rows[block.height]
+    eps = row["eps"]
+    m.n_octs += row["n_submitted"]
+    m.n_executed += row["n_executed"]
+    m.n_burned += row["n_burned"]
+    m.ops += (row["n_submitted"] + row["n_inserted"] + row["update"] + row["n_revealed"]
+              + 1 + len(block.executions) + (block.reentry is not None))
+    u = block.update
+    if u is not None:
+        m.n_updates += 1
+        m.updates_by_gap[u.gap] = m.updates_by_gap.get(u.gap, 0) + 1
+        m.update_costs += cfg.producer.update_cost
+        fx, fy = u.move.producer_flow
+        vx, vy = u.move.vault_deposit
+        m.producer_flow_value += fx + fy * eps
+        m.realized_lvr += (fx + vx) + (fy + vy) * eps
+        m.full_lvr += max_lvr(curve, u.before, eps)[1]
+    for er in block.executions:
+        m.volume_y += er.settlement.volume_y
+        pool = er.pool
+        eps_alloc = rows[pool.created_at]["eps"]  # the external price at allocation
+        beta = pool.producer_fraction
+        tx, ty = er.to_producer
+        m.producer_escrow_net += (tx - beta * pool.escrow[0]) + (ty - beta * pool.escrow[1]) * eps
+        for f in er.settlement.fills:
+            order = er.orders[f.index]
+            if order.owner == USERS:
+                m.n_user_fills += 1
+                dev = er.settlement.price / eps_alloc - 1.0
+                m.user_dev_sum += dev
+                m.user_dev_sq += dev * dev
+            elif order.owner == PRODUCER:
+                if order.side is OrderSide.SELL_Y:
+                    m.producer_order_pnl += f.bought - f.sold * eps
+                else:
+                    m.producer_order_pnl += f.bought * eps - f.sold
+    if block.reentry is not None:
+        cx, cy = block.reentry.converter_flow
+        m.converter_value += cx + cy * eps
+        ax, ay = block.reentry.added
+        m.realized_lvr -= ax + ay * eps
 
 
 # --- experiments --------------------------------------------------------------

@@ -13,7 +13,6 @@ import numpy as np
 
 from v0lver.allocation import clearing_price_with_limits
 from v0lver.cfmm import Reserves
-from v0lver.engine import ChainState
 
 
 def bisect_market_clearing(snapshot_x: float, snapshot_y: float, dx: float, dy: float,
@@ -126,29 +125,8 @@ def brentq_vault_shed(x: float, y: float, target: float, beta: float):
     return x, y, 0.0, 0.0
 
 
-def record_receipts(monkeypatch):
-    """Collect every update and execution receipt ``ChainState`` returns.
-
-    Returns ``(updates, executions)``, two lists that fill in call order
-    while ``monkeypatch`` is active.
-    """
-    updates, executions = [], []
-    for name, sink in (("apply_update_tx", updates), ("execute_batch", executions)):
-        monkeypatch.setattr(ChainState, name, _recording(getattr(ChainState, name), sink))
-    return updates, executions
-
-
-def _recording(method, sink):
-    def recorded(self, *args, **kwargs):
-        receipt = method(self, *args, **kwargs)
-        sink.append(receipt)
-        return receipt
-
-    return recorded
-
-
-def baseline_cfmm_replay(curve, reserves: Reserves, updates, executions, blocks: int):
-    """Drive a plain CFMM through the receipts of a protocol run.
+def baseline_cfmm_replay(curve, reserves: Reserves, receipts):
+    """Drive a plain CFMM through the block receipts of a protocol run.
 
     Updates become full arbitrage moves to the receipt's price; each batch is
     re-settled from its revealed orders against this walk's own snapshot at
@@ -156,23 +134,17 @@ def baseline_cfmm_replay(curve, reserves: Reserves, updates, executions, blocks:
     With rebates disabled the protocol should shadow this walk exactly (up to
     float noise); any divergence means the escrow plumbing leaked.
     """
-    upd_by_h: dict[int, list] = {}
-    for u in updates:
-        upd_by_h.setdefault(u.height, []).append(u)
-    exe_by_h: dict[int, list] = {}
-    for e in executions:
-        exe_by_h.setdefault(e.height, []).append(e)
-
     r = reserves
     snapshots: dict[int, Reserves] = {}
     out = []
-    for h in range(blocks):
-        for u in upd_by_h.get(h, ()):
+    for block in receipts:
+        u = block.update
+        if u is not None:
             r = curve.reserves_at_price(curve.invariant(r), u.price)
             snapshots[u.label] = r
-        for e in exe_by_h.get(h, ()):
-            settled = clearing_price_with_limits(curve, snapshots[e.label], e.orders)
+        for e in block.executions:
+            settled = clearing_price_with_limits(curve, snapshots[e.pool.label], e.orders)
             dx, dy = settled.pool_delta
             r = Reserves(r.x + dx, r.y + dy)
-        out.append((h, r.x, r.y))
+        out.append((block.height, r.x, r.y))
     return out

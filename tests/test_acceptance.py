@@ -38,7 +38,7 @@ from v0lver.sim import (
     user_price_experiment,
 )
 
-from oracles import baseline_cfmm_replay, bisect_market_clearing, record_receipts
+from oracles import baseline_cfmm_replay, bisect_market_clearing
 
 C = CONSTANT_PRODUCT
 SCN = builtin_scenarios()
@@ -152,14 +152,12 @@ class TestCriterion6Equilibrium:
 
 
 class TestCriterion7Fallback:
-    def test_criterion_7_zero_rebate_reduces_to_a_plain_cfmm(self, monkeypatch):
+    def test_criterion_7_zero_rebate_reduces_to_a_plain_cfmm(self):
         cfg = SCN["fallback"]
         assert cfg.z_max == 0 and cfg.beta0 == 0.0
-        updates, executions = record_receipts(monkeypatch)
         res = run_scenario(cfg, 7)
-        replay = baseline_cfmm_replay(
-            C, Reserves(cfg.pool_x, cfg.pool_y), updates, executions, cfg.blocks
-        )
+        replay = baseline_cfmm_replay(C, Reserves(cfg.pool_x, cfg.pool_y), res.receipts)
+        assert len(replay) == cfg.blocks
         worst = 0.0
         by_height = {row["height"]: row for row in res.blocks}
         for h, x, y in replay:
@@ -278,7 +276,7 @@ class TestCriterion8Properties:
             {
                 "metrics": r.metrics.to_dict(),
                 "blocks": r.blocks,
-                "events": [(e.height, e.kind, sorted(e.data.items())) for e in r.events],
+                "events": [e for block in r.receipts for e in block.events()],
             },
             sort_keys=True,
         ).encode()

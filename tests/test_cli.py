@@ -8,6 +8,22 @@ import pytest
 from v0lver.cli import main
 from v0lver.config import builtin_scenarios, scenario_to_dict
 
+DEFAULT_FLOW = scenario_to_dict(builtin_scenarios()["default"])["flow"]
+
+# The keys of each events.ndjson record besides "height" and "kind".
+EVENT_KEYS = {
+    "oct_submitted": {"id", "owner", "token", "collateral"},
+    "octs_inserted": {"ids", "producer"},
+    "update_applied": {"label", "gap", "beta", "price", "producer_flow", "vault_deposit",
+                       "count", "escrow", "producer"},
+    "oct_revealed": {"id"},
+    "oct_burned": {"id", "owner", "amount"},
+    "batch_executed": {"label", "price", "pool_delta", "n_allocated", "n_revealed",
+                       "n_burned", "to_pool", "to_producer"},
+    "vault_reentered": {"eps", "added", "converter_flow", "converter"},
+    "block_end": {"pool", "vault"},
+}
+
 
 @pytest.fixture
 def tiny_scenario(tmp_path):
@@ -61,6 +77,38 @@ class TestRun:
         assert events
         kinds = {e["kind"] for e in events}
         assert "update_applied" in kinds and "block_end" in kinds
+
+    def test_event_schema(self, tmp_path):
+        raw = scenario_to_dict(builtin_scenarios()["default"])
+        raw["blocks"] = 40
+        raw["record_events"] = True
+        scn = tmp_path / "ev.json"
+        scn.write_text(json.dumps(raw))
+        out = str(tmp_path / "out")
+        # seed 1 burns four unrevealed orders within 40 blocks
+        assert main(["run", "--scenario", str(scn), "--seed", "1", "--out", out]) == 0
+        with open(os.path.join(out, "events.ndjson")) as f:
+            events = [json.loads(line) for line in f]
+        assert {e["kind"] for e in events} == set(EVENT_KEYS)
+        for e in events:
+            assert set(e) == {"height", "kind"} | EVENT_KEYS[e["kind"]], e["kind"]
+        # block_end closes every height, and the next height follows it
+        assert events[0]["height"] == 0
+        assert sum(e["kind"] == "block_end" for e in events) == 40
+        for e, after in zip(events, events[1:] + [None]):
+            if e["kind"] == "block_end":
+                assert after is None or after["height"] == e["height"] + 1
+            else:
+                assert after is not None and after["height"] == e["height"]
+        # a batch's burns come right before its batch_executed
+        burned = 0
+        for e in events:
+            if e["kind"] == "oct_burned":
+                burned += 1
+            elif e["kind"] == "batch_executed":
+                assert e["n_burned"] == burned
+                burned = 0
+        assert burned == 0
 
     def test_builtin_scenario_by_name(self, tmp_path):
         out = str(tmp_path / "out")
@@ -216,6 +264,12 @@ class TestExitCodes:
         ({"price": {"sigma": 1e200}}, "price.sigma"),
         ({"price": {"drift": 800}}, "price.drift"),
         ({"rebate": {"z_max": 4.0}}, "rebate.z_max"),
+        ({"producer": {"self_trade_alpha": 2}}, "producer.self_trade_alpha"),
+        ({"version": True}, "version"),
+        ({"version": 1.0}, "version"),
+        ({"flow": DEFAULT_FLOW, "producer": {"budget_x": 0}}, "producer.budget_x"),
+        ({"flow": DEFAULT_FLOW, "bounds": {"max_x": 1e10}}, "users.budget_x"),
+        ({"flow": DEFAULT_FLOW, "price": {"initial": 1e10}}, "pool.x"),
     ])
     def test_bad_field_exits_one_naming_it(self, raw, path, tmp_path, capsys):
         scn = tmp_path / "bad.json"

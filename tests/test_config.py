@@ -9,6 +9,7 @@ import pytest
 from v0lver.config import (
     FlowModel,
     PriceModel,
+    ProducerModel,
     builtin_scenarios,
     load_scenario,
     scenario_from_dict,
@@ -52,9 +53,10 @@ class TestValidation:
 
     def test_rejects_unsupported_version(self):
         raw = scenario_to_dict(builtin_scenarios()["default"])
-        raw["version"] = 99
-        with pytest.raises(ConfigError):
-            scenario_from_dict(raw)
+        for version in (99, True, 1.0, "1"):
+            raw["version"] = version
+            with pytest.raises(ConfigError, match="version"):
+                scenario_from_dict(raw)
 
     def test_rebate_switch_must_be_consistent(self):
         cfg = builtin_scenarios()["default"]
@@ -89,6 +91,8 @@ class TestValidation:
             {"flow": FlowModel(limit_width=1.0)},
             {"flow": FlowModel(limit_width=5)},
             {"flow": FlowModel(arrival=1e6)},
+            {"producer": ProducerModel(self_trade_alpha=2.0)},
+            {"producer": ProducerModel(self_trade_alpha=1.5)},
         ):
             with pytest.raises(ConfigError):
                 dataclasses.replace(cfg, **change).validate()

@@ -7,7 +7,8 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = ["01_pool_mechanics.py", "02_rebated_arbitrage.py",
-         "03_batch_settlement.py", "04_protocol_walkthrough.py"]
+         "03_batch_settlement.py", "04_protocol_walkthrough.py",
+         "05_experiments.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -92,8 +92,8 @@ class TestLifecycle:
         block = chain.advance_block(102.0, converter="prod")
         assert len(block.executions) == 1
         er = block.executions[0]
-        assert er.label == 0
-        assert er.n_allocated == 2 and er.n_revealed == 2
+        assert er.pool.label == 0
+        assert er.pool.count == 2 and len(er.orders) == 2
         assert not er.burned
         assert oct_a.state is OctState.EXECUTED
         snap = er.settlement
@@ -125,7 +125,8 @@ class TestLifecycle:
         chain.advance_block(101.0)
         block = chain.advance_block(101.0)
         assert oct.state is OctState.BURNED
-        assert block.executions[0].burned == (("alice", "x", 10.0),)
+        assert block.executions[0].burned == (oct,)
+        assert (oct.owner, oct.collateral_token, oct.collateral) == ("alice", "x", 10.0)
         assert chain.balances[BURNED] == [10.0, 0.0]
         assert chain.balances["alice"] == [990.0, 10.0]
         assert chain.conservation_error() < 1e-9
@@ -335,26 +336,46 @@ class TestLedger:
         assert s1[1] == pytest.approx(s0[1], rel=1e-12)
         assert chain.conservation_error() < 1e-9
 
-    def test_event_stream_is_opt_in(self):
+    def test_block_receipt_gathers_the_block(self):
         chain = make_chain()
-        assert chain.events is None
-        chain2 = make_chain(record_events=True)
-        chain2.submit_oct("alice", buy(1.0))
-        assert chain2.events and chain2.events[0].kind == "oct_submitted"
+        o = buy(5.0)
+        oct = chain.submit_oct("alice", o)
+        chain.insert_octs("prod", [])
+        chain.insert_octs("prod", [oct.id])
+        update = chain.apply_update_tx("prod", 0, 102.0)
+        chain.reveal_order(oct.id, o)
+        execution = chain.execute_batch(0)  # a direct call lands in the block too
+        block = chain.advance_block(102.0, converter="prod")
+        assert block.height == 0
+        assert block.submitted == (oct,)
+        assert block.inserts == (("prod", (oct.id,)),)
+        assert block.update is update
+        assert update.before == Reserves(10_000.0, 100.0)
+        assert block.revealed == (oct.id,)
+        assert block.executions == (execution,)
+        assert block.reentry is not None
+        assert block.pool == tuple(chain.balances[POOL])
+        assert block.vault == tuple(chain.balances[VAULT])
+        kinds = [e["kind"] for e in block.events()]
+        assert kinds == ["oct_submitted", "octs_inserted", "update_applied", "oct_revealed",
+                         "batch_executed", "vault_reentered", "block_end"]
+        assert {e["height"] for e in block.events()} == {0}
+        # the next block starts empty
+        empty = chain.advance_block(102.0)
+        assert (empty.height, empty.submitted, empty.update, empty.executions) == (1, (), None, ())
+        assert [e["kind"] for e in empty.events()] == ["block_end"]
 
     def test_replay_determinism(self):
         def run():
-            chain = make_chain(record_events=True)
+            chain = make_chain()
             o = buy(5.0)
             oct = chain.submit_oct("alice", o)
             chain.insert_octs("prod", [oct.id])
             chain.apply_update_tx("prod", 0, 102.0)
             chain.reveal_order(oct.id, o)
-            chain.advance_block(102.0, converter="prod")
-            return chain
+            block = chain.advance_block(102.0, converter="prod")
+            return chain, block
 
-        c1, c2 = run(), run()
+        (c1, b1), (c2, b2) = run(), run()
         assert c1.balances == c2.balances
-        assert [(e.kind, e.data) for e in c1.events] == [
-            (e.kind, e.data) for e in c2.events
-        ]
+        assert b1.events() == b2.events()

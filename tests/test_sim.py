@@ -16,7 +16,7 @@ from v0lver.sim import (
     user_price_experiment,
 )
 
-from oracles import baseline_cfmm_replay, record_receipts
+from oracles import baseline_cfmm_replay
 
 SCN = builtin_scenarios()
 
@@ -95,12 +95,11 @@ class TestScenarioRuns:
 
 
 class TestBaselineReplay:
-    def test_zero_rebate_protocol_shadows_plain_cfmm(self, monkeypatch):
+    def test_zero_rebate_protocol_shadows_plain_cfmm(self):
         cfg = shrink(SCN["fallback"], 50)
-        updates, executions = record_receipts(monkeypatch)
         res = run_scenario(cfg, 11)
         replay = baseline_cfmm_replay(
-            CONSTANT_PRODUCT, Reserves(cfg.pool_x, cfg.pool_y), updates, executions, cfg.blocks
+            CONSTANT_PRODUCT, Reserves(cfg.pool_x, cfg.pool_y), res.receipts
         )
         assert len(replay) == cfg.blocks
         by_height = {row["height"]: row for row in res.blocks}
@@ -108,12 +107,11 @@ class TestBaselineReplay:
             assert by_height[h]["pool_x"] == pytest.approx(x, rel=1e-9, abs=1e-9)
             assert by_height[h]["pool_y"] == pytest.approx(y, rel=1e-9, abs=1e-9)
 
-    def test_rebates_make_the_protocol_diverge(self, monkeypatch):
+    def test_rebates_make_the_protocol_diverge(self):
         cfg = shrink(SCN["default"], 30)
-        updates, executions = record_receipts(monkeypatch)
         res = run_scenario(cfg, 11)
         replay = baseline_cfmm_replay(
-            CONSTANT_PRODUCT, Reserves(cfg.pool_x, cfg.pool_y), updates, executions, cfg.blocks
+            CONSTANT_PRODUCT, Reserves(cfg.pool_x, cfg.pool_y), res.receipts
         )
         final = res.blocks[-1]
         assert final["pool_x"] != pytest.approx(replay[-1][1], rel=1e-9)
