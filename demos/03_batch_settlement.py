@@ -63,8 +63,10 @@ print(f"crossed batch: price {s.price:.1f}, pool delta {s.pool_delta}, "
       f"volume {s.volume_y:.1f} y")
 
 # Verification: the engine never trusts a proposed price. Feasible and
-# volume-maximizing passes; anything else is rejected.
+# volume-maximizing passes and the verifier returns the settlement it
+# checked, which the engine then books; anything else is rejected.
 orders = [Order(OrderSide.BUY_Y, 10.0, limit=1.2)]
 for p in (1.1, 1.2, 1.05, 0.9):
-    ok = verify_clearing_price(curve, snapshot, orders, p)
-    print(f"proposed price {p:4.2f}: {'accepted' if ok else 'rejected'}")
+    checked = verify_clearing_price(curve, snapshot, orders, p)
+    verdict = "rejected" if checked is None else f"accepted, volume {checked.volume_y:.4f} y"
+    print(f"proposed price {p:4.2f}: {verdict}")

@@ -201,94 +201,89 @@ def settle_market_batch(curve, snapshot: Reserves, delta_x: float, delta_y: floa
 # --- uniform-price clearing with limit orders --------------------------------
 
 
-def _classify(orders):
-    """Split into (buys, sells) of (index, size, limit) with limit=None markets."""
-    buys, sells = [], []
-    for i, o in enumerate(orders):
-        if o.side is OrderSide.BUY_Y:
-            buys.append((i, o.size, o.limit))
-        else:
-            sells.append((i, o.size, o.limit))
-    return buys, sells
+class _Book:
+    """One batch, split once: the orders, each side's ``(index, size, limit)``
+    triples in index order (``limit=None`` for markets), and the sorted limits."""
 
+    __slots__ = ("orders", "buys", "sells", "limits")
 
-def _fills_from_fractions(orders, frac, p):
-    fills = []
-    sold_x = sold_y = 0.0
-    for i, o in enumerate(orders):
-        f = frac[i]
-        if f <= 0.0:
-            continue
-        amt = f * o.size
-        if o.side is OrderSide.BUY_Y:
-            fills.append(Fill(index=i, sold=amt, bought=amt / p))
-            sold_x += amt
-        else:
-            fills.append(Fill(index=i, sold=amt, bought=amt * p))
-            sold_y += amt
-    return tuple(fills), sold_x, sold_y
+    def __init__(self, orders):
+        self.orders = list(orders)
+        self.buys, self.sells = [], []
+        for i, o in enumerate(self.orders):
+            (self.buys if o.side is OrderSide.BUY_Y else self.sells).append((i, o.size, o.limit))
+        self.limits = sorted({o.limit for o in self.orders if o.limit is not None})
 
+    def regimes(self, snapshot):
+        """Yield ``(lo, hi, p_star)`` for each gap between consecutive limits.
 
-def _settlement_at(curve, snapshot, orders, p):
-    """Try to clear the batch at uniform price ``p``.
+        The executable sets are constant strictly inside ``(lo, hi)``, and
+        ``p_star`` is the market-balance price they would clear at.
+        """
+        edges = [0.0] + self.limits + [math.inf]
+        for lo, hi in zip(edges, edges[1:]):
+            x_in = sum(s for _, s, lim in self.buys if lim is None or lim >= hi)
+            y_in = sum(s for _, s, lim in self.sells if lim is None or lim <= lo)
+            yield lo, hi, (snapshot.x + x_in) / (snapshot.y + y_in)
 
-    Infra-marginal orders (limits strictly admitting ``p``, and markets) must
-    fill fully; orders with limit exactly ``p`` may fill pro-rata so that the
-    pool's net trade is exactly the level-curve chord at ``p``. Returns the
-    Settlement, or None when no fill fractions in [0, 1] balance the batch.
-    """
-    buys, sells = _classify(orders)
-    in_x = sum(s for _, s, lim in buys if lim is None or lim > p)
-    marg_b = [(i, s) for i, s, lim in buys if lim is not None and lim == p]
-    in_y = sum(s for _, s, lim in sells if lim is None or lim < p)
-    marg_s = [(i, s) for i, s, lim in sells if lim is not None and lim == p]
-    mb = sum(s for _, s in marg_b)
-    ms = sum(s for _, s in marg_s)
-    chord = curve.chord_y(snapshot, p)
-    scale = max(snapshot.y, abs(chord), (in_x + mb) / p, in_y + ms, 1e-30)
-    tol = CLEARING_RTOL * scale
+    def settle(self, curve, snapshot, p):
+        """Try to clear the batch at uniform price ``p``.
 
-    # Net y demand minus supply with all marginals included, versus the chord.
-    gap = (in_x + mb) / p - (in_y + ms) - chord
-    phi_b = phi_s = 1.0
-    if abs(gap) <= tol:
-        pass
-    elif gap > 0.0:
-        if mb <= 0.0:
-            return None
-        phi_b = (p * (in_y + ms + chord) - in_x) / mb
-        if phi_b < -CLEARING_RTOL or phi_b > 1.0 + CLEARING_RTOL:
-            return None
-        phi_b = min(max(phi_b, 0.0), 1.0)
-    else:
-        if ms <= 0.0:
-            return None
-        phi_s = ((in_x + mb) / p - chord) - in_y
-        phi_s /= ms
-        if phi_s < -CLEARING_RTOL or phi_s > 1.0 + CLEARING_RTOL:
-            return None
-        phi_s = min(max(phi_s, 0.0), 1.0)
+        Infra-marginal orders (limits strictly admitting ``p``, and markets)
+        must fill fully; orders with limit exactly ``p`` may fill pro-rata so
+        that the pool's net trade is exactly the level-curve chord at ``p``.
+        Returns the Settlement, or None when no fill fractions in [0, 1]
+        balance the batch.
+        """
+        in_x = sum(s for _, s, lim in self.buys if lim is None or lim > p)
+        mb = sum(s for _, s, lim in self.buys if lim == p)
+        in_y = sum(s for _, s, lim in self.sells if lim is None or lim < p)
+        ms = sum(s for _, s, lim in self.sells if lim == p)
+        chord = curve.chord_y(snapshot, p)
+        scale = max(snapshot.y, abs(chord), (in_x + mb) / p, in_y + ms, 1e-30)
+        tol = CLEARING_RTOL * scale
 
-    frac = [0.0] * len(orders)
-    for i, _, lim in buys:
-        if lim is None or lim > p:
-            frac[i] = 1.0
-    for i, _ in marg_b:
-        frac[i] = phi_b
-    for i, _, lim in sells:
-        if lim is None or lim < p:
-            frac[i] = 1.0
-    for i, _ in marg_s:
-        frac[i] = phi_s
-    fills, sold_x, sold_y = _fills_from_fractions(orders, frac, p)
-    pool_dx = sold_x - sold_y * p
-    pool_dy = sold_y - sold_x / p
-    return Settlement(
-        price=p,
-        pool_delta=(pool_dx, pool_dy),
-        fills=fills,
-        volume_y=sold_x / p + sold_y,
-    )
+        # Net y demand minus supply with all marginals included, versus the chord.
+        gap = (in_x + mb) / p - (in_y + ms) - chord
+        phi_b = phi_s = 1.0
+        if gap > tol:
+            if mb <= 0.0:
+                return None
+            phi_b = (p * (in_y + ms + chord) - in_x) / mb
+            if phi_b < -CLEARING_RTOL or phi_b > 1.0 + CLEARING_RTOL:
+                return None
+            phi_b = min(max(phi_b, 0.0), 1.0)
+        elif gap < -tol:
+            if ms <= 0.0:
+                return None
+            phi_s = ((in_x + mb) / p - chord) - in_y
+            phi_s /= ms
+            if phi_s < -CLEARING_RTOL or phi_s > 1.0 + CLEARING_RTOL:
+                return None
+            phi_s = min(max(phi_s, 0.0), 1.0)
+
+        fills = []
+        sold_x = sold_y = 0.0
+        for i, o in enumerate(self.orders):
+            lim = o.limit
+            if o.side is OrderSide.BUY_Y:
+                f = 1.0 if lim is None or lim > p else phi_b if lim == p else 0.0
+                if f > 0.0:
+                    amt = f * o.size
+                    fills.append(Fill(index=i, sold=amt, bought=amt / p))
+                    sold_x += amt
+            else:
+                f = 1.0 if lim is None or lim < p else phi_s if lim == p else 0.0
+                if f > 0.0:
+                    amt = f * o.size
+                    fills.append(Fill(index=i, sold=amt, bought=amt * p))
+                    sold_y += amt
+        return Settlement(
+            price=p,
+            pool_delta=(sold_x - sold_y * p, sold_y - sold_x / p),
+            fills=tuple(fills),
+            volume_y=sold_x / p + sold_y,
+        )
 
 
 def clearing_price_with_limits(curve, snapshot: Reserves, orders) -> Settlement:
@@ -300,70 +295,49 @@ def clearing_price_with_limits(curve, snapshot: Reserves, orders) -> Settlement:
     the marginal orders' pro-rata fraction closes the gap. An empty batch
     clears at the snapshot price with zero volume.
     """
-    orders = list(orders)
-    p0 = float(curve.price(snapshot))
-    buys, sells = _classify(orders)
-    bounds = sorted({lim for _, _, lim in buys + sells if lim is not None})
-    edges = [0.0] + bounds + [math.inf]
-    for j in range(len(edges) - 1):
-        lo, hi = edges[j], edges[j + 1]
-        # Executable sets are constant strictly inside (lo, hi).
-        x_in = sum(s for _, s, lim in buys if lim is None or lim >= hi)
-        y_in = sum(s for _, s, lim in sells if lim is None or lim <= lo)
-        p_star = (snapshot.x + x_in) / (snapshot.y + y_in)
+    book = _Book(orders)
+    for lo, hi, p_star in book.regimes(snapshot):
         if lo < p_star < hi:
-            settled = _settlement_at(curve, snapshot, orders, p_star)
+            settled = book.settle(curve, snapshot, p_star)
             if settled is not None:
                 return settled
         if math.isfinite(hi):
-            settled = _settlement_at(curve, snapshot, orders, hi)
+            settled = book.settle(curve, snapshot, hi)
             if settled is not None:
                 return settled
     # Unreachable for well-formed inputs: the crossing always exists.
     raise DomainError("no consistent uniform clearing price found")
 
 
-def clearing_volume_at(curve, snapshot: Reserves, orders, p) -> float | None:
-    """Executed order volume (y units) when clearing at ``p``, or None."""
-    settled = _settlement_at(curve, snapshot, list(orders), float(Price(p)))
-    return None if settled is None else settled.volume_y
-
-
-def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> bool:
+def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> Settlement | None:
     """Check a proposed uniform price without trusting the solver's search.
 
-    True iff the batch can actually clear at ``proposed`` (limits respected,
-    infra-marginal orders fully filled, pool trade on the level curve) and no
-    candidate price — any order limit or any regime's market-balance price —
-    achieves more executed volume.
+    Returns the settlement at ``proposed`` iff the batch can actually clear
+    there (limits respected, infra-marginal orders fully filled, pool trade
+    on the level curve) and no candidate price — any order limit or any
+    regime's market-balance price — achieves more executed volume; None
+    otherwise.
     """
-    orders = list(orders)
     try:
         p = float(Price(proposed))
     except DomainError:
-        return False
-    vol = clearing_volume_at(curve, snapshot, orders, p)
-    if vol is None:
-        return False
-    buys, sells = _classify(orders)
-    limits = sorted({lim for _, _, lim in buys + sells if lim is not None})
-    candidates = set(limits)
+        return None
+    book = _Book(orders)
+    settled = book.settle(curve, snapshot, p)
+    if settled is None:
+        return None
+    candidates = set(book.limits)
     candidates.add(float(curve.price(snapshot)))
-    edges = [0.0] + limits + [math.inf]
-    for j in range(len(edges) - 1):
-        lo, hi = edges[j], edges[j + 1]
-        x_in = sum(s for _, s, lim in buys if lim is None or lim >= hi)
-        y_in = sum(s for _, s, lim in sells if lim is None or lim <= lo)
-        candidates.add((snapshot.x + x_in) / (snapshot.y + y_in))
-    best = vol
+    candidates.update(p_star for _, _, p_star in book.regimes(snapshot))
+    vol = best = settled.volume_y
     for c in candidates:
         if c <= 0.0 or not math.isfinite(c):
             continue
-        v = clearing_volume_at(curve, snapshot, orders, c)
-        if v is not None and v > best:
-            best = v
+        other = book.settle(curve, snapshot, c)
+        if other is not None and other.volume_y > best:
+            best = other.volume_y
     scale = max(vol, best, 1.0)
-    return vol >= best - CLEARING_RTOL * scale
+    return settled if vol >= best - CLEARING_RTOL * scale else None
 
 
 def redistribute(

@@ -35,7 +35,6 @@ from .allocation import (
     create_allocation_pool,
     redistribute,
     verify_clearing_price,
-    _settlement_at,
 )
 from .cfmm import Price, Reserves
 from .errors import (
@@ -58,6 +57,15 @@ COLLATERAL = "collateral"
 BURNED = "burned"
 
 _NEG_TOL = 1e-9
+
+
+def _guard(src, dst, s, d, dx, dy):
+    """Raise FundingError if moving (dx, dy) from ``s`` to ``d`` overdraws a payer."""
+    tol = -_NEG_TOL * (abs(dx) + abs(dy) + 1.0)
+    for party, acct, tx, ty in ((src, s, -dx, -dy), (dst, d, dx, dy)):
+        if (tx < 0.0 and acct[0] + tx < tol) or (ty < 0.0 and acct[1] + ty < tol):
+            raise FundingError(f"{party} overdrawn moving ({dx!r}, {dy!r}) from {src} to {dst}: "
+                               f"holds {list(acct)!r}", party=party)
 
 
 class OctState(enum.Enum):
@@ -232,26 +240,28 @@ class ChainState:
     # ------------------------------------------------------------------ ledger
 
     def _account(self, party: str) -> list[float]:
-        acct = self.balances.get(party)
-        if acct is None:
-            acct = self.balances[party] = [0.0, 0.0]
-        return acct
+        return self.balances.setdefault(party, [0.0, 0.0])
+
+    def _check(self, *legs):
+        """Dry run: raise FundingError if booking the (src, dst, dx, dy) legs would."""
+        after = {}
+        for src, dst, dx, dy in legs:
+            s = after.get(src) or self.balances.get(src, (0.0, 0.0))
+            d = after.get(dst) or self.balances.get(dst, (0.0, 0.0))
+            _guard(src, dst, s, d, dx, dy)
+            after[src], after[dst] = (s[0] - dx, s[1] - dy), (d[0] + dx, d[1] + dy)
 
     def _transfer(self, src: str, dst: str, dx: float, dy: float, *, guard: bool = True):
         """Move (dx, dy) from src to dst; negative components flip direction."""
         if dx == 0.0 and dy == 0.0:
             return
         s, d = self._account(src), self._account(dst)
+        if guard:
+            _guard(src, dst, s, d, dx, dy)
         s[0] -= dx
         s[1] -= dy
         d[0] += dx
         d[1] += dy
-        if guard:
-            scale = abs(dx) + abs(dy) + 1.0
-            if s[0] < -_NEG_TOL * scale or s[1] < -_NEG_TOL * scale:
-                raise FundingError(
-                    f"{src} overdrawn moving ({dx!r}, {dy!r}) to {dst}: {s!r}", party=src
-                )
 
     def total_supply(self) -> tuple[float, float]:
         tx = ty = 0.0
@@ -351,15 +361,17 @@ class ChainState:
 
         before = self.pool_reserves()
         move = apply_rebated_move(self.curve, before, p, beta)
-        self._transfer(POOL, producer, *move.producer_flow)
-        self._transfer(POOL, VAULT, *move.vault_deposit)
+        (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
+        # The pool after the two move legs, subtracted in the order they book.
+        snapshot = Reserves(before.x - fx - vx, before.y - fy - vy)
+        # Every leg is checked, in booking order, before the first transfer.
+        legs = [(POOL, producer, fx, fy), (POOL, VAULT, vx, vy)]
+        self._check(*legs)
 
         batch: list[int] = []
         for height in range(self.last_alloc_label + 1, alloc_label + 1):
             batch.extend(self.inserted_by_height.get(height, ()))
-        snapshot = self.pool_reserves()
         count = len(batch)
-        receipt_escrow = (0.0, 0.0)
         if count:
             pool = create_allocation_pool(
                 count,
@@ -372,7 +384,7 @@ class ChainState:
                 created_at=h,
                 producer=producer,
             )
-            ex, ey = receipt_escrow = pool.escrow
+            ex, ey = pool.escrow
             held_x, held_y = self.earmark()
             need_x = held_x + (1.0 - beta) * ex
             need_y = held_y + (1.0 - beta) * ey
@@ -381,11 +393,15 @@ class ChainState:
                     f"pool reserves cannot back escrow earmarks ({need_x!r}, {need_y!r})",
                     party=POOL,
                 )
-            self._transfer(producer, f"alloc:{alloc_label}", beta * ex, beta * ey)
-            for oct_id in batch:
-                oct = self.octs[oct_id]
-                oct.state = OctState.ALLOCATED
-                oct.allocated_at = h
+            legs.append((producer, f"alloc:{alloc_label}", beta * ex, beta * ey))
+            self._check(*legs)
+        for leg in legs:
+            self._transfer(*leg, guard=False)
+        for oct_id in batch:
+            oct = self.octs[oct_id]
+            oct.state = OctState.ALLOCATED
+            oct.allocated_at = h
+        if count:
             self.open_allocations[alloc_label] = replace(pool, oct_ids=tuple(batch))
 
         self.last_alloc_label = alloc_label
@@ -397,7 +413,7 @@ class ChainState:
             before=before,
             move=move,
             count=count,
-            escrow=receipt_escrow,
+            escrow=pool.escrow if count else (0.0, 0.0),
             snapshot=snapshot,
             producer=producer,
         )
@@ -424,9 +440,10 @@ class ChainState:
         """Settle one allocated batch and redistribute its escrow.
 
         Unrevealed OCTs burn their collateral. With ``proposed_price`` the
-        engine verifies the proposal instead of trusting it, rejecting prices
-        that fail the volume-maximality check. The execution receipt is also
-        part of the current block's receipt.
+        engine verifies the proposal instead of trusting it: prices that fail
+        the volume-maximality check are rejected, and the batch settles as
+        the verifier settled it. The execution receipt is also part of the
+        current block's receipt.
         """
         pool = self.open_allocations.get(label)
         if pool is None:
@@ -447,14 +464,10 @@ class ChainState:
 
         orders = tuple(o.revealed for o in revealed)
         if proposed_price is not None:
-            if not verify_clearing_price(self.curve, pool.snapshot, orders, proposed_price):
-                raise VerificationError(
-                    f"proposed clearing price {proposed_price!r} failed verification"
-                )
-            settlement = _settlement_at(self.curve, pool.snapshot, list(orders), float(proposed_price))
+            settlement = verify_clearing_price(self.curve, pool.snapshot, orders, proposed_price)
             if settlement is None:
                 raise VerificationError(
-                    f"proposed clearing price {proposed_price!r} cannot clear the batch"
+                    f"proposed clearing price {proposed_price!r} failed verification"
                 )
         else:
             settlement = clearing_price_with_limits(self.curve, pool.snapshot, orders)

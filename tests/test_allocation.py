@@ -7,7 +7,6 @@ from v0lver.allocation import (
     OrderSide,
     allocation_bound,
     clearing_price_with_limits,
-    clearing_volume_at,
     create_allocation_pool,
     escrow_size,
     redistribute,
@@ -159,7 +158,7 @@ class TestClearingProperties:
     @settings(max_examples=200)
     def test_solver_output_self_verifies(self, orders):
         s = clearing_price_with_limits(C, SNAP, orders)
-        assert verify_clearing_price(C, SNAP, orders, s.price)
+        assert verify_clearing_price(C, SNAP, orders, s.price) == s
 
     @given(orders=orders_strategy)
     @settings(max_examples=200)
@@ -222,10 +221,10 @@ class TestVerification:
 
     def test_volume_probe_matches_settlement(self):
         orders = [buy(10.0, limit=1.05)]
-        v = clearing_volume_at(C, SNAP, orders, 1.05)
+        v = verify_clearing_price(C, SNAP, orders, 1.05).volume_y
         s = clearing_price_with_limits(C, SNAP, orders)
         assert v == pytest.approx(s.volume_y, rel=1e-12)
-        assert clearing_volume_at(C, SNAP, orders, 1.07) is None
+        assert verify_clearing_price(C, SNAP, orders, 1.07) is None
 
 
 class TestEscrowSizing:

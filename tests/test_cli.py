@@ -9,6 +9,7 @@ from v0lver.cli import main
 from v0lver.config import builtin_scenarios, scenario_to_dict
 
 DEFAULT_FLOW = scenario_to_dict(builtin_scenarios()["default"])["flow"]
+LVR = scenario_to_dict(builtin_scenarios()["lvr"])
 
 # The keys of each events.ndjson record besides "height" and "kind".
 EVENT_KEYS = {
@@ -269,7 +270,12 @@ class TestExitCodes:
         ({"version": 1.0}, "version"),
         ({"flow": DEFAULT_FLOW, "producer": {"budget_x": 0}}, "producer.budget_x"),
         ({"flow": DEFAULT_FLOW, "bounds": {"max_x": 1e10}}, "users.budget_x"),
-        ({"flow": DEFAULT_FLOW, "price": {"initial": 1e10}}, "pool.x"),
+        ({"flow": DEFAULT_FLOW, "price": {"initial": 1e10}, "producer": {"budget_x": 1e9}},
+         "pool.x"),
+        # the producer cannot pay the ~2e7 x of the first update's move
+        ({"flow": DEFAULT_FLOW, "price": {"initial": 1e10}}, "producer.budget_x"),
+        ({**LVR, "producer": {**LVR["producer"], "budget_x": 0, "budget_y": 0}},
+         "producer.budget_x"),
     ])
     def test_bad_field_exits_one_naming_it(self, raw, path, tmp_path, capsys):
         scn = tmp_path / "bad.json"

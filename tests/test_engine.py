@@ -239,6 +239,23 @@ class TestTransitionGuards:
         er = chain.execute_batch(0, proposed_price=good)
         assert er.settlement.price == pytest.approx(good)
 
+    def test_proposing_the_solver_price_settles_as_the_solver(self):
+        orders = [("alice", buy(5.0, limit=103.0)), ("bob", sell(0.05, limit=100.5)),
+                  ("alice", buy(3.0))]
+
+        def revealed_batch():
+            chain = make_chain()
+            octs = [chain.submit_oct(owner, o) for owner, o in orders]
+            chain.insert_octs("prod", [oct.id for oct in octs])
+            chain.apply_update_tx("prod", 0, 101.0)
+            for oct, (_, o) in zip(octs, orders):
+                chain.reveal_order(oct.id, o)
+            return chain
+
+        solved = revealed_batch().execute_batch(0)
+        proposed = revealed_batch().execute_batch(0, proposed_price=solved.settlement.price)
+        assert proposed.settlement == solved.settlement
+
     def test_earmark_funding_limit(self):
         chain = ChainState(
             C,
@@ -251,8 +268,15 @@ class TestTransitionGuards:
         # pool y reserve (1.0) cannot back escrow for 20 x-bound orders
         ids = [chain.submit_oct("u", buy(5.0)).id for _ in range(20)]
         chain.insert_octs("prod", ids)
+        balances = {party: list(acct) for party, acct in chain.balances.items()}
+        price = chain.pool_price()
         with pytest.raises(FundingError):
-            chain.apply_update_tx("prod", 0, 100.0)
+            chain.apply_update_tx("prod", 0, 110.0)
+        # the refused update moved no price and booked nothing
+        assert chain.balances == balances
+        assert chain.pool_price() == price
+        assert chain.open_allocations == {}
+        assert chain.advance_block(110.0).update is None
 
 
 class TestZeroRebateFallback:
