@@ -24,10 +24,9 @@ from .allocation import (
 )
 from .cfmm import (
     CONSTANT_PRODUCT,
-    CURVES,
     ConstantProduct,
-    Price,
     Reserves,
+    check_price,
     lvr_value,
     max_lvr,
 )

@@ -157,7 +157,11 @@ def price_target(producer: ProducerModel, eps: float, prev_eps: float) -> float:
     if producer.price_policy == "external":
         return eps
     if producer.price_policy == "offset":
-        return eps * producer.price_offset
+        target = eps * producer.price_offset
+        if not 0.0 < target < math.inf:
+            raise DomainError(f"offset target {target!r} left the float range: "
+                              f"producer.price_offset {producer.price_offset!r} is too extreme")
+        return target
     return prev_eps
 
 

@@ -30,7 +30,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .cfmm import Price, Reserves
+from .cfmm import Reserves, check_price
 from .errors import DomainError
 
 # Relative tolerance used when checking a proposed clearing price.
@@ -62,7 +62,7 @@ class Order:
         if not (math.isfinite(self.size) and self.size > 0.0):
             raise DomainError(f"order size must be finite and > 0, got {self.size!r}")
         if self.limit is not None:
-            object.__setattr__(self, "limit", float(Price(self.limit)))
+            object.__setattr__(self, "limit", check_price(self.limit))
 
     @property
     def sells_token(self) -> str:
@@ -111,14 +111,13 @@ def allocation_bound(curve, reserves: Reserves, max_x: float, max_y: float) -> t
     return lam_x, lam_y
 
 
-def escrow_size(count: int, price, max_x: float, max_y: float) -> tuple[float, float]:
-    """Escrow that covers ``count`` one-sided max-size orders at price ``price``."""
-    p = Price(price)
+def escrow_size(count: int, price: float, max_x: float, max_y: float) -> tuple[float, float]:
+    """Escrow that covers ``count`` one-sided max-size orders at price ``price`` > 0."""
     if count < 0:
         raise DomainError("order count must be >= 0")
     if not (max_x > 0.0 and max_y > 0.0):
         raise DomainError("order bounds must be > 0")
-    return count * max_y * p, count * max_x / p
+    return count * max_y * price, count * max_x / price
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,7 +143,7 @@ class AllocationPool:
 
 def create_allocation_pool(
     count: int,
-    price,
+    price: float,
     max_x: float,
     max_y: float,
     producer_fraction: float,
@@ -154,7 +153,7 @@ def create_allocation_pool(
     created_at: int,
     producer: str,
 ) -> AllocationPool:
-    """Build and size the escrow for a batch of ``count`` orders.
+    """Build and size the escrow for a batch of ``count`` orders at price ``price`` > 0.
 
     The producer funds ``producer_fraction`` of the escrow; the rest is
     backed by the pool. ``count == 0`` yields an empty pool (the update was
@@ -165,7 +164,7 @@ def create_allocation_pool(
     return AllocationPool(
         label=label,
         created_at=created_at,
-        price=float(Price(price)),
+        price=price,
         count=count,
         producer_fraction=producer_fraction,
         snapshot=snapshot,
@@ -185,7 +184,7 @@ def settle_market_batch(curve, snapshot: Reserves, delta_x: float, delta_y: floa
         raise DomainError("aggregate sold amounts must be >= 0")
     if delta_x == 0.0 and delta_y == 0.0:
         return Settlement(
-            price=float(curve.price(snapshot)), pool_delta=(0.0, 0.0), fills=(), volume_y=0.0
+            price=curve.price(snapshot), pool_delta=(0.0, 0.0), fills=(), volume_y=0.0
         )
     p_e = (snapshot.x + delta_x) / (snapshot.y + delta_y)
     pool_dx = delta_x - delta_y * p_e
@@ -319,7 +318,7 @@ def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> Settle
     otherwise.
     """
     try:
-        p = float(Price(proposed))
+        p = check_price(proposed)
     except DomainError:
         return None
     book = _Book(orders)
@@ -327,7 +326,7 @@ def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> Settle
     if settled is None:
         return None
     candidates = set(book.limits)
-    candidates.add(float(curve.price(snapshot)))
+    candidates.add(curve.price(snapshot))
     candidates.update(p_star for _, _, p_star in book.regimes(snapshot))
     vol = best = settled.volume_y
     for c in candidates:

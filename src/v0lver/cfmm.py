@@ -13,7 +13,8 @@ else is built on:
   constant-product curve the optimal target is the point whose pool price
   equals the external price.
 
-All quantities are plain floats; token amounts are assumed divisible.
+All quantities are plain floats; token amounts are assumed divisible. Values
+are checked where they enter the package, not each time one is computed.
 """
 from __future__ import annotations
 
@@ -22,63 +23,46 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-# Relative tolerance for "the pool price matches the requested price".
-PRICE_MATCH_RTOL = 1e-9
 
-
-class Price(float):
-    """A marginal price (token x per token y). Finite and strictly positive.
-
-    Degenerate values are rejected at construction so downstream math never
-    has to guard against zero/negative/NaN prices.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value) -> "Price":
-        v = float(value)
-        if not math.isfinite(v) or v <= 0.0:
-            raise DomainError(f"price must be finite and > 0, got {value!r}")
-        return super().__new__(cls, v)
+def check_price(value) -> float:
+    """``value`` as a float; DomainError unless it is finite and > 0."""
+    v = float(value)
+    if not 0.0 < v < math.inf:
+        raise DomainError(f"price must be finite and > 0, got {value!r}")
+    return v
 
 
 @dataclass(frozen=True, slots=True)
 class Reserves:
-    """Token reserves of a live pool. Both components strictly positive."""
+    """Token reserves ``(x, y)``; a live pool has both, and its price, finite and > 0."""
 
     x: float
     y: float
 
-    def __post_init__(self):
-        x, y = float(self.x), float(self.y)
-        if not (math.isfinite(x) and math.isfinite(y)) or x <= 0.0 or y <= 0.0:
-            raise DomainError(f"reserves must be finite and > 0, got ({self.x!r}, {self.y!r})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+
+def check_reserves(x, y) -> Reserves:
+    """Live pool reserves as floats; DomainError unless x, y and x / y are finite and > 0."""
+    x, y = float(x), float(y)
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf and 0.0 < x / y < math.inf):
+        raise DomainError(f"pool reserves must be finite and > 0, got ({x!r}, {y!r})")
+    return Reserves(x, y)
 
 
 class ConstantProduct:
     """The Uniswap-V2 style curve ``f(x, y) = x * y``.
 
-    ``max_lvr_at_external_price`` marks the subclass of curves for which the
-    optimal arbitrage target is exactly the reserve point whose pool price
-    equals the external price; the closed forms below rely on it.
+    Its optimal arbitrage target is the reserve point whose pool price
+    equals the external price; ``max_lvr`` relies on that.
     """
-
-    kind = "constant_product"
-    max_lvr_at_external_price = True
 
     def invariant(self, r: Reserves) -> float:
         return r.x * r.y
 
-    def price(self, r: Reserves) -> Price:
-        return Price(r.x / r.y)
+    def price(self, r: Reserves) -> float:
+        return r.x / r.y
 
     def reserves_at_price(self, k: float, p: float) -> Reserves:
-        """The unique point on level curve ``k`` with pool price ``p``."""
-        if not (math.isfinite(k) and k > 0.0):
-            raise DomainError(f"invariant level must be finite and > 0, got {k!r}")
-        p = Price(p)
+        """The unique point on level curve ``k`` > 0 with pool price ``p`` > 0."""
         return Reserves(math.sqrt(k * p), math.sqrt(k / p))
 
     def y_given_x(self, k: float, x: float) -> float:
@@ -110,12 +94,9 @@ class ConstantProduct:
 
 CONSTANT_PRODUCT = ConstantProduct()
 
-#: Registry used by scenario configuration. v1 supports one curve family.
-CURVES = {ConstantProduct.kind: CONSTANT_PRODUCT}
 
-
-def check_same_curve(curve, before: Reserves, after: Reserves, rtol: float = PRICE_MATCH_RTOL):
-    """Raise unless both reserve points sit on the same level curve."""
+def check_same_curve(curve, before: Reserves, after: Reserves, rtol: float = 1e-9):
+    """Raise unless both reserve points sit on the same level curve (to relative ``rtol``)."""
     kb, ka = curve.invariant(before), curve.invariant(after)
     if abs(ka - kb) > rtol * max(abs(kb), abs(ka)):
         raise DomainError(
@@ -134,7 +115,7 @@ def lvr_value(before: Reserves, after: Reserves, eps: float, curve=CONSTANT_PROD
     Both points must lie on the same level curve of ``curve`` (checked to a
     tolerance); the sign is positive when the move profits the mover.
     """
-    eps = Price(eps)
+    eps = check_price(eps)
     check_same_curve(curve, before, after)
     return (before.x - after.x) + (before.y - after.y) * eps
 
@@ -142,13 +123,10 @@ def lvr_value(before: Reserves, after: Reserves, eps: float, curve=CONSTANT_PROD
 def max_lvr(curve, r: Reserves, eps: float) -> tuple[Reserves, float]:
     """Optimal arbitrage target against external price ``eps`` and its value.
 
-    Returns ``(target_reserves, value)`` where ``value >= 0`` and is zero
-    exactly when the pool already prices at ``eps``. Only curves whose
-    optimum lands on the external price are supported in closed form.
+    ``r`` is a live pool and ``eps`` a price > 0. Returns
+    ``(target_reserves, value)`` where ``value >= 0`` and is zero exactly
+    when the pool already prices at ``eps``.
     """
-    eps = Price(eps)
-    if not getattr(curve, "max_lvr_at_external_price", False):
-        raise DomainError(f"no closed-form max-LVR target for curve {curve!r}")
     p0 = curve.price(r)
     if p0 == eps:
         return r, 0.0

@@ -21,25 +21,26 @@ import sys
 
 from . import sim
 from .config import builtin_scenarios, load_scenario, scenario_to_dict, scenario_to_json
-from .errors import InvariantViolation, V0lverError
+from .errors import ConfigError, InvariantViolation, V0lverError
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; for us 2 means an internal bug."""
+    """Usage errors exit 1 with one line on stderr (argparse's 2 means an internal bug here)."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"{self.prog}: error: {message} (see {self.prog} -h)\n")
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _clean(obj):
@@ -60,20 +61,30 @@ def _resolve_scenario(spec: str):
     return load_scenario(spec)
 
 
+def _create(path: str, force: bool, newline=None):
+    """Open an ``--out`` file for writing; refuses to overwrite one without ``force``."""
+    if os.path.exists(path) and not force:
+        raise V0lverError(f"refusing to overwrite --out file {path!r} (use --force)")
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as e:
+        raise ConfigError(f"cannot write --out file {path!r}: {e.strerror}") from None
+
+
 class _OutDir:
     def __init__(self, path: str, force: bool):
         self.path = path
         self.force = force
-        os.makedirs(path, exist_ok=True)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"--out {path!r} is not a usable directory: {e.strerror}") from None
 
-    def target(self, name: str) -> str:
-        full = os.path.join(self.path, name)
-        if os.path.exists(full) and not self.force:
-            raise V0lverError(f"refusing to overwrite {full} (use --force)")
-        return full
+    def open(self, name: str, newline=None):
+        return _create(os.path.join(self.path, name), self.force, newline)
 
     def write_json(self, name: str, payload):
-        with open(self.target(name), "w") as f:
+        with self.open(name) as f:
             json.dump(_clean(payload), f, indent=2, sort_keys=True)
             f.write("\n")
 
@@ -81,14 +92,14 @@ class _OutDir:
         if fmt == "json":
             self.write_json(f"{stem}.json", rows)
             return
-        with open(self.target(f"{stem}.csv"), "w", newline="") as f:
+        with self.open(f"{stem}.csv", newline="") as f:
             w = csv.DictWriter(f, fieldnames=columns)
             w.writeheader()
             for row in rows:
                 w.writerow({k: row.get(k) for k in columns})
 
     def write_ndjson(self, name: str, records):
-        with open(self.target(name), "w") as f:
+        with self.open(name) as f:
             for rec in records:
                 f.write(json.dumps(_clean(rec), sort_keys=True))
                 f.write("\n")
@@ -146,9 +157,7 @@ def cmd_validate(args) -> int:
     cfg = _resolve_scenario(args.scenario)
     text = scenario_to_json(cfg)
     if args.out:
-        if os.path.exists(args.out) and not args.force:
-            raise V0lverError(f"refusing to overwrite {args.out} (use --force)")
-        with open(args.out, "w") as f:
+        with _create(args.out, args.force) as f:
             f.write(text)
     else:
         sys.stdout.write(text)
@@ -163,13 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True,
                        help="scenario file path or builtin name "
                             f"({', '.join(sorted(builtin_scenarios()))})")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
         if jobs:
-            p.add_argument("--jobs", type=_positive_int, default=1)
+            p.add_argument("--jobs", type=_int_at_least(1), default=1)
 
     p = sub.add_parser("run", help="simulate one scenario run")
     common(p)
@@ -177,17 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lvr", help="rebate-capture experiment across runs")
     common(p, jobs=True)
-    p.add_argument("--runs", type=_positive_int, default=200)
+    p.add_argument("--runs", type=_int_at_least(1), default=200)
     p.set_defaults(func=cmd_lvr)
 
     p = sub.add_parser("equilibrium", help="update-gap distribution across runs")
     common(p, jobs=True)
-    p.add_argument("--runs", type=_positive_int, default=100)
+    p.add_argument("--runs", type=_int_at_least(1), default=100)
     p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("sweep", help="producer strategy grid payoffs")
     common(p)
-    p.add_argument("--trials", type=_positive_int, default=10_000)
+    p.add_argument("--trials", type=_int_at_least(1), default=10_000)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="check a scenario and print its normal form")

@@ -11,7 +11,6 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
-from .cfmm import CURVES
 from .errors import ConfigError, DomainError
 from .rebate import RebateSchedule
 
@@ -167,7 +166,9 @@ class ScenarioConfig:
         _require(bool(self.name), "name must be non-empty")
         _require(self.blocks > 0, "blocks must be > 0")
         _require(self.pool_x > 0 and self.pool_y > 0, "pool.x and pool.y must be > 0")
-        _require(self.curve in CURVES, f"curve must be one of {sorted(CURVES)}")
+        _require(sys.float_info.min <= self.pool_x * self.pool_y <= sys.float_info.max,
+                 "pool.x * pool.y must lie in the normal float range (2.2e-308 to 1.8e308)")
+        _require(self.curve == "constant_product", 'curve must be "constant_product"')
         try:
             self.rebate_schedule()
         except DomainError as e:
@@ -232,12 +233,12 @@ def scenario_to_json(cfg: ScenarioConfig) -> str:
 
 def load_scenario(path: str) -> ScenarioConfig:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read scenario {path!r}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"scenario {path!r} is not valid JSON: {e}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"scenario {path!r} is not valid UTF-8 JSON: {e}") from None
     return scenario_from_dict(raw)
 
 

@@ -36,7 +36,7 @@ from .allocation import (
     redistribute,
     verify_clearing_price,
 )
-from .cfmm import Price, Reserves
+from .cfmm import Reserves, check_price, check_reserves
 from .errors import (
     DomainError,
     FundingError,
@@ -220,7 +220,8 @@ class ChainState:
         self.mempool: dict[int, Oct] = {}
         self.inserted_by_height: dict[int, list[int]] = {}
         self.open_allocations: dict[int, AllocationPool] = {}
-        self.balances: dict[str, list[float]] = {POOL: [reserves.x, reserves.y]}
+        pool = check_reserves(reserves.x, reserves.y)
+        self.balances: dict[str, list[float]] = {POOL: [pool.x, pool.y]}
         for party, (bx, by) in (balances or {}).items():
             self.balances[party] = [float(bx), float(by)]
         self.balances.setdefault(VAULT, [0.0, 0.0])
@@ -281,7 +282,7 @@ class ChainState:
         return Reserves(bx, by)
 
     def pool_price(self) -> float:
-        return float(self.curve.price(self.pool_reserves()))
+        return self.curve.price(self.pool_reserves())
 
     def pool_constant(self) -> float:
         return self.curve.invariant(self.pool_reserves())
@@ -355,16 +356,16 @@ class ChainState:
             raise InvalidTransition(
                 f"allocation height {alloc_label} outside ({self.last_alloc_label}, {h}]"
             )
-        p = Price(price)
+        p = check_price(price)
         gap = h - alloc_label
         beta = self.schedule.value_at(gap)
 
         before = self.pool_reserves()
         move = apply_rebated_move(self.curve, before, p, beta)
         (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
-        # The pool after the two move legs, subtracted in the order they book.
-        snapshot = Reserves(before.x - fx - vx, before.y - fy - vy)
-        # Every leg is checked, in booking order, before the first transfer.
+        # The pool after the two move legs, subtracted in the order they book;
+        # it and every leg, in booking order, are checked before the first transfer.
+        snapshot = check_reserves(before.x - fx - vx, before.y - fy - vy)
         legs = [(POOL, producer, fx, fy), (POOL, VAULT, vx, vy)]
         self._check(*legs)
 
@@ -409,7 +410,7 @@ class ChainState:
             label=alloc_label,
             gap=gap,
             beta=beta,
-            price=float(p),
+            price=p,
             before=before,
             move=move,
             count=count,
@@ -514,7 +515,9 @@ class ChainState:
         acct = self._account(escrow)
         if abs(acct[0]) > _NEG_TOL * scale or abs(acct[1]) > _NEG_TOL * scale:
             raise InvariantViolation(f"escrow {escrow} not fully unwound: {acct!r}")
-        del self.open_allocations[label]
+        # The settled escrow closes; its rounding dust burns, so supply is unchanged.
+        self._transfer(escrow, BURNED, *acct, guard=False)
+        del self.balances[escrow], self.open_allocations[label]
 
         receipt = ExecutionReceipt(
             pool=pool,
@@ -534,8 +537,9 @@ class ChainState:
         A batch is due once all its OCTs revealed or its window elapsed.
         ``eps`` is the external price used for the vault conversion and
         ``converter`` the agent (normally the block producer) taking the
-        value-neutral other side of it.
+        value-neutral other side of it. The closing pool must be live.
         """
+        eps = check_price(eps)
         h = self.height
         for label in sorted(self.open_allocations):
             pool = self.open_allocations[label]
@@ -556,12 +560,13 @@ class ChainState:
             self._transfer(VAULT, who, *vault, guard=False)
             self._transfer(who, POOL, *result.added, guard=False)
             reentry = ReentryReceipt(
-                eps=float(eps),
+                eps=eps,
                 added=result.added,
                 converter_flow=result.converter_flow,
                 converter=who,
             )
 
+        check_reserves(*self.balances[POOL])
         block = BlockReceipt(
             height=h,
             submitted=tuple(self._submitted),

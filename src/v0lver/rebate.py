@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfmm import Price, Reserves
+from .cfmm import Reserves
 from .errors import DomainError
 
 
@@ -82,12 +82,12 @@ def apply_rebated_move(curve, reserves: Reserves, target_price, rebate: float) -
     is closed by removing tokens from the rich side into the vault, so the
     post-move pool prices at exactly ``target_price``. The pool constant
     weakly drops (strictly, whenever the move is real and ``rebate > 0``).
+    ``reserves`` is a live pool and ``target_price`` a price > 0.
     """
-    tp = Price(target_price)
     if not (0.0 <= rebate < 1.0):
         raise DomainError(f"rebate fraction must lie in [0, 1), got {rebate!r}")
     p0 = curve.price(reserves)
-    if tp == p0:
+    if target_price == p0:
         return RebatedMoveResult(
             new_reserves=reserves,
             full_target=reserves,
@@ -96,7 +96,7 @@ def apply_rebated_move(curve, reserves: Reserves, target_price, rebate: float) -
             rebate=rebate,
         )
     k = curve.invariant(reserves)
-    full = curve.reserves_at_price(k, tp)
+    full = curve.reserves_at_price(k, target_price)
     dx = full.x - reserves.x
     dy = full.y - reserves.y
     keep = 1.0 - rebate
@@ -105,15 +105,15 @@ def apply_rebated_move(curve, reserves: Reserves, target_price, rebate: float) -
     if rebate == 0.0:
         new = Reserves(mid_x, mid_y)
         deposit = (0.0, 0.0)
-    elif tp > p0:
+    elif target_price > p0:
         # Price rose: the partial move undershoots, y is the rich side.
         # The shed amount is mathematically non-negative; the max() guards
         # against one-ulp roundoff when the rebate is vanishingly small.
-        new_y = curve.y_matching_price(tp, mid_x)
+        new_y = curve.y_matching_price(target_price, mid_x)
         deposit = (0.0, max(0.0, mid_y - new_y))
         new = Reserves(mid_x, new_y)
     else:
-        new_x = curve.x_matching_price(tp, mid_y)
+        new_x = curve.x_matching_price(target_price, mid_y)
         deposit = (max(0.0, mid_x - new_x), 0.0)
         new = Reserves(new_x, mid_y)
     return RebatedMoveResult(
@@ -146,17 +146,17 @@ def vault_reenter(curve, reserves: Reserves, vault: tuple[float, float], eps: fl
     a pool sitting at price ``eps``. The conversion trades the imbalance at
     exactly ``eps``, so the converting agent's flow has zero value; the pool
     constant weakly increases. ``vault`` is the ``(x, y)`` holding to fold
-    in; callers drain it when they route the token movements.
+    in; callers drain it when they route the token movements. ``eps`` is a
+    price > 0.
     """
-    e = Price(eps)
     vx, vy = vault
     if vx < 0 or vy < 0:
         raise DomainError("vault holdings must be non-negative")
-    v = vx + vy * e
+    v = vx + vy * eps
     if v == 0.0:
         return ReentryResult(reserves, (0.0, 0.0), (0.0, 0.0))
     add_x = v / 2.0
-    add_y = v / (2.0 * e)
+    add_y = v / (2.0 * eps)
     new = Reserves(reserves.x + add_x, reserves.y + add_y)
     return ReentryResult(
         new_reserves=new,

@@ -32,7 +32,7 @@ from .agents import (
     producer_utility,
 )
 from .allocation import Order, OrderSide
-from .cfmm import CURVES, Reserves, max_lvr
+from .cfmm import CONSTANT_PRODUCT, Reserves, max_lvr
 from .config import ScenarioConfig
 from .engine import POOL, BlockReceipt, ChainState, OctState
 from .errors import ConfigError, FundingError
@@ -115,9 +115,8 @@ _FUNDED_BY = {
 
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
     cfg.validate()
-    curve = CURVES[cfg.curve]
     chain = ChainState(
-        curve,
+        CONSTANT_PRODUCT,
         Reserves(cfg.pool_x, cfg.pool_y),
         cfg.rebate_schedule(),
         max_x=cfg.max_x,
@@ -139,8 +138,8 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
     metrics = RunMetrics(blocks=cfg.blocks)
     rows = []
     for block, eps in steps:
-        rows.append(_block_row(curve, block, eps))
-        _tally(metrics, cfg, curve, block, rows)
+        rows.append(_block_row(block, eps))
+        _tally(metrics, cfg, block, rows)
     last = rows[-1]
     vault_value = last["vault_x"] + last["vault_y"] * last["eps"]
     metrics.realized_lvr -= vault_value
@@ -203,7 +202,7 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
         yield block, eps
 
 
-def _block_row(curve, block: BlockReceipt, eps: float) -> dict:
+def _block_row(block: BlockReceipt, eps: float) -> dict:
     """The ``blocks.csv`` row of one block at external price ``eps``, keys in column order."""
     u = block.update
     pool = Reserves(*block.pool)
@@ -212,8 +211,8 @@ def _block_row(curve, block: BlockReceipt, eps: float) -> dict:
         "eps": eps,
         "pool_x": pool.x,
         "pool_y": pool.y,
-        "pool_price": float(curve.price(pool)),
-        "pool_k": curve.invariant(pool),
+        "pool_price": CONSTANT_PRODUCT.price(pool),
+        "pool_k": CONSTANT_PRODUCT.invariant(pool),
         "vault_x": block.vault[0],
         "vault_y": block.vault[1],
         "update": int(u is not None),
@@ -229,7 +228,7 @@ def _block_row(curve, block: BlockReceipt, eps: float) -> dict:
     }
 
 
-def _tally(m: RunMetrics, cfg: ScenarioConfig, curve, block: BlockReceipt, rows: list):
+def _tally(m: RunMetrics, cfg: ScenarioConfig, block: BlockReceipt, rows: list):
     """Add one block's share of the run metrics; float sums go per update, execution and fill."""
     row = rows[block.height]
     eps = row["eps"]
@@ -247,7 +246,7 @@ def _tally(m: RunMetrics, cfg: ScenarioConfig, curve, block: BlockReceipt, rows:
         vx, vy = u.move.vault_deposit
         m.producer_flow_value += fx + fy * eps
         m.realized_lvr += (fx + vx) + (fy + vy) * eps
-        m.full_lvr += max_lvr(curve, u.before, eps)[1]
+        m.full_lvr += max_lvr(CONSTANT_PRODUCT, u.before, eps)[1]
     for er in block.executions:
         m.volume_y += er.settlement.volume_y
         pool = er.pool
@@ -277,10 +276,6 @@ def _tally(m: RunMetrics, cfg: ScenarioConfig, curve, block: BlockReceipt, rows:
 # --- experiments --------------------------------------------------------------
 
 
-def _run_seeds(seed: int, runs: int) -> list[int]:
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(runs, dtype=np.uint64)]
-
-
 def _metrics_worker(args) -> RunMetrics:
     cfg, s = args
     return run_scenario(cfg, s).metrics
@@ -294,10 +289,11 @@ def run_many(cfg: ScenarioConfig, seed: int, runs: int, jobs: int = 1) -> list[R
     """
     if runs <= 0:
         raise ConfigError("runs must be > 0")
-    args = [(cfg, s) for s in _run_seeds(seed, runs)]
+    seeds = np.random.SeedSequence(seed).generate_state(runs, dtype=np.uint64)
+    args = [(cfg, int(s)) for s in seeds]
     if jobs <= 1:
         return [_metrics_worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    with ProcessPoolExecutor(max_workers=min(jobs, runs)) as ex:
         return list(ex.map(_metrics_worker, args, chunksize=max(1, runs // (4 * jobs))))
 
 
@@ -382,8 +378,7 @@ def dominance_sweep(
     cfg.validate()
     if multipliers is None:
         multipliers = [(90 + i) / 100.0 for i in range(21)]
-    curve = CURVES[cfg.curve]
-    reserves = Reserves(cfg.pool_x, cfg.pool_y)
+    reserves = Reserves(float(cfg.pool_x), float(cfg.pool_y))
     eps = cfg.price.initial
     schedule = cfg.rebate_schedule()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -392,7 +387,7 @@ def dominance_sweep(
     for m in multipliers:
         for a in alphas:
             u = producer_utility(
-                curve, reserves, eps, schedule, cfg.max_x, cfg.max_y,
+                CONSTANT_PRODUCT, reserves, eps, schedule, cfg.max_x, cfg.max_y,
                 m, a, flow_dx, flow_dy,
             )
             rows.append({"multiplier": m, "alpha": a, "utility": u})

@@ -148,3 +148,22 @@ def baseline_cfmm_replay(curve, reserves: Reserves, receipts):
             r = Reserves(r.x + dx, r.y + dy)
         out.append((block.height, r.x, r.y))
     return out
+
+
+class InlineExecutor:
+    """Stand-in for ``ProcessPoolExecutor``: maps in this process and records
+    the ``max_workers`` each pool was asked for in ``InlineExecutor.workers``."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers):
+        InlineExecutor.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)

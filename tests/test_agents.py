@@ -178,6 +178,12 @@ class TestUpdateDecision:
         assert price_target(self.prod(price_policy="offset", price_offset=1.02), 100.0, 99.0) == pytest.approx(102.0)
         assert price_target(self.prod(price_policy="stale"), 104.0, 99.0) == 99.0
 
+    @pytest.mark.parametrize("offset, eps", [(1e-300, 1e-30), (1e307, 100.0)])
+    def test_offset_target_out_of_float_range_names_the_field(self, offset, eps):
+        # the target underflows to 0 or overflows to inf
+        with pytest.raises(DomainError, match=r"producer\.price_offset"):
+            price_target(self.prod(price_policy="offset", price_offset=offset), eps, eps)
+
     def test_never_policy(self):
         p = self.prod(update_policy="never")
         assert decide_update(p, SCHEDULE, C, self.R, 5, 2, 104.0, 103.0) is None

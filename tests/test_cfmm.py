@@ -6,14 +6,15 @@ from hypothesis import example, given, strategies as st
 
 from v0lver.cfmm import (
     CONSTANT_PRODUCT,
-    CURVES,
-    Price,
     Reserves,
+    check_price,
     check_same_curve,
     lvr_value,
     max_lvr,
 )
+from v0lver.engine import ChainState
 from v0lver.errors import DomainError
+from v0lver.rebate import ZERO_REBATE
 
 from oracles import grid_max_extraction
 
@@ -24,12 +25,12 @@ class TestPrimitives:
     def test_price_rejects_degenerate_values(self):
         for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
-                Price(bad)
+                check_price(bad)
 
     def test_reserves_reject_degenerate_values(self):
         for bad in ((0, 1), (1, 0), (-1, 1), (math.nan, 1), (1, math.inf)):
             with pytest.raises(DomainError):
-                Reserves(*bad)
+                ChainState(C, Reserves(*bad), ZERO_REBATE, max_x=1.0, max_y=1.0)
 
     def test_pool_price(self):
         assert C.price(Reserves(10_000, 100)) == 100.0
@@ -54,9 +55,6 @@ class TestPrimitives:
         assert q == 50.0
         after = Reserves(r.x + q * 2.0, r.y - q)
         check_same_curve(C, r, after)
-
-    def test_curve_registry(self):
-        assert CURVES["constant_product"] is C
 
     @given(
         x=st.floats(1e-3, 1e9),
@@ -89,13 +87,6 @@ class TestExtractionValue:
     def test_lvr_value_rejects_points_off_the_curve(self):
         with pytest.raises(DomainError):
             lvr_value(Reserves(100, 100), Reserves(100, 99), 1.0)
-
-    def test_max_lvr_requires_the_closed_form_property(self):
-        class Odd:
-            max_lvr_at_external_price = False
-
-        with pytest.raises(DomainError):
-            max_lvr(Odd(), Reserves(1, 1), 1.0)
 
     @given(
         x=st.floats(1.0, 1e6),

@@ -284,6 +284,60 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and path in err
 
+    @pytest.mark.parametrize("command", ["run", "lvr", "equilibrium", "sweep"])
+    def test_negative_seed_exits_one(self, command, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main([command, "--scenario", "lvr", "--out", out, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "argument --seed: must be >= 0" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_run_out_that_is_no_directory_exits_one(self, under, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out" if under else blocker
+        assert main(["run", "--scenario", "lvr", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--out" in err
+
+    def test_run_artifact_that_is_a_directory_exits_one(self, tiny_scenario, tmp_path, capsys):
+        (tmp_path / "out" / "summary.json").mkdir(parents=True)
+        out = str(tmp_path / "out")
+        assert main(["run", "--scenario", tiny_scenario, "--out", out, "--force"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--out file" in err and "summary.json" in err
+
+    @pytest.mark.parametrize("missing_parent", [False, True])
+    def test_validate_out_that_cannot_be_written_exits_one(self, missing_parent, tmp_path,
+                                                           capsys):
+        out = tmp_path / "nope" / "lvr.json" if missing_parent else tmp_path
+        assert main(["validate", "--scenario", "lvr", "--out", str(out), "--force"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--out" in err
+
+    def test_scenario_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        scn = tmp_path / "latin1.json"
+        scn.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+        assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(scn) in err
+
+    @pytest.mark.parametrize("name", ["lvr", "default"])
+    @pytest.mark.parametrize("section, key", [("pool", "x"), ("pool", "y"), ("price", "initial")])
+    @pytest.mark.parametrize("value", [1e-300, 5e-324, 1e154, 1e300, 1.7e308])
+    def test_extreme_pool_and_price_values_exit_zero_or_one(self, name, section, key, value,
+                                                            tmp_path, capsys):
+        raw = scenario_to_dict(builtin_scenarios()[name])
+        raw["blocks"] = 5
+        raw[section][key] = value
+        scn = tmp_path / "extreme.json"
+        scn.write_text(json.dumps(raw))
+        code = main(["run", "--scenario", str(scn), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 1), err
+        assert err == "" if code == 0 else err.count("\n") == 1, err
+
     def test_missing_scenario_file(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["run", "--scenario", str(tmp_path / "nope.json"),

@@ -108,6 +108,8 @@ class TestValidation:
         ({"flow": {"limit_width": 5}}, "flow.limit_width"),
         ({"price": {"sigma": math.inf}}, "price.sigma"),
         ({"producer": {"censor_rate": False}}, "producer.censor_rate"),
+        ({"pool": {"x": 1e300, "y": 1e300}}, "pool.x * pool.y"),
+        ({"pool": {"y": 5e-324}}, "pool.x * pool.y"),
     ])
     def test_errors_name_the_json_path(self, raw, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)} "):

@@ -106,9 +106,10 @@ class TestLifecycle:
         # bob sold 0.05 y for 0.05 * p x
         assert chain.balances["bob"][0] == pytest.approx(1_000.0 + 0.05 * snap.price)
         assert chain.balances["bob"][1] == pytest.approx(9.95)
-        # escrow unwound, collateral account empty, nothing burned
+        # escrow closed, collateral account empty, only the escrow's rounding dust burned
+        assert "alloc:0" not in chain.balances
         assert chain.balances[COLLATERAL] == pytest.approx([0.0, 0.0], abs=1e-9)
-        assert chain.balances[BURNED] == [0.0, 0.0]
+        assert chain.balances[BURNED] == pytest.approx([0.0, 0.0], abs=1e-9)
         # the vault was converted at the block boundary (frequency 1)
         assert chain.balances[VAULT] == [0.0, 0.0]
         assert chain.balances[VAULT] == pytest.approx([0.0, 0.0], abs=1e-12)
@@ -278,6 +279,24 @@ class TestTransitionGuards:
         assert chain.open_allocations == {}
         assert chain.advance_block(110.0).update is None
 
+    def test_update_leaving_the_float_range_books_nothing(self):
+        chain = make_chain()
+        balances = {party: list(acct) for party, acct in chain.balances.items()}
+        price = chain.pool_price()
+        # k * p overflows: the move would put the pool's x reserve at inf
+        with pytest.raises(DomainError, match="pool reserves"):
+            chain.apply_update_tx("prod", 0, 1e303)
+        assert chain.balances == balances
+        assert chain.pool_price() == price
+        assert chain.advance_block(100.0).update is None
+
+    def test_advance_block_checks_the_external_price(self):
+        chain = make_chain()
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                chain.advance_block(bad)
+        assert chain.height == 0
+
 
 class TestZeroRebateFallback:
     def test_updates_are_plain_swaps(self):
@@ -388,6 +407,24 @@ class TestLedger:
         empty = chain.advance_block(102.0)
         assert (empty.height, empty.submitted, empty.update, empty.executions) == (1, (), None, ())
         assert [e["kind"] for e in empty.events()] == ["block_end"]
+
+    def test_settled_escrows_leave_the_ledger(self):
+        chain = make_chain(conversion_frequency=2)
+        s0 = chain.total_supply()
+        for h in range(8):
+            orders = [buy(2.0 + h), sell(0.03)]
+            octs = [chain.submit_oct(who, o) for who, o in zip(("alice", "bob"), orders)]
+            chain.insert_octs("prod", [o.id for o in octs])
+            chain.apply_update_tx("prod", h, 100.0 + h)
+            if h % 2:  # odd blocks reveal at once, even ones wait out the window and burn
+                for oct, o in zip(octs, orders):
+                    chain.reveal_order(oct.id, o)
+            chain.advance_block(100.0 + h, converter="prod")
+            escrows = {p for p in chain.balances if p.startswith("alloc:")}
+            assert escrows <= {f"alloc:{label}" for label in chain.open_allocations}
+        assert len(chain.open_allocations) < 8
+        s1 = chain.total_supply()
+        assert s1 == pytest.approx(s0, rel=1e-12)
 
     def test_replay_determinism(self):
         def run():

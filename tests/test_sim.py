@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from v0lver import sim
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
 from v0lver.config import builtin_scenarios
 from v0lver.errors import ConfigError
@@ -16,7 +17,7 @@ from v0lver.sim import (
     user_price_experiment,
 )
 
-from oracles import baseline_cfmm_replay
+from oracles import InlineExecutor, baseline_cfmm_replay
 
 SCN = builtin_scenarios()
 
@@ -46,6 +47,14 @@ class TestDeterminism:
         seq = [m.to_dict() for m in run_many(cfg, 9, 4, jobs=1)]
         par = [m.to_dict() for m in run_many(cfg, 9, 4, jobs=2)]
         assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
+
+    def test_run_many_starts_no_more_workers_than_runs(self, monkeypatch):
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(InlineExecutor, "workers", [])
+        cfg = shrink(SCN["lvr"], 5)
+        pooled = run_many(cfg, 3, 2, jobs=100_000)  # runs inline: no process is started
+        assert InlineExecutor.workers == [2]
+        assert pooled == run_many(cfg, 3, 2, jobs=1)
 
     def test_run_many_rejects_no_runs(self):
         with pytest.raises(ConfigError):
