@@ -14,11 +14,8 @@ from .allocation import (
     Order,
     OrderSide,
     Settlement,
-    allocation_bound,
     clearing_price_with_limits,
-    create_allocation_pool,
     escrow_size,
-    redistribute,
     settle_market_batch,
     verify_clearing_price,
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Order, OrderSide
-from .cfmm import Reserves
+from .cfmm import Reserves, check_reserves
 from .config import FlowModel, ProducerModel
 from .errors import DomainError
 from .rebate import RebateSchedule, apply_rebated_move
@@ -200,6 +200,7 @@ def decide_update(
         return None
     k = curve.invariant(reserves)
     full = curve.reserves_at_price(k, target)
+    check_reserves(full.x, full.y)  # a target whose reserves overflow cannot be reached
     value = (reserves.x - full.x) + (reserves.y - full.y) * eps
     if keep * value < producer.update_cost:
         return None

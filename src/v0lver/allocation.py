@@ -1,4 +1,4 @@
-"""Allocation pools and uniform-price batch settlement.
+"""Allocation escrow and the uniform-price batch auction.
 
 An allocation pool is the escrow a batch of committed orders executes
 against. It is funded at creation with enough of both tokens to pay out the
@@ -11,18 +11,20 @@ The producer funds a ``producer_fraction`` share of that escrow and the pool
 reserves back the remainder as an earmark.
 
 Settlement replicates what batch-executing the revealed orders directly
-against the pool snapshot would do. For market orders on a constant-product
-snapshot the clearing price has the closed form
+against the pool snapshot would do, as one uniform-price auction.
+Executable demand and supply at a candidate price come from the orders whose
+limits admit it plus the snapshot curve's chord liquidity; the clearing price
+is the unique point balancing the two (marginal orders filled pro-rata), and
+that point is also the volume maximizer since demand falls and supply rises
+in price. Between consecutive limits the executable orders sell fixed
+amounts ``x_in`` and ``y_in``, and on a constant-product snapshot the
+crossing has the closed form
 
-    p_e = (R_x + delta_x) / (R_y + delta_y)
+    p_e = (R_x + x_in) / (R_y + y_in)
 
-and the pool's net trade is the chord of the level curve at slope ``p_e``,
-so applying the pool delta to the snapshot preserves the invariant exactly.
-Limit orders generalize this to a uniform-price auction: executable demand
-and supply at a candidate price come from orders whose limits admit it plus
-the snapshot curve's chord liquidity, the clearing price is the unique point
-balancing the two (marginal orders filled pro-rata), and that point is also
-the volume maximizer since demand falls and supply rises in price.
+with the pool's net trade the chord of the level curve at slope ``p_e``, so
+applying the pool delta to the snapshot preserves the invariant. A batch of
+market orders alone is the auction without limits (``settle_market_batch``).
 """
 from __future__ import annotations
 
@@ -93,24 +95,6 @@ class Settlement:
     volume_y: float
 
 
-def allocation_bound(curve, reserves: Reserves, max_x: float, max_y: float) -> tuple[float, float]:
-    """Worst-case per-batch outflow if orders executed directly on the curve.
-
-    Returns ``(lambda_x, lambda_y)``: the x the pool pays against a max-size
-    y sale and the y it pays against a max-size x sale. Serves as the
-    solvency certificate for order bounds; escrow funding itself uses
-    ``escrow_size``.
-    """
-    if not (max_x > 0.0 and max_y > 0.0):
-        raise DomainError("order bounds must be > 0")
-    k = curve.invariant(reserves)
-    lam_y = reserves.y - curve.y_given_x(k, reserves.x + max_x)
-    lam_x = reserves.x - curve.x_given_y(k, reserves.y + max_y)
-    if lam_x >= reserves.x or lam_y >= reserves.y:
-        raise DomainError("order bounds exhaust the pool reserves")
-    return lam_x, lam_y
-
-
 def escrow_size(count: int, price: float, max_x: float, max_y: float) -> tuple[float, float]:
     """Escrow that covers ``count`` one-sided max-size orders at price ``price`` > 0."""
     if count < 0:
@@ -138,66 +122,10 @@ class AllocationPool:
     snapshot: Reserves
     escrow: tuple[float, float]
     producer: str
-    oct_ids: tuple[int, ...] = ()
+    oct_ids: tuple[int, ...]
 
 
-def create_allocation_pool(
-    count: int,
-    price: float,
-    max_x: float,
-    max_y: float,
-    producer_fraction: float,
-    snapshot: Reserves,
-    *,
-    label: int,
-    created_at: int,
-    producer: str,
-) -> AllocationPool:
-    """Build and size the escrow for a batch of ``count`` orders at price ``price`` > 0.
-
-    The producer funds ``producer_fraction`` of the escrow; the rest is
-    backed by the pool. ``count == 0`` yields an empty pool (the update was
-    pure arbitrage).
-    """
-    if not (0.0 <= producer_fraction < 1.0):
-        raise DomainError(f"producer fraction must lie in [0, 1), got {producer_fraction!r}")
-    return AllocationPool(
-        label=label,
-        created_at=created_at,
-        price=price,
-        count=count,
-        producer_fraction=producer_fraction,
-        snapshot=snapshot,
-        escrow=escrow_size(count, price, max_x, max_y),
-        producer=producer,
-    )
-
-
-def settle_market_batch(curve, snapshot: Reserves, delta_x: float, delta_y: float) -> Settlement:
-    """Settle aggregate market flow (x sold, y sold) against the snapshot.
-
-    Closed form for the constant-product snapshot; both imbalance directions
-    reduce to the same expressions. Zero flow clears at the snapshot price
-    with an untouched pool.
-    """
-    if delta_x < 0 or delta_y < 0:
-        raise DomainError("aggregate sold amounts must be >= 0")
-    if delta_x == 0.0 and delta_y == 0.0:
-        return Settlement(
-            price=curve.price(snapshot), pool_delta=(0.0, 0.0), fills=(), volume_y=0.0
-        )
-    p_e = (snapshot.x + delta_x) / (snapshot.y + delta_y)
-    pool_dx = delta_x - delta_y * p_e
-    pool_dy = delta_y - delta_x / p_e
-    return Settlement(
-        price=p_e,
-        pool_delta=(pool_dx, pool_dy),
-        fills=(),
-        volume_y=delta_x / p_e + delta_y,
-    )
-
-
-# --- uniform-price clearing with limit orders --------------------------------
+# --- the uniform-price batch auction -----------------------------------------
 
 
 class _Book:
@@ -308,6 +236,20 @@ def clearing_price_with_limits(curve, snapshot: Reserves, orders) -> Settlement:
     raise DomainError("no consistent uniform clearing price found")
 
 
+def settle_market_batch(curve, snapshot: Reserves, delta_x: float, delta_y: float) -> Settlement:
+    """Settle aggregate market flow (x sold, y sold) against the snapshot.
+
+    The all-market case of ``clearing_price_with_limits``: the flow becomes
+    at most two market orders, the x sold (if any) then the y sold, which
+    clear at ``(R_x + delta_x) / (R_y + delta_y)``. Zero flow clears at the
+    snapshot price with an untouched pool.
+    """
+    if delta_x < 0 or delta_y < 0:
+        raise DomainError("aggregate sold amounts must be >= 0")
+    flow = ((OrderSide.BUY_Y, delta_x), (OrderSide.SELL_Y, delta_y))
+    return clearing_price_with_limits(curve, snapshot, [Order(s, q) for s, q in flow if q != 0.0])
+
+
 def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> Settlement | None:
     """Check a proposed uniform price without trusting the solver's search.
 
@@ -337,18 +279,3 @@ def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> Settle
             best = other.volume_y
     scale = max(vol, best, 1.0)
     return settled if vol >= best - CLEARING_RTOL * scale else None
-
-
-def redistribute(
-    remainder: tuple[float, float], beta: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Split an escrow remainder between the pool and the producer.
-
-    Returns ``(to_pool, to_producer)`` in the ``1 - beta : beta`` ratio the
-    escrow was funded with. Negative remainders mean the escrow was breached,
-    which bounded orders make impossible.
-    """
-    rx, ry = remainder
-    if rx < 0 or ry < 0:
-        raise DomainError("allocation escrow remainder went negative")
-    return ((1.0 - beta) * rx, (1.0 - beta) * ry), (beta * rx, beta * ry)

@@ -65,13 +65,6 @@ class ConstantProduct:
         """The unique point on level curve ``k`` > 0 with pool price ``p`` > 0."""
         return Reserves(math.sqrt(k * p), math.sqrt(k / p))
 
-    def y_given_x(self, k: float, x: float) -> float:
-        """Solve ``f(x, y) = k`` for y."""
-        return k / x
-
-    def x_given_y(self, k: float, y: float) -> float:
-        return k / y
-
     def x_matching_price(self, p: float, y: float) -> float:
         """The x reserve that puts a pool with y reserve ``y`` at price ``p``."""
         return p * y

@@ -4,7 +4,7 @@ The chain state owns a token ledger covering every party that can hold
 value: the pool reserves, the vault, the per-batch escrows, a collateral
 account for committed orders, agent accounts, and a burn sink. Every token
 movement goes through one transfer helper, so total supply is conserved by
-construction and can be asserted cheaply at any point.
+construction; every block end checks it, and that the pool holds its earmarks.
 
 Escrow accounting: the producer's share of an allocation escrow is held
 physically by the escrow party, while the pool-backed share stays inside the
@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .allocation import (
     AllocationPool,
     Order,
     Settlement,
     clearing_price_with_limits,
-    create_allocation_pool,
-    redistribute,
+    escrow_size,
     verify_clearing_price,
 )
 from .cfmm import Reserves, check_price, check_reserves
@@ -57,13 +56,16 @@ COLLATERAL = "collateral"
 BURNED = "burned"
 
 _NEG_TOL = 1e-9
+_SUPPLY_RTOL = 1e-9
 
 
 def _guard(src, dst, s, d, dx, dy):
-    """Raise FundingError if moving (dx, dy) from ``s`` to ``d`` overdraws a payer."""
-    tol = -_NEG_TOL * (abs(dx) + abs(dy) + 1.0)
+    """Raise FundingError if moving (dx, dy) from ``s`` to ``d`` overdraws a payer.
+
+    Each token's tolerance scales with that token's amount only."""
+    tol_x, tol_y = -_NEG_TOL * (abs(dx) + 1.0), -_NEG_TOL * (abs(dy) + 1.0)
     for party, acct, tx, ty in ((src, s, -dx, -dy), (dst, d, dx, dy)):
-        if (tx < 0.0 and acct[0] + tx < tol) or (ty < 0.0 and acct[1] + ty < tol):
+        if (tx < 0.0 and acct[0] + tx < tol_x) or (ty < 0.0 and acct[1] + ty < tol_y):
             raise FundingError(f"{party} overdrawn moving ({dx!r}, {dy!r}) from {src} to {dst}: "
                                f"holds {list(acct)!r}", party=party)
 
@@ -275,6 +277,18 @@ class ChainState:
         tx, ty = self.total_supply()
         return max(abs(tx - self._supply0[0]), abs(ty - self._supply0[1]))
 
+    def check_books(self):
+        """Raise InvariantViolation unless each token's supply is conserved (to a
+        relative ``_SUPPLY_RTOL``) and the pool holds its earmarks."""
+        (tx, ty), (x0, y0) = self.total_supply(), self._supply0
+        if abs(tx - x0) > _SUPPLY_RTOL * abs(x0) or abs(ty - y0) > _SUPPLY_RTOL * abs(y0):
+            raise InvariantViolation(f"token supply drifted from ({x0!r}, {y0!r}) "
+                                     f"to ({tx!r}, {ty!r})")
+        (ex, ey), (px, py) = self.earmark(), self.balances[POOL]
+        if ex > px or ey > py:
+            raise InvariantViolation(f"pool ({px!r}, {py!r}) cannot hold its earmarks "
+                                     f"({ex!r}, {ey!r})")
+
     # ------------------------------------------------------------------- views
 
     def pool_reserves(self) -> Reserves:
@@ -373,27 +387,17 @@ class ChainState:
         for height in range(self.last_alloc_label + 1, alloc_label + 1):
             batch.extend(self.inserted_by_height.get(height, ()))
         count = len(batch)
-        if count:
-            pool = create_allocation_pool(
-                count,
-                p,
-                self.max_x,
-                self.max_y,
-                beta,
-                snapshot,
-                label=alloc_label,
-                created_at=h,
-                producer=producer,
+        ex, ey = escrow = escrow_size(count, p, self.max_x, self.max_y)
+        # The moved pool must back the open batches' earmarks and this one's.
+        held_x, held_y = self.earmark()
+        need_x = held_x + (1.0 - beta) * ex
+        need_y = held_y + (1.0 - beta) * ey
+        if need_x > snapshot.x or need_y > snapshot.y:
+            raise FundingError(
+                f"pool reserves cannot back escrow earmarks ({need_x!r}, {need_y!r})",
+                party=POOL,
             )
-            ex, ey = pool.escrow
-            held_x, held_y = self.earmark()
-            need_x = held_x + (1.0 - beta) * ex
-            need_y = held_y + (1.0 - beta) * ey
-            if need_x > snapshot.x or need_y > snapshot.y:
-                raise FundingError(
-                    f"pool reserves cannot back escrow earmarks ({need_x!r}, {need_y!r})",
-                    party=POOL,
-                )
+        if count:
             legs.append((producer, f"alloc:{alloc_label}", beta * ex, beta * ey))
             self._check(*legs)
         for leg in legs:
@@ -403,7 +407,9 @@ class ChainState:
             oct.state = OctState.ALLOCATED
             oct.allocated_at = h
         if count:
-            self.open_allocations[alloc_label] = replace(pool, oct_ids=tuple(batch))
+            self.open_allocations[alloc_label] = AllocationPool(
+                label=alloc_label, created_at=h, price=p, count=count, producer_fraction=beta,
+                snapshot=snapshot, escrow=escrow, producer=producer, oct_ids=tuple(batch))
 
         self.last_alloc_label = alloc_label
         self._update = UpdateReceipt(
@@ -414,7 +420,7 @@ class ChainState:
             before=before,
             move=move,
             count=count,
-            escrow=pool.escrow if count else (0.0, 0.0),
+            escrow=escrow,
             snapshot=snapshot,
             producer=producer,
         )
@@ -504,19 +510,22 @@ class ChainState:
         scale = abs(rx) + abs(ry) + abs(dx) + abs(dy) + 1.0
         if rx < -_NEG_TOL * scale or ry < -_NEG_TOL * scale:
             raise InvariantViolation(f"allocation escrow {label} breached: ({rx!r}, {ry!r})")
-        remainder = (max(rx, 0.0), max(ry, 0.0))
-        # Pool reserves take their share of the batch imbalance; the rest of
-        # the physical flows stay with the escrow (the producer's share).
-        pool_share = 1.0 - pool.producer_fraction
-        self._transfer(escrow, POOL, pool_share * dx, pool_share * dy, guard=False)
-
-        to_pool, to_producer = redistribute(remainder, pool.producer_fraction)
+        # The remainder splits 1 - beta : beta, the ratio the escrow was funded
+        # with. Pool reserves take their share of the batch imbalance; the rest
+        # of the physical flows stay with the escrow (the producer's share).
+        beta = pool.producer_fraction
+        rx, ry = max(rx, 0.0), max(ry, 0.0)
+        to_pool = ((1.0 - beta) * rx, (1.0 - beta) * ry)
+        to_producer = (beta * rx, beta * ry)
+        self._transfer(escrow, POOL, (1.0 - beta) * dx, (1.0 - beta) * dy, guard=False)
         self._transfer(escrow, pool.producer, *to_producer, guard=False)
-        acct = self._account(escrow)
-        if abs(acct[0]) > _NEG_TOL * scale or abs(acct[1]) > _NEG_TOL * scale:
-            raise InvariantViolation(f"escrow {escrow} not fully unwound: {acct!r}")
-        # The settled escrow closes; its rounding dust burns, so supply is unchanged.
-        self._transfer(escrow, BURNED, *acct, guard=False)
+        ax, ay = self._account(escrow)
+        if abs(ax) > _NEG_TOL * scale or abs(ay) > _NEG_TOL * scale:
+            raise InvariantViolation(f"escrow {escrow} not fully unwound: ({ax!r}, {ay!r})")
+        # The settled escrow closes with supply unchanged: positive rounding dust
+        # burns, and the producer, the escrow's residual claimant, pays negative dust.
+        self._transfer(escrow, BURNED, max(ax, 0.0), max(ay, 0.0), guard=False)
+        self._transfer(escrow, pool.producer, min(ax, 0.0), min(ay, 0.0), guard=False)
         del self.balances[escrow], self.open_allocations[label]
 
         receipt = ExecutionReceipt(
@@ -537,7 +546,8 @@ class ChainState:
         A batch is due once all its OCTs revealed or its window elapsed.
         ``eps`` is the external price used for the vault conversion and
         ``converter`` the agent (normally the block producer) taking the
-        value-neutral other side of it. The closing pool must be live.
+        value-neutral other side of it. The closing pool must be live, and
+        the books must balance (``check_books``).
         """
         eps = check_price(eps)
         h = self.height
@@ -567,6 +577,7 @@ class ChainState:
             )
 
         check_reserves(*self.balances[POOL])
+        self.check_books()
         block = BlockReceipt(
             height=h,
             submitted=tuple(self._submitted),

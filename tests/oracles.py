@@ -5,7 +5,9 @@ prices come from sign-bracketed bisection on the level-curve constraint,
 optimal arbitrage from dense grid search on the curve itself. Slow and
 dumb, on purpose. The plain-CFMM replay is the exception: it reuses the
 package's curve and clearing formulas, because what it checks is the
-protocol's escrow and vault plumbing around them.
+protocol's escrow and vault plumbing around them. The market-batch closed
+form is the reference the auction's all-market case must reproduce bit for
+bit.
 """
 from __future__ import annotations
 
@@ -77,6 +79,18 @@ def bisect_market_clearing(snapshot_x: float, snapshot_y: float, dx: float, dy: 
         if hi - lo <= rel_tol * mid:
             break
     return 0.5 * (lo + hi)
+
+
+def closed_form_market_batch(snapshot_x: float, snapshot_y: float, dx: float, dy: float):
+    """``(price, pool_delta, volume_y)`` of market flow (dx of x sold, dy of y sold).
+
+    The clearing price is ``(Sx + dx) / (Sy + dy)`` and the pool absorbs the
+    imbalance at that price; zero flow clears at the snapshot price.
+    """
+    if dx == 0.0 and dy == 0.0:
+        return snapshot_x / snapshot_y, (0.0, 0.0), 0.0
+    p = (snapshot_x + dx) / (snapshot_y + dy)
+    return p, (dx - dy * p, dy - dx / p), dx / p + dy
 
 
 def grid_max_extraction(x: float, y: float, eps: float, points: int = 10_001):

@@ -1,22 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from v0lver.allocation import (
+    Fill,
     Order,
     OrderSide,
-    allocation_bound,
     clearing_price_with_limits,
-    create_allocation_pool,
     escrow_size,
-    redistribute,
     settle_market_batch,
     verify_clearing_price,
 )
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
-from v0lver.errors import DomainError
+from v0lver.engine import ChainState
+from v0lver.errors import DomainError, InvariantViolation
+from v0lver.rebate import RebateSchedule
 
-from oracles import bisect_market_clearing
+from oracles import bisect_market_clearing, closed_form_market_batch
 
 C = CONSTANT_PRODUCT
 SNAP = Reserves(100.0, 100.0)
@@ -28,6 +30,29 @@ def buy(size, limit=None, owner=None):
 
 def sell(size, limit=None, owner=None):
     return Order(side=OrderSide.SELL_Y, size=size, limit=limit, owner=owner)
+
+
+def allocated(orders, price=102.0):
+    """A chain at price 100 whose update at ``price`` allocated ``orders``
+    (label 0, beta 0.8, bounds 10 x and 0.1 y), all revealed."""
+    chain = ChainState(C, Reserves(10_000.0, 100.0), RebateSchedule(z_max=4, beta0=0.8),
+                       max_x=10.0, max_y=0.1,
+                       balances={"u": (1_000.0, 10.0), "prod": (10_000.0, 100.0)})
+    octs = [chain.submit_oct("u", o) for o in orders]
+    chain.insert_octs("prod", [o.id for o in octs])
+    update = chain.apply_update_tx("prod", 0, price)
+    for oct, o in zip(octs, orders):
+        chain.reveal_order(oct.id, o)
+    return chain, update
+
+
+#: Aggregate market flow: zero, subnormal, tiny, ordinary and large amounts.
+flow_amounts = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 1e-300),
+    st.floats(0.0, 1e5),
+    st.floats(1e5, 1e12),
+)
 
 
 class TestMarketBatch:
@@ -42,6 +67,24 @@ class TestMarketBatch:
         assert s.volume_y == pytest.approx(160.0 / 11.0, rel=1e-12)
         after = Reserves(SNAP.x + s.pool_delta[0], SNAP.y + s.pool_delta[1])
         assert C.invariant(after) == pytest.approx(10_000.0, rel=1e-12)
+        # the flow settles as two market orders: the x sold, then the y sold
+        assert s.fills == (Fill(0, 10.0, 10.0 / s.price), Fill(1, 5.0, 5.0 * s.price))
+
+    @given(sx=st.floats(1e-3, 1e9), sy=st.floats(1e-3, 1e9), dx=flow_amounts, dy=flow_amounts)
+    @example(sx=100.0, sy=100.0, dx=0.0, dy=0.0)
+    @example(sx=100.0, sy=100.0, dx=7.0, dy=7.0)
+    @example(sx=100.0, sy=100.0, dx=5e-324, dy=0.0)
+    @example(sx=100.0, sy=100.0, dx=0.0, dy=5e-324)
+    def test_matches_the_closed_form_bit_for_bit(self, sx, sy, dx, dy):
+        s = settle_market_batch(C, Reserves(sx, sy), dx, dy)
+        price, pool_delta, volume_y = closed_form_market_batch(sx, sy, dx, dy)
+        got = [s.price, *s.pool_delta, s.volume_y]
+        assert [v.hex() for v in got] == [v.hex() for v in (price, *pool_delta, volume_y)]
+
+    def test_rejects_negative_flow(self):
+        for dx, dy in ((-1.0, 0.0), (0.0, -1e-300)):
+            with pytest.raises(DomainError):
+                settle_market_batch(C, SNAP, dx, dy)
 
     def test_balanced_flow_leaves_pool_alone(self):
         s = settle_market_batch(C, SNAP, 7.0, 7.0)
@@ -237,42 +280,53 @@ class TestEscrowSizing:
         with pytest.raises(DomainError):
             escrow_size(1, 2.0, 0.0, 1.0)
 
-    def test_allocation_bound_worked_example(self):
-        lam_x, lam_y = allocation_bound(C, SNAP, 10.0, 10.0)
-        assert lam_x == pytest.approx(100.0 / 11.0, rel=1e-12)
-        assert lam_y == pytest.approx(100.0 / 11.0, rel=1e-12)
-
-    def test_allocation_bound_rejects_draining_bounds(self):
-        # reserves so small the level-curve payout rounds to everything
-        with pytest.raises(DomainError):
-            allocation_bound(C, Reserves(1e-200, 1e-200), 10.0, 10.0)
-
     def test_create_pool_sizes_and_splits_escrow(self):
-        pool = create_allocation_pool(
-            3, 2.0, 4.0, 1.0, 0.25, SNAP, label=5, created_at=7, producer="p"
-        )
-        assert pool.escrow == pytest.approx((6.0, 6.0))
-        assert pool.producer_fraction == 0.25
-        assert pool.label == 5 and pool.created_at == 7
-        assert pool.count == 3
+        # the update sizes the escrow for count one-sided max-size orders at
+        # its price; the producer funds the beta share into alloc:<label> and
+        # the pool earmarks the rest
+        orders = [buy(5.0), buy(2.0), sell(0.05)]
+        chain, update = allocated(orders, price=102.0)
+        ex, ey = 3 * 0.1 * 102.0, 3 * 10.0 / 102.0
+        assert update.escrow == (ex, ey)
+        pool = chain.open_allocations[0]
+        assert (pool.label, pool.created_at, pool.price, pool.count) == (0, 0, 102.0, 3)
+        assert pool.oct_ids == (0, 1, 2)
+        assert (pool.escrow, pool.snapshot, pool.producer) == ((ex, ey), update.snapshot, "prod")
+        assert pool.producer_fraction == update.beta == 0.8
+        assert chain.balances["alloc:0"] == [0.8 * ex, 0.8 * ey]
+        assert chain.earmark() == ((1.0 - 0.8) * ex, (1.0 - 0.8) * ey)
 
     def test_empty_pool(self):
-        pool = create_allocation_pool(
-            0, 2.0, 4.0, 1.0, 0.5, SNAP, label=1, created_at=1, producer="p"
-        )
-        assert pool.count == 0
-        assert pool.escrow == (0.0, 0.0)
+        # a pure-arbitrage update allocates nothing: no escrow, batch or earmark
+        chain, update = allocated([])
+        assert (update.count, update.escrow) == (0, (0.0, 0.0))
+        assert chain.open_allocations == {}
+        assert "alloc:0" not in chain.balances
+        assert chain.earmark() == (0.0, 0.0)
 
 
 class TestRedistribute:
     def test_splits_by_funding_ratio(self):
-        to_pool, to_producer = redistribute((10.0, 20.0), 0.25)
-        assert to_pool == pytest.approx((7.5, 15.0))
-        assert to_producer == pytest.approx((2.5, 5.0))
+        chain, _ = allocated([buy(5.0), sell(0.01)])
+        producer = list(chain.balances["prod"])
+        er = chain.execute_batch(0)
+        beta = er.pool.producer_fraction
+        rx = er.pool.escrow[0] + er.settlement.pool_delta[0]
+        ry = er.pool.escrow[1] + er.settlement.pool_delta[1]
+        assert er.to_pool == ((1.0 - beta) * rx, (1.0 - beta) * ry)
+        assert er.to_producer == (beta * rx, beta * ry)
+        # the producer's ledger is credited its share (up to escrow dust)
+        assert chain.balances["prod"] == pytest.approx(
+            [producer[0] + er.to_producer[0], producer[1] + er.to_producer[1]], rel=1e-15)
+        assert chain.earmark() == (0.0, 0.0)
 
     def test_rejects_breached_escrow(self):
-        with pytest.raises(DomainError):
-            redistribute((-1.0, 0.0), 0.5)
+        chain, _ = allocated([buy(5.0)])
+        # book the batch with an empty escrow: the pool's y payout breaches it
+        chain.open_allocations[0] = dataclasses.replace(chain.open_allocations[0],
+                                                        escrow=(0.0, 0.0))
+        with pytest.raises(InvariantViolation, match="breached"):
+            chain.execute_batch(0)
 
 
 class TestOrderValidation:

@@ -10,6 +10,7 @@ from v0lver.config import builtin_scenarios, scenario_to_dict
 
 DEFAULT_FLOW = scenario_to_dict(builtin_scenarios()["default"])["flow"]
 LVR = scenario_to_dict(builtin_scenarios()["lvr"])
+FALLBACK = scenario_to_dict(builtin_scenarios()["fallback"])
 
 # The keys of each events.ndjson record besides "height" and "kind".
 EVENT_KEYS = {
@@ -276,6 +277,9 @@ class TestExitCodes:
         ({"flow": DEFAULT_FLOW, "price": {"initial": 1e10}}, "producer.budget_x"),
         ({**LVR, "producer": {**LVR["producer"], "budget_x": 0, "budget_y": 0}},
          "producer.budget_x"),
+        # the first move asks the producer for ~1e18 x: its ~1e30 y leg must
+        # not widen the x overdraft tolerance
+        ({**FALLBACK, "pool": {**FALLBACK["pool"], "y": 1e30}}, "producer.budget_x"),
     ])
     def test_bad_field_exits_one_naming_it(self, raw, path, tmp_path, capsys):
         scn = tmp_path / "bad.json"
@@ -337,6 +341,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code in (0, 1), err
         assert err == "" if code == 0 else err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("name", ["lvr", "equilibrium", "monopolist"])
+    def test_update_target_out_of_float_range_exits_one(self, name, tmp_path, capsys):
+        # at a subnormal price the target's reserves overflow: producers of
+        # every update policy fail instead of never updating
+        raw = scenario_to_dict(builtin_scenarios()[name])
+        raw["blocks"] = 5
+        raw["price"]["initial"] = 5e-324
+        scn = tmp_path / "subnormal.json"
+        scn.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "pool reserves must be finite and > 0" in err
 
     def test_missing_scenario_file(self, tmp_path):
         out = str(tmp_path / "out")

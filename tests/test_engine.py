@@ -15,6 +15,7 @@ from v0lver.errors import (
     DomainError,
     FundingError,
     InvalidTransition,
+    InvariantViolation,
     VerificationError,
 )
 from v0lver.rebate import ZERO_REBATE, RebateSchedule
@@ -279,6 +280,13 @@ class TestTransitionGuards:
         assert chain.open_allocations == {}
         assert chain.advance_block(110.0).update is None
 
+    def test_overdraft_tolerance_is_per_token(self):
+        chain = make_chain(balances={"alice": (1_000.0, 1e12)})
+        # a 1e12 y leg allows 1e3 y of rounding slack, but no x overdraft beyond ~1e-6
+        with pytest.raises(FundingError, match="alice overdrawn"):
+            chain._transfer("alice", "bob", 1_000.5, 1e12)
+        assert chain.balances["alice"] == [1_000.0, 1e12]
+
     def test_update_leaving_the_float_range_books_nothing(self):
         chain = make_chain()
         balances = {party: list(acct) for party, acct in chain.balances.items()}
@@ -425,6 +433,48 @@ class TestLedger:
         assert len(chain.open_allocations) < 8
         s1 = chain.total_supply()
         assert s1 == pytest.approx(s0, rel=1e-12)
+
+    def test_negative_escrow_dust_is_paid_not_burned(self):
+        chain = make_chain()
+        orders = [buy(1.0), sell(0.02)]
+        octs = [chain.submit_oct(who, o) for who, o in zip(("alice", "bob"), orders)]
+        chain.insert_octs("prod", [o.id for o in octs])
+        chain.apply_update_tx("prod", 0, 104.0)
+        for oct, o in zip(octs, orders):
+            chain.reveal_order(oct.id, o)
+        to_producer = []
+        transfer = chain._transfer
+
+        def recording(src, dst, dx, dy, **kw):
+            if (src, dst) == ("alloc:0", "prod"):
+                to_producer.append((dx, dy))
+            return transfer(src, dst, dx, dy, **kw)
+
+        chain._transfer = recording
+        chain.advance_block(104.0, converter="prod")
+        # this batch's escrow closes short in both tokens by rounding dust,
+        # which its producer pays; nothing burns, and burned never goes negative
+        dust_x, dust_y = to_producer[-1]
+        assert -1e-12 < dust_x < 0.0 and -1e-12 < dust_y < 0.0
+        assert chain.balances[BURNED] == [0.0, 0.0]
+        assert chain.conservation_error() < 1e-12
+
+    def test_block_end_checks_the_books(self):
+        chain = make_chain()
+        chain.balances["alice"][0] += 1e-3  # x from nowhere
+        with pytest.raises(InvariantViolation, match="supply drifted"):
+            chain.advance_block(100.0)
+
+        chain = make_chain()
+        oct = chain.submit_oct("alice", buy(5.0))
+        chain.insert_octs("prod", [oct.id])
+        chain.apply_update_tx("prod", 0, 100.0)
+        chain.advance_block(100.0)  # the batch waits for its reveal
+        _, earmark_y = chain.earmark()
+        # move pool y below the earmark without changing the supply
+        chain._transfer(POOL, "thief", 0.0, chain.balances[POOL][1] - earmark_y / 2)
+        with pytest.raises(InvariantViolation, match="earmarks"):
+            chain.advance_block(100.0)
 
     def test_replay_determinism(self):
         def run():
