@@ -11,7 +11,7 @@ the pool's price lags the outside market.
 import numpy as np
 
 from v0lver import CONSTANT_PRODUCT as curve
-from v0lver import Reserves, lvr_value, max_lvr
+from v0lver import Reserves, max_lvr
 
 r = Reserves(10_000.0, 100.0)
 k = curve.invariant(r)
@@ -39,10 +39,13 @@ best, value = max_lvr(curve, r, eps)
 print(f"\nexternal price {eps}: optimal move leaves x={best.x:.2f} y={best.y:.4f}")
 print(f"extractable value: {value:.4f} (in x units, marked at eps)")
 
-# Any other stopping point on the curve extracts less. Sample a few:
+# Any other stopping point on the curve extracts less. The mover supplies
+# the reserve differences and keeps their mirror image, marked at eps.
+# Sample a few:
 for p in (101.0, 102.0, 104.0, 106.0, 110.0):
     alt = curve.reserves_at_price(k, p)
-    print(f"  stop at pool price {p:6.1f}: value {lvr_value(r, alt, eps):8.4f}")
+    value_at_p = (r.x - alt.x) + (r.y - alt.y) * eps
+    print(f"  stop at pool price {p:6.1f}: value {value_at_p:8.4f}")
 
 # The value scales linearly with pool size -- double the reserves, double
 # the leak. This is why the per-block leak matters for LPs.

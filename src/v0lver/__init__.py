@@ -9,7 +9,6 @@ suite (``sim``) behind a CLI (``cli``).
 
 from .agents import PriceProcess, decide_update, gen_user_orders, producer_utility
 from .allocation import (
-    AllocationPool,
     Fill,
     Order,
     OrderSide,
@@ -24,7 +23,6 @@ from .cfmm import (
     ConstantProduct,
     Reserves,
     check_price,
-    lvr_value,
     max_lvr,
 )
 from .config import (

@@ -110,36 +110,32 @@ def producer_utility(
     max_y: float,
     multiplier: float,
     alpha: float,
-    flow_dx: np.ndarray | None = None,
-    flow_dy: np.ndarray | None = None,
+    flow_dx: np.ndarray,
+    flow_dy: np.ndarray,
 ) -> float:
-    """Expected per-block producer payoff for one strategy grid point.
+    """Expected per-block producer payoff for one strategy grid point, at ``eps``.
 
     The producer updates at gap zero to ``multiplier * eps`` and optionally
     self-trades ``alpha`` of the per-order bound in its own batch (selling y
-    when the target is above the external price, buying otherwise). The
-    price-move leg is exact; the self-trade leg is averaged over the given
-    per-trial user flow aggregates, which callers share across grid points
+    when the target is above the external price, buying otherwise). Each
+    trial's batch, the given user flow aggregates plus the own order, clears
+    against the snapshot the engine books with the all-market closed form of
+    ``settle_market_batch``. The payoff sums the exact move leg, the own
+    order's fill and the escrow leg ``beta * (dx + dy * eps)``, the producer's
+    share of the batch's pool delta; callers share the flow across grid points
     so comparisons are paired. Fixed update costs are omitted: they are
     constant across the grid.
     """
     beta = schedule.value_at(0)
     move = apply_rebated_move(curve, reserves, multiplier * eps, beta)
-    term1 = move.producer_payoff_at(eps)
-    if alpha <= 0.0:
-        return term1
-    if flow_dx is None or flow_dy is None:
-        raise ValueError("self-trade utility needs sampled flow aggregates")
-    snap = move.new_reserves
-    if multiplier >= 1.0:
-        size = alpha * max_y
-        p_e = (snap.x + flow_dx) / (snap.y + flow_dy + size)
-        pnl = size * (p_e - eps)
-    else:
-        size = alpha * max_x
-        p_e = (snap.x + flow_dx + size) / (snap.y + flow_dy)
-        pnl = size * (eps / p_e - 1.0)
-    return term1 + float(np.mean(pnl))
+    (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
+    sx, sy = reserves.x - fx - vx, reserves.y - fy - vy
+    own_x, own_y = (0.0, alpha * max_y) if multiplier >= 1.0 else (alpha * max_x, 0.0)
+    x_in, y_in = flow_dx + own_x, flow_dy + own_y
+    p_e = (sx + x_in) / (sy + y_in)
+    own = own_y * (p_e - eps) + own_x * (eps / p_e - 1.0)
+    escrow = beta * ((x_in - y_in * p_e) + (y_in - x_in / p_e) * eps)
+    return move.producer_payoff_at(eps) + float(np.mean(own + escrow))
 
 
 def choose_inserts(

@@ -1,13 +1,13 @@
 """Allocation escrow and the uniform-price batch auction.
 
-An allocation pool is the escrow a batch of committed orders executes
-against. It is funded at creation with enough of both tokens to pay out the
+An allocation escrow backs a batch of committed orders. The update that
+allocates the batch funds it with enough of both tokens to pay out the
 worst case — ``count`` orders all selling the same side at their maximum
-size — priced at the pool price ``p`` frozen when the batch was allocated:
+size — priced at the update's pool price ``p``:
 
     (count * max_y * p,  count * max_x / p)
 
-The producer funds a ``producer_fraction`` share of that escrow and the pool
+The producer funds the rebate fraction ``beta`` of that escrow and the pool
 reserves back the remainder as an earmark.
 
 Settlement replicates what batch-executing the revealed orders directly
@@ -102,27 +102,6 @@ def escrow_size(count: int, price: float, max_x: float, max_y: float) -> tuple[f
     if not (max_x > 0.0 and max_y > 0.0):
         raise DomainError("order bounds must be > 0")
     return count * max_y * price, count * max_x / price
-
-
-@dataclass(frozen=True, slots=True)
-class AllocationPool:
-    """Escrow terms of one allocated batch, fixed at allocation.
-
-    ``escrow`` is the booked ``(x, y)`` escrow. The producer funds the
-    ``producer_fraction`` share of it into the batch's ledger account; the
-    pool reserves back the rest as an earmark. ``snapshot`` is the pool
-    reserve point the batch replicates against.
-    """
-
-    label: int
-    created_at: int
-    price: float
-    count: int
-    producer_fraction: float
-    snapshot: Reserves
-    escrow: tuple[float, float]
-    producer: str
-    oct_ids: tuple[int, ...]
 
 
 # --- the uniform-price batch auction -----------------------------------------

@@ -3,15 +3,11 @@
 A pool holds reserves ``(x, y)`` of two tokens and quotes the marginal price
 of token y in units of token x. For the constant-product family the price is
 ``x / y`` and the feasible set is the level curve ``x * y = k``. This module
-provides the curve abstraction plus the two arbitrage quantities everything
-else is built on:
-
-* ``lvr_value`` — the value extracted from a pool by moving its reserves
-  between two points on the same level curve, marked at an external price;
-* ``max_lvr`` — the reserve target an arbitrageur with frictionless access
-  to the external market would pick, and the value of doing so. For the
-  constant-product curve the optimal target is the point whose pool price
-  equals the external price.
+provides the curve abstraction plus ``max_lvr``: the reserve target an
+arbitrageur with frictionless access to the external market would pick, and
+the value ``(x - x_t) + (y - y_t) * eps`` of moving the pool there, marked at
+the external price. For the constant-product curve the optimal target is the
+point whose pool price equals the external price.
 
 All quantities are plain floats; token amounts are assumed divisible. Values
 are checked where they enter the package, not each time one is computed.
@@ -86,31 +82,6 @@ class ConstantProduct:
 
 
 CONSTANT_PRODUCT = ConstantProduct()
-
-
-def check_same_curve(curve, before: Reserves, after: Reserves, rtol: float = 1e-9):
-    """Raise unless both reserve points sit on the same level curve (to relative ``rtol``)."""
-    kb, ka = curve.invariant(before), curve.invariant(after)
-    if abs(ka - kb) > rtol * max(abs(kb), abs(ka)):
-        raise DomainError(
-            f"reserve points lie on different invariant levels ({kb!r} vs {ka!r})"
-        )
-
-
-def lvr_value(before: Reserves, after: Reserves, eps: float, curve=CONSTANT_PRODUCT) -> float:
-    """Value extracted by moving the pool from ``before`` to ``after``.
-
-    The mover supplies the reserve differences and keeps their mirror image,
-    marked at the external price ``eps``:
-
-        (x_before - x_after) + (y_before - y_after) * eps
-
-    Both points must lie on the same level curve of ``curve`` (checked to a
-    tolerance); the sign is positive when the move profits the mover.
-    """
-    eps = check_price(eps)
-    check_same_curve(curve, before, after)
-    return (before.x - after.x) + (before.y - after.y) * eps
 
 
 def max_lvr(curve, r: Reserves, eps: float) -> tuple[Reserves, float]:

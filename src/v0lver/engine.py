@@ -28,7 +28,6 @@ import hashlib
 from dataclasses import dataclass
 
 from .allocation import (
-    AllocationPool,
     Order,
     Settlement,
     clearing_price_with_limits,
@@ -101,24 +100,38 @@ class Oct:
 
 @dataclass(frozen=True, slots=True)
 class UpdateReceipt:
+    """One update transaction at ``height`` and the batch ``oct_ids`` it allocated.
+
+    ``before`` is the pool the move started from, ``snapshot`` the pool after
+    it, which the batch settles against. The producer funds the ``beta`` share
+    of the booked ``(x, y)`` escrow into the batch's account; the pool earmarks the rest.
+    """
+
+    height: int
     label: int
-    gap: int
     beta: float
     price: float
-    before: Reserves  # the pool reserves the move started from
+    before: Reserves
     move: RebatedMoveResult
-    count: int
     escrow: tuple[float, float]
     snapshot: Reserves
     producer: str
+    oct_ids: tuple[int, ...]
+
+    @property
+    def gap(self) -> int:
+        return self.height - self.label
+
+    @property
+    def count(self) -> int:
+        return len(self.oct_ids)
 
 
 @dataclass(frozen=True, slots=True)
 class ExecutionReceipt:
-    pool: AllocationPool
+    update: UpdateReceipt
     settlement: Settlement
     orders: tuple[Order, ...]
-    fill_owners: tuple[str, ...]
     burned: tuple[Oct, ...]
     to_pool: tuple[float, float]
     to_producer: tuple[float, float]
@@ -170,8 +183,8 @@ class BlockReceipt:
         for e in self.executions:
             out += [ev("oct_burned", id=o.id, owner=o.owner, amount=o.collateral)
                     for o in e.burned]
-            out.append(ev("batch_executed", label=e.pool.label, price=e.settlement.price,
-                          pool_delta=e.settlement.pool_delta, n_allocated=e.pool.count,
+            out.append(ev("batch_executed", label=e.update.label, price=e.settlement.price,
+                          pool_delta=e.settlement.pool_delta, n_allocated=e.update.count,
                           n_revealed=len(e.orders), n_burned=len(e.burned),
                           to_pool=e.to_pool, to_producer=e.to_producer))
         r = self.reentry
@@ -221,7 +234,7 @@ class ChainState:
         self.octs: dict[int, Oct] = {}
         self.mempool: dict[int, Oct] = {}
         self.inserted_by_height: dict[int, list[int]] = {}
-        self.open_allocations: dict[int, AllocationPool] = {}
+        self.open_allocations: dict[int, UpdateReceipt] = {}
         pool = check_reserves(reserves.x, reserves.y)
         self.balances: dict[str, list[float]] = {POOL: [pool.x, pool.y]}
         for party, (bx, by) in (balances or {}).items():
@@ -298,16 +311,13 @@ class ChainState:
     def pool_price(self) -> float:
         return self.curve.price(self.pool_reserves())
 
-    def pool_constant(self) -> float:
-        return self.curve.invariant(self.pool_reserves())
-
     def earmark(self) -> tuple[float, float]:
         """Pool-backed escrow share of the open allocations."""
         ex = ey = 0.0
-        for pool in self.open_allocations.values():
-            share = 1.0 - pool.producer_fraction
-            ex += share * pool.escrow[0]
-            ey += share * pool.escrow[1]
+        for u in self.open_allocations.values():
+            share = 1.0 - u.beta
+            ex += share * u.escrow[0]
+            ey += share * u.escrow[1]
         return ex, ey
 
     # ----------------------------------------------------------------- actions
@@ -371,8 +381,7 @@ class ChainState:
                 f"allocation height {alloc_label} outside ({self.last_alloc_label}, {h}]"
             )
         p = check_price(price)
-        gap = h - alloc_label
-        beta = self.schedule.value_at(gap)
+        beta = self.schedule.value_at(h - alloc_label)
 
         before = self.pool_reserves()
         move = apply_rebated_move(self.curve, before, p, beta)
@@ -383,11 +392,11 @@ class ChainState:
         legs = [(POOL, producer, fx, fy), (POOL, VAULT, vx, vy)]
         self._check(*legs)
 
+        heights = range(self.last_alloc_label + 1, alloc_label + 1)
         batch: list[int] = []
-        for height in range(self.last_alloc_label + 1, alloc_label + 1):
-            batch.extend(self.inserted_by_height.get(height, ()))
-        count = len(batch)
-        ex, ey = escrow = escrow_size(count, p, self.max_x, self.max_y)
+        for height in heights:
+            batch += self.inserted_by_height.get(height, ())
+        ex, ey = escrow = escrow_size(len(batch), p, self.max_x, self.max_y)
         # The moved pool must back the open batches' earmarks and this one's.
         held_x, held_y = self.earmark()
         need_x = held_x + (1.0 - beta) * ex
@@ -397,33 +406,33 @@ class ChainState:
                 f"pool reserves cannot back escrow earmarks ({need_x!r}, {need_y!r})",
                 party=POOL,
             )
-        if count:
+        if batch:
             legs.append((producer, f"alloc:{alloc_label}", beta * ex, beta * ey))
             self._check(*legs)
         for leg in legs:
             self._transfer(*leg, guard=False)
-        for oct_id in batch:
-            oct = self.octs[oct_id]
-            oct.state = OctState.ALLOCATED
-            oct.allocated_at = h
-        if count:
-            self.open_allocations[alloc_label] = AllocationPool(
-                label=alloc_label, created_at=h, price=p, count=count, producer_fraction=beta,
-                snapshot=snapshot, escrow=escrow, producer=producer, oct_ids=tuple(batch))
+        # Nothing reads an allocated height's insertions again.
+        for height in heights:
+            for oct_id in self.inserted_by_height.pop(height, ()):
+                oct = self.octs[oct_id]
+                oct.state = OctState.ALLOCATED
+                oct.allocated_at = h
 
         self.last_alloc_label = alloc_label
         self._update = UpdateReceipt(
+            height=h,
             label=alloc_label,
-            gap=gap,
             beta=beta,
             price=p,
             before=before,
             move=move,
-            count=count,
             escrow=escrow,
             snapshot=snapshot,
             producer=producer,
+            oct_ids=tuple(batch),
         )
+        if batch:
+            self.open_allocations[alloc_label] = self._update
         return self._update
 
     def reveal_order(self, oct_id: int, order: Order):
@@ -452,12 +461,12 @@ class ChainState:
         the verifier settled it. The execution receipt is also part of the
         current block's receipt.
         """
-        pool = self.open_allocations.get(label)
-        if pool is None:
+        u = self.open_allocations.get(label)
+        if u is None:
             raise InvalidTransition(f"no open allocation with label {label!r}")
-        octs = [self.octs[i] for i in pool.oct_ids]
+        octs = [self.octs[i] for i in u.oct_ids]
         revealed = [o for o in octs if o.state is OctState.REVEALED]
-        if self.height < pool.created_at + self.reveal_window and len(revealed) < len(octs):
+        if self.height < u.height + self.reveal_window and len(revealed) < len(octs):
             raise InvalidTransition(f"batch {label} is not due (reveals outstanding)")
 
         burned = []
@@ -471,29 +480,25 @@ class ChainState:
 
         orders = tuple(o.revealed for o in revealed)
         if proposed_price is not None:
-            settlement = verify_clearing_price(self.curve, pool.snapshot, orders, proposed_price)
+            settlement = verify_clearing_price(self.curve, u.snapshot, orders, proposed_price)
             if settlement is None:
                 raise VerificationError(
                     f"proposed clearing price {proposed_price!r} failed verification"
                 )
         else:
-            settlement = clearing_price_with_limits(self.curve, pool.snapshot, orders)
-            if not verify_clearing_price(self.curve, pool.snapshot, orders, settlement.price):
+            settlement = clearing_price_with_limits(self.curve, u.snapshot, orders)
+            if not verify_clearing_price(self.curve, u.snapshot, orders, settlement.price):
                 raise InvariantViolation(
                     f"solver clearing price {settlement.price!r} failed self-verification"
                 )
 
         escrow = f"alloc:{label}"
         filled_by_index = {f.index: f for f in settlement.fills}
-        fill_owners = []
-        p = settlement.price
         for idx, oct in enumerate(revealed):
             order = oct.revealed
             f = filled_by_index.get(idx)
             sold = f.sold if f is not None else 0.0
             bought = f.bought if f is not None else 0.0
-            if sold > 0.0:
-                fill_owners.append(oct.owner)
             if order.sells_token == "x":
                 self._transfer(COLLATERAL, escrow, sold, 0.0, guard=False)
                 self._transfer(escrow, oct.owner, 0.0, bought, guard=False)
@@ -505,34 +510,34 @@ class ChainState:
             oct.state = OctState.EXECUTED
 
         dx, dy = settlement.pool_delta
-        rx = pool.escrow[0] + dx
-        ry = pool.escrow[1] + dy
-        scale = abs(rx) + abs(ry) + abs(dx) + abs(dy) + 1.0
-        if rx < -_NEG_TOL * scale or ry < -_NEG_TOL * scale:
+        rx = u.escrow[0] + dx
+        ry = u.escrow[1] + dy
+        # Each token's tolerance scales with that token's amounts only.
+        tol_x, tol_y = _NEG_TOL * (abs(rx) + abs(dx) + 1.0), _NEG_TOL * (abs(ry) + abs(dy) + 1.0)
+        if rx < -tol_x or ry < -tol_y:
             raise InvariantViolation(f"allocation escrow {label} breached: ({rx!r}, {ry!r})")
         # The remainder splits 1 - beta : beta, the ratio the escrow was funded
         # with. Pool reserves take their share of the batch imbalance; the rest
         # of the physical flows stay with the escrow (the producer's share).
-        beta = pool.producer_fraction
+        beta = u.beta
         rx, ry = max(rx, 0.0), max(ry, 0.0)
         to_pool = ((1.0 - beta) * rx, (1.0 - beta) * ry)
         to_producer = (beta * rx, beta * ry)
         self._transfer(escrow, POOL, (1.0 - beta) * dx, (1.0 - beta) * dy, guard=False)
-        self._transfer(escrow, pool.producer, *to_producer, guard=False)
+        self._transfer(escrow, u.producer, *to_producer, guard=False)
         ax, ay = self._account(escrow)
-        if abs(ax) > _NEG_TOL * scale or abs(ay) > _NEG_TOL * scale:
+        if abs(ax) > tol_x or abs(ay) > tol_y:
             raise InvariantViolation(f"escrow {escrow} not fully unwound: ({ax!r}, {ay!r})")
         # The settled escrow closes with supply unchanged: positive rounding dust
         # burns, and the producer, the escrow's residual claimant, pays negative dust.
         self._transfer(escrow, BURNED, max(ax, 0.0), max(ay, 0.0), guard=False)
-        self._transfer(escrow, pool.producer, min(ax, 0.0), min(ay, 0.0), guard=False)
+        self._transfer(escrow, u.producer, min(ax, 0.0), min(ay, 0.0), guard=False)
         del self.balances[escrow], self.open_allocations[label]
 
         receipt = ExecutionReceipt(
-            pool=pool,
+            update=u,
             settlement=settlement,
             orders=orders,
-            fill_owners=tuple(fill_owners),
             burned=tuple(burned),
             to_pool=to_pool,
             to_producer=to_producer,
@@ -552,9 +557,9 @@ class ChainState:
         eps = check_price(eps)
         h = self.height
         for label in sorted(self.open_allocations):
-            pool = self.open_allocations[label]
-            if h >= pool.created_at + self.reveal_window or all(
-                self.octs[i].state is OctState.REVEALED for i in pool.oct_ids
+            u = self.open_allocations[label]
+            if h >= u.height + self.reveal_window or all(
+                self.octs[i].state is OctState.REVEALED for i in u.oct_ids
             ):
                 self.execute_batch(label)
 

@@ -67,7 +67,6 @@ class RebatedMoveResult:
     full_target: Reserves
     vault_deposit: tuple[float, float]
     producer_flow: tuple[float, float]
-    rebate: float
 
     def producer_payoff_at(self, eps: float) -> float:
         fx, fy = self.producer_flow
@@ -93,7 +92,6 @@ def apply_rebated_move(curve, reserves: Reserves, target_price, rebate: float) -
             full_target=reserves,
             vault_deposit=(0.0, 0.0),
             producer_flow=(0.0, 0.0),
-            rebate=rebate,
         )
     k = curve.invariant(reserves)
     full = curve.reserves_at_price(k, target_price)
@@ -121,7 +119,6 @@ def apply_rebated_move(curve, reserves: Reserves, target_price, rebate: float) -
         full_target=full,
         vault_deposit=deposit,
         producer_flow=(-keep * dx, -keep * dy),
-        rebate=rebate,
     )
 
 

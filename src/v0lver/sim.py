@@ -249,11 +249,11 @@ def _tally(m: RunMetrics, cfg: ScenarioConfig, block: BlockReceipt, rows: list):
         m.full_lvr += max_lvr(CONSTANT_PRODUCT, u.before, eps)[1]
     for er in block.executions:
         m.volume_y += er.settlement.volume_y
-        pool = er.pool
-        eps_alloc = rows[pool.created_at]["eps"]  # the external price at allocation
-        beta = pool.producer_fraction
+        alloc = er.update
+        eps_alloc = rows[alloc.height]["eps"]  # the external price at allocation
+        beta, (ex, ey) = alloc.beta, alloc.escrow
         tx, ty = er.to_producer
-        m.producer_escrow_net += (tx - beta * pool.escrow[0]) + (ty - beta * pool.escrow[1]) * eps
+        m.producer_escrow_net += (tx - beta * ex) + (ty - beta * ey) * eps
         for f in er.settlement.fills:
             order = er.orders[f.index]
             if order.owner == USERS:
@@ -371,7 +371,8 @@ def dominance_sweep(
     """Expected producer utility over a (price multiplier, self-trade) grid.
 
     All grid points share one set of sampled user-flow batches, so the
-    comparison is paired; the ``alpha == 0`` column is exact. The honest
+    comparison is paired; every point, ``alpha == 0`` included, is a Monte
+    Carlo mean, since the escrow leg depends on the sampled flow. The honest
     strategy — target the external price, no self-trading — should come out
     on top whenever the pool starts at the external price.
     """

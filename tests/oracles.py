@@ -5,16 +5,21 @@ prices come from sign-bracketed bisection on the level-curve constraint,
 optimal arbitrage from dense grid search on the curve itself. Slow and
 dumb, on purpose. The plain-CFMM replay is the exception: it reuses the
 package's curve and clearing formulas, because what it checks is the
-protocol's escrow and vault plumbing around them. The market-batch closed
+protocol's escrow and vault plumbing around them. The engine-backed producer
+payoffs are the other one: they run the protocol itself, the reference the
+vectorized criterion-4 model must reproduce. The market-batch closed
 form is the reference the auction's all-market case must reproduce bit for
 bit.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from v0lver.allocation import clearing_price_with_limits
+from v0lver.allocation import Order, OrderSide, clearing_price_with_limits
 from v0lver.cfmm import Reserves
+from v0lver.engine import ChainState
 
 
 def bisect_market_clearing(snapshot_x: float, snapshot_y: float, dx: float, dy: float,
@@ -157,11 +162,48 @@ def baseline_cfmm_replay(curve, reserves: Reserves, receipts):
             r = curve.reserves_at_price(curve.invariant(r), u.price)
             snapshots[u.label] = r
         for e in block.executions:
-            settled = clearing_price_with_limits(curve, snapshots[e.pool.label], e.orders)
+            settled = clearing_price_with_limits(curve, snapshots[e.update.label], e.orders)
             dx, dy = settled.pool_delta
             r = Reserves(r.x + dx, r.y + dy)
         out.append((block.height, r.x, r.y))
     return out
+
+
+def engine_producer_payoffs(curve, reserves: Reserves, eps: float, schedule, max_x: float,
+                            max_y: float, multiplier: float, alpha: float, flow_dx, flow_dy):
+    """Per-trial producer payoffs of ``agents.producer_utility``'s strategy, one block each.
+
+    Each trial is one ``ChainState`` block: the users commit the trial's x and
+    y flow, each side split into ceil(q / bound) equal market orders, the
+    producer commits its own order (``alpha`` of the y bound sold when
+    ``multiplier >= 1``, of the x bound otherwise), inserts everything, updates
+    at gap zero to ``multiplier * eps``, and all orders reveal and settle at
+    block end. The payoff is the producer's ledger change marked at ``eps``,
+    from its balance before its own collateral is posted.
+    """
+    out = []
+    for qx, qy in zip(flow_dx, flow_dy):
+        chain = ChainState(curve, reserves, schedule, max_x=max_x, max_y=max_y,
+                           conversion_frequency=0,
+                           balances={"users": (1e6, 1e4), "producer": (1e5, 1e3)})
+        orders = []
+        for side, q, bound in ((OrderSide.BUY_Y, qx, max_x), (OrderSide.SELL_Y, qy, max_y)):
+            n = math.ceil(q / bound)
+            orders += [Order(side, float(q) / n, None, "users") for _ in range(n)]
+        octs = [(chain.submit_oct("users", o), o) for o in orders]
+        x0, y0 = chain.balances["producer"]
+        if alpha > 0.0:
+            own = (Order(OrderSide.SELL_Y, alpha * max_y, None, "producer") if multiplier >= 1.0
+                   else Order(OrderSide.BUY_Y, alpha * max_x, None, "producer"))
+            octs.append((chain.submit_oct("producer", own), own))
+        chain.insert_octs("producer", [oct.id for oct, _ in octs])
+        chain.apply_update_tx("producer", 0, multiplier * eps)
+        for oct, o in octs:
+            chain.reveal_order(oct.id, o)
+        chain.advance_block(eps, converter="producer")
+        x1, y1 = chain.balances["producer"]
+        out.append((x1 - x0) + (y1 - y0) * eps)
+    return np.array(out)
 
 
 class InlineExecutor:

@@ -12,12 +12,15 @@ from v0lver.agents import (
 )
 from v0lver.allocation import OrderSide
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
-from v0lver.config import FlowModel, ProducerModel
+from v0lver.config import FlowModel, ProducerModel, builtin_scenarios
 from v0lver.errors import DomainError
 from v0lver.rebate import ZERO_REBATE, RebateSchedule
 
+from oracles import engine_producer_payoffs
+
 C = CONSTANT_PRODUCT
 SCHEDULE = RebateSchedule(z_max=4, beta0=0.8)
+NO_FLOW = np.zeros(1)
 
 
 def step_factors(proc, rng, n):
@@ -115,7 +118,7 @@ class TestUserFlow:
 class TestProducerUtility:
     def test_no_selftrade_reduces_to_move_payoff(self):
         r = Reserves(10_000.0, 100.0)
-        u = producer_utility(C, r, 104.0, SCHEDULE, 10.0, 0.1, 1.0, 0.0)
+        u = producer_utility(C, r, 104.0, SCHEDULE, 10.0, 0.1, 1.0, 0.0, NO_FLOW, NO_FLOW)
         # full extraction at eps, kept fraction (1 - 0.8)
         from v0lver.cfmm import max_lvr
 
@@ -124,7 +127,7 @@ class TestProducerUtility:
 
     def test_updating_to_eps_with_zero_alpha_is_zero_at_eps_start(self):
         r = C.reserves_at_price(1e6, 100.0)
-        assert producer_utility(C, r, 100.0, SCHEDULE, 10.0, 0.1, 1.0, 0.0) == 0.0
+        assert producer_utility(C, r, 100.0, SCHEDULE, 10.0, 0.1, 1.0, 0.0, NO_FLOW, NO_FLOW) == 0.0
 
     def test_selftrade_against_balanced_flow_loses(self):
         # at multiplier 1 the batch clears at eps on average; pushing extra
@@ -134,12 +137,24 @@ class TestProducerUtility:
         dx, dy = aggregate_market_flow(np.random.default_rng(8), flow, 100.0, 10.0, 0.1, 20_000)
         u0 = producer_utility(C, r, 100.0, SCHEDULE, 10.0, 0.1, 1.0, 0.0, dx, dy)
         u1 = producer_utility(C, r, 100.0, SCHEDULE, 10.0, 0.1, 1.0, 0.5, dx, dy)
-        assert u0 == 0.0
+        # the honest update moves nothing, and its escrow share earns the
+        # batch's price impact: beta of the pool's gain from the flow
+        assert u0 > 0.0
         assert u1 < u0
 
-    def test_selftrade_requires_flow_samples(self):
-        with pytest.raises(ValueError):
-            producer_utility(C, Reserves(1, 1), 1.0, SCHEDULE, 1.0, 1.0, 1.0, 0.5)
+    @pytest.mark.parametrize("multiplier, alpha", [
+        (1.0, 0.0), (1.0, 0.5), (0.95, 0.5), (1.05, 0.5), (1.01, 0.0), (0.99, 0.25)])
+    def test_matches_one_engine_block_per_trial(self, multiplier, alpha):
+        cfg = builtin_scenarios()["dominance"]
+        r = Reserves(cfg.pool_x, cfg.pool_y)
+        eps, schedule = cfg.price.initial, cfg.rebate_schedule()
+        dx, dy = aggregate_market_flow(np.random.default_rng(4), cfg.flow, eps, cfg.max_x,
+                                       cfg.max_y, 300)
+        engine = engine_producer_payoffs(C, r, eps, schedule, cfg.max_x, cfg.max_y,
+                                         multiplier, alpha, dx, dy)
+        model = [producer_utility(C, r, eps, schedule, cfg.max_x, cfg.max_y, multiplier, alpha,
+                                  dx[i:i + 1], dy[i:i + 1]) for i in range(len(dx))]
+        assert np.max(np.abs(np.array(model) - engine)) <= 1e-10 * 2.0 * r.x
 
 
 class TestInsertChoice:

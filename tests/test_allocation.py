@@ -288,11 +288,9 @@ class TestEscrowSizing:
         chain, update = allocated(orders, price=102.0)
         ex, ey = 3 * 0.1 * 102.0, 3 * 10.0 / 102.0
         assert update.escrow == (ex, ey)
-        pool = chain.open_allocations[0]
-        assert (pool.label, pool.created_at, pool.price, pool.count) == (0, 0, 102.0, 3)
-        assert pool.oct_ids == (0, 1, 2)
-        assert (pool.escrow, pool.snapshot, pool.producer) == ((ex, ey), update.snapshot, "prod")
-        assert pool.producer_fraction == update.beta == 0.8
+        assert chain.open_allocations == {0: update}
+        assert (update.label, update.height, update.price, update.count) == (0, 0, 102.0, 3)
+        assert (update.oct_ids, update.producer, update.beta) == ((0, 1, 2), "prod", 0.8)
         assert chain.balances["alloc:0"] == [0.8 * ex, 0.8 * ey]
         assert chain.earmark() == ((1.0 - 0.8) * ex, (1.0 - 0.8) * ey)
 
@@ -310,9 +308,9 @@ class TestRedistribute:
         chain, _ = allocated([buy(5.0), sell(0.01)])
         producer = list(chain.balances["prod"])
         er = chain.execute_batch(0)
-        beta = er.pool.producer_fraction
-        rx = er.pool.escrow[0] + er.settlement.pool_delta[0]
-        ry = er.pool.escrow[1] + er.settlement.pool_delta[1]
+        beta = er.update.beta
+        rx = er.update.escrow[0] + er.settlement.pool_delta[0]
+        ry = er.update.escrow[1] + er.settlement.pool_delta[1]
         assert er.to_pool == ((1.0 - beta) * rx, (1.0 - beta) * ry)
         assert er.to_producer == (beta * rx, beta * ry)
         # the producer's ledger is credited its share (up to escrow dust)
@@ -325,6 +323,16 @@ class TestRedistribute:
         # book the batch with an empty escrow: the pool's y payout breaches it
         chain.open_allocations[0] = dataclasses.replace(chain.open_allocations[0],
                                                         escrow=(0.0, 0.0))
+        with pytest.raises(InvariantViolation, match="breached"):
+            chain.execute_batch(0)
+
+    def test_breach_in_one_token_is_not_hidden_by_the_other(self):
+        chain, _ = allocated([buy(5.0)])
+        # book the batch with a vast x escrow, the producer's share funded, and
+        # no y: the pool's y payout breaches it whatever the x side holds
+        chain.open_allocations[0] = dataclasses.replace(chain.open_allocations[0],
+                                                        escrow=(1e9, 0.0))
+        chain.balances["alloc:0"] = [0.8 * 1e9, 0.0]
         with pytest.raises(InvariantViolation, match="breached"):
             chain.execute_batch(0)
 

@@ -93,8 +93,8 @@ class TestLifecycle:
         block = chain.advance_block(102.0, converter="prod")
         assert len(block.executions) == 1
         er = block.executions[0]
-        assert er.pool.label == 0
-        assert er.pool.count == 2 and len(er.orders) == 2
+        assert er.update is receipt and receipt.label == 0
+        assert receipt.count == 2 and len(er.orders) == 2
         assert not er.burned
         assert oct_a.state is OctState.EXECUTED
         snap = er.settlement
@@ -316,7 +316,7 @@ class TestZeroRebateFallback:
             max_y=0.1,
             balances={"prod": (10_000.0, 100.0)},
         )
-        k0 = chain.pool_constant()
+        k0 = C.invariant(chain.pool_reserves())
         for price in (104.0, 99.5, 101.2, 97.0):
             chain.apply_update_tx("prod", chain.height, price)
             expect = C.reserves_at_price(k0, price)
@@ -325,7 +325,7 @@ class TestZeroRebateFallback:
             assert got.y == pytest.approx(expect.y, rel=1e-12)
             assert chain.balances[VAULT] == [0.0, 0.0]
             chain.advance_block(price)
-        assert chain.pool_constant() == pytest.approx(k0, rel=1e-12)
+        assert C.invariant(chain.pool_reserves()) == pytest.approx(k0, rel=1e-12)
         assert chain.balances[VAULT] == [0.0, 0.0]
         assert chain.conservation_error() < 1e-11
 
@@ -335,7 +335,7 @@ class TestVaultConversion:
         chain = make_chain(conversion_frequency=3)
         chain.apply_update_tx("prod", 0, 103.0)
         assert chain.balances[VAULT] != [0.0, 0.0]
-        k_before = chain.pool_constant()
+        k_before = C.invariant(chain.pool_reserves())
         chain.advance_block(103.0, converter="prod")  # height 0 -> 1, 1 % 3 != 0
         assert chain.balances[VAULT] != [0.0, 0.0]
         chain.advance_block(103.0, converter="prod")  # 2 % 3 != 0
@@ -345,18 +345,18 @@ class TestVaultConversion:
         assert block.reentry is not None
         fx, fy = block.reentry.converter_flow
         assert fx + fy * 103.0 == pytest.approx(0.0, abs=1e-9)
-        assert chain.pool_constant() > k_before
+        assert C.invariant(chain.pool_reserves()) > k_before
         assert chain.conservation_error() < 1e-9
 
     def test_funded_vault_reenters_at_first_block_end(self):
         chain = make_chain(balances={"prod": (10_000.0, 100.0), VAULT: (5.0, 0.0)})
         s0 = chain.total_supply()
-        k0 = chain.pool_constant()
+        k0 = C.invariant(chain.pool_reserves())
         block = chain.advance_block(100.0, converter="prod")
         assert block.reentry is not None
         assert block.reentry.added == pytest.approx((2.5, 0.025))
         assert chain.balances[VAULT] == [0.0, 0.0]
-        assert chain.pool_constant() > k0
+        assert C.invariant(chain.pool_reserves()) > k0
         assert chain.total_supply() == pytest.approx(s0, rel=1e-12)
         assert chain.conservation_error() < 1e-9
 
