@@ -35,7 +35,7 @@ from .config import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from .engine import BlockReceipt, ChainState, ExecutionReceipt, Oct, OctState, UpdateReceipt
+from .engine import BlockReceipt, ChainState, ExecutionReceipt, Oct, UpdateReceipt
 from .errors import (
     ConfigError,
     DomainError,

@@ -16,14 +16,17 @@ plain CFMM — and settlement flows are routed so each side ends up with its
 
 Order commitments are modeled as salted digests with honest binding: the
 engine computes the commitment at submission, keeps only commitment, side
-and collateral, and checks the digest again at reveal.
+and collateral, and checks the digest again at reveal. An ``Oct`` is a frozen
+record, and its stage is the queue that holds it: ``mempool`` (pending),
+``inserted_by_height``, ``allocated`` (in an open batch, unrevealed),
+``reveals``, and finally its batch's ``ExecutionReceipt`` (filled or burned).
+A refused action books nothing and moves no OCT.
 
 What happens in a block is recorded once, in the ``BlockReceipt`` that
 ``advance_block`` returns; events, block rows and run metrics derive from it.
 """
 from __future__ import annotations
 
-import enum
 import hashlib
 from dataclasses import dataclass
 
@@ -69,22 +72,13 @@ def _guard(src, dst, s, d, dx, dy):
                                f"holds {list(acct)!r}", party=party)
 
 
-class OctState(enum.Enum):
-    PENDING = "pending"
-    INSERTED = "inserted"
-    ALLOCATED = "allocated"
-    REVEALED = "revealed"
-    EXECUTED = "executed"
-    BURNED = "burned"
-
-
 def commit_order(order: Order, salt: str) -> str:
     """Binding commitment to an order's side, size and limit."""
     payload = f"{order.side.value}|{order.size!r}|{order.limit!r}|{order.owner!r}|{salt}"
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Oct:
     """An order-commitment transaction as the chain sees it."""
 
@@ -93,9 +87,6 @@ class Oct:
     commitment: str
     collateral_token: str  # "x" or "y", the token the hidden order sells
     collateral: float
-    state: OctState = OctState.PENDING
-    allocated_at: int = -1
-    revealed: Order | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,10 +222,11 @@ class ChainState:
         self.conversion_frequency = int(conversion_frequency)
         self.height = 0
         self.last_alloc_label = -1
-        self.octs: dict[int, Oct] = {}
         self.mempool: dict[int, Oct] = {}
-        self.inserted_by_height: dict[int, list[int]] = {}
+        self.inserted_by_height: dict[int, list[Oct]] = {}
         self.open_allocations: dict[int, UpdateReceipt] = {}
+        self.allocated: dict[int, tuple[Oct, UpdateReceipt]] = {}
+        self.reveals: dict[int, tuple[Oct, Order]] = {}
         pool = check_reserves(reserves.x, reserves.y)
         self.balances: dict[str, list[float]] = {POOL: [pool.x, pool.y]}
         for party, (bx, by) in (balances or {}).items():
@@ -271,9 +263,10 @@ class ChainState:
         """Move (dx, dy) from src to dst; negative components flip direction."""
         if dx == 0.0 and dy == 0.0:
             return
+        if guard:  # before an account opens, so a refused transfer leaves no trace
+            _guard(src, dst, self.balances.get(src, (0.0, 0.0)),
+                   self.balances.get(dst, (0.0, 0.0)), dx, dy)
         s, d = self._account(src), self._account(dst)
-        if guard:
-            _guard(src, dst, s, d, dx, dy)
         s[0] -= dx
         s[1] -= dy
         d[0] += dx
@@ -334,7 +327,6 @@ class ChainState:
         if order.size > bound:
             raise DomainError(f"order size {order.size!r} exceeds the {token} bound {bound!r}")
         oct_id = self._next_oct_id
-        self._next_oct_id += 1
         oct = Oct(
             id=oct_id,
             owner=owner,
@@ -343,13 +335,19 @@ class ChainState:
             collateral=bound,
         )
         self._transfer(owner, COLLATERAL, bound if token == "x" else 0.0, bound if token == "y" else 0.0)
-        self.octs[oct_id] = oct
+        self._next_oct_id += 1
         self.mempool[oct_id] = oct
         self._submitted.append(oct)
         return oct
 
     def insert_octs(self, producer: str, oct_ids) -> list[int]:
-        """Producer writes a subset of the mempool into the current block."""
+        """Producer writes a subset of the mempool into the current block.
+
+        Refused once an update has allocated the current height: no later
+        update could allocate the insertion.
+        """
+        if self.last_alloc_label >= self.height:
+            raise InvalidTransition(f"height {self.height} is already allocated")
         ids = list(oct_ids)
         seen = set()
         for oct_id in ids:
@@ -359,9 +357,7 @@ class ChainState:
             seen.add(oct_id)
         block = self.inserted_by_height.setdefault(self.height, [])
         for oct_id in ids:
-            oct = self.mempool.pop(oct_id)
-            oct.state = OctState.INSERTED
-            block.append(oct_id)
+            block.append(self.mempool.pop(oct_id))
         if ids:
             self._inserts.append((producer, tuple(ids)))
         return ids
@@ -393,7 +389,7 @@ class ChainState:
         self._check(*legs)
 
         heights = range(self.last_alloc_label + 1, alloc_label + 1)
-        batch: list[int] = []
+        batch: list[Oct] = []
         for height in heights:
             batch += self.inserted_by_height.get(height, ())
         ex, ey = escrow = escrow_size(len(batch), p, self.max_x, self.max_y)
@@ -411,12 +407,8 @@ class ChainState:
             self._check(*legs)
         for leg in legs:
             self._transfer(*leg, guard=False)
-        # Nothing reads an allocated height's insertions again.
         for height in heights:
-            for oct_id in self.inserted_by_height.pop(height, ()):
-                oct = self.octs[oct_id]
-                oct.state = OctState.ALLOCATED
-                oct.allocated_at = h
+            self.inserted_by_height.pop(height, None)
 
         self.last_alloc_label = alloc_label
         self._update = UpdateReceipt(
@@ -429,27 +421,27 @@ class ChainState:
             escrow=escrow,
             snapshot=snapshot,
             producer=producer,
-            oct_ids=tuple(batch),
+            oct_ids=tuple(oct.id for oct in batch),
         )
         if batch:
             self.open_allocations[alloc_label] = self._update
+            for oct in batch:
+                self.allocated[oct.id] = (oct, self._update)
         return self._update
 
     def reveal_order(self, oct_id: int, order: Order):
         """Reveal the order behind an allocated OCT within the window."""
-        oct = self.octs.get(oct_id)
-        if oct is None:
-            raise InvalidTransition(f"unknown oct {oct_id!r}")
-        if oct.state is not OctState.ALLOCATED:
-            raise InvalidTransition(f"oct {oct_id} is {oct.state.value}, not allocated")
-        if self.height > oct.allocated_at + self.reveal_window:
+        if oct_id not in self.allocated:
+            raise InvalidTransition(f"oct {oct_id!r} is not allocated and unrevealed")
+        oct, u = self.allocated[oct_id]
+        if self.height > u.height + self.reveal_window:
             raise InvalidTransition(f"reveal window for oct {oct_id} closed")
         if commit_order(order, salt=str(oct_id)) != oct.commitment:
             raise InvalidTransition(f"order does not match the commitment of oct {oct_id}")
         if order.sells_token != oct.collateral_token or order.size > oct.collateral:
             raise InvalidTransition(f"order breaches the collateral of oct {oct_id}")
-        oct.revealed = order
-        oct.state = OctState.REVEALED
+        del self.allocated[oct_id]
+        self.reveals[oct_id] = (oct, order)
         self._revealed.append(oct_id)
 
     def execute_batch(self, label: int, proposed_price=None) -> ExecutionReceipt:
@@ -458,44 +450,45 @@ class ChainState:
         Unrevealed OCTs burn their collateral. With ``proposed_price`` the
         engine verifies the proposal instead of trusting it: prices that fail
         the volume-maximality check are rejected, and the batch settles as
-        the verifier settled it. The execution receipt is also part of the
-        current block's receipt.
+        the verifier settled it. The solver's price passes the same check.
+        A refused execution books nothing. The execution receipt is also part
+        of the current block's receipt.
         """
         u = self.open_allocations.get(label)
         if u is None:
             raise InvalidTransition(f"no open allocation with label {label!r}")
-        octs = [self.octs[i] for i in u.oct_ids]
-        revealed = [o for o in octs if o.state is OctState.REVEALED]
-        if self.height < u.height + self.reveal_window and len(revealed) < len(octs):
+        revealed = [self.reveals[i] for i in u.oct_ids if i in self.reveals]
+        if self.height < u.height + self.reveal_window and len(revealed) < u.count:
             raise InvalidTransition(f"batch {label} is not due (reveals outstanding)")
 
-        burned = []
-        for oct in octs:
-            if oct.state is OctState.ALLOCATED:
-                amt_x = oct.collateral if oct.collateral_token == "x" else 0.0
-                amt_y = oct.collateral if oct.collateral_token == "y" else 0.0
-                self._transfer(COLLATERAL, BURNED, amt_x, amt_y)
-                oct.state = OctState.BURNED
-                burned.append(oct)
+        orders = tuple(order for _, order in revealed)
+        price = proposed_price
+        if price is None:
+            price = clearing_price_with_limits(self.curve, u.snapshot, orders).price
+        settlement = verify_clearing_price(self.curve, u.snapshot, orders, price)
+        if settlement is None:
+            if proposed_price is None:
+                raise InvariantViolation(f"solver clearing price {price!r} failed self-verification")
+            raise VerificationError(f"proposed clearing price {price!r} failed verification")
+        dx, dy = settlement.pool_delta
+        rx = u.escrow[0] + dx
+        ry = u.escrow[1] + dy
+        # Each token's tolerance scales with that token's amounts only.
+        tol_x, tol_y = _NEG_TOL * (abs(rx) + abs(dx) + 1.0), _NEG_TOL * (abs(ry) + abs(dy) + 1.0)
+        if rx < -tol_x or ry < -tol_y:
+            raise InvariantViolation(f"allocation escrow {label} breached: ({rx!r}, {ry!r})")
 
-        orders = tuple(o.revealed for o in revealed)
-        if proposed_price is not None:
-            settlement = verify_clearing_price(self.curve, u.snapshot, orders, proposed_price)
-            if settlement is None:
-                raise VerificationError(
-                    f"proposed clearing price {proposed_price!r} failed verification"
-                )
-        else:
-            settlement = clearing_price_with_limits(self.curve, u.snapshot, orders)
-            if not verify_clearing_price(self.curve, u.snapshot, orders, settlement.price):
-                raise InvariantViolation(
-                    f"solver clearing price {settlement.price!r} failed self-verification"
-                )
+        burned = tuple(self.allocated.pop(i)[0] for i in u.oct_ids if i in self.allocated)
+        for oct in burned:
+            amt_x = oct.collateral if oct.collateral_token == "x" else 0.0
+            amt_y = oct.collateral if oct.collateral_token == "y" else 0.0
+            self._transfer(COLLATERAL, BURNED, amt_x, amt_y)
+        for oct, _ in revealed:
+            del self.reveals[oct.id]
 
         escrow = f"alloc:{label}"
         filled_by_index = {f.index: f for f in settlement.fills}
-        for idx, oct in enumerate(revealed):
-            order = oct.revealed
+        for idx, (oct, order) in enumerate(revealed):
             f = filled_by_index.get(idx)
             sold = f.sold if f is not None else 0.0
             bought = f.bought if f is not None else 0.0
@@ -507,15 +500,7 @@ class ChainState:
                 self._transfer(COLLATERAL, escrow, 0.0, sold, guard=False)
                 self._transfer(escrow, oct.owner, bought, 0.0, guard=False)
                 self._transfer(COLLATERAL, oct.owner, 0.0, oct.collateral - sold)
-            oct.state = OctState.EXECUTED
 
-        dx, dy = settlement.pool_delta
-        rx = u.escrow[0] + dx
-        ry = u.escrow[1] + dy
-        # Each token's tolerance scales with that token's amounts only.
-        tol_x, tol_y = _NEG_TOL * (abs(rx) + abs(dx) + 1.0), _NEG_TOL * (abs(ry) + abs(dy) + 1.0)
-        if rx < -tol_x or ry < -tol_y:
-            raise InvariantViolation(f"allocation escrow {label} breached: ({rx!r}, {ry!r})")
         # The remainder splits 1 - beta : beta, the ratio the escrow was funded
         # with. Pool reserves take their share of the batch imbalance; the rest
         # of the physical flows stay with the escrow (the producer's share).
@@ -538,7 +523,7 @@ class ChainState:
             update=u,
             settlement=settlement,
             orders=orders,
-            burned=tuple(burned),
+            burned=burned,
             to_pool=to_pool,
             to_producer=to_producer,
         )
@@ -558,9 +543,7 @@ class ChainState:
         h = self.height
         for label in sorted(self.open_allocations):
             u = self.open_allocations[label]
-            if h >= u.height + self.reveal_window or all(
-                self.octs[i].state is OctState.REVEALED for i in u.oct_ids
-            ):
+            if h >= u.height + self.reveal_window or all(i in self.reveals for i in u.oct_ids):
                 self.execute_batch(label)
 
         reentry = None

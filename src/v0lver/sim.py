@@ -34,7 +34,7 @@ from .agents import (
 from .allocation import Order, OrderSide
 from .cfmm import CONSTANT_PRODUCT, Reserves, max_lvr
 from .config import ScenarioConfig
-from .engine import POOL, BlockReceipt, ChainState, OctState
+from .engine import POOL, BlockReceipt, ChainState
 from .errors import ConfigError, FundingError
 
 PRODUCER = "producer"
@@ -158,8 +158,8 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
     price_rng, flow_rng, prod_rng = (np.random.default_rng(s) for s in ss.spawn(3))
     proc = PriceProcess(eps=cfg.price.initial, sigma=cfg.price.sigma, drift=cfg.price.drift)
     eps = prev_eps = proc.eps
+    # The bodies of the committed orders that will reveal once allocated.
     private_orders: dict[int, Order] = {}
-    no_reveal: set[int] = set()
 
     for h in range(cfg.blocks):
         if h > 0:
@@ -168,9 +168,8 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
 
         for order in gen_user_orders(flow_rng, cfg.flow, eps, cfg.max_x, cfg.max_y, USERS):
             oct = chain.submit_oct(USERS, order)
-            private_orders[oct.id] = order
-            if cfg.flow.no_reveal_prob > 0 and flow_rng.random() < cfg.flow.no_reveal_prob:
-                no_reveal.add(oct.id)
+            if not (cfg.flow.no_reveal_prob > 0 and flow_rng.random() < cfg.flow.no_reveal_prob):
+                private_orders[oct.id] = order
         alpha = cfg.producer.self_trade_alpha
         if alpha > 0:
             if cfg.producer.price_offset >= 1.0:
@@ -188,18 +187,12 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
             chain.last_alloc_label, eps, prev_eps,
         )
         if decision is not None:
-            chain.apply_update_tx(PRODUCER, *decision)
-        for oct_id in sorted(private_orders):
-            oct = chain.octs[oct_id]
-            if oct.state is OctState.ALLOCATED and oct_id not in no_reveal:
-                chain.reveal_order(oct_id, private_orders.pop(oct_id))
+            update = chain.apply_update_tx(PRODUCER, *decision)
+            for oct_id in sorted(update.oct_ids):
+                if oct_id in private_orders:
+                    chain.reveal_order(oct_id, private_orders.pop(oct_id))
 
-        block = chain.advance_block(eps, converter=PRODUCER)
-        for er in block.executions:
-            for oct in er.burned:
-                del private_orders[oct.id]
-                no_reveal.discard(oct.id)
-        yield block, eps
+        yield chain.advance_block(eps, converter=PRODUCER), eps
 
 
 def _block_row(block: BlockReceipt, eps: float) -> dict:

@@ -20,7 +20,7 @@ from v0lver.allocation import (
 )
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves, max_lvr
 from v0lver.config import builtin_scenarios
-from v0lver.engine import ChainState, OctState
+from v0lver.engine import ChainState
 from v0lver.errors import (
     DomainError,
     FundingError,

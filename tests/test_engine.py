@@ -1,4 +1,7 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from v0lver.allocation import Order, OrderSide
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
@@ -8,7 +11,6 @@ from v0lver.engine import (
     POOL,
     VAULT,
     ChainState,
-    OctState,
     commit_order,
 )
 from v0lver.errors import (
@@ -38,6 +40,14 @@ def make_chain(**kwargs):
     )
     defaults.update(kwargs)
     return ChainState(C, Reserves(10_000.0, 100.0), SCHEDULE, **defaults)
+
+
+def stages(chain, oct_id):
+    """The names of the engine queues that hold ``oct_id`` (none once its batch closed)."""
+    inserted = {o.id for octs in chain.inserted_by_height.values() for o in octs}
+    queues = (("pending", chain.mempool), ("inserted", inserted),
+              ("allocated", chain.allocated), ("revealed", chain.reveals))
+    return [name for name, ids in queues if oct_id in ids]
 
 
 def buy(size, limit=None):
@@ -73,10 +83,12 @@ class TestLifecycle:
         assert chain.balances["alice"] == [990.0, 10.0]
         assert chain.balances["bob"] == [1_000.0, 9.9]
         assert chain.balances[COLLATERAL] == [10.0, 0.1]
-        assert oct_a.state is OctState.PENDING
+        assert chain.mempool == {oct_a.id: oct_a, oct_b.id: oct_b}
+        assert stages(chain, oct_a.id) == ["pending"]
 
         chain.insert_octs("prod", [oct_a.id, oct_b.id])
-        assert oct_a.state is OctState.INSERTED
+        assert chain.inserted_by_height == {0: [oct_a, oct_b]}
+        assert stages(chain, oct_a.id) == ["inserted"]
 
         receipt = chain.apply_update_tx("prod", 0, 102.0)
         assert receipt.gap == 0
@@ -84,11 +96,14 @@ class TestLifecycle:
         assert receipt.count == 2
         assert chain.pool_price() == pytest.approx(102.0, rel=1e-12)
         assert chain.balances[VAULT] != [0.0, 0.0]
-        assert oct_a.state is OctState.ALLOCATED
+        assert receipt.oct_ids == (oct_a.id, oct_b.id)
+        assert chain.allocated[oct_a.id] == (oct_a, receipt)
+        assert stages(chain, oct_a.id) == ["allocated"]
 
         chain.reveal_order(oct_a.id, o_a)
         chain.reveal_order(oct_b.id, o_b)
-        assert oct_a.state is OctState.REVEALED
+        assert chain.reveals[oct_a.id] == (oct_a, o_a)
+        assert stages(chain, oct_a.id) == ["revealed"]
 
         block = chain.advance_block(102.0, converter="prod")
         assert len(block.executions) == 1
@@ -96,7 +111,11 @@ class TestLifecycle:
         assert er.update is receipt and receipt.label == 0
         assert receipt.count == 2 and len(er.orders) == 2
         assert not er.burned
-        assert oct_a.state is OctState.EXECUTED
+        # closed: no queue holds it; its batch's receipt records the fill
+        assert stages(chain, oct_a.id) == [] and er.orders == (o_a, o_b)
+        assert block.submitted == (oct_a, oct_b)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            block.submitted[0].collateral = 0.0
         snap = er.settlement
         assert snap.price == pytest.approx(
             (receipt.snapshot.x + 5.0) / (receipt.snapshot.y + 0.05), rel=1e-12
@@ -123,11 +142,13 @@ class TestLifecycle:
         chain.insert_octs("prod", [oct.id])
         chain.apply_update_tx("prod", 0, 101.0)
         chain.advance_block(101.0)  # not due yet (window 2, no reveal)
-        assert oct.state is OctState.ALLOCATED
+        assert stages(chain, oct.id) == ["allocated"]
         chain.advance_block(101.0)
         block = chain.advance_block(101.0)
-        assert oct.state is OctState.BURNED
+        assert stages(chain, oct.id) == []
         assert block.executions[0].burned == (oct,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            block.executions[0].burned[0].owner = "bob"
         assert (oct.owner, oct.collateral_token, oct.collateral) == ("alice", "x", 10.0)
         assert chain.balances[BURNED] == [10.0, 0.0]
         assert chain.balances["alice"] == [990.0, 10.0]
@@ -154,7 +175,7 @@ class TestLifecycle:
         chain.reveal_order(oct.id, o)
         block = chain.advance_block(101.0)
         assert len(block.executions) == 1
-        assert oct.state is OctState.EXECUTED
+        assert stages(chain, oct.id) == [] and block.executions[0].orders == (o,)
 
 
 class TestTransitionGuards:
@@ -166,9 +187,14 @@ class TestTransitionGuards:
             chain.submit_oct("bob", sell(0.2))
 
     def test_submit_needs_collateral_funding(self):
-        chain = make_chain(balances={"poor": (1.0, 0.0)})
+        chain = make_chain(balances={"poor": (1.0, 0.0), "alice": (10.0, 0.0)})
         with pytest.raises(FundingError):
             chain.submit_oct("poor", buy(5.0))
+        # an unknown payer is refused without opening an account or spending an id
+        with pytest.raises(FundingError):
+            chain.submit_oct("nobody", buy(5.0))
+        assert "nobody" not in chain.balances
+        assert chain.submit_oct("alice", buy(5.0)).id == 0
 
     def test_insert_unknown_or_duplicate(self):
         chain = make_chain()
@@ -180,6 +206,27 @@ class TestTransitionGuards:
         chain.insert_octs("prod", [oct.id])
         with pytest.raises(InvalidTransition):
             chain.insert_octs("prod", [oct.id])
+
+    def test_insertion_after_the_update_is_refused(self):
+        chain = make_chain()
+        chain.apply_update_tx("prod", 0, 101.0)
+        oct = chain.submit_oct("alice", buy(5.0))
+        # no later update could allocate height 0 again
+        with pytest.raises(InvalidTransition, match="already allocated"):
+            chain.insert_octs("prod", [oct.id])
+        assert stages(chain, oct.id) == ["pending"]
+        assert chain.inserted_by_height == {}
+        chain.advance_block(101.0)
+        chain.insert_octs("prod", [oct.id])
+        update = chain.apply_update_tx("prod", 1, 101.0)
+        assert update.oct_ids == (oct.id,)
+        for h in range(2, 5):
+            chain.advance_block(101.0)
+            chain.apply_update_tx("prod", h, 101.0)
+        # the next block's insertion was allocated, burned at the window and freed its collateral
+        assert stages(chain, oct.id) == []
+        assert chain.balances[COLLATERAL] == [0.0, 0.0]
+        assert chain.balances[BURNED] == pytest.approx([10.0, 0.0])
 
     def test_one_update_per_block(self):
         chain = make_chain()
@@ -240,6 +287,27 @@ class TestTransitionGuards:
         good = (receipt.snapshot.x + 5.0) / (receipt.snapshot.y)
         er = chain.execute_batch(0, proposed_price=good)
         assert er.settlement.price == pytest.approx(good)
+
+    def test_refused_proposal_books_nothing(self):
+        chain = make_chain(reveal_window=1)
+        o_a, o_b = buy(5.0), buy(3.0)
+        oct_a = chain.submit_oct("alice", o_a)
+        oct_b = chain.submit_oct("bob", o_b)
+        chain.insert_octs("prod", [oct_a.id, oct_b.id])
+        u = chain.apply_update_tx("prod", 0, 101.0)
+        chain.reveal_order(oct_a.id, o_a)
+        chain.advance_block(101.0)  # bob's reveal is outstanding, window 1: not due yet
+        balances = {party: list(acct) for party, acct in chain.balances.items()}
+        with pytest.raises(VerificationError):
+            chain.execute_batch(0, proposed_price=1.5 * u.price)
+        # nothing burned, nothing moved, both OCTs still wait in their stages
+        assert chain.balances == balances
+        assert stages(chain, oct_a.id) == ["revealed"] and stages(chain, oct_b.id) == ["allocated"]
+        er = chain.execute_batch(0)
+        assert er.burned == (oct_b,) and er.orders == (o_a,)
+        assert chain.balances[BURNED][0] == pytest.approx(10.0)
+        block = chain.advance_block(101.0)
+        assert [e["id"] for e in block.events() if e["kind"] == "oct_burned"] == [oct_b.id]
 
     def test_proposing_the_solver_price_settles_as_the_solver(self):
         orders = [("alice", buy(5.0, limit=103.0)), ("bob", sell(0.05, limit=100.5)),
@@ -490,3 +558,66 @@ class TestLedger:
         (c1, b1), (c2, b2) = run(), run()
         assert c1.balances == c2.balances
         assert b1.events() == b2.events()
+
+
+# One operation of a random protocol history: (kind, a, b, f). Hypothesis favours
+# zeros, so a zero parameter makes the well-formed call and a 7 the refused one.
+OPS = st.tuples(st.sampled_from(["submit", "submit", "insert", "update", "reveal", "reveal",
+                                 "execute", "execute", "advance"]),
+                st.integers(0, 7), st.integers(0, 7), st.floats(0.0, 1.25))
+
+
+class TestStageProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(window=st.integers(0, 3), ops=st.lists(OPS, min_size=30, max_size=80))
+    def test_every_oct_sits_in_one_stage(self, window, ops):
+        chain = make_chain(reveal_window=window, balances={
+            "alice": (1_000.0, 10.0), "poor": (15.0, 0.0), "prod": (10_000.0, 100.0)})
+        octs, bodies, closed = {}, {}, set()
+
+        def close(receipts):
+            for er in receipts:
+                assert {o.id for o in er.burned} <= set(er.update.oct_ids)
+                closed.update(er.update.oct_ids)
+
+        def snapshot():
+            return ({p: list(a) for p, a in chain.balances.items()}, dict(chain.mempool),
+                    {h: list(v) for h, v in chain.inserted_by_height.items()},
+                    dict(chain.allocated), dict(chain.reveals), dict(chain.open_allocations),
+                    chain.last_alloc_label, chain.height)
+
+        for kind, a, b, f in ops:
+            before = snapshot()
+            try:
+                if kind == "submit":
+                    order = (buy if a % 2 else sell)(f * (10.0 if a % 2 else 0.1) or 1e-6)
+                    oct = chain.submit_oct({6: "poor", 7: "nobody"}.get(b, "alice"), order)
+                    octs[oct.id] = oct
+                    bodies[oct.id] = order
+                elif kind == "insert":
+                    chain.insert_octs("prod", sorted(chain.mempool)[b:] + [999] * (a == 7))
+                elif kind == "update":
+                    chain.apply_update_tx("prod", chain.height - a % 3 + (b == 7),
+                                          chain.pool_price() * (0.9 + 0.16 * f))
+                elif kind == "reveal" and bodies:
+                    oct_id = sorted(bodies)[a % len(bodies)]
+                    body = bodies[oct_id] if b < 7 else dataclasses.replace(bodies[oct_id], size=1e-6)
+                    chain.reveal_order(oct_id, body)
+                elif kind == "execute":
+                    labels = sorted(chain.open_allocations) or [0]
+                    proposal = chain.pool_price() * (0.9 + 0.16 * f) if b >= 4 else None
+                    close([chain.execute_batch(labels[a % len(labels)], proposed_price=proposal)])
+                elif kind == "advance":
+                    eps = chain.pool_price() * (0.95 + 0.08 * f) if a < 7 else 0.0
+                    close(chain.advance_block(eps, converter="prod").executions)
+            except (InvalidTransition, FundingError, VerificationError, DomainError):
+                # a refused operation moves no balance and no OCT
+                assert snapshot() == before
+
+            for oct_id in octs:
+                found = stages(chain, oct_id) + (["closed"] if oct_id in closed else [])
+                assert len(found) == 1, (oct_id, found)
+            held = [sum(o.collateral for i, o in octs.items()
+                        if i not in closed and o.collateral_token == token) for token in "xy"]
+            assert chain.balances[COLLATERAL] == pytest.approx(held, abs=1e-9)
+            assert all(h > chain.last_alloc_label for h in chain.inserted_by_height)
