@@ -28,13 +28,17 @@ print("gap ->", [round(schedule.value_at(g), 2) for g in range(5)])
 # external price 4, rebate 50%.
 r = Reserves(100.0, 100.0)
 eps = 4.0
+full = curve.reserves_at_price(curve.invariant(r), eps)
+print(f"\nfull swap would land on ({full.x:.1f}, {full.y:.1f})")
+# The move returns the two legs the pool pays out: the producer's flow and
+# the vault deposit. The pool the engine books is what is left.
 move = apply_rebated_move(curve, r, eps, rebate=0.5)
-print(f"\nfull swap would land on ({move.full_target.x:.1f}, {move.full_target.y:.1f})")
-print(f"half swap lands the pool on ({move.new_reserves.x:.1f}, "
-      f"{move.new_reserves.y:.1f}) at price "
-      f"{curve.price(move.new_reserves):.1f}")
-print(f"vault receives {move.vault_deposit}")
 fx, fy = move.producer_flow
+vx, vy = move.vault_deposit
+pool = Reserves(r.x - fx - vx, r.y - fy - vy)
+print(f"half swap lands the pool on ({pool.x:.1f}, {pool.y:.1f}) at price "
+      f"{curve.price(pool):.1f}")
+print(f"vault receives {move.vault_deposit}")
 print(f"producer flow: {fx:+.1f} x, {fy:+.1f} y "
       f"-> payoff at eps: {move.producer_payoff_at(eps):.1f}")
 
@@ -47,26 +51,26 @@ print(f"full arbitrage value {full_value:.1f}; kept fraction "
 # Value accounting at eps: the pool plus vault together hold what the full
 # swap would have left the pool, plus the clawed-back beta * L. Nothing
 # vanished.
-vx, vy = move.vault_deposit
-pool_v = move.new_reserves.x + move.new_reserves.y * eps
-full_v = move.full_target.x + move.full_target.y * eps
+pool_v = pool.x + pool.y * eps
+full_v = full.x + full.y * eps
 print(f"pool {pool_v:.1f} + vault {vx + vy * eps:.1f} = "
       f"full-swap pool {full_v:.1f} + beta*L {0.5 * full_value:.1f}")
 
 # Re-entry: fold the vault back in as a price-preserving deposit. The
 # converting agent swaps the vault basket for the (v/2, v/2eps) shape; the
 # swap happens at eps, so the converter breaks even.
-re = vault_reenter(curve, move.new_reserves, move.vault_deposit, eps)
-print(f"\nre-entry adds {re.added} to the pool")
-print(f"pool after: ({re.new_reserves.x:.2f}, {re.new_reserves.y:.2f}), "
-      f"price {curve.price(re.new_reserves):.1f}, "
-      f"k {curve.invariant(re.new_reserves):.0f} (was {curve.invariant(r):.0f})")
-cx, cy = re.converter_flow
+(ax, ay), (cx, cy) = vault_reenter(move.vault_deposit, eps)
+after = Reserves(pool.x + ax, pool.y + ay)
+print(f"\nre-entry adds {(ax, ay)} to the pool")
+print(f"pool after: ({after.x:.2f}, {after.y:.2f}), price {curve.price(after):.1f}, "
+      f"k {curve.invariant(after):.0f} (was {curve.invariant(r):.0f})")
 print(f"converter flow ({cx:+.2f}, {cy:+.2f}) is worth {cx + cy * eps:+.2f} at eps")
 
 # The pool's constant ends higher than it started whenever beta > 0: the
 # rebate is a real transfer from the arbitrageur back to the LPs.
 for beta in (0.0, 0.2, 0.5, 0.8):
     m = apply_rebated_move(curve, r, eps, beta)
-    k_end = curve.invariant(vault_reenter(curve, m.new_reserves, m.vault_deposit, eps).new_reserves)
+    (fx, fy), (vx, vy) = m.producer_flow, m.vault_deposit
+    (ax, ay), _ = vault_reenter(m.vault_deposit, eps)
+    k_end = curve.invariant(Reserves(r.x - fx - vx + ax, r.y - fy - vy + ay))
     print(f"beta {beta:.1f}: k after move + re-entry = {k_end:10.1f}")

@@ -45,12 +45,7 @@ from .errors import (
     V0lverError,
     VerificationError,
 )
-from .rebate import (
-    ZERO_REBATE,
-    RebateSchedule,
-    apply_rebated_move,
-    vault_reenter,
-)
+from .rebate import RebateSchedule, apply_rebated_move, vault_reenter
 from .sim import (
     RunMetrics,
     RunResult,

@@ -93,9 +93,10 @@ class Oct:
 class UpdateReceipt:
     """One update transaction at ``height`` and the batch ``oct_ids`` it allocated.
 
-    ``before`` is the pool the move started from, ``snapshot`` the pool after
-    it, which the batch settles against. The producer funds the ``beta`` share
-    of the booked ``(x, y)`` escrow into the batch's account; the pool earmarks the rest.
+    ``before`` is the pool the move started from, ``snapshot`` the pool the
+    move's legs book, ``before - producer_flow - vault_deposit``, which the
+    batch settles against. The producer funds the ``beta`` share of the
+    booked ``(x, y)`` escrow into the batch's account; the pool earmarks the rest.
     """
 
     height: int
@@ -130,7 +131,6 @@ class ExecutionReceipt:
 
 @dataclass(frozen=True, slots=True)
 class ReentryReceipt:
-    eps: float
     added: tuple[float, float]
     converter_flow: tuple[float, float]
     converter: str
@@ -140,11 +140,13 @@ class ReentryReceipt:
 class BlockReceipt:
     """Everything that happened in one block, and its closing balances.
 
+    ``eps`` is the block's external price, the one the vault converts at;
     ``inserts`` holds one ``(producer, ids)`` pair per non-empty insertion;
     ``pool`` and ``vault`` are the ledger balances at block end.
     """
 
     height: int
+    eps: float
     submitted: tuple[Oct, ...]
     inserts: tuple[tuple[str, tuple[int, ...]], ...]
     update: UpdateReceipt | None
@@ -180,7 +182,7 @@ class BlockReceipt:
                           to_pool=e.to_pool, to_producer=e.to_producer))
         r = self.reentry
         if r is not None:
-            out.append(ev("vault_reentered", eps=r.eps, added=r.added,
+            out.append(ev("vault_reentered", eps=self.eps, added=r.added,
                           converter_flow=r.converter_flow, converter=r.converter))
         out.append(ev("block_end", pool=self.pool, vault=self.vault))
         return out
@@ -272,6 +274,13 @@ class ChainState:
         d[0] += dx
         d[1] += dy
 
+    def _transfer_token(self, src: str, dst: str, token: str, amount: float, *, guard: bool = True):
+        """Move ``amount`` of one token, ``"x"`` or ``"y"``, from src to dst."""
+        if token == "x":
+            self._transfer(src, dst, amount, 0.0, guard=guard)
+        else:
+            self._transfer(src, dst, 0.0, amount, guard=guard)
+
     def total_supply(self) -> tuple[float, float]:
         tx = ty = 0.0
         for bx, by in self.balances.values():
@@ -300,9 +309,6 @@ class ChainState:
     def pool_reserves(self) -> Reserves:
         bx, by = self.balances[POOL]
         return Reserves(bx, by)
-
-    def pool_price(self) -> float:
-        return self.curve.price(self.pool_reserves())
 
     def earmark(self) -> tuple[float, float]:
         """Pool-backed escrow share of the open allocations."""
@@ -334,7 +340,7 @@ class ChainState:
             collateral_token=token,
             collateral=bound,
         )
-        self._transfer(owner, COLLATERAL, bound if token == "x" else 0.0, bound if token == "y" else 0.0)
+        self._transfer_token(owner, COLLATERAL, token, bound)
         self._next_oct_id += 1
         self.mempool[oct_id] = oct
         self._submitted.append(oct)
@@ -480,9 +486,7 @@ class ChainState:
 
         burned = tuple(self.allocated.pop(i)[0] for i in u.oct_ids if i in self.allocated)
         for oct in burned:
-            amt_x = oct.collateral if oct.collateral_token == "x" else 0.0
-            amt_y = oct.collateral if oct.collateral_token == "y" else 0.0
-            self._transfer(COLLATERAL, BURNED, amt_x, amt_y)
+            self._transfer_token(COLLATERAL, BURNED, oct.collateral_token, oct.collateral)
         for oct, _ in revealed:
             del self.reveals[oct.id]
 
@@ -492,14 +496,11 @@ class ChainState:
             f = filled_by_index.get(idx)
             sold = f.sold if f is not None else 0.0
             bought = f.bought if f is not None else 0.0
-            if order.sells_token == "x":
-                self._transfer(COLLATERAL, escrow, sold, 0.0, guard=False)
-                self._transfer(escrow, oct.owner, 0.0, bought, guard=False)
-                self._transfer(COLLATERAL, oct.owner, oct.collateral - sold, 0.0)
-            else:
-                self._transfer(COLLATERAL, escrow, 0.0, sold, guard=False)
-                self._transfer(escrow, oct.owner, bought, 0.0, guard=False)
-                self._transfer(COLLATERAL, oct.owner, 0.0, oct.collateral - sold)
+            sells = order.sells_token
+            buys = "y" if sells == "x" else "x"
+            self._transfer_token(COLLATERAL, escrow, sells, sold, guard=False)
+            self._transfer_token(escrow, oct.owner, buys, bought, guard=False)
+            self._transfer_token(COLLATERAL, oct.owner, sells, oct.collateral - sold)
 
         # The remainder splits 1 - beta : beta, the ratio the escrow was funded
         # with. Pool reserves take their share of the batch imbalance; the rest
@@ -551,23 +552,19 @@ class ChainState:
         vault = tuple(self.balances[VAULT])
         if freq > 0 and (h + 1) % freq == 0 and vault != (0.0, 0.0):
             who = converter if converter is not None else "converter"
-            result = vault_reenter(self.curve, self.pool_reserves(), vault, eps)
+            added, flow = vault_reenter(vault, eps)
             # The converter swaps the vault basket for the price-preserving
             # one; value-neutral at eps, so outside liquidity may go through
             # a transiently negative account.
             self._transfer(VAULT, who, *vault, guard=False)
-            self._transfer(who, POOL, *result.added, guard=False)
-            reentry = ReentryReceipt(
-                eps=eps,
-                added=result.added,
-                converter_flow=result.converter_flow,
-                converter=who,
-            )
+            self._transfer(who, POOL, *added, guard=False)
+            reentry = ReentryReceipt(added=added, converter_flow=flow, converter=who)
 
         check_reserves(*self.balances[POOL])
         self.check_books()
         block = BlockReceipt(
             height=h,
+            eps=eps,
             submitted=tuple(self._submitted),
             inserts=tuple(self._inserts),
             update=self._update,

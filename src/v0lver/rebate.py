@@ -50,21 +50,17 @@ class RebateSchedule:
         return self.beta0 * (1.0 - gap / self.z_max)
 
 
-#: Schedule that pays no rebate anywhere; the plain-CFMM fallback.
-ZERO_REBATE = RebateSchedule(z_max=0, beta0=0.0)
-
-
 @dataclass(frozen=True, slots=True)
 class RebatedMoveResult:
     """Outcome of one rebated price move.
 
     ``producer_flow`` is signed from the producer's point of view (positive
     components are received by the producer, negative are paid in).
-    ``vault_deposit`` is the non-negative amount shed to the vault.
+    ``vault_deposit`` is the non-negative amount shed to the vault. These are
+    the two legs the pool pays out, so the moved pool is
+    ``reserves - producer_flow - vault_deposit``.
     """
 
-    new_reserves: Reserves
-    full_target: Reserves
     vault_deposit: tuple[float, float]
     producer_flow: tuple[float, float]
 
@@ -87,12 +83,7 @@ def apply_rebated_move(curve, reserves: Reserves, target_price, rebate: float) -
         raise DomainError(f"rebate fraction must lie in [0, 1), got {rebate!r}")
     p0 = curve.price(reserves)
     if target_price == p0:
-        return RebatedMoveResult(
-            new_reserves=reserves,
-            full_target=reserves,
-            vault_deposit=(0.0, 0.0),
-            producer_flow=(0.0, 0.0),
-        )
+        return RebatedMoveResult(vault_deposit=(0.0, 0.0), producer_flow=(0.0, 0.0))
     k = curve.invariant(reserves)
     full = curve.reserves_at_price(k, target_price)
     dx = full.x - reserves.x
@@ -101,62 +92,37 @@ def apply_rebated_move(curve, reserves: Reserves, target_price, rebate: float) -
     mid_x = reserves.x + keep * dx
     mid_y = reserves.y + keep * dy
     if rebate == 0.0:
-        new = Reserves(mid_x, mid_y)
         deposit = (0.0, 0.0)
     elif target_price > p0:
         # Price rose: the partial move undershoots, y is the rich side.
         # The shed amount is mathematically non-negative; the max() guards
         # against one-ulp roundoff when the rebate is vanishingly small.
-        new_y = curve.y_matching_price(target_price, mid_x)
-        deposit = (0.0, max(0.0, mid_y - new_y))
-        new = Reserves(mid_x, new_y)
+        deposit = (0.0, max(0.0, mid_y - curve.y_matching_price(target_price, mid_x)))
     else:
-        new_x = curve.x_matching_price(target_price, mid_y)
-        deposit = (max(0.0, mid_x - new_x), 0.0)
-        new = Reserves(new_x, mid_y)
-    return RebatedMoveResult(
-        new_reserves=new,
-        full_target=full,
-        vault_deposit=deposit,
-        producer_flow=(-keep * dx, -keep * dy),
-    )
+        deposit = (max(0.0, mid_x - curve.x_matching_price(target_price, mid_y)), 0.0)
+    return RebatedMoveResult(vault_deposit=deposit, producer_flow=(-keep * dx, -keep * dy))
 
 
-@dataclass(frozen=True, slots=True)
-class ReentryResult:
-    """Outcome of folding the vault back into the pool at price ``eps``.
-
-    ``added`` is what lands in the pool; ``converter_flow`` is what the agent
-    performing the conversion receives (signed, value zero at ``eps``).
-    """
-
-    new_reserves: Reserves
-    added: tuple[float, float]
-    converter_flow: tuple[float, float]
-
-
-def vault_reenter(curve, reserves: Reserves, vault: tuple[float, float], eps: float) -> ReentryResult:
+def vault_reenter(
+    vault: tuple[float, float], eps: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
     """Convert the vault at ``eps`` and deposit it in an ``eps``-ratio split.
 
-    The vault's total value ``v`` (at ``eps``) is split into equal-value
-    halves ``(v/2, v/(2*eps))``, the split of a price-preserving deposit for
-    a pool sitting at price ``eps``. The conversion trades the imbalance at
-    exactly ``eps``, so the converting agent's flow has zero value; the pool
-    constant weakly increases. ``vault`` is the ``(x, y)`` holding to fold
-    in; callers drain it when they route the token movements. ``eps`` is a
-    price > 0.
+    Returns ``(added, converter_flow)``: ``added`` is what lands in the pool,
+    ``converter_flow`` what the agent performing the conversion receives
+    (signed, value zero at ``eps``). The vault's total value ``v`` (at
+    ``eps``) is split into equal-value halves ``(v/2, v/(2*eps))``, the split
+    of a price-preserving deposit for a pool sitting at price ``eps``, so the
+    pool constant weakly increases. ``vault`` is the ``(x, y)`` holding to
+    fold in; callers drain it when they route the token movements. ``eps`` is
+    a price > 0.
     """
     vx, vy = vault
     if vx < 0 or vy < 0:
         raise DomainError("vault holdings must be non-negative")
     v = vx + vy * eps
     if v == 0.0:
-        return ReentryResult(reserves, (0.0, 0.0), (0.0, 0.0))
+        return (0.0, 0.0), (0.0, 0.0)
     add_x = v / 2.0
     add_y = v / (2.0 * eps)
-    new = Reserves(reserves.x + add_x, reserves.y + add_y)
-    return ReentryResult(
-        new_reserves=new,
-        added=(add_x, add_y),
-        converter_flow=(vx - add_x, vy - add_y),
-    )
+    return (add_x, add_y), (vx - add_x, vy - add_y)

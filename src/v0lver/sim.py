@@ -129,7 +129,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
         },
     )
     try:
-        steps = list(_drive(cfg, seed, chain))
+        receipts = list(_drive(cfg, seed, chain))
     except FundingError as e:
         if e.party not in _FUNDED_BY:
             raise
@@ -137,8 +137,8 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
 
     metrics = RunMetrics(blocks=cfg.blocks)
     rows = []
-    for block, eps in steps:
-        rows.append(_block_row(block, eps))
+    for block in receipts:
+        rows.append(_block_row(block))
         _tally(metrics, cfg, block, rows)
     last = rows[-1]
     vault_value = last["vault_x"] + last["vault_y"] * last["eps"]
@@ -149,11 +149,11 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
     metrics.final_k = last["pool_k"]
     metrics.final_vault_value = vault_value
     metrics.conservation_error = chain.conservation_error()
-    return RunResult(metrics=metrics, blocks=rows, receipts=[block for block, _ in steps])
+    return RunResult(metrics=metrics, blocks=rows, receipts=receipts)
 
 
 def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
-    """Advance ``chain`` through the scenario, yielding each block's receipt and external price."""
+    """Advance ``chain`` through the scenario, yielding each block's receipt."""
     ss = np.random.SeedSequence(seed)
     price_rng, flow_rng, prod_rng = (np.random.default_rng(s) for s in ss.spawn(3))
     proc = PriceProcess(eps=cfg.price.initial, sigma=cfg.price.sigma, drift=cfg.price.drift)
@@ -192,16 +192,16 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
                 if oct_id in private_orders:
                     chain.reveal_order(oct_id, private_orders.pop(oct_id))
 
-        yield chain.advance_block(eps, converter=PRODUCER), eps
+        yield chain.advance_block(eps, converter=PRODUCER)
 
 
-def _block_row(block: BlockReceipt, eps: float) -> dict:
-    """The ``blocks.csv`` row of one block at external price ``eps``, keys in column order."""
+def _block_row(block: BlockReceipt) -> dict:
+    """The ``blocks.csv`` row of one block, keys in column order."""
     u = block.update
     pool = Reserves(*block.pool)
     return {
         "height": block.height,
-        "eps": eps,
+        "eps": block.eps,
         "pool_x": pool.x,
         "pool_y": pool.y,
         "pool_price": CONSTANT_PRODUCT.price(pool),
@@ -223,8 +223,7 @@ def _block_row(block: BlockReceipt, eps: float) -> dict:
 
 def _tally(m: RunMetrics, cfg: ScenarioConfig, block: BlockReceipt, rows: list):
     """Add one block's share of the run metrics; float sums go per update, execution and fill."""
-    row = rows[block.height]
-    eps = row["eps"]
+    row, eps = rows[block.height], block.eps
     m.n_octs += row["n_submitted"]
     m.n_executed += row["n_executed"]
     m.n_burned += row["n_burned"]
@@ -372,6 +371,11 @@ def dominance_sweep(
     cfg.validate()
     if multipliers is None:
         multipliers = [(90 + i) / 100.0 for i in range(21)]
+    if trials < 1:
+        raise ConfigError("trials must be > 0")
+    for name, grid in (("multipliers", multipliers), ("alphas", alphas)):
+        if len(grid) == 0:
+            raise ConfigError(f"{name} must not be empty")
     reserves = Reserves(float(cfg.pool_x), float(cfg.pool_y))
     eps = cfg.price.initial
     schedule = cfg.rebate_schedule()

@@ -9,7 +9,7 @@ protocol's escrow and vault plumbing around them. The engine-backed producer
 payoffs are the other one: they run the protocol itself, the reference the
 vectorized criterion-4 model must reproduce. The market-batch closed
 form is the reference the auction's all-market case must reproduce bit for
-bit.
+bit. ``InlineExecutor`` and ``pool_price`` are test plumbing, not references.
 """
 from __future__ import annotations
 
@@ -223,3 +223,8 @@ class InlineExecutor:
 
     def map(self, fn, iterable, chunksize=1):
         return map(fn, iterable)
+
+
+def pool_price(chain: ChainState) -> float:
+    """The price of ``chain``'s pool on its own curve."""
+    return chain.curve.price(chain.pool_reserves())

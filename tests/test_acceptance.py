@@ -38,7 +38,7 @@ from v0lver.sim import (
     user_price_experiment,
 )
 
-from oracles import baseline_cfmm_replay, bisect_market_clearing
+from oracles import baseline_cfmm_replay, bisect_market_clearing, pool_price
 
 C = CONSTANT_PRODUCT
 SCN = builtin_scenarios()
@@ -239,7 +239,7 @@ class TestCriterion8Properties:
                         chain.insert_octs("prod", list(rng.choice(pool, size=k)))
                     elif op == 2:
                         label = int(rng.integers(-1, chain.height + 2))
-                        price = chain.pool_price() * float(rng.uniform(0.9, 1.1))
+                        price = pool_price(chain) * float(rng.uniform(0.9, 1.1))
                         chain.apply_update_tx("prod", label, price)
                     elif op == 3 and bodies:
                         oct_id = int(rng.choice(list(bodies)))
@@ -252,11 +252,11 @@ class TestCriterion8Properties:
                         label = int(rng.choice(labels))
                         proposal = None
                         if rng.random() < 0.3:
-                            proposal = chain.pool_price() * float(rng.uniform(0.95, 1.05))
+                            proposal = pool_price(chain) * float(rng.uniform(0.95, 1.05))
                         chain.execute_batch(label, proposed_price=proposal)
                     else:
                         chain.advance_block(
-                            chain.pool_price() * float(rng.uniform(0.95, 1.05)),
+                            pool_price(chain) * float(rng.uniform(0.95, 1.05)),
                             converter="prod",
                         )
                 except allowed:

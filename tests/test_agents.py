@@ -14,7 +14,7 @@ from v0lver.allocation import OrderSide
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
 from v0lver.config import FlowModel, ProducerModel, builtin_scenarios
 from v0lver.errors import DomainError
-from v0lver.rebate import ZERO_REBATE, RebateSchedule
+from v0lver.rebate import RebateSchedule
 
 from oracles import engine_producer_payoffs
 
@@ -235,5 +235,6 @@ class TestUpdateDecision:
 
     def test_zero_schedule_makes_every_gap_free(self):
         p = self.prod(update_policy="best_response", update_cost=0.0)
-        got = decide_update(p, ZERO_REBATE, C, self.R, 5, 2, 104.0, 103.0)
+        zero = RebateSchedule(z_max=0, beta0=0.0)
+        got = decide_update(p, zero, C, self.R, 5, 2, 104.0, 103.0)
         assert got == (5, 104.0)

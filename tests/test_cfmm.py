@@ -12,7 +12,7 @@ from v0lver.cfmm import (
 )
 from v0lver.engine import ChainState
 from v0lver.errors import DomainError
-from v0lver.rebate import ZERO_REBATE
+from v0lver.rebate import RebateSchedule
 
 from oracles import grid_max_extraction
 
@@ -28,7 +28,8 @@ class TestPrimitives:
     def test_reserves_reject_degenerate_values(self):
         for bad in ((0, 1), (1, 0), (-1, 1), (math.nan, 1), (1, math.inf)):
             with pytest.raises(DomainError):
-                ChainState(C, Reserves(*bad), ZERO_REBATE, max_x=1.0, max_y=1.0)
+                ChainState(C, Reserves(*bad), RebateSchedule(z_max=0, beta0=0.0),
+                           max_x=1.0, max_y=1.0)
 
     def test_pool_price(self):
         assert C.price(Reserves(10_000, 100)) == 100.0

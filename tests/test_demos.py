@@ -12,12 +12,15 @@ DEMOS = ["01_pool_mechanics.py", "02_rebated_arbitrage.py",
 
 
 @pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo):
+def test_demo_runs(demo, pytestconfig):
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # Both ``python -W`` and ``pytest -W`` options reach the demo, so a run
+    # under ``-W error`` also fails on a warning a demo emits.
+    warn = [*sys.warnoptions, *(pytestconfig.getoption("pythonwarnings") or [])]
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        [sys.executable, *(f"-W{w}" for w in warn), os.path.join(ROOT, "demos", demo)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -20,7 +20,9 @@ from v0lver.errors import (
     InvariantViolation,
     VerificationError,
 )
-from v0lver.rebate import ZERO_REBATE, RebateSchedule
+from v0lver.rebate import RebateSchedule
+
+from oracles import pool_price
 
 C = CONSTANT_PRODUCT
 SCHEDULE = RebateSchedule(z_max=4, beta0=0.8)
@@ -94,7 +96,7 @@ class TestLifecycle:
         assert receipt.gap == 0
         assert receipt.beta == pytest.approx(0.8)
         assert receipt.count == 2
-        assert chain.pool_price() == pytest.approx(102.0, rel=1e-12)
+        assert pool_price(chain) == pytest.approx(102.0, rel=1e-12)
         assert chain.balances[VAULT] != [0.0, 0.0]
         assert receipt.oct_ids == (oct_a.id, oct_b.id)
         assert chain.allocated[oct_a.id] == (oct_a, receipt)
@@ -330,7 +332,7 @@ class TestTransitionGuards:
         chain = ChainState(
             C,
             Reserves(100.0, 1.0),
-            ZERO_REBATE,
+            RebateSchedule(z_max=0, beta0=0.0),
             max_x=10.0,
             max_y=0.1,
             balances={"u": (1_000.0, 10.0), "prod": (1_000.0, 10.0)},
@@ -339,12 +341,12 @@ class TestTransitionGuards:
         ids = [chain.submit_oct("u", buy(5.0)).id for _ in range(20)]
         chain.insert_octs("prod", ids)
         balances = {party: list(acct) for party, acct in chain.balances.items()}
-        price = chain.pool_price()
+        price = pool_price(chain)
         with pytest.raises(FundingError):
             chain.apply_update_tx("prod", 0, 110.0)
         # the refused update moved no price and booked nothing
         assert chain.balances == balances
-        assert chain.pool_price() == price
+        assert pool_price(chain) == price
         assert chain.open_allocations == {}
         assert chain.advance_block(110.0).update is None
 
@@ -358,12 +360,12 @@ class TestTransitionGuards:
     def test_update_leaving_the_float_range_books_nothing(self):
         chain = make_chain()
         balances = {party: list(acct) for party, acct in chain.balances.items()}
-        price = chain.pool_price()
+        price = pool_price(chain)
         # k * p overflows: the move would put the pool's x reserve at inf
         with pytest.raises(DomainError, match="pool reserves"):
             chain.apply_update_tx("prod", 0, 1e303)
         assert chain.balances == balances
-        assert chain.pool_price() == price
+        assert pool_price(chain) == price
         assert chain.advance_block(100.0).update is None
 
     def test_advance_block_checks_the_external_price(self):
@@ -379,7 +381,7 @@ class TestZeroRebateFallback:
         chain = ChainState(
             C,
             Reserves(10_000.0, 100.0),
-            ZERO_REBATE,
+            RebateSchedule(z_max=0, beta0=0.0),
             max_x=10.0,
             max_y=0.1,
             balances={"prod": (10_000.0, 100.0)},
@@ -598,17 +600,17 @@ class TestStageProperty:
                     chain.insert_octs("prod", sorted(chain.mempool)[b:] + [999] * (a == 7))
                 elif kind == "update":
                     chain.apply_update_tx("prod", chain.height - a % 3 + (b == 7),
-                                          chain.pool_price() * (0.9 + 0.16 * f))
+                                          pool_price(chain) * (0.9 + 0.16 * f))
                 elif kind == "reveal" and bodies:
                     oct_id = sorted(bodies)[a % len(bodies)]
                     body = bodies[oct_id] if b < 7 else dataclasses.replace(bodies[oct_id], size=1e-6)
                     chain.reveal_order(oct_id, body)
                 elif kind == "execute":
                     labels = sorted(chain.open_allocations) or [0]
-                    proposal = chain.pool_price() * (0.9 + 0.16 * f) if b >= 4 else None
+                    proposal = pool_price(chain) * (0.9 + 0.16 * f) if b >= 4 else None
                     close([chain.execute_batch(labels[a % len(labels)], proposed_price=proposal)])
                 elif kind == "advance":
-                    eps = chain.pool_price() * (0.95 + 0.08 * f) if a < 7 else 0.0
+                    eps = pool_price(chain) * (0.95 + 0.08 * f) if a < 7 else 0.0
                     close(chain.advance_block(eps, converter="prod").executions)
             except (InvalidTransition, FundingError, VerificationError, DomainError):
                 # a refused operation moves no balance and no OCT

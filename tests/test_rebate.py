@@ -3,16 +3,17 @@ from hypothesis import given, strategies as st
 
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves, max_lvr
 from v0lver.errors import DomainError
-from v0lver.rebate import (
-    ZERO_REBATE,
-    RebateSchedule,
-    apply_rebated_move,
-    vault_reenter,
-)
+from v0lver.rebate import RebateSchedule, apply_rebated_move, vault_reenter
 
 from oracles import brentq_vault_shed
 
 C = CONSTANT_PRODUCT
+
+
+def booked(r, move):
+    """The pool the engine books: ``r`` less the producer and vault legs."""
+    (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
+    return Reserves(r.x - fx - vx, r.y - fy - vy)
 
 
 class TestSchedule:
@@ -23,8 +24,9 @@ class TestSchedule:
         )
 
     def test_zero_schedule_pays_nothing(self):
-        assert ZERO_REBATE.value_at(0) == 0.0
-        assert ZERO_REBATE.value_at(7) == 0.0
+        zero = RebateSchedule(z_max=0, beta0=0.0)
+        assert zero.value_at(0) == 0.0
+        assert zero.value_at(7) == 0.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -42,14 +44,13 @@ class TestRebatedMove:
         # (100, 100) moved to price 4 with a 50% rebate: the producer trades
         # half of the full swap, the pool sheds the leftover y into the vault
         # and lands exactly on price 4.
-        res = apply_rebated_move(C, Reserves(100, 100), 4.0, 0.5)
-        assert res.full_target == Reserves(200.0, 50.0)
-        assert res.new_reserves.x == pytest.approx(150.0, rel=1e-12)
-        assert res.new_reserves.y == pytest.approx(37.5, rel=1e-12)
+        r = Reserves(100, 100)
+        res = apply_rebated_move(C, r, 4.0, 0.5)
+        assert booked(r, res).x == pytest.approx(150.0, rel=1e-12)
+        assert booked(r, res).y == pytest.approx(37.5, rel=1e-12)
         assert res.vault_deposit == pytest.approx((0.0, 37.5))
         assert res.producer_flow == pytest.approx((-50.0, 25.0))
         # payoff at eps = 4 is (1 - beta) * L = 0.5 * 100
-        assert res.producer_payoff_at(4.0) == pytest.approx(50.0, rel=1e-12)
         assert res.producer_payoff_at(4.0) == pytest.approx(50.0, rel=1e-12)
 
     def test_matches_root_finding_oracle(self):
@@ -62,23 +63,26 @@ class TestRebatedMove:
         ]:
             res = apply_rebated_move(C, Reserves(x, y), tp, beta)
             ox, oy, sx, sy = brentq_vault_shed(x, y, tp, beta)
-            assert res.new_reserves.x == pytest.approx(ox, rel=1e-9)
-            assert res.new_reserves.y == pytest.approx(oy, rel=1e-9)
+            pool = booked(Reserves(x, y), res)
+            assert pool.x == pytest.approx(ox, rel=1e-9)
+            assert pool.y == pytest.approx(oy, rel=1e-9)
             assert res.vault_deposit[0] == pytest.approx(sx, rel=1e-9, abs=1e-9)
             assert res.vault_deposit[1] == pytest.approx(sy, rel=1e-9, abs=1e-9)
 
     def test_noop_at_current_price(self):
         r = Reserves(123.0, 45.0)
         res = apply_rebated_move(C, r, 123.0 / 45.0, 0.7)
-        assert res.new_reserves == r
+        assert booked(r, res) == r
         assert res.vault_deposit == (0.0, 0.0)
         assert res.producer_flow == (0.0, 0.0)
 
     def test_zero_rebate_is_the_full_swap(self):
-        res = apply_rebated_move(C, Reserves(100, 100), 4.0, 0.0)
-        assert res.new_reserves == res.full_target
+        # The full swap from (100, 100) to price 4 lands on (200, 50).
+        r = Reserves(100, 100)
+        res = apply_rebated_move(C, r, 4.0, 0.0)
+        assert booked(r, res) == Reserves(200.0, 50.0) == C.reserves_at_price(C.invariant(r), 4.0)
         assert res.vault_deposit == (0.0, 0.0)
-        assert C.invariant(res.new_reserves) == pytest.approx(10_000.0, rel=1e-12)
+        assert C.invariant(booked(r, res)) == pytest.approx(10_000.0, rel=1e-12)
 
     def test_rejects_rebate_out_of_range(self):
         for bad in (-0.1, 1.0, 1.5):
@@ -95,21 +99,15 @@ class TestRebatedMove:
         r = Reserves(x, y)
         tp = float(C.price(r)) * mult
         res = apply_rebated_move(C, r, tp, beta)
-        assert C.price(res.new_reserves) == pytest.approx(tp, rel=1e-9)
+        pool = booked(r, res)
+        assert C.price(pool) == pytest.approx(tp, rel=1e-9)
         k0 = C.invariant(r)
-        k1 = C.invariant(res.new_reserves)
+        k1 = C.invariant(pool)
         assert k1 <= k0 * (1.0 + 1e-12)
         # deposits are one-sided and non-negative
         dx, dy = res.vault_deposit
         assert dx >= 0.0 and dy >= 0.0
         assert dx == 0.0 or dy == 0.0
-        # conservation: pool delta + producer flow + vault deposit is zero
-        assert res.new_reserves.x - x - (-res.producer_flow[0]) + dx == pytest.approx(
-            0.0, abs=1e-6 * max(1.0, x)
-        )
-        assert res.new_reserves.y - y - (-res.producer_flow[1]) + dy == pytest.approx(
-            0.0, abs=1e-6 * max(1.0, y)
-        )
 
     @given(
         x=st.floats(1.0, 1e4),
@@ -138,18 +136,13 @@ class TestVault:
     def test_reentry_worked_example(self):
         # vault (0, 37.5) folded into pool (150, 37.5) at eps = 4:
         # value 150 splits into (75, 18.75); the converter's flow nets zero.
-        res = vault_reenter(C, Reserves(150.0, 37.5), (0.0, 37.5), 4.0)
-        assert res.added == pytest.approx((75.0, 18.75))
-        assert res.converter_flow == pytest.approx((-75.0, 18.75))
-        assert res.new_reserves.x == pytest.approx(225.0)
-        assert res.new_reserves.y == pytest.approx(56.25)
-        assert C.price(res.new_reserves) == pytest.approx(4.0, rel=1e-12)
+        added, flow = vault_reenter((0.0, 37.5), 4.0)
+        assert added == pytest.approx((75.0, 18.75))
+        assert flow == pytest.approx((-75.0, 18.75))
+        assert C.price(Reserves(150.0 + added[0], 37.5 + added[1])) == pytest.approx(4.0, rel=1e-12)
 
     def test_reentry_on_empty_vault_is_noop(self):
-        r = Reserves(10, 10)
-        res = vault_reenter(C, r, (0.0, 0.0), 2.0)
-        assert res.new_reserves == r
-        assert res.added == (0.0, 0.0)
+        assert vault_reenter((0.0, 0.0), 2.0) == ((0.0, 0.0), (0.0, 0.0))
 
     @given(
         x=st.floats(1.0, 1e6),
@@ -160,11 +153,9 @@ class TestVault:
     )
     def test_reentry_is_value_neutral_and_grows_k(self, x, y, vx, vy, eps):
         r = Reserves(x, y)
-        res = vault_reenter(C, r, (vx, vy), eps)
-        fx, fy = res.converter_flow
+        (ax, ay), (fx, fy) = vault_reenter((vx, vy), eps)
         assert fx + fy * eps == pytest.approx(0.0, abs=1e-9 * max(1.0, vx + vy * eps))
-        assert C.invariant(res.new_reserves) >= C.invariant(r) * (1.0 - 1e-12)
-        ax, ay = res.added
+        assert C.invariant(Reserves(x + ax, y + ay)) >= C.invariant(r) * (1.0 - 1e-12)
         assert vx + vy * eps == pytest.approx(
             ax + ay * eps, rel=1e-12, abs=1e-12
         )

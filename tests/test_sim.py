@@ -6,7 +6,7 @@ import pytest
 
 from v0lver import sim
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
-from v0lver.config import builtin_scenarios
+from v0lver.config import builtin_scenarios, scenario_from_dict
 from v0lver.errors import ConfigError
 from v0lver.sim import (
     dominance_sweep,
@@ -103,6 +103,42 @@ class TestScenarioRuns:
         assert abs(m.converter_value) < 1e-6 * max(1.0, m.full_lvr)
 
 
+class TestReceipts:
+    def test_block_rows_rebuild_from_the_receipts_alone(self):
+        res = run_scenario(shrink(SCN["default"], 60), 5)
+        rows = []
+        for b in res.receipts:
+            u, pool = b.update, Reserves(*b.pool)
+            executions = b.executions
+            rows.append({
+                "height": b.height, "eps": b.eps, "pool_x": pool.x, "pool_y": pool.y,
+                "pool_price": CONSTANT_PRODUCT.price(pool),
+                "pool_k": CONSTANT_PRODUCT.invariant(pool),
+                "vault_x": b.vault[0], "vault_y": b.vault[1], "update": int(u is not None),
+                "gap": -1 if u is None else u.gap, "beta": 0.0 if u is None else u.beta,
+                "update_price": math.nan if u is None else u.price,
+                "n_submitted": len(b.submitted),
+                "n_inserted": sum(len(ids) for _, ids in b.inserts),
+                "n_revealed": len(b.revealed),
+                "n_executed": sum(len(er.orders) for er in executions),
+                "n_burned": sum(len(er.burned) for er in executions),
+                "volume_y": sum((er.settlement.volume_y for er in executions), 0.0),
+            })
+        # json.dumps keeps column order and spells NaN, so equal text is equal rows.
+        assert json.dumps(rows) == json.dumps(res.blocks)
+        # Each re-entry converts at its own block's price.
+        reentries = [(b, e) for b in res.receipts for e in b.events()
+                     if e["kind"] == "vault_reentered"]
+        assert len(reentries) == sum(b.reentry is not None for b in res.receipts) > 0
+        assert all(e["eps"] == b.eps for b, e in reentries)
+
+    def test_integer_initial_price_reads_as_a_float(self):
+        cfg = scenario_from_dict({"blocks": 3, "price": {"initial": 100}})
+        row = run_scenario(cfg, 0).blocks[0]
+        assert type(row["eps"]) is float
+        assert repr(row["eps"]) == repr(row["update_price"]) == "100.0"
+
+
 class TestBaselineReplay:
     def test_zero_rebate_protocol_shadows_plain_cfmm(self):
         cfg = shrink(SCN["fallback"], 50)
@@ -158,3 +194,12 @@ class TestExperiments:
         # at (1, 0) the move is empty and the escrow share earns the batch's price impact
         assert out["best"]["utility"] > 0.0
         assert len(out["rows"]) == 9
+
+    def test_dominance_sweep_rejects_no_trials(self):
+        with pytest.raises(ConfigError, match="trials"):
+            dominance_sweep(SCN["dominance"], 3, trials=0)
+
+    @pytest.mark.parametrize("arg", ["multipliers", "alphas"])
+    def test_dominance_sweep_rejects_an_empty_grid(self, arg):
+        with pytest.raises(ConfigError, match=arg):
+            dominance_sweep(SCN["dominance"], 3, trials=10, **{arg: []})
