@@ -25,18 +25,45 @@ crossing has the closed form
 with the pool's net trade the chord of the level curve at slope ``p_e``, so
 applying the pool delta to the snapshot preserves the invariant. A batch of
 market orders alone is the auction without limits (``settle_market_batch``).
+
+The book sorts the distinct limits once and keeps prefix sums of each side's
+size over them, so the executable amounts at any price, and so whether the
+batch can clear there and how much it could trade, are read in O(log n).
+Those screened values only rule candidates out: every number that reaches a
+Settlement comes from an exact O(n) pass that sums the orders in index
+order. The solver bisects on the monotone excess demand for the first limit
+not certainly below the crossing, then settles candidates upward from there,
+skipping the limits the screen rules out. The verifier screens all its own candidates and
+settles only the proposal and those it cannot rule out. The screen's
+comparisons are widened by a bound on the difference between the two
+summation orders, so both return, bit for bit, what settling every candidate
+would. Clearing n orders with L distinct limits costs O(n + L log L) plus a
+few exact passes, where settling every candidate cost O(n L).
 """
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .cfmm import Reserves, check_price
 from .errors import DomainError
 
 # Relative tolerance used when checking a proposed clearing price.
 CLEARING_RTOL = 1e-9
+
+
+def _positive_float(field, value) -> float:
+    """An order's ``field`` as a float; DomainError naming it unless finite and > 0."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not 0.0 < v < math.inf:
+        raise DomainError(f"order {field} must be finite and > 0, got {value!r}")
+    return v
 
 
 class OrderSide(enum.Enum):
@@ -61,10 +88,15 @@ class Order:
     owner: str | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.size) and self.size > 0.0):
-            raise DomainError(f"order size must be finite and > 0, got {self.size!r}")
+        if not isinstance(self.side, OrderSide):
+            try:
+                object.__setattr__(self, "side", OrderSide(self.side))
+            except ValueError:
+                raise DomainError(
+                    f"order side must be 'buy_y' or 'sell_y', got {self.side!r}") from None
+        object.__setattr__(self, "size", _positive_float("size", self.size))
         if self.limit is not None:
-            object.__setattr__(self, "limit", check_price(self.limit))
+            object.__setattr__(self, "limit", _positive_float("limit", self.limit))
 
     @property
     def sells_token(self) -> str:
@@ -108,32 +140,131 @@ def escrow_size(count: int, price: float, max_x: float, max_y: float) -> tuple[f
 
 
 class _Book:
-    """One batch, split once: the orders, each side's ``(index, size, limit)``
-    triples in index order (``limit=None`` for markets), and the sorted limits."""
+    """One batch against one snapshot, sorted once.
 
-    __slots__ = ("orders", "buys", "sells", "limits")
+    The exact side keeps the orders and each side's ``(index, size, limit)``
+    triples in index order (``limit=None`` for markets); ``settle`` and
+    ``regime_price`` sum them in that order, so every number that reaches a
+    Settlement has one summation order. The screening side totals each
+    side's size per limit (``buy_at``, ``sell_at``) and keeps prefix sums
+    over the sorted distinct ``limits``: per regime ``k`` (the gap between
+    ``limits[k-1]`` and ``limits[k]``, with 0 below the first limit and
+    infinity above the last), the size of the buys (``bx[k]``, limit at or
+    above the gap, or market) and of the sells (``sy[k]``, limit at or below
+    it, or market) executable inside the gap. A prefix sum differs from the
+    index-order sum by rounding only, bounded relative to the sum by
+    ``slack`` (infinite when the book's magnitudes come near overflow, so
+    that nothing is screened out).
+    """
 
-    def __init__(self, orders):
+    __slots__ = ("curve", "snapshot", "orders", "buys", "sells", "limits",
+                 "bx", "sy", "buy_at", "sell_at", "slack")
+
+    def __init__(self, curve, snapshot, orders):
+        self.curve, self.snapshot = curve, snapshot
         self.orders = list(orders)
         self.buys, self.sells = [], []
+        buy_at, sell_at = self.buy_at, self.sell_at = {}, {}
+        buy_markets = sell_markets = 0.0
         for i, o in enumerate(self.orders):
-            (self.buys if o.side is OrderSide.BUY_Y else self.sells).append((i, o.size, o.limit))
-        self.limits = sorted({o.limit for o in self.orders if o.limit is not None})
+            lim, size = o.limit, o.size
+            if o.side is OrderSide.BUY_Y:
+                self.buys.append((i, size, lim))
+                if lim is None:
+                    buy_markets += size
+                else:
+                    buy_at[lim] = buy_at.get(lim, 0.0) + size
+            else:
+                self.sells.append((i, size, lim))
+                if lim is None:
+                    sell_markets += size
+                else:
+                    sell_at[lim] = sell_at.get(lim, 0.0) + size
+        limits = self.limits = sorted(buy_at.keys() | sell_at.keys())
+        self.bx = list(accumulate([buy_at.get(lim, 0.0) for lim in reversed(limits)],
+                                  initial=buy_markets))[::-1]
+        self.sy = list(accumulate([sell_at.get(lim, 0.0) for lim in limits], initial=sell_markets))
 
-    def regimes(self, snapshot):
-        """Yield ``(lo, hi, p_star)`` for each gap between consecutive limits.
+        # The rounding bound holds while no value settle computes at a
+        # candidate price (all within ``prices``) can overflow.
+        x, y, x_all, y_all = snapshot.x, snapshot.y, self.bx[0], self.sy[-1]
+        prices = [x / (y + y_all), (x + x_all) / y] + limits[:1] + limits[-1:]
+        low, high = min(prices), max(prices)
+        safe = (2.0**-400 < low and high < 2.0**400
+                and (x + y + x_all + y_all) * max(high, 1.0 / low, 1.0) ** 2 < 2.0**900)
+        self.slack = 16.0 * (len(self.orders) + 8) * 2.0**-53 if safe else math.inf
 
-        The executable sets are constant strictly inside ``(lo, hi)``, and
-        ``p_star`` is the market-balance price they would clear at.
+    def gap(self, k):
+        """``(lo, hi)``: the limits around regime ``k``."""
+        lo = self.limits[k - 1] if k > 0 else 0.0
+        return lo, self.limits[k] if k < len(self.limits) else math.inf
+
+    def regime_price(self, k):
+        """Regime ``k``'s market-balance price, from index-order sums."""
+        lo, hi = self.gap(k)
+        x_in = sum(s for _, s, lim in self.buys if lim is None or lim >= hi)
+        y_in = sum(s for _, s, lim in self.sells if lim is None or lim <= lo)
+        return (self.snapshot.x + x_in) / (self.snapshot.y + y_in)
+
+    def screened_price(self, k):
+        """Regime ``k``'s market-balance price from the prefix sums: within
+        relative ``slack`` of ``regime_price(k)`` when finite and > 0."""
+        return (self.snapshot.x + self.bx[k]) / (self.snapshot.y + self.sy[k])
+
+    def below_crossing(self, k):
+        """True when ``settle`` certainly fails at ``limits[k]`` for want of
+        supply and ``regime_price(k)`` certainly lies above ``limits[k]``.
+
+        Compares, in x, the demand left with the marginal buys out against
+        the supply with the marginal sells in, with a margin covering the
+        settle tolerance (marginal buys bounded by all buys) and rounding.
+        Each term is monotone in ``k``, so this holds on a prefix of the
+        limits and bisection finds its end.
         """
-        edges = [0.0] + self.limits + [math.inf]
-        for lo, hi in zip(edges, edges[1:]):
-            x_in = sum(s for _, s, lim in self.buys if lim is None or lim >= hi)
-            y_in = sum(s for _, s, lim in self.sells if lim is None or lim <= lo)
-            yield lo, hi, (snapshot.x + x_in) / (snapshot.y + y_in)
+        lim, x, y = self.limits[k], self.snapshot.x, self.snapshot.y
+        supply = lim * (self.sy[k + 1] + y)
+        excess = self.bx[k + 1] + x - supply
+        tol = CLEARING_RTOL * max(lim * y, x, self.bx[0], lim * self.sy[k + 1], lim * 1e-30)
+        return excess > tol + self.slack * (self.bx[0] + x + supply + 1e-280)
 
-    def settle(self, curve, snapshot, p):
-        """Try to clear the batch at uniform price ``p``.
+    def excluded(self, p, wobble=0.0, vol=None):
+        """True when ``settle`` certainly fails at every price within relative
+        ``wobble`` of ``p`` > 0, or (given ``vol``) certainly settles at most
+        ``vol`` plus half the verifier's tolerance.
+
+        The screen mirrors ``settle``'s branches on prefix sums, with each
+        comparison widened by the rounding bound; anything it cannot decide
+        (a limit inside the wobble, overflow, NaN) is not excluded.
+        """
+        x, y = self.snapshot.x, self.snapshot.y
+        lo, hi = p * (1.0 - wobble), p * (1.0 + wobble)
+        k = bisect_left(self.limits, lo)
+        if k < len(self.limits) and self.limits[k] <= hi:
+            if wobble:
+                return False
+            # p is limits[k]: with its marginal orders in, and out.
+            in_x, all_x, in_y, all_y = self.bx[k + 1], self.bx[k], self.sy[k], self.sy[k + 1]
+            marginal_buys, marginal_sells = p in self.buy_at, p in self.sell_at
+        else:
+            in_x = all_x = self.bx[k]
+            in_y = all_y = self.sy[k]
+            marginal_buys = marginal_sells = False
+        err = self.slack * ((all_x + x) / lo + all_y + y + 1e-280)
+        if vol is not None and all_x / lo + all_y + err <= vol + 0.5 * CLEARING_RTOL * max(vol, 1.0):
+            return True
+        tol = CLEARING_RTOL * max(y, x / lo, all_x / lo, all_y, 1e-30)
+        if (all_x + x) / hi - (all_y + y) > tol + err:
+            # Demand exceeds supply: only marginal buys filling less can close it.
+            excess = (in_x + x) / p - (all_y + y)
+            return not marginal_buys or excess > CLEARING_RTOL * (all_x - in_x) / p + 2.0 * err
+        gap = (all_x + x) / lo - (all_y + y)
+        if gap < -tol - err:
+            # Supply exceeds demand: only marginal sells filling less can close it.
+            return not marginal_sells or gap < -(1.0 + CLEARING_RTOL) * (all_y - in_y) - 3.0 * err
+        return False
+
+    def settle(self, p):
+        """Try to clear the batch at uniform price ``p``, in one O(n) pass.
 
         Infra-marginal orders (limits strictly admitting ``p``, and markets)
         must fill fully; orders with limit exactly ``p`` may fill pro-rata so
@@ -141,11 +272,12 @@ class _Book:
         Returns the Settlement, or None when no fill fractions in [0, 1]
         balance the batch.
         """
+        snapshot = self.snapshot
         in_x = sum(s for _, s, lim in self.buys if lim is None or lim > p)
         mb = sum(s for _, s, lim in self.buys if lim == p)
         in_y = sum(s for _, s, lim in self.sells if lim is None or lim < p)
         ms = sum(s for _, s, lim in self.sells if lim == p)
-        chord = curve.chord_y(snapshot, p)
+        chord = self.curve.chord_y(snapshot, p)
         scale = max(snapshot.y, abs(chord), (in_x + mb) / p, in_y + ms, 1e-30)
         tol = CLEARING_RTOL * scale
 
@@ -198,17 +330,34 @@ def clearing_price_with_limits(curve, snapshot: Reserves, orders) -> Settlement:
     Net executable user demand falls in price, the snapshot chord liquidity
     rises, so their crossing is unique; between consecutive limit prices it
     has the same closed form as the all-market batch, and at a limit price
-    the marginal orders' pro-rata fraction closes the gap. An empty batch
+    the marginal orders' pro-rata fraction closes the gap. The result is the
+    first candidate in ascending order that settles (each regime's
+    market-balance price when inside its gap, then the limit above it).
+    Bisection skips the limits below the crossing, and the walk from there
+    settles only the candidates the screen cannot rule out. An empty batch
     clears at the snapshot price with zero volume.
     """
-    book = _Book(orders)
-    for lo, hi, p_star in book.regimes(snapshot):
-        if lo < p_star < hi:
-            settled = book.settle(curve, snapshot, p_star)
-            if settled is not None:
-                return settled
-        if math.isfinite(hi):
-            settled = book.settle(curve, snapshot, hi)
+    book = _Book(curve, snapshot, orders)
+    m = len(book.limits)
+    first, last = 0, m
+    while first < last:
+        mid = (first + last) // 2
+        if book.below_crossing(mid):
+            first = mid + 1
+        else:
+            last = mid
+    for k in range(first, m + 1):
+        lo, hi = book.gap(k)
+        screened = book.screened_price(k)
+        if not 0.0 < screened < math.inf or (
+                screened * (1.0 + book.slack) > lo and screened * (1.0 - book.slack) < hi):
+            p_star = book.regime_price(k)
+            if lo < p_star < hi:
+                settled = book.settle(p_star)
+                if settled is not None:
+                    return settled
+        if k < m and not book.excluded(hi):
+            settled = book.settle(hi)
             if settled is not None:
                 return settled
     # Unreachable for well-formed inputs: the crossing always exists.
@@ -234,26 +383,34 @@ def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> Settle
 
     Returns the settlement at ``proposed`` iff the batch can actually clear
     there (limits respected, infra-marginal orders fully filled, pool trade
-    on the level curve) and no candidate price — any order limit or any
-    regime's market-balance price — achieves more executed volume; None
-    otherwise.
+    on the level curve) and no candidate price — any order limit, the pool
+    price or any regime's market-balance price — achieves more executed
+    volume; None otherwise. The proposal is settled exactly; a candidate is
+    settled exactly only when the screen cannot rule it out, i.e. it may
+    clear and its volume may beat the proposal's.
     """
     try:
         p = check_price(proposed)
     except DomainError:
         return None
-    book = _Book(orders)
-    settled = book.settle(curve, snapshot, p)
+    book = _Book(curve, snapshot, orders)
+    settled = book.settle(p)
     if settled is None:
         return None
-    candidates = set(book.limits)
-    candidates.add(curve.price(snapshot))
-    candidates.update(p_star for _, _, p_star in book.regimes(snapshot))
     vol = best = settled.volume_y
-    for c in candidates:
-        if c <= 0.0 or not math.isfinite(c):
+    m = len(book.limits)
+    candidates = [(c, None) for c in book.limits]
+    candidates.append((curve.price(snapshot), None))
+    candidates.extend((book.screened_price(k), k) for k in range(m + 1))
+    for c, k in candidates:
+        if k is not None:
+            if 0.0 < c < math.inf and book.excluded(c, book.slack, vol):
+                continue
+            c = book.regime_price(k)
+        # A candidate equal to the proposal settles exactly as it did.
+        if c == p or not 0.0 < c < math.inf or book.excluded(c, 0.0, vol):
             continue
-        other = book.settle(curve, snapshot, c)
+        other = book.settle(c)
         if other is not None and other.volume_y > best:
             best = other.volume_y
     scale = max(vol, best, 1.0)

@@ -9,7 +9,12 @@ protocol's escrow and vault plumbing around them. The engine-backed producer
 payoffs are the other one: they run the protocol itself, the reference the
 vectorized criterion-4 model must reproduce. The market-batch closed
 form is the reference the auction's all-market case must reproduce bit for
-bit. ``InlineExecutor`` and ``pool_price`` are test plumbing, not references.
+bit. The reference clearing (``ReferenceBook``, ``reference_clearing_price``
+and ``reference_verify_clearing_price``) is the quadratic uniform-price book
+the sorted book in ``allocation`` replaced: it re-sums each side per regime
+and settles every candidate exactly, and the sorted book must reproduce its
+solver and verifier bit for bit. ``settlement_bits``, ``InlineExecutor`` and ``pool_price``
+are test plumbing, not references.
 """
 from __future__ import annotations
 
@@ -17,8 +22,16 @@ import math
 
 import numpy as np
 
-from v0lver.allocation import Order, OrderSide, clearing_price_with_limits
-from v0lver.cfmm import Reserves
+from v0lver.allocation import (
+    CLEARING_RTOL,
+    Fill,
+    Order,
+    OrderSide,
+    Settlement,
+    clearing_price_with_limits,
+)
+from v0lver.errors import DomainError
+from v0lver.cfmm import Reserves, check_price
 from v0lver.engine import ChainState
 
 
@@ -96,6 +109,143 @@ def closed_form_market_batch(snapshot_x: float, snapshot_y: float, dx: float, dy
         return snapshot_x / snapshot_y, (0.0, 0.0), 0.0
     p = (snapshot_x + dx) / (snapshot_y + dy)
     return p, (dx - dy * p, dy - dx / p), dx / p + dy
+
+
+class ReferenceBook:
+    """One batch, split once: the orders, each side's ``(index, size, limit)``
+    triples in index order (``limit=None`` for markets), and the sorted limits."""
+
+    __slots__ = ("orders", "buys", "sells", "limits")
+
+    def __init__(self, orders):
+        self.orders = list(orders)
+        self.buys, self.sells = [], []
+        for i, o in enumerate(self.orders):
+            (self.buys if o.side is OrderSide.BUY_Y else self.sells).append((i, o.size, o.limit))
+        self.limits = sorted({o.limit for o in self.orders if o.limit is not None})
+
+    def regimes(self, snapshot):
+        """Yield ``(lo, hi, p_star)`` for each gap between consecutive limits.
+
+        The executable sets are constant strictly inside ``(lo, hi)``, and
+        ``p_star`` is the market-balance price they would clear at.
+        """
+        edges = [0.0] + self.limits + [math.inf]
+        for lo, hi in zip(edges, edges[1:]):
+            x_in = sum(s for _, s, lim in self.buys if lim is None or lim >= hi)
+            y_in = sum(s for _, s, lim in self.sells if lim is None or lim <= lo)
+            yield lo, hi, (snapshot.x + x_in) / (snapshot.y + y_in)
+
+    def settle(self, curve, snapshot, p):
+        """Try to clear the batch at uniform price ``p``.
+
+        Infra-marginal orders (limits strictly admitting ``p``, and markets)
+        must fill fully; orders with limit exactly ``p`` may fill pro-rata so
+        that the pool's net trade is exactly the level-curve chord at ``p``.
+        Returns the Settlement, or None when no fill fractions in [0, 1]
+        balance the batch.
+        """
+        in_x = sum(s for _, s, lim in self.buys if lim is None or lim > p)
+        mb = sum(s for _, s, lim in self.buys if lim == p)
+        in_y = sum(s for _, s, lim in self.sells if lim is None or lim < p)
+        ms = sum(s for _, s, lim in self.sells if lim == p)
+        chord = curve.chord_y(snapshot, p)
+        scale = max(snapshot.y, abs(chord), (in_x + mb) / p, in_y + ms, 1e-30)
+        tol = CLEARING_RTOL * scale
+
+        # Net y demand minus supply with all marginals included, versus the chord.
+        gap = (in_x + mb) / p - (in_y + ms) - chord
+        phi_b = phi_s = 1.0
+        if gap > tol:
+            if mb <= 0.0:
+                return None
+            phi_b = (p * (in_y + ms + chord) - in_x) / mb
+            if phi_b < -CLEARING_RTOL or phi_b > 1.0 + CLEARING_RTOL:
+                return None
+            phi_b = min(max(phi_b, 0.0), 1.0)
+        elif gap < -tol:
+            if ms <= 0.0:
+                return None
+            phi_s = ((in_x + mb) / p - chord) - in_y
+            phi_s /= ms
+            if phi_s < -CLEARING_RTOL or phi_s > 1.0 + CLEARING_RTOL:
+                return None
+            phi_s = min(max(phi_s, 0.0), 1.0)
+
+        fills = []
+        sold_x = sold_y = 0.0
+        for i, o in enumerate(self.orders):
+            lim = o.limit
+            if o.side is OrderSide.BUY_Y:
+                f = 1.0 if lim is None or lim > p else phi_b if lim == p else 0.0
+                if f > 0.0:
+                    amt = f * o.size
+                    fills.append(Fill(index=i, sold=amt, bought=amt / p))
+                    sold_x += amt
+            else:
+                f = 1.0 if lim is None or lim < p else phi_s if lim == p else 0.0
+                if f > 0.0:
+                    amt = f * o.size
+                    fills.append(Fill(index=i, sold=amt, bought=amt * p))
+                    sold_y += amt
+        return Settlement(
+            price=p,
+            pool_delta=(sold_x - sold_y * p, sold_y - sold_x / p),
+            fills=tuple(fills),
+            volume_y=sold_x / p + sold_y,
+        )
+
+
+def reference_clearing_price(curve, snapshot: Reserves, orders) -> Settlement:
+    """The first candidate in ascending order that settles: each regime's
+    market-balance price (when inside its gap), then the limit above it."""
+    book = ReferenceBook(orders)
+    for lo, hi, p_star in book.regimes(snapshot):
+        if lo < p_star < hi:
+            settled = book.settle(curve, snapshot, p_star)
+            if settled is not None:
+                return settled
+        if math.isfinite(hi):
+            settled = book.settle(curve, snapshot, hi)
+            if settled is not None:
+                return settled
+    # Unreachable for well-formed inputs: the crossing always exists.
+    raise DomainError("no consistent uniform clearing price found")
+
+
+def reference_verify_clearing_price(curve, snapshot: Reserves, orders, proposed):
+    """The settlement at ``proposed`` if it clears and no candidate price (any
+    limit, the pool price, any regime's market-balance price) settles more
+    volume, else None; every candidate is settled exactly."""
+    try:
+        p = check_price(proposed)
+    except DomainError:
+        return None
+    book = ReferenceBook(orders)
+    settled = book.settle(curve, snapshot, p)
+    if settled is None:
+        return None
+    candidates = set(book.limits)
+    candidates.add(curve.price(snapshot))
+    candidates.update(p_star for _, _, p_star in book.regimes(snapshot))
+    vol = best = settled.volume_y
+    for c in candidates:
+        if c <= 0.0 or not math.isfinite(c):
+            continue
+        other = book.settle(curve, snapshot, c)
+        if other is not None and other.volume_y > best:
+            best = other.volume_y
+    scale = max(vol, best, 1.0)
+    return settled if vol >= best - CLEARING_RTOL * scale else None
+
+
+def settlement_bits(s):
+    """A Settlement (or None) as exact bits: ``float.hex`` of the price, the
+    pool delta, the volume and every fill."""
+    if s is None:
+        return None
+    return (s.price.hex(), [v.hex() for v in s.pool_delta], s.volume_y.hex(),
+            [(f.index, f.sold.hex(), f.bought.hex()) for f in s.fills])
 
 
 def grid_max_extraction(x: float, y: float, eps: float, points: int = 10_001):

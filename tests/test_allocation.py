@@ -1,9 +1,12 @@
 import dataclasses
+import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from v0lver import allocation
 from v0lver.allocation import (
     Fill,
     Order,
@@ -18,7 +21,14 @@ from v0lver.engine import ChainState
 from v0lver.errors import DomainError, InvariantViolation
 from v0lver.rebate import RebateSchedule
 
-from oracles import bisect_market_clearing, closed_form_market_batch
+from oracles import (
+    ReferenceBook,
+    bisect_market_clearing,
+    closed_form_market_batch,
+    reference_clearing_price,
+    reference_verify_clearing_price,
+    settlement_bits,
+)
 
 C = CONSTANT_PRODUCT
 SNAP = Reserves(100.0, 100.0)
@@ -270,6 +280,128 @@ class TestVerification:
         assert verify_clearing_price(C, SNAP, orders, 1.07) is None
 
 
+#: Limits on a small grid around the snapshot price 1.0, so that ties,
+#: duplicate limits and limits at the snapshot price are common.
+LIMIT_GRID = (0.9, 0.95, 0.98, 0.99, 1.0, 1.01, 1.02, 1.05, 1.1)
+
+
+@st.composite
+def grid_books(draw):
+    """``(snapshot, orders)``: 0-60 orders with limits from ``LIMIT_GRID``
+    against a pool priced 1.0; a quarter of the books are all-market and a
+    third one-sided."""
+    snapshot = draw(st.sampled_from([Reserves(100.0, 100.0), Reserves(10.0, 10.0),
+                                     Reserves(1.0, 1.0)]))
+    sides = draw(st.sampled_from([list(OrderSide), [OrderSide.BUY_Y], [OrderSide.SELL_Y]]))
+    limits = st.none() if draw(st.integers(0, 3)) == 0 else st.one_of(
+        st.none(), st.sampled_from(LIMIT_GRID))
+    orders = draw(st.lists(
+        st.builds(Order, side=st.sampled_from(sides),
+                  size=st.one_of(st.sampled_from([0.5, 1.0, 2.5, 10.0]), st.floats(0.01, 50.0)),
+                  limit=limits),
+        max_size=60))
+    return snapshot, orders
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as exact bits, or "DomainError" when it raises one."""
+    try:
+        return settlement_bits(fn(*args))
+    except DomainError:
+        return "DomainError"
+
+
+#: A huge marginal buy at 1.0: the settle tolerance on its fill fraction lets
+#: the batch clear there although demand exceeds the pool's supply.
+MARGINAL_ARTIFACT = (SNAP, [buy(1e12, limit=1.0), buy(500.0, limit=2.0)])
+
+#: The sells' limit 1.05 settles (their fill fraction is 0 within tolerance),
+#: but the market-balance price 1.5e-9 below it clears 1.5e-9 more volume:
+#: just beyond the verifier's tolerance, so proposing 1.05 fails.
+NARROWLY_BEATEN = (SNAP, [buy(100.0 * 1.05 * (1.0 - 1.5e-9) - 100.0), sell(1000.0, limit=1.05)])
+
+
+class TestSortedBookMatchesReference:
+    """The sorted book reproduces the quadratic reference clearing bit for bit."""
+
+    @given(book=grid_books())
+    @example(book=MARGINAL_ARTIFACT)
+    @settings(max_examples=300, deadline=None)
+    def test_solver(self, book):
+        snapshot, orders = book
+        assert outcome(clearing_price_with_limits, C, snapshot, orders) == outcome(
+            reference_clearing_price, C, snapshot, orders)
+
+    @given(book=grid_books())
+    @example(book=MARGINAL_ARTIFACT)
+    @example(book=NARROWLY_BEATEN)
+    @settings(max_examples=200, deadline=None)
+    def test_verifier(self, book):
+        snapshot, orders = book
+        ref = ReferenceBook(orders)
+        prices = {reference_clearing_price(C, snapshot, orders).price, *ref.limits}
+        prices.update(p_star for _, _, p_star in ref.regimes(snapshot))
+        proposals = prices | {math.nextafter(p, d) for p in prices for d in (0.0, math.inf)}
+        for p in [*sorted(proposals), 0.0, -1.0, math.nan]:
+            assert settlement_bits(verify_clearing_price(C, snapshot, orders, p)) == (
+                settlement_bits(reference_verify_clearing_price(C, snapshot, orders, p))), p
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_near_ties_where_the_price_flips(self, seed):
+        # Grow one market buy through the size at which the clearing price
+        # jumps to another candidate. Within a few ulps of that size the
+        # prefix sums and the index-order sums round differently, and only
+        # the screen's rounding margin keeps the skipped candidates exact.
+        rng = random.Random(seed)
+        base = [Order(rng.choice(list(OrderSide)), rng.uniform(0.01, 50.0),
+                      rng.choice(LIMIT_GRID) if rng.random() < 0.7 else None)
+                for _ in range(40)]
+        snapshot = Reserves(1.0, 1.0)
+
+        def price(size):
+            return reference_clearing_price(C, snapshot, base + [buy(size)]).price
+
+        lo, hi = 1e-3, 200.0
+        low_price = price(lo)
+        assert price(hi) != low_price
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if price(mid) == low_price else (lo, mid)
+        size = lo
+        for _ in range(40):
+            size = math.nextafter(size, 0.0)
+        for _ in range(80):
+            orders = base + [buy(size)]
+            ref = reference_clearing_price(C, snapshot, orders)
+            assert settlement_bits(clearing_price_with_limits(C, snapshot, orders)) == (
+                settlement_bits(ref))
+            for p in (ref.price, low_price):
+                assert settlement_bits(verify_clearing_price(C, snapshot, orders, p)) == (
+                    settlement_bits(reference_verify_clearing_price(C, snapshot, orders, p)))
+            size = math.nextafter(size, math.inf)
+
+    def test_exact_passes_stay_constant_on_a_large_book(self, monkeypatch):
+        # 3,000 orders of the default flow at price 100, 30% with limits
+        # within 2%: about 900 distinct limits, where the quadratic book
+        # settled about twice per limit.
+        rng = random.Random(0)
+        orders = []
+        for _ in range(3_000):
+            value = 10.0 * rng.random() or 1.0
+            limit = 100.0 * (1.0 + 0.02 * rng.uniform(-1.0, 1.0)) if rng.random() < 0.3 else None
+            orders.append(buy(value, limit) if rng.random() < 0.5 else sell(value / 100.0, limit))
+        snapshot = Reserves(10_000.0, 100.0)
+        assert len({o.limit for o in orders}) > 850
+        passes = []
+        for name in ("settle", "regime_price"):
+            exact = getattr(allocation._Book, name)
+            monkeypatch.setattr(allocation._Book, name,
+                                lambda self, *a, _exact=exact: passes.append(a) or _exact(self, *a))
+        s = clearing_price_with_limits(C, snapshot, orders)
+        assert verify_clearing_price(C, snapshot, orders, s.price) == s
+        assert len(passes) <= 6
+
+
 class TestEscrowSizing:
     def test_escrow_worked_example(self):
         assert escrow_size(3, 2.0, 4.0, 1.0) == pytest.approx((6.0, 6.0))
@@ -345,6 +477,25 @@ class TestOrderValidation:
             sell(-1.0)
         with pytest.raises(DomainError):
             buy(1.0, limit=-2.0)
+
+    def test_side_is_coerced_and_checked(self):
+        # a side given by its value is the enum member, not a seller
+        assert Order("buy_y", 10.0).side is OrderSide.BUY_Y
+        assert Order("buy_y", 10.0).sells_token == "x"
+        with pytest.raises(DomainError, match="side"):
+            Order("buy", 1.0)
+        with pytest.raises(DomainError, match="side"):
+            Order(None, 1.0)
+
+    def test_size_and_limit_are_coerced_and_checked(self):
+        o = Order(OrderSide.BUY_Y, True)
+        assert type(o.size) is float and o.size == 1.0
+        for bad in ("ten", None, float("nan"), float("inf"), 0.0):
+            with pytest.raises(DomainError, match="size"):
+                Order(OrderSide.SELL_Y, bad)
+        for bad in ("ten", float("nan"), -2.0):
+            with pytest.raises(DomainError, match="limit"):
+                Order(OrderSide.SELL_Y, 1.0, bad)
 
     def test_sells_token(self):
         assert buy(1.0).sells_token == "x"

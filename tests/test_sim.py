@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from v0lver import sim
+from v0lver import engine, sim
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
 from v0lver.config import builtin_scenarios, scenario_from_dict
 from v0lver.errors import ConfigError
@@ -17,7 +17,13 @@ from v0lver.sim import (
     user_price_experiment,
 )
 
-from oracles import InlineExecutor, baseline_cfmm_replay
+from oracles import (
+    InlineExecutor,
+    baseline_cfmm_replay,
+    reference_clearing_price,
+    reference_verify_clearing_price,
+    settlement_bits,
+)
 
 SCN = builtin_scenarios()
 
@@ -137,6 +143,24 @@ class TestReceipts:
         row = run_scenario(cfg, 0).blocks[0]
         assert type(row["eps"]) is float
         assert repr(row["eps"]) == repr(row["update_price"]) == "100.0"
+
+
+class TestSortedBookAtBatchScale:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_settlements_match_the_reference_clearing(self, seed, monkeypatch):
+        # Builtin scenarios batch a handful of orders; at arrival 400 each
+        # batch holds hundreds, 30% of them limits within 2%.
+        cfg = SCN["default"]
+        cfg = dataclasses.replace(cfg, blocks=8, flow=dataclasses.replace(cfg.flow, arrival=400.0))
+
+        def settlements():
+            run = run_scenario(cfg, seed)
+            return [settlement_bits(e.settlement) for b in run.receipts for e in b.executions]
+
+        shipped = settlements()
+        monkeypatch.setattr(engine, "clearing_price_with_limits", reference_clearing_price)
+        monkeypatch.setattr(engine, "verify_clearing_price", reference_verify_clearing_price)
+        assert len(shipped) >= 5 and shipped == settlements()
 
 
 class TestBaselineReplay:
