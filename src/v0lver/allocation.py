@@ -29,16 +29,16 @@ market orders alone is the auction without limits (``settle_market_batch``).
 The book sorts the distinct limits once and keeps prefix sums of each side's
 size over them, so the executable amounts at any price, and so whether the
 batch can clear there and how much it could trade, are read in O(log n).
-Those screened values only rule candidates out: every number that reaches a
-Settlement comes from an exact O(n) pass that sums the orders in index
-order. The solver bisects on the monotone excess demand for the first limit
-not certainly below the crossing, then settles candidates upward from there,
-skipping the limits the screen rules out. The verifier screens all its own candidates and
-settles only the proposal and those it cannot rule out. The screen's
-comparisons are widened by a bound on the difference between the two
-summation orders, so both return, bit for bit, what settling every candidate
-would. Clearing n orders with L distinct limits costs O(n + L log L) plus a
-few exact passes, where settling every candidate cost O(n L).
+Those screened values only rule candidates out, through one screen
+(``_Book.excluded``): every number that reaches a Settlement comes from an
+exact O(n) pass that sums the orders in index order. The solver walks the
+candidates upward from the lowest and settles only those the screen cannot
+rule out; the verifier screens all its own candidates and settles only the
+proposal and those it cannot rule out. The screen's comparisons are widened
+by a bound on the difference between the two summation orders, so both
+return, bit for bit, what settling every candidate would. Clearing n orders
+with L distinct limits costs O(n + L log L) plus a few exact passes, where
+settling every candidate cost O(n L).
 """
 from __future__ import annotations
 
@@ -53,17 +53,6 @@ from .errors import DomainError
 
 # Relative tolerance used when checking a proposed clearing price.
 CLEARING_RTOL = 1e-9
-
-
-def _positive_float(field, value) -> float:
-    """An order's ``field`` as a float; DomainError naming it unless finite and > 0."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        v = math.nan
-    if not 0.0 < v < math.inf:
-        raise DomainError(f"order {field} must be finite and > 0, got {value!r}")
-    return v
 
 
 class OrderSide(enum.Enum):
@@ -94,9 +83,9 @@ class Order:
             except ValueError:
                 raise DomainError(
                     f"order side must be 'buy_y' or 'sell_y', got {self.side!r}") from None
-        object.__setattr__(self, "size", _positive_float("size", self.size))
+        object.__setattr__(self, "size", check_price(self.size, what="order size"))
         if self.limit is not None:
-            object.__setattr__(self, "limit", _positive_float("limit", self.limit))
+            object.__setattr__(self, "limit", check_price(self.limit, what="order limit"))
 
     @property
     def sells_token(self) -> str:
@@ -211,22 +200,6 @@ class _Book:
         relative ``slack`` of ``regime_price(k)`` when finite and > 0."""
         return (self.snapshot.x + self.bx[k]) / (self.snapshot.y + self.sy[k])
 
-    def below_crossing(self, k):
-        """True when ``settle`` certainly fails at ``limits[k]`` for want of
-        supply and ``regime_price(k)`` certainly lies above ``limits[k]``.
-
-        Compares, in x, the demand left with the marginal buys out against
-        the supply with the marginal sells in, with a margin covering the
-        settle tolerance (marginal buys bounded by all buys) and rounding.
-        Each term is monotone in ``k``, so this holds on a prefix of the
-        limits and bisection finds its end.
-        """
-        lim, x, y = self.limits[k], self.snapshot.x, self.snapshot.y
-        supply = lim * (self.sy[k + 1] + y)
-        excess = self.bx[k + 1] + x - supply
-        tol = CLEARING_RTOL * max(lim * y, x, self.bx[0], lim * self.sy[k + 1], lim * 1e-30)
-        return excess > tol + self.slack * (self.bx[0] + x + supply + 1e-280)
-
     def excluded(self, p, wobble=0.0, vol=None):
         """True when ``settle`` certainly fails at every price within relative
         ``wobble`` of ``p`` > 0, or (given ``vol``) certainly settles at most
@@ -299,6 +272,9 @@ class _Book:
             if phi_s < -CLEARING_RTOL or phi_s > 1.0 + CLEARING_RTOL:
                 return None
             phi_s = min(max(phi_s, 0.0), 1.0)
+        elif not (math.isfinite(gap) and math.isfinite(tol)):
+            # A NaN gap or an infinite tolerance passes both tests; it is not a balance.
+            return None
 
         fills = []
         sold_x = sold_y = 0.0
@@ -333,20 +309,14 @@ def clearing_price_with_limits(curve, snapshot: Reserves, orders) -> Settlement:
     the marginal orders' pro-rata fraction closes the gap. The result is the
     first candidate in ascending order that settles (each regime's
     market-balance price when inside its gap, then the limit above it).
-    Bisection skips the limits below the crossing, and the walk from there
-    settles only the candidates the screen cannot rule out. An empty batch
-    clears at the snapshot price with zero volume.
+    The walk starts at the lowest regime and settles a market-balance price
+    only when its screened value may lie inside the gap, and a limit only
+    when ``excluded`` cannot rule it out. An empty batch clears at the
+    snapshot price with zero volume.
     """
     book = _Book(curve, snapshot, orders)
     m = len(book.limits)
-    first, last = 0, m
-    while first < last:
-        mid = (first + last) // 2
-        if book.below_crossing(mid):
-            first = mid + 1
-        else:
-            last = mid
-    for k in range(first, m + 1):
+    for k in range(m + 1):
         lo, hi = book.gap(k)
         screened = book.screened_price(k)
         if not 0.0 < screened < math.inf or (

@@ -20,11 +20,14 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 
-def check_price(value) -> float:
-    """``value`` as a float; DomainError unless it is finite and > 0."""
-    v = float(value)
+def check_price(value, what="price") -> float:
+    """``value`` as a float; DomainError naming ``what`` unless it is a finite number > 0."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
     if not 0.0 < v < math.inf:
-        raise DomainError(f"price must be finite and > 0, got {value!r}")
+        raise DomainError(f"{what} must be finite and > 0, got {value!r}")
     return v
 
 

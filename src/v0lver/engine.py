@@ -296,11 +296,12 @@ class ChainState:
         """Raise InvariantViolation unless each token's supply is conserved (to a
         relative ``_SUPPLY_RTOL``) and the pool holds its earmarks."""
         (tx, ty), (x0, y0) = self.total_supply(), self._supply0
-        if abs(tx - x0) > _SUPPLY_RTOL * abs(x0) or abs(ty - y0) > _SUPPLY_RTOL * abs(y0):
+        # Written so that a NaN fails the comparison and raises.
+        if not (abs(tx - x0) <= _SUPPLY_RTOL * abs(x0) and abs(ty - y0) <= _SUPPLY_RTOL * abs(y0)):
             raise InvariantViolation(f"token supply drifted from ({x0!r}, {y0!r}) "
                                      f"to ({tx!r}, {ty!r})")
         (ex, ey), (px, py) = self.earmark(), self.balances[POOL]
-        if ex > px or ey > py:
+        if not (ex <= px and ey <= py):
             raise InvariantViolation(f"pool ({px!r}, {py!r}) cannot hold its earmarks "
                                      f"({ex!r}, {ey!r})")
 

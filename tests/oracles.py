@@ -171,6 +171,9 @@ class ReferenceBook:
             if phi_s < -CLEARING_RTOL or phi_s > 1.0 + CLEARING_RTOL:
                 return None
             phi_s = min(max(phi_s, 0.0), 1.0)
+        elif not (math.isfinite(gap) and math.isfinite(tol)):
+            # A NaN gap or an infinite tolerance passes both tests; it is not a balance.
+            return None
 
         fills = []
         sold_x = sold_y = 0.0

@@ -271,6 +271,8 @@ class TestVerification:
         assert not verify_clearing_price(C, SNAP, orders, 0.0)
         assert not verify_clearing_price(C, SNAP, orders, -3.0)
         assert not verify_clearing_price(C, SNAP, orders, float("nan"))
+        assert not verify_clearing_price(C, SNAP, orders, "abc")
+        assert not verify_clearing_price(C, SNAP, orders, None)
 
     def test_volume_probe_matches_settlement(self):
         orders = [buy(10.0, limit=1.05)]
@@ -321,6 +323,11 @@ MARGINAL_ARTIFACT = (SNAP, [buy(1e12, limit=1.0), buy(500.0, limit=2.0)])
 NARROWLY_BEATEN = (SNAP, [buy(100.0 * 1.05 * (1.0 - 1.5e-9) - 100.0), sell(1000.0, limit=1.05)])
 
 
+#: Sums that overflow: at the limit 0.5 the buys' y demand is inf and the gap
+#: NaN, which must not read as balanced. The market buy alone clears at 2.0.
+OVERFLOWING = (Reserves(1e300, 1e300), [buy(1.7e308, limit=0.5), buy(1e300)])
+
+
 class TestSortedBookMatchesReference:
     """The sorted book reproduces the quadratic reference clearing bit for bit."""
 
@@ -345,6 +352,19 @@ class TestSortedBookMatchesReference:
         for p in [*sorted(proposals), 0.0, -1.0, math.nan]:
             assert settlement_bits(verify_clearing_price(C, snapshot, orders, p)) == (
                 settlement_bits(reference_verify_clearing_price(C, snapshot, orders, p))), p
+
+    def test_a_non_finite_gap_does_not_settle(self):
+        snapshot, orders = OVERFLOWING
+        s = clearing_price_with_limits(C, snapshot, orders)
+        assert settlement_bits(s) == settlement_bits(
+            reference_clearing_price(C, snapshot, orders))
+        assert s.price == 2.0 and s.volume_y == 5e299
+        assert all(map(math.isfinite, s.pool_delta))
+        for p in (0.5, 2.0):
+            assert settlement_bits(verify_clearing_price(C, snapshot, orders, p)) == (
+                settlement_bits(reference_verify_clearing_price(C, snapshot, orders, p)))
+        assert verify_clearing_price(C, snapshot, orders, 0.5) is None
+        assert verify_clearing_price(C, snapshot, orders, 2.0) == s
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_near_ties_where_the_price_flips(self, seed):
@@ -392,14 +412,16 @@ class TestSortedBookMatchesReference:
             orders.append(buy(value, limit) if rng.random() < 0.5 else sell(value / 100.0, limit))
         snapshot = Reserves(10_000.0, 100.0)
         assert len({o.limit for o in orders}) > 850
-        passes = []
-        for name in ("settle", "regime_price"):
-            exact = getattr(allocation._Book, name)
+        calls = {"settle": [], "regime_price": [], "excluded": []}
+        for name, seen in calls.items():
+            method = getattr(allocation._Book, name)
             monkeypatch.setattr(allocation._Book, name,
-                                lambda self, *a, _exact=exact: passes.append(a) or _exact(self, *a))
+                                lambda self, *a, _m=method, _s=seen: _s.append(a) or _m(self, *a))
         s = clearing_price_with_limits(C, snapshot, orders)
+        # the walk screens each limit at most once
+        assert len(calls["excluded"]) <= len(allocation._Book(C, snapshot, orders).limits)
         assert verify_clearing_price(C, snapshot, orders, s.price) == s
-        assert len(passes) <= 6
+        assert len(calls["settle"]) + len(calls["regime_price"]) <= 6
 
 
 class TestEscrowSizing:

@@ -21,7 +21,7 @@ C = CONSTANT_PRODUCT
 
 class TestPrimitives:
     def test_price_rejects_degenerate_values(self):
-        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf, "abc", None, 10**400):
             with pytest.raises(DomainError):
                 check_price(bad)
 

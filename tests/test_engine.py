@@ -368,9 +368,17 @@ class TestTransitionGuards:
         assert pool_price(chain) == price
         assert chain.advance_block(100.0).update is None
 
+    def test_non_numeric_update_price_books_nothing(self):
+        chain = make_chain()
+        balances = {party: list(acct) for party, acct in chain.balances.items()}
+        with pytest.raises(DomainError, match="price"):
+            chain.apply_update_tx("prod", 0, "abc")
+        assert chain.balances == balances
+        assert chain.advance_block(100.0).update is None
+
     def test_advance_block_checks_the_external_price(self):
         chain = make_chain()
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
+        for bad in (0.0, -1.0, float("nan"), float("inf"), "abc", None):
             with pytest.raises(DomainError):
                 chain.advance_block(bad)
         assert chain.height == 0
@@ -545,6 +553,24 @@ class TestLedger:
         chain._transfer(POOL, "thief", 0.0, chain.balances[POOL][1] - earmark_y / 2)
         with pytest.raises(InvariantViolation, match="earmarks"):
             chain.advance_block(100.0)
+
+    def test_check_books_catches_non_finite_values(self):
+        for bad in (float("nan"), float("inf")):
+            chain = make_chain()
+            chain.balances[POOL][0] = bad
+            with pytest.raises(InvariantViolation, match="supply drifted"):
+                chain.check_books()
+
+        for bad in (float("nan"), float("inf")):
+            chain = make_chain()
+            oct = chain.submit_oct("alice", buy(5.0))
+            chain.insert_octs("prod", [oct.id])
+            chain.apply_update_tx("prod", 0, 100.0)
+            chain.check_books()
+            chain.open_allocations[0] = dataclasses.replace(chain.open_allocations[0],
+                                                            escrow=(bad, 0.0))
+            with pytest.raises(InvariantViolation, match="earmarks"):
+                chain.check_books()
 
     def test_replay_determinism(self):
         def run():
