@@ -14,7 +14,6 @@ from v0lver import (
     OrderSide,
     Reserves,
     clearing_price_with_limits,
-    settle_market_batch,
     verify_clearing_price,
 )
 
@@ -22,7 +21,8 @@ snapshot = Reserves(100.0, 100.0)
 
 # All-market batch: 10 x sold, 5 y sold. Price is (Sx + dx) / (Sy + dy);
 # the pool absorbs the imbalance along its level curve.
-s = settle_market_batch(curve, snapshot, 10.0, 5.0)
+orders = [Order(OrderSide.BUY_Y, 10.0), Order(OrderSide.SELL_Y, 5.0)]
+s = clearing_price_with_limits(curve, snapshot, orders)
 print(f"market batch: price {s.price:.6f} (= 110/105)")
 print(f"pool delta ({s.pool_delta[0]:+.4f}, {s.pool_delta[1]:+.4f}), "
       f"volume {s.volume_y:.4f} y")

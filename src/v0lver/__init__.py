@@ -1,7 +1,7 @@
 """Agent-based simulation of an LVR-rebating CFMM with committed order flow.
 
 The package layers cleanly: curve math (``cfmm``), rebated price moves and
-vault re-entry (``rebate``), batch escrow and uniform-price settlement
+vault re-entry (``rebate``), uniform-price batch settlement
 (``allocation``), the block-by-block protocol state machine (``engine``),
 stochastic agents (``agents``), and the simulation driver plus experiment
 suite (``sim``) behind a CLI (``cli``).
@@ -14,8 +14,6 @@ from .allocation import (
     OrderSide,
     Settlement,
     clearing_price_with_limits,
-    escrow_size,
-    settle_market_batch,
     verify_clearing_price,
 )
 from .cfmm import (

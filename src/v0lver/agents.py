@@ -119,12 +119,12 @@ def producer_utility(
     self-trades ``alpha`` of the per-order bound in its own batch (selling y
     when the target is above the external price, buying otherwise). Each
     trial's batch, the given user flow aggregates plus the own order, clears
-    against the snapshot the engine books with the all-market closed form of
-    ``settle_market_batch``. The payoff sums the exact move leg, the own
-    order's fill and the escrow leg ``beta * (dx + dy * eps)``, the producer's
-    share of the batch's pool delta; callers share the flow across grid points
-    so comparisons are paired. Fixed update costs are omitted: they are
-    constant across the grid.
+    against the snapshot the engine books at ``clearing_price_with_limits``'s
+    all-market closed form ``(R_x + x_in) / (R_y + y_in)``. The payoff sums the
+    exact move leg, the own order's fill and the escrow leg
+    ``beta * (dx + dy * eps)``, the producer's share of the batch's pool delta;
+    callers share the flow across grid points so comparisons are paired. Fixed
+    update costs are omitted: they are constant across the grid.
     """
     beta = schedule.value_at(0)
     move = apply_rebated_move(curve, reserves, multiplier * eps, beta)

@@ -1,14 +1,4 @@
-"""Allocation escrow and the uniform-price batch auction.
-
-An allocation escrow backs a batch of committed orders. The update that
-allocates the batch funds it with enough of both tokens to pay out the
-worst case — ``count`` orders all selling the same side at their maximum
-size — priced at the update's pool price ``p``:
-
-    (count * max_y * p,  count * max_x / p)
-
-The producer funds the rebate fraction ``beta`` of that escrow and the pool
-reserves back the remainder as an earmark.
+"""The uniform-price batch auction.
 
 Settlement replicates what batch-executing the revealed orders directly
 against the pool snapshot would do, as one uniform-price auction.
@@ -24,7 +14,7 @@ crossing has the closed form
 
 with the pool's net trade the chord of the level curve at slope ``p_e``, so
 applying the pool delta to the snapshot preserves the invariant. A batch of
-market orders alone is the auction without limits (``settle_market_batch``).
+market orders alone is the auction without limits.
 
 The book sorts the distinct limits once and keeps prefix sums of each side's
 size over them, so the executable amounts at any price, and so whether the
@@ -114,18 +104,6 @@ class Settlement:
     pool_delta: tuple[float, float]
     fills: tuple[Fill, ...]
     volume_y: float
-
-
-def escrow_size(count: int, price: float, max_x: float, max_y: float) -> tuple[float, float]:
-    """Escrow that covers ``count`` one-sided max-size orders at price ``price`` > 0."""
-    if count < 0:
-        raise DomainError("order count must be >= 0")
-    if not (max_x > 0.0 and max_y > 0.0):
-        raise DomainError("order bounds must be > 0")
-    return count * max_y * price, count * max_x / price
-
-
-# --- the uniform-price batch auction -----------------------------------------
 
 
 class _Book:
@@ -272,8 +250,12 @@ class _Book:
             if phi_s < -CLEARING_RTOL or phi_s > 1.0 + CLEARING_RTOL:
                 return None
             phi_s = min(max(phi_s, 0.0), 1.0)
-        elif not (math.isfinite(gap) and math.isfinite(tol)):
-            # A NaN gap or an infinite tolerance passes both tests; it is not a balance.
+        # The balance at the clamped fractions, whose tolerance scales with the
+        # marginal size and so may hide an imbalance the pool cannot pay. A NaN
+        # balance or an infinite tolerance fails too.
+        ex_x, ex_y = in_x + phi_b * mb, in_y + phi_s * ms
+        if not abs(ex_x / p - ex_y - chord) <= CLEARING_RTOL * max(
+                snapshot.y, abs(chord), ex_x / p, ex_y, 1e-30) < math.inf:
             return None
 
         fills = []
@@ -332,20 +314,6 @@ def clearing_price_with_limits(curve, snapshot: Reserves, orders) -> Settlement:
                 return settled
     # Unreachable for well-formed inputs: the crossing always exists.
     raise DomainError("no consistent uniform clearing price found")
-
-
-def settle_market_batch(curve, snapshot: Reserves, delta_x: float, delta_y: float) -> Settlement:
-    """Settle aggregate market flow (x sold, y sold) against the snapshot.
-
-    The all-market case of ``clearing_price_with_limits``: the flow becomes
-    at most two market orders, the x sold (if any) then the y sold, which
-    clear at ``(R_x + delta_x) / (R_y + delta_y)``. Zero flow clears at the
-    snapshot price with an untouched pool.
-    """
-    if delta_x < 0 or delta_y < 0:
-        raise DomainError("aggregate sold amounts must be >= 0")
-    flow = ((OrderSide.BUY_Y, delta_x), (OrderSide.SELL_Y, delta_y))
-    return clearing_price_with_limits(curve, snapshot, [Order(s, q) for s, q in flow if q != 0.0])
 
 
 def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> Settlement | None:

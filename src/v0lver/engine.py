@@ -4,14 +4,21 @@ The chain state owns a token ledger covering every party that can hold
 value: the pool reserves, the vault, the per-batch escrows, a collateral
 account for committed orders, agent accounts, and a burn sink. Every token
 movement goes through one transfer helper, so total supply is conserved by
-construction; every block end checks it, and that the pool holds its earmarks.
+construction; every block end checks it, and that the pool is live and holds
+its earmarks.
 
-Escrow accounting: the producer's share of an allocation escrow is held
-physically by the escrow party, while the pool-backed share stays inside the
-pool reserves as an earmark (checked for sufficiency, never moved). The pool
-therefore keeps pricing on its full reserves during open batch windows — the
-reading under which a zero-rebate schedule reduces the protocol exactly to a
-plain CFMM — and settlement flows are routed so each side ends up with its
+Escrow accounting: the update that allocates a batch sizes its escrow to pay
+out the worst case, ``count`` orders all selling the same side at the
+per-order bound ``max_x`` or ``max_y``, priced at the update's price ``p``:
+
+    (count * max_y * p,  count * max_x / p)
+
+The producer's ``beta`` share of that escrow is held physically by the escrow
+party, while the pool-backed share stays inside the pool reserves as an
+earmark (checked for sufficiency, never moved). The pool therefore keeps
+pricing on its full reserves during open batch windows — the reading under
+which a zero-rebate schedule reduces the protocol exactly to a plain CFMM —
+and settlement flows are routed so each side ends up with its
 ``1 - beta : beta`` share of the escrow remainder.
 
 Order commitments are modeled as salted digests with honest binding: the
@@ -30,13 +37,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .allocation import (
-    Order,
-    Settlement,
-    clearing_price_with_limits,
-    escrow_size,
-    verify_clearing_price,
-)
+from .allocation import Order, Settlement, clearing_price_with_limits, verify_clearing_price
 from .cfmm import Reserves, check_price, check_reserves
 from .errors import (
     DomainError,
@@ -210,16 +211,14 @@ class ChainState:
         conversion_frequency: int = 1,
         balances: dict[str, tuple[float, float]] | None = None,
     ):
-        if max_x <= 0 or max_y <= 0:
-            raise DomainError("order bounds must be > 0")
+        max_x, max_y = check_price(max_x, what="max_x"), check_price(max_y, what="max_y")
         if reveal_window < 0:
             raise DomainError("reveal window must be >= 0")
         if conversion_frequency < 0:
             raise DomainError("conversion frequency must be >= 0")
         self.curve = curve
         self.schedule = schedule
-        self.max_x = float(max_x)
-        self.max_y = float(max_y)
+        self.max_x, self.max_y = max_x, max_y
         self.reveal_window = int(reveal_window)
         self.conversion_frequency = int(conversion_frequency)
         self.height = 0
@@ -294,13 +293,17 @@ class ChainState:
 
     def check_books(self):
         """Raise InvariantViolation unless each token's supply is conserved (to a
-        relative ``_SUPPLY_RTOL``) and the pool holds its earmarks."""
+        relative ``_SUPPLY_RTOL``), the pool is live and it holds its earmarks."""
         (tx, ty), (x0, y0) = self.total_supply(), self._supply0
         # Written so that a NaN fails the comparison and raises.
         if not (abs(tx - x0) <= _SUPPLY_RTOL * abs(x0) and abs(ty - y0) <= _SUPPLY_RTOL * abs(y0)):
             raise InvariantViolation(f"token supply drifted from ({x0!r}, {y0!r}) "
                                      f"to ({tx!r}, {ty!r})")
         (ex, ey), (px, py) = self.earmark(), self.balances[POOL]
+        try:
+            check_reserves(px, py)
+        except DomainError as e:
+            raise InvariantViolation(str(e)) from None
         if not (ex <= px and ey <= py):
             raise InvariantViolation(f"pool ({px!r}, {py!r}) cannot hold its earmarks "
                                      f"({ex!r}, {ey!r})")
@@ -399,7 +402,7 @@ class ChainState:
         batch: list[Oct] = []
         for height in heights:
             batch += self.inserted_by_height.get(height, ())
-        ex, ey = escrow = escrow_size(len(batch), p, self.max_x, self.max_y)
+        ex, ey = escrow = (len(batch) * self.max_y * p, len(batch) * self.max_x / p)
         # The moved pool must back the open batches' earmarks and this one's.
         held_x, held_y = self.earmark()
         need_x = held_x + (1.0 - beta) * ex
@@ -538,8 +541,8 @@ class ChainState:
         A batch is due once all its OCTs revealed or its window elapsed.
         ``eps`` is the external price used for the vault conversion and
         ``converter`` the agent (normally the block producer) taking the
-        value-neutral other side of it. The closing pool must be live, and
-        the books must balance (``check_books``).
+        value-neutral other side of it. The books must balance
+        (``check_books``), the closing pool included.
         """
         eps = check_price(eps)
         h = self.height
@@ -561,7 +564,6 @@ class ChainState:
             self._transfer(who, POOL, *added, guard=False)
             reentry = ReentryReceipt(added=added, converter_flow=flow, converter=who)
 
-        check_reserves(*self.balances[POOL])
         self.check_books()
         block = BlockReceipt(
             height=h,

@@ -41,6 +41,16 @@ PRODUCER = "producer"
 USERS = "users"
 
 
+def _mean_se(n: int, total: float, sq: float) -> tuple[float, float]:
+    """Mean and standard error of ``n`` values from their sum and sum of squares
+    (NaN where undefined)."""
+    mean = total / n if n else math.nan
+    if n < 2:
+        return mean, math.nan
+    var = max(sq - n * mean * mean, 0.0) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
 @dataclass(slots=True)
 class RunMetrics:
     blocks: int
@@ -75,16 +85,11 @@ class RunMetrics:
 
     @property
     def user_dev_mean(self) -> float:
-        return self.user_dev_sum / self.n_user_fills if self.n_user_fills else math.nan
+        return _mean_se(self.n_user_fills, self.user_dev_sum, self.user_dev_sq)[0]
 
     @property
     def user_dev_se(self) -> float:
-        n = self.n_user_fills
-        if n < 2:
-            return math.nan
-        m = self.user_dev_sum / n
-        var = max(self.user_dev_sq - n * m * m, 0.0) / (n - 1)
-        return math.sqrt(var / n)
+        return _mean_se(self.n_user_fills, self.user_dev_sum, self.user_dev_sq)[1]
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -322,9 +327,7 @@ def user_price_experiment(cfg: ScenarioConfig, seed: int, runs: int = 1, jobs: i
     n = sum(m.n_user_fills for m in results)
     total = sum(m.user_dev_sum for m in results)
     sq = sum(m.user_dev_sq for m in results)
-    mean = total / n if n else math.nan
-    var = max(sq - n * mean * mean, 0.0) / (n - 1) if n > 1 else math.nan
-    se = math.sqrt(var / n) if n > 1 else math.nan
+    mean, se = _mean_se(n, total, sq)
     return {
         "runs": len(results),
         "orders": n,

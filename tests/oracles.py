@@ -8,13 +8,13 @@ package's curve and clearing formulas, because what it checks is the
 protocol's escrow and vault plumbing around them. The engine-backed producer
 payoffs are the other one: they run the protocol itself, the reference the
 vectorized criterion-4 model must reproduce. The market-batch closed
-form is the reference the auction's all-market case must reproduce bit for
-bit. The reference clearing (``ReferenceBook``, ``reference_clearing_price``
+form is the reference the auction's all-market case (``market_orders``)
+must reproduce bit for bit. The reference clearing (``ReferenceBook``, ``reference_clearing_price``
 and ``reference_verify_clearing_price``) is the quadratic uniform-price book
 the sorted book in ``allocation`` replaced: it re-sums each side per regime
 and settles every candidate exactly, and the sorted book must reproduce its
-solver and verifier bit for bit. ``settlement_bits``, ``InlineExecutor`` and ``pool_price``
-are test plumbing, not references.
+solver and verifier bit for bit. ``market_orders``, ``settlement_bits``,
+``InlineExecutor`` and ``pool_price`` are test plumbing, not references.
 """
 from __future__ import annotations
 
@@ -111,6 +111,13 @@ def closed_form_market_batch(snapshot_x: float, snapshot_y: float, dx: float, dy
     return p, (dx - dy * p, dy - dx / p), dx / p + dy
 
 
+def market_orders(dx: float, dy: float) -> list[Order]:
+    """Aggregate market flow (dx of x sold, dy of y sold) as at most two market
+    orders: the x sold (if any), then the y sold."""
+    flow = ((OrderSide.BUY_Y, dx), (OrderSide.SELL_Y, dy))
+    return [Order(side, q) for side, q in flow if q != 0.0]
+
+
 class ReferenceBook:
     """One batch, split once: the orders, each side's ``(index, size, limit)``
     triples in index order (``limit=None`` for markets), and the sorted limits."""
@@ -171,8 +178,12 @@ class ReferenceBook:
             if phi_s < -CLEARING_RTOL or phi_s > 1.0 + CLEARING_RTOL:
                 return None
             phi_s = min(max(phi_s, 0.0), 1.0)
-        elif not (math.isfinite(gap) and math.isfinite(tol)):
-            # A NaN gap or an infinite tolerance passes both tests; it is not a balance.
+        # The balance at the clamped fractions, whose tolerance scales with the
+        # marginal size and so may hide an imbalance the pool cannot pay. A NaN
+        # balance or an infinite tolerance fails too.
+        ex_x, ex_y = in_x + phi_b * mb, in_y + phi_s * ms
+        if not abs(ex_x / p - ex_y - chord) <= CLEARING_RTOL * max(
+                snapshot.y, abs(chord), ex_x / p, ex_y, 1e-30) < math.inf:
             return None
 
         fills = []

@@ -12,12 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from v0lver.allocation import (
-    Order,
-    OrderSide,
-    clearing_price_with_limits,
-    settle_market_batch,
-)
+from v0lver.allocation import Order, OrderSide, clearing_price_with_limits
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves, max_lvr
 from v0lver.config import builtin_scenarios
 from v0lver.engine import ChainState
@@ -38,7 +33,7 @@ from v0lver.sim import (
     user_price_experiment,
 )
 
-from oracles import baseline_cfmm_replay, bisect_market_clearing, pool_price
+from oracles import baseline_cfmm_replay, bisect_market_clearing, market_orders, pool_price
 
 C = CONSTANT_PRODUCT
 SCN = builtin_scenarios()
@@ -52,7 +47,7 @@ class TestCriterion1Settlement:
     def test_criterion_1_uniform_settlement_matches_bisection_oracle(self):
         t0 = time.perf_counter()
         # the worked instance: snapshot (100, 100), 10 x and 5 y sold
-        s = settle_market_batch(C, Reserves(100.0, 100.0), 10.0, 5.0)
+        s = clearing_price_with_limits(C, Reserves(100.0, 100.0), market_orders(10.0, 5.0))
         assert s.price == pytest.approx(110.0 / 105.0, rel=1e-12)
         assert abs(s.pool_delta[1]) == pytest.approx(50.0 / 11.0, rel=1e-9)
 
@@ -63,7 +58,7 @@ class TestCriterion1Settlement:
             sy = float(rng.uniform(1.0, 1e6))
             dx = float(rng.uniform(0.0, 0.5 * sx))
             dy = float(rng.uniform(0.0, 0.5 * sy))
-            got = settle_market_batch(C, Reserves(sx, sy), dx, dy).price
+            got = clearing_price_with_limits(C, Reserves(sx, sy), market_orders(dx, dy)).price
             ref = bisect_market_clearing(sx, sy, dx, dy)
             worst = max(worst, abs(got - ref) / ref)
         elapsed = time.perf_counter() - t0

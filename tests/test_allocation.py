@@ -12,8 +12,6 @@ from v0lver.allocation import (
     Order,
     OrderSide,
     clearing_price_with_limits,
-    escrow_size,
-    settle_market_batch,
     verify_clearing_price,
 )
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
@@ -25,6 +23,7 @@ from oracles import (
     ReferenceBook,
     bisect_market_clearing,
     closed_form_market_batch,
+    market_orders,
     reference_clearing_price,
     reference_verify_clearing_price,
     settlement_bits,
@@ -40,6 +39,11 @@ def buy(size, limit=None, owner=None):
 
 def sell(size, limit=None, owner=None):
     return Order(side=OrderSide.SELL_Y, size=size, limit=limit, owner=owner)
+
+
+def market_batch(snapshot, dx, dy):
+    """Aggregate market flow (dx of x sold, dy of y sold) cleared as market orders."""
+    return clearing_price_with_limits(C, snapshot, market_orders(dx, dy))
 
 
 def allocated(orders, price=102.0):
@@ -70,7 +74,7 @@ class TestMarketBatch:
         # snapshot (100, 100), 10 x sold against 5 y sold: the uniform price
         # is (100+10)/(100+5) and the pool absorbs the imbalance along its
         # level curve.
-        s = settle_market_batch(C, SNAP, 10.0, 5.0)
+        s = market_batch(SNAP, 10.0, 5.0)
         assert s.price == pytest.approx(110.0 / 105.0, rel=1e-12)
         assert s.pool_delta[0] == pytest.approx(100.0 / 21.0, rel=1e-12)
         assert s.pool_delta[1] == pytest.approx(-50.0 / 11.0, rel=1e-12)
@@ -86,18 +90,13 @@ class TestMarketBatch:
     @example(sx=100.0, sy=100.0, dx=5e-324, dy=0.0)
     @example(sx=100.0, sy=100.0, dx=0.0, dy=5e-324)
     def test_matches_the_closed_form_bit_for_bit(self, sx, sy, dx, dy):
-        s = settle_market_batch(C, Reserves(sx, sy), dx, dy)
+        s = market_batch(Reserves(sx, sy), dx, dy)
         price, pool_delta, volume_y = closed_form_market_batch(sx, sy, dx, dy)
         got = [s.price, *s.pool_delta, s.volume_y]
         assert [v.hex() for v in got] == [v.hex() for v in (price, *pool_delta, volume_y)]
 
-    def test_rejects_negative_flow(self):
-        for dx, dy in ((-1.0, 0.0), (0.0, -1e-300)):
-            with pytest.raises(DomainError):
-                settle_market_batch(C, SNAP, dx, dy)
-
     def test_balanced_flow_leaves_pool_alone(self):
-        s = settle_market_batch(C, SNAP, 7.0, 7.0)
+        s = market_batch(SNAP, 7.0, 7.0)
         assert s.price == pytest.approx(1.0)
         assert s.pool_delta == pytest.approx((0.0, 0.0), abs=1e-12)
         assert s.volume_y == pytest.approx(14.0)
@@ -109,7 +108,7 @@ class TestMarketBatch:
             sy = float(rng.uniform(10.0, 1e4))
             dx = float(rng.uniform(0.0, 0.2 * sx))
             dy = float(rng.uniform(0.0, 0.2 * sy))
-            s = settle_market_batch(C, Reserves(sx, sy), dx, dy)
+            s = market_batch(Reserves(sx, sy), dx, dy)
             p_ref = bisect_market_clearing(sx, sy, dx, dy)
             assert abs(s.price - p_ref) <= 1e-9 * p_ref
 
@@ -121,7 +120,7 @@ class TestMarketBatch:
     )
     def test_delta_preserves_level_curve(self, sx, sy, dx, dy):
         snap = Reserves(sx, sy)
-        s = settle_market_batch(C, snap, dx, dy)
+        s = market_batch(snap, dx, dy)
         after = Reserves(sx + s.pool_delta[0], sy + s.pool_delta[1])
         assert after.x > 0 and after.y > 0
         assert C.invariant(after) == pytest.approx(C.invariant(snap), rel=1e-9)
@@ -183,10 +182,10 @@ class TestLimitClearing:
     def test_market_orders_match_aggregate_settlement(self):
         orders = [buy(4.0), buy(6.0), sell(5.0)]
         s = clearing_price_with_limits(C, SNAP, orders)
-        agg = settle_market_batch(C, SNAP, 10.0, 5.0)
-        assert s.price == pytest.approx(agg.price, rel=1e-12)
-        assert s.pool_delta == pytest.approx(agg.pool_delta, rel=1e-12)
-        assert s.volume_y == pytest.approx(agg.volume_y, rel=1e-12)
+        price, pool_delta, volume_y = closed_form_market_batch(SNAP.x, SNAP.y, 10.0, 5.0)
+        assert s.price == pytest.approx(price, rel=1e-12)
+        assert s.pool_delta == pytest.approx(pool_delta, rel=1e-12)
+        assert s.volume_y == pytest.approx(volume_y, rel=1e-12)
 
     def test_unfillable_limits_leave_batch_empty(self):
         s = clearing_price_with_limits(C, SNAP, [buy(10.0, limit=0.5)])
@@ -313,8 +312,10 @@ def outcome(fn, *args):
         return "DomainError"
 
 
-#: A huge marginal buy at 1.0: the settle tolerance on its fill fraction lets
-#: the batch clear there although demand exceeds the pool's supply.
+#: A huge marginal buy at 1.0: its fill fraction is 0 within the settle
+#: tolerance, but the tolerance scales with its size, and at fraction 0 the
+#: buy at 2.0 alone takes 500 y from a pool that holds 100. The batch must not
+#: clear at 1.0; it clears at 2.0 with the buy at 2.0 a fifth filled.
 MARGINAL_ARTIFACT = (SNAP, [buy(1e12, limit=1.0), buy(500.0, limit=2.0)])
 
 #: The sells' limit 1.05 settles (their fill fraction is 0 within tolerance),
@@ -365,6 +366,18 @@ class TestSortedBookMatchesReference:
                 settlement_bits(reference_verify_clearing_price(C, snapshot, orders, p)))
         assert verify_clearing_price(C, snapshot, orders, 0.5) is None
         assert verify_clearing_price(C, snapshot, orders, 2.0) == s
+
+    def test_a_clamped_marginal_fraction_must_still_balance(self):
+        snapshot, orders = MARGINAL_ARTIFACT
+        for solve, verify in ((clearing_price_with_limits, verify_clearing_price),
+                              (reference_clearing_price, reference_verify_clearing_price)):
+            s = solve(C, snapshot, orders)
+            assert s.price == 2.0
+            assert [f.index for f in s.fills] == [1]
+            assert s.fills[0].sold == pytest.approx(0.2 * 500.0, rel=1e-12)
+            assert s.pool_delta == pytest.approx((100.0, -50.0), rel=1e-12)
+            assert verify(C, snapshot, orders, 1.0) is None
+            assert verify(C, snapshot, orders, 2.0) == s
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_near_ties_where_the_price_flips(self, seed):
@@ -424,15 +437,48 @@ class TestSortedBookMatchesReference:
         assert len(calls["settle"]) + len(calls["regime_price"]) <= 6
 
 
+def assert_payable(snapshot, s):
+    """The snapshot plus ``s.pool_delta`` is > 0 in both tokens and on the
+    snapshot's level curve, to a tolerance relative to the traded amounts."""
+    x, y = snapshot.x + s.pool_delta[0], snapshot.y + s.pool_delta[1]
+    assert x > 0.0 and y > 0.0
+    scale = max(snapshot.y, s.volume_y, abs(s.pool_delta[1]))
+    # y on the curve at x is the invariant over x, formed without overflow
+    assert abs(y - snapshot.y * (snapshot.x / x)) <= 1e-8 * scale
+
+
+class TestSettlementsArePayable:
+    """Every settlement either book returns is one the snapshot can pay."""
+
+    @given(book=grid_books())
+    @example(book=MARGINAL_ARTIFACT)
+    @example(book=NARROWLY_BEATEN)
+    @example(book=OVERFLOWING)
+    @settings(max_examples=200, deadline=None)
+    def test_solver_and_verifier_settlements(self, book):
+        snapshot, orders = book
+        ref = ReferenceBook(orders)
+        prices = {*ref.limits, C.price(snapshot)}
+        prices.update(p_star for _, _, p_star in ref.regimes(snapshot))
+        for solve, verify in ((clearing_price_with_limits, verify_clearing_price),
+                              (reference_clearing_price, reference_verify_clearing_price)):
+            assert_payable(snapshot, solve(C, snapshot, orders))
+            for p in prices:
+                s = verify(C, snapshot, orders, p)
+                if s is not None:
+                    assert_payable(snapshot, s)
+
+
 class TestEscrowSizing:
     def test_escrow_worked_example(self):
-        assert escrow_size(3, 2.0, 4.0, 1.0) == pytest.approx((6.0, 6.0))
-
-    def test_escrow_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
-            escrow_size(-1, 2.0, 4.0, 1.0)
-        with pytest.raises(DomainError):
-            escrow_size(1, 2.0, 0.0, 1.0)
+        # three orders, bounds 4 x and 1 y, allocated at price 2: the escrow
+        # covers three max-size sells of either token, (3 * 1 * 2, 3 * 4 / 2)
+        chain = ChainState(C, Reserves(2_000.0, 1_000.0), RebateSchedule(z_max=4, beta0=0.8),
+                           max_x=4.0, max_y=1.0,
+                           balances={"u": (100.0, 100.0), "prod": (100.0, 100.0)})
+        octs = [chain.submit_oct("u", o) for o in (buy(4.0), buy(1.0), sell(1.0))]
+        chain.insert_octs("prod", [o.id for o in octs])
+        assert chain.apply_update_tx("prod", 0, 2.0).escrow == (6.0, 6.0)
 
     def test_create_pool_sizes_and_splits_escrow(self):
         # the update sizes the escrow for count one-sided max-size orders at

@@ -180,6 +180,16 @@ class TestLifecycle:
         assert stages(chain, oct.id) == [] and block.executions[0].orders == (o,)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("field", ["max_x", "max_y"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), "abc"])
+    def test_order_bounds_are_checked_where_they_enter(self, field, bad):
+        balances = {"alice": (1_000.0, 10.0)}
+        with pytest.raises(DomainError, match=field):
+            make_chain(**{field: bad}, balances=balances)
+        assert balances == {"alice": (1_000.0, 10.0)}
+
+
 class TestTransitionGuards:
     def test_submit_rejects_oversized_orders(self):
         chain = make_chain()
@@ -571,6 +581,17 @@ class TestLedger:
                                                             escrow=(bad, 0.0))
             with pytest.raises(InvariantViolation, match="earmarks"):
                 chain.check_books()
+
+    def test_a_dead_closing_pool_is_an_invariant_break(self):
+        chain = make_chain()
+        chain.balances[POOL][0] = float("nan")
+        with pytest.raises(InvariantViolation):
+            chain.advance_block(100.0)
+        # supply conserved, but the pool's x drained into another account
+        chain = make_chain()
+        chain._transfer(POOL, "thief", chain.balances[POOL][0], 0.0)
+        with pytest.raises(InvariantViolation, match="pool reserves"):
+            chain.advance_block(100.0)
 
     def test_replay_determinism(self):
         def run():
