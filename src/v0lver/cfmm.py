@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 
-def check_price(value, what="price") -> float:
-    """``value`` as a float; DomainError naming ``what`` unless it is a finite number > 0."""
+def check_price(value, what="price", or_zero=False) -> float:
+    """``value`` as a float; DomainError naming ``what`` unless finite and > 0 (>= 0 with or_zero)."""
     try:
         v = float(value)
     except (TypeError, ValueError, OverflowError):
         v = math.nan
-    if not 0.0 < v < math.inf:
-        raise DomainError(f"{what} must be finite and > 0, got {value!r}")
+    if not (0.0 < v < math.inf or or_zero and v == 0.0):
+        raise DomainError(f"{what} must be finite and {'>=' if or_zero else '>'} 0, got {value!r}")
     return v
 
 

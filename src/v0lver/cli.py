@@ -93,16 +93,19 @@ class _OutDir:
             self.write_json(f"{stem}.json", rows)
             return
         with self.open(f"{stem}.csv", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=columns)
-            w.writeheader()
-            for row in rows:
-                w.writerow({k: row.get(k) for k in columns})
+            w = csv.writer(f)
+            w.writerow(columns)
+            w.writerows([row.get(k) for k in columns] for row in rows)
 
     def write_ndjson(self, name: str, records):
+        encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
         with self.open(name) as f:
             for rec in records:
-                f.write(json.dumps(_clean(rec), sort_keys=True))
-                f.write("\n")
+                try:
+                    line = encode(rec)
+                except ValueError:  # a NaN or inf: written as null
+                    line = json.dumps(_clean(rec), sort_keys=True)
+                f.write(line + "\n")
 
 
 def _summary(command: str, cfg, seed: int, body: dict) -> dict:

@@ -229,9 +229,12 @@ class ChainState:
         self.allocated: dict[int, tuple[Oct, UpdateReceipt]] = {}
         self.reveals: dict[int, tuple[Oct, Order]] = {}
         pool = check_reserves(reserves.x, reserves.y)
+        if POOL in (balances or {}):
+            raise DomainError("opening balances must not name the pool: `reserves` opens it")
         self.balances: dict[str, list[float]] = {POOL: [pool.x, pool.y]}
         for party, (bx, by) in (balances or {}).items():
-            self.balances[party] = [float(bx), float(by)]
+            what = f"opening balance of {party!r}"
+            self.balances[party] = [check_price(b, what, or_zero=True) for b in (bx, by)]
         self.balances.setdefault(VAULT, [0.0, 0.0])
         self.balances.setdefault(COLLATERAL, [0.0, 0.0])
         self.balances.setdefault(BURNED, [0.0, 0.0])

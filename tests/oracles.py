@@ -13,11 +13,15 @@ must reproduce bit for bit. The reference clearing (``ReferenceBook``, ``referen
 and ``reference_verify_clearing_price``) is the quadratic uniform-price book
 the sorted book in ``allocation`` replaced: it re-sums each side per regime
 and settles every candidate exactly, and the sorted book must reproduce its
-solver and verifier bit for bit. ``market_orders``, ``settlement_bits``,
+solver and verifier bit for bit. ``reference_ndjson`` is the event-log
+writer the CLI's one strict encoder replaced: every record made JSON-safe
+(NaN and inf become null), then ``json.dumps`` per line; the CLI's log must
+match it byte for byte. ``market_orders``, ``settlement_bits``,
 ``InlineExecutor`` and ``pool_price`` are test plumbing, not references.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -392,3 +396,18 @@ class InlineExecutor:
 def pool_price(chain: ChainState) -> float:
     """The price of ``chain``'s pool on its own curve."""
     return chain.curve.price(chain.pool_reserves())
+
+
+def _json_safe(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
+def reference_ndjson(records) -> str:
+    """``events.ndjson`` as the per-line ``json.dumps`` of each record made JSON-safe."""
+    return "".join(json.dumps(_json_safe(rec), sort_keys=True) + "\n" for rec in records)

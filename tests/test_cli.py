@@ -2,11 +2,16 @@ import csv
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
-from v0lver.cli import main
+from v0lver.cli import _OutDir, main
 from v0lver.config import builtin_scenarios, scenario_to_dict
+
+from oracles import reference_ndjson
 
 DEFAULT_FLOW = scenario_to_dict(builtin_scenarios()["default"])["flow"]
 LVR = scenario_to_dict(builtin_scenarios()["lvr"])
@@ -135,6 +140,49 @@ class TestRun:
                 os.path.join(out2, name), "rb"
             ) as f2:
                 assert f1.read() == f2.read()
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(NON_FINITE))
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=10)
+RECORDS = st.lists(st.dictionaries(st.text(max_size=3), VALUES, max_size=4), max_size=5)
+
+
+def written_ndjson(records) -> str:
+    with tempfile.TemporaryDirectory() as d:
+        _OutDir(d, force=False).write_ndjson("events.ndjson", iter(records))
+        with open(os.path.join(d, "events.ndjson"), newline="") as f:
+            return f.read()
+
+
+def has_non_finite(obj) -> bool:
+    if isinstance(obj, float):
+        return not math.isfinite(obj)
+    if isinstance(obj, dict):
+        return any(map(has_non_finite, obj.values()))
+    return isinstance(obj, (list, tuple)) and any(map(has_non_finite, obj))
+
+
+class TestEventWriter:
+    @given(RECORDS)
+    def test_matches_the_per_line_reference(self, records):
+        if any(map(has_non_finite, records)):
+            event("a record holds NaN or inf")
+        text = written_ndjson(records)
+        assert text == reference_ndjson(records)
+        for line in text.splitlines():
+            json.loads(line, parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
+
+    def test_nan_inside_a_tuple_reads_back_as_null(self):
+        records = [{"kind": "a", "pool": (1.5, math.nan)}, {"kind": "b", "v": [-math.inf]}]
+        text = written_ndjson(records)
+        assert text == reference_ndjson(records)
+        assert [json.loads(line) for line in text.splitlines()] == [
+            {"kind": "a", "pool": [1.5, None]}, {"kind": "b", "v": [None]}]
 
 
 class TestExperimentCommands:

@@ -189,6 +189,24 @@ class TestConstruction:
             make_chain(**{field: bad}, balances=balances)
         assert balances == {"alice": (1_000.0, 10.0)}
 
+    @pytest.mark.parametrize("opening, named", [
+        ({"alice": (float("nan"), 10.0)}, "'alice'"),
+        ({"alice": (1_000.0, float("inf"))}, "'alice'"),
+        ({"alice": (-5.0, 10.0)}, "'alice'"),
+        ({"alice": (1_000.0, "abc")}, "'alice'"),
+        # the pool opens with `reserves` alone: a "pool" entry cannot replace them
+        ({"alice": (1_000.0, 10.0), POOL: (1.0, 1.0)}, "pool"),
+    ], ids=["nan", "inf", "negative", "text", "pool_key"])
+    def test_opening_balances_are_checked_where_they_enter(self, opening, named):
+        with pytest.raises(DomainError, match=named):
+            make_chain(balances={"bob": (1.0, 1.0), **opening})
+
+    def test_zero_opening_balances_are_kept(self):
+        chain = make_chain(balances={"alice": (0.0, 0.0), VAULT: (5.0, 0.0)})
+        assert chain.balances["alice"] == [0.0, 0.0]
+        assert chain.balances[VAULT] == [5.0, 0.0]
+        assert chain.balances[POOL] == [10_000.0, 100.0]
+
 
 class TestTransitionGuards:
     def test_submit_rejects_oversized_orders(self):
