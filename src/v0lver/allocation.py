@@ -224,10 +224,17 @@ class _Book:
         balance the batch.
         """
         snapshot = self.snapshot
-        in_x = sum(s for _, s, lim in self.buys if lim is None or lim > p)
-        mb = sum(s for _, s, lim in self.buys if lim == p)
-        in_y = sum(s for _, s, lim in self.sells if lim is None or lim < p)
-        ms = sum(s for _, s, lim in self.sells if lim == p)
+        in_x = mb = in_y = ms = 0.0  # each sums in index order
+        for _, s, lim in self.buys:
+            if lim is None or lim > p:
+                in_x += s
+            elif lim == p:
+                mb += s
+        for _, s, lim in self.sells:
+            if lim is None or lim < p:
+                in_y += s
+            elif lim == p:
+                ms += s
         chord = self.curve.chord_y(snapshot, p)
         scale = max(snapshot.y, abs(chord), (in_x + mb) / p, in_y + ms, 1e-30)
         tol = CLEARING_RTOL * scale
@@ -266,13 +273,13 @@ class _Book:
                 f = 1.0 if lim is None or lim > p else phi_b if lim == p else 0.0
                 if f > 0.0:
                     amt = f * o.size
-                    fills.append(Fill(index=i, sold=amt, bought=amt / p))
+                    fills.append(Fill(i, amt, amt / p))
                     sold_x += amt
             else:
                 f = 1.0 if lim is None or lim < p else phi_s if lim == p else 0.0
                 if f > 0.0:
                     amt = f * o.size
-                    fills.append(Fill(index=i, sold=amt, bought=amt * p))
+                    fills.append(Fill(i, amt, amt * p))
                     sold_y += amt
         return Settlement(
             price=p,

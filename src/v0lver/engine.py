@@ -3,7 +3,7 @@
 The chain state owns a token ledger covering every party that can hold
 value: the pool reserves, the vault, the per-batch escrows, a collateral
 account for committed orders, agent accounts, and a burn sink. Every token
-movement goes through one transfer helper, so total supply is conserved by
+movement goes through a transfer helper, so total supply is conserved by
 construction; every block end checks it, and that the pool is live and holds
 its earmarks.
 
@@ -21,13 +21,13 @@ which a zero-rebate schedule reduces the protocol exactly to a plain CFMM —
 and settlement flows are routed so each side ends up with its
 ``1 - beta : beta`` share of the escrow remainder.
 
-Order commitments are modeled as salted digests with honest binding: the
-engine computes the commitment at submission, keeps only commitment, side
-and collateral, and checks the digest again at reveal. An ``Oct`` is a frozen
-record, and its stage is the queue that holds it: ``mempool`` (pending),
-``inserted_by_height``, ``allocated`` (in an open batch, unrevealed),
-``reveals``, and finally its batch's ``ExecutionReceipt`` (filled or burned).
-A refused action books nothing and moves no OCT.
+Order commitments are modeled as salted digests of the order's exact bits
+with honest binding: the engine computes the commitment at submission, keeps
+only commitment, side and collateral, and checks the digest again at
+reveal. An ``Oct`` is a frozen record, and its stage is the queue that holds
+it: ``mempool`` (pending), ``inserted_by_height``, ``allocated`` (in an open
+batch, unrevealed), ``reveals``, and finally its batch's ``ExecutionReceipt``
+(filled or burned). A refused action books nothing and moves no OCT.
 
 What happens in a block is recorded once, in the ``BlockReceipt`` that
 ``advance_block`` returns; events, block rows and run metrics derive from it.
@@ -35,9 +35,11 @@ What happens in a block is recorded once, in the ``BlockReceipt`` that
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
-from .allocation import Order, Settlement, clearing_price_with_limits, verify_clearing_price
+from .allocation import (Order, OrderSide, Settlement, clearing_price_with_limits,
+                         verify_clearing_price)
 from .cfmm import Reserves, check_price, check_reserves
 from .errors import (
     DomainError,
@@ -73,10 +75,15 @@ def _guard(src, dst, s, d, dx, dy):
                                f"holds {list(acct)!r}", party=party)
 
 
+_ORDER_BITS = struct.Struct("<?dd")  # sells x, size, limit or -1.0 (market; limits are > 0)
+
+
 def commit_order(order: Order, salt: str) -> str:
-    """Binding commitment to an order's side, size and limit."""
-    payload = f"{order.side.value}|{order.size!r}|{order.limit!r}|{order.owner!r}|{salt}"
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """Salted binding commitment to the exact bits of an order's side, size, limit and owner."""
+    limit = order.limit
+    bits = _ORDER_BITS.pack(order.side is OrderSide.BUY_Y, order.size,
+                            -1.0 if limit is None else limit)
+    return hashlib.sha256(bits + f"{order.owner!r}|{salt}".encode()).hexdigest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,12 +236,14 @@ class ChainState:
         self.allocated: dict[int, tuple[Oct, UpdateReceipt]] = {}
         self.reveals: dict[int, tuple[Oct, Order]] = {}
         pool = check_reserves(reserves.x, reserves.y)
-        if POOL in (balances or {}):
-            raise DomainError("opening balances must not name the pool: `reserves` opens it")
         self.balances: dict[str, list[float]] = {POOL: [pool.x, pool.y]}
-        for party, (bx, by) in (balances or {}).items():
+        for party, opening in (balances or {}).items():
+            if party in (POOL, COLLATERAL, BURNED) or str(party).startswith("alloc:"):
+                raise DomainError(f"opening balances must not name the engine's account {party!r}")
             what = f"opening balance of {party!r}"
-            self.balances[party] = [check_price(b, what, or_zero=True) for b in (bx, by)]
+            if not (isinstance(opening, (tuple, list)) and len(opening) == 2):
+                raise DomainError(f"{what} must be a pair (x, y), got {opening!r}")
+            self.balances[party] = [check_price(b, what, or_zero=True) for b in opening]
         self.balances.setdefault(VAULT, [0.0, 0.0])
         self.balances.setdefault(COLLATERAL, [0.0, 0.0])
         self.balances.setdefault(BURNED, [0.0, 0.0])
@@ -250,9 +259,6 @@ class ChainState:
         self._executions: list[ExecutionReceipt] = []
 
     # ------------------------------------------------------------------ ledger
-
-    def _account(self, party: str) -> list[float]:
-        return self.balances.setdefault(party, [0.0, 0.0])
 
     def _check(self, *legs):
         """Dry run: raise FundingError if booking the (src, dst, dx, dy) legs would."""
@@ -270,18 +276,32 @@ class ChainState:
         if guard:  # before an account opens, so a refused transfer leaves no trace
             _guard(src, dst, self.balances.get(src, (0.0, 0.0)),
                    self.balances.get(dst, (0.0, 0.0)), dx, dy)
-        s, d = self._account(src), self._account(dst)
+        s = self.balances.setdefault(src, [0.0, 0.0])
+        d = self.balances.setdefault(dst, [0.0, 0.0])
         s[0] -= dx
         s[1] -= dy
         d[0] += dx
         d[1] += dy
 
     def _transfer_token(self, src: str, dst: str, token: str, amount: float, *, guard: bool = True):
-        """Move ``amount`` of one token, ``"x"`` or ``"y"``, from src to dst."""
-        if token == "x":
-            self._transfer(src, dst, amount, 0.0, guard=guard)
-        else:
-            self._transfer(src, dst, 0.0, amount, guard=guard)
+        """Move ``amount`` of one token, ``"x"`` or ``"y"``, from src to dst, in one
+        call that books, checks and opens accounts as ``_transfer`` would."""
+        if amount == 0.0:
+            return
+        i = 0 if token == "x" else 1
+        s, d = self.balances.get(src), self.balances.get(dst)
+        if guard:  # only the payer, src (dst when amount < 0), can overdraw
+            held = (s if amount > 0.0 else d) or (0.0, 0.0)
+            if held[i] - abs(amount) < -_NEG_TOL * (abs(amount) + 1.0):
+                _guard(src, dst, s or (0.0, 0.0), d or (0.0, 0.0),
+                       *((amount, 0.0), (0.0, amount))[i])
+        if s is None:
+            s = self.balances[src] = [0.0, 0.0]
+        if d is None:
+            d = self.balances.setdefault(dst, [0.0, 0.0])
+        s[i] -= amount
+        d[i] += amount
+        d[1 - i] += 0.0  # as the two-token add does: a -0.0 there becomes 0.0
 
     def total_supply(self) -> tuple[float, float]:
         tx = ty = 0.0
@@ -340,13 +360,7 @@ class ChainState:
         if order.size > bound:
             raise DomainError(f"order size {order.size!r} exceeds the {token} bound {bound!r}")
         oct_id = self._next_oct_id
-        oct = Oct(
-            id=oct_id,
-            owner=owner,
-            commitment=commit_order(order, salt=str(oct_id)),
-            collateral_token=token,
-            collateral=bound,
-        )
+        oct = Oct(oct_id, owner, commit_order(order, str(oct_id)), token, bound)
         self._transfer_token(owner, COLLATERAL, token, bound)
         self._next_oct_id += 1
         self.mempool[oct_id] = oct
@@ -501,9 +515,8 @@ class ChainState:
         filled_by_index = {f.index: f for f in settlement.fills}
         for idx, (oct, order) in enumerate(revealed):
             f = filled_by_index.get(idx)
-            sold = f.sold if f is not None else 0.0
-            bought = f.bought if f is not None else 0.0
-            sells = order.sells_token
+            sold, bought = (f.sold, f.bought) if f is not None else (0.0, 0.0)
+            sells = oct.collateral_token  # the reveal checked it is the order's
             buys = "y" if sells == "x" else "x"
             self._transfer_token(COLLATERAL, escrow, sells, sold, guard=False)
             self._transfer_token(escrow, oct.owner, buys, bought, guard=False)
@@ -518,7 +531,7 @@ class ChainState:
         to_producer = (beta * rx, beta * ry)
         self._transfer(escrow, POOL, (1.0 - beta) * dx, (1.0 - beta) * dy, guard=False)
         self._transfer(escrow, u.producer, *to_producer, guard=False)
-        ax, ay = self._account(escrow)
+        ax, ay = self.balances.setdefault(escrow, [0.0, 0.0])
         if abs(ax) > tol_x or abs(ay) > tol_y:
             raise InvariantViolation(f"escrow {escrow} not fully unwound: ({ax!r}, {ay!r})")
         # The settled escrow closes with supply unchanged: positive rounding dust

@@ -16,7 +16,10 @@ and settles every candidate exactly, and the sorted book must reproduce its
 solver and verifier bit for bit. ``reference_ndjson`` is the event-log
 writer the CLI's one strict encoder replaced: every record made JSON-safe
 (NaN and inf become null), then ``json.dumps`` per line; the CLI's log must
-match it byte for byte. ``market_orders``, ``settlement_bits``,
+match it byte for byte. ``reference_transfer_token`` is the one-token
+ledger leg as the generic two-token ``ChainState._transfer`` books it, which
+the engine's in-place ``_transfer_token`` must reproduce bit for bit, signed
+zeros, account order and refusals included. ``market_orders``, ``settlement_bits``,
 ``InlineExecutor`` and ``pool_price`` are test plumbing, not references.
 """
 from __future__ import annotations
@@ -391,6 +394,15 @@ class InlineExecutor:
 
     def map(self, fn, iterable, chunksize=1):
         return map(fn, iterable)
+
+
+def reference_transfer_token(chain: ChainState, src: str, dst: str, token: str, amount: float,
+                             *, guard: bool = True):
+    """Move ``amount`` of one token from src to dst through ``chain._transfer``."""
+    if token == "x":
+        chain._transfer(src, dst, amount, 0.0, guard=guard)
+    else:
+        chain._transfer(src, dst, 0.0, amount, guard=guard)
 
 
 def pool_price(chain: ChainState) -> float:

@@ -1,7 +1,9 @@
 import dataclasses
+import math
+import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from v0lver.allocation import Order, OrderSide
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
@@ -22,13 +24,21 @@ from v0lver.errors import (
 )
 from v0lver.rebate import RebateSchedule
 
-from oracles import pool_price
+from oracles import pool_price, reference_transfer_token
 
 C = CONSTANT_PRODUCT
 SCHEDULE = RebateSchedule(z_max=4, beta0=0.8)
 
 
-def make_chain(**kwargs):
+POSITIVE = (st.sampled_from([0.1, 1.0, 5e-324])
+            | st.floats(0.0, exclude_min=True, allow_infinity=False))
+COMMITTED = st.tuples(
+    st.builds(Order, st.sampled_from(list(OrderSide)), POSITIVE, st.none() | POSITIVE,
+              st.none() | st.sampled_from(["a", "b", "None", "'a'"]) | st.text(max_size=4)),
+    st.sampled_from(["0", "1"]) | st.text(max_size=4))
+
+
+def make_chain(schedule=SCHEDULE, **kwargs):
     defaults = dict(
         max_x=10.0,
         max_y=0.1,
@@ -41,7 +51,7 @@ def make_chain(**kwargs):
         },
     )
     defaults.update(kwargs)
-    return ChainState(C, Reserves(10_000.0, 100.0), SCHEDULE, **defaults)
+    return ChainState(C, Reserves(10_000.0, 100.0), schedule, **defaults)
 
 
 def stages(chain, oct_id):
@@ -72,6 +82,42 @@ class TestCommitments:
             Order(side=OrderSide.BUY_Y, size=5.0, limit=101.0, owner="b"),
         ):
             assert commit_order(other, salt="7") != c
+        # the owner enters as its repr: no owner and salt can pose as another pair
+        assert commit_order(dataclasses.replace(base, owner=None), salt="7") != commit_order(
+            dataclasses.replace(base, owner="None"), salt="7")
+        assert commit_order(dataclasses.replace(base, owner="a|7"), salt="") != commit_order(
+            base, salt="7|")
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=COMMITTED, b=COMMITTED, limit=POSITIVE)
+    def test_commitments_agree_exactly_when_every_field_does(self, a, b, limit):
+        (order_a, salt_a), (order_b, salt_b) = a, b
+        same = order_a == order_b and salt_a == salt_b  # > 0 floats: equal means equal bits
+        assert (commit_order(order_a, salt_a) == commit_order(order_b, salt_b)) == same
+        # no limit takes the value that stands for a market order
+        market = dataclasses.replace(order_a, limit=None)
+        assert commit_order(market, salt_a) != commit_order(
+            dataclasses.replace(order_a, limit=limit), salt_a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(side=st.sampled_from(list(OrderSide)), frac=st.floats(1e-6, 1.0),
+           limit=st.none() | st.floats(1e-3, 1e6), owner=st.none() | st.text(max_size=4),
+           field=st.sampled_from(["side", "size", "limit", "owner"]))
+    def test_reveal_refuses_an_order_one_field_off(self, side, frac, limit, owner, field):
+        order = Order(side, frac * (10.0 if side is OrderSide.BUY_Y else 0.1), limit, owner)
+        altered = dataclasses.replace(order, **{
+            "side": {"side": OrderSide.SELL_Y if side is OrderSide.BUY_Y else OrderSide.BUY_Y},
+            "size": {"size": math.nextafter(order.size, 0.0)},  # one bit off
+            "limit": {"limit": 100.0 if limit is None else math.nextafter(limit, math.inf)},
+            "owner": {"owner": "x" if owner is None else owner + "x"},
+        }[field])
+        chain = make_chain()
+        oct = chain.submit_oct("alice", order)
+        chain.insert_octs("prod", [oct.id])
+        chain.apply_update_tx("prod", 0, 100.0)
+        with pytest.raises(InvalidTransition, match="commitment"):
+            chain.reveal_order(oct.id, altered)
+        chain.reveal_order(oct.id, order)
 
 
 class TestLifecycle:
@@ -196,7 +242,13 @@ class TestConstruction:
         ({"alice": (1_000.0, "abc")}, "'alice'"),
         # the pool opens with `reserves` alone: a "pool" entry cannot replace them
         ({"alice": (1_000.0, 10.0), POOL: (1.0, 1.0)}, "pool"),
-    ], ids=["nan", "inf", "negative", "text", "pool_key"])
+        ({"alice": (1_000.0, 10.0, 3.0)}, "'alice'"),
+        # the engine alone books its own accounts
+        ({COLLATERAL: (5.0, 0.0)}, "'collateral'"),
+        ({BURNED: (0.0, 0.0)}, "'burned'"),
+        ({"alloc:0": (5.0, 0.0)}, "'alloc:0'"),
+    ], ids=["nan", "inf", "negative", "text", "pool_key", "triple", "collateral_key",
+            "burned_key", "escrow_key"])
     def test_opening_balances_are_checked_where_they_enter(self, opening, named):
         with pytest.raises(DomainError, match=named):
             make_chain(balances={"bob": (1.0, 1.0), **opening})
@@ -688,3 +740,103 @@ class TestStageProperty:
                         if i not in closed and o.collateral_token == token) for token in "xy"]
             assert chain.balances[COLLATERAL] == pytest.approx(held, abs=1e-9)
             assert all(h > chain.last_alloc_label for h in chain.inserted_by_height)
+
+
+# One step of a random lifecycle: (kind, a, b, f). "zed" and "amy" open with a -0.0,
+# "poor" cannot fund a collateral, "nobody" holds no account. An order moves the
+# pool's price by about 2%, and a limit (b >= 3) lies within 2% of it, so batches
+# fill some limits fully, some pro-rata and leave others unfilled.
+LIFECYCLE = st.tuples(st.sampled_from(["submit"] * 3 + ["insert", "update", "reveal", "reveal",
+                                                         "advance", "advance"]),
+                      st.integers(0, 7), st.integers(0, 7), st.floats(0.0, 1.0))
+
+
+def lifecycle(chain, ops):
+    """Drive ``chain`` through ``ops``; return each step's outcome and the ledger after it."""
+    bodies, trace = {}, []
+    for kind, a, b, f in ops:
+        outcome = None
+        try:
+            if kind == "submit":
+                who = ("alice", "zed", "amy", ("poor", "nobody")[a % 2])[a // 2]
+                side = OrderSide.SELL_Y if a % 2 else OrderSide.BUY_Y
+                limit = None if b < 3 else pool_price(chain) * (0.98 + 0.01 * (b - 3))
+                order = Order(side, (1.0 if a % 2 else 100.0) * max(f, 0.01), limit, who)
+                before = repr(chain.balances.get(who))
+                try:
+                    oct = chain.submit_oct(who, order)
+                except FundingError:
+                    # a refused submission leaves the payer's balance as it was
+                    assert repr(chain.balances.get(who)) == before
+                    raise
+                bodies[oct.id] = order
+            elif kind == "insert":
+                chain.insert_octs("prod", sorted(chain.mempool)[b // 2:])
+            elif kind == "update":
+                # gap 0 rebates beta0 = 0.5, gap 1 rebates nothing
+                chain.apply_update_tx("prod", chain.height - b % 2,
+                                      pool_price(chain) * (0.99 + 0.02 * f))
+            elif kind == "reveal" and chain.allocated:
+                oct_id = sorted(chain.allocated)[a % len(chain.allocated)]
+                chain.reveal_order(oct_id, bodies[oct_id])
+            elif kind == "advance":
+                chain.advance_block(pool_price(chain) * (0.99 + 0.02 * f), converter="prod")
+        except (InvalidTransition, FundingError, DomainError) as e:
+            outcome = repr(e)
+        trace.append((kind, outcome, repr(list(chain.balances.items()))))
+    return trace
+
+
+def lifecycle_chain():
+    return make_chain(schedule=RebateSchedule(z_max=1, beta0=0.5), max_x=100.0, max_y=1.0,
+                      balances={"alice": (5_000.0, 50.0), "zed": (-0.0, 50.0),
+                                "amy": (5_000.0, -0.0), "poor": (1.0, 0.0),
+                                "prod": (10_000.0, 100.0)})
+
+
+# A market buy of 150 x against a sell limit 1% above the pool fills it pro-rata, limits
+# beyond the price stay unfilled ("amy"'s -0.0 y meets her refund), the last OCT burns
+# unrevealed, and four payers are refused; a second batch allocates at gap 1 (beta 0).
+COVERING = [("submit", 0, 0, 1.0), ("submit", 0, 0, 0.5), ("submit", 3, 6, 1.0),
+            ("submit", 1, 7, 0.5), ("submit", 4, 3, 0.2), ("submit", 5, 0, 0.5),
+            ("submit", 2, 0, 0.5), ("submit", 6, 0, 0.5), ("submit", 7, 0, 0.5),
+            ("submit", 0, 0, 0.3), ("insert", 0, 0, 0.0), ("update", 0, 0, 0.5)]
+COVERING += [("reveal", 0, 0, 0.0)] * 5 + [("advance", 0, 0, 0.5)] * 3
+COVERING += [("submit", 0, 0, 0.5), ("submit", 3, 0, 0.5), ("insert", 0, 0, 0.0),
+             ("advance", 0, 0, 0.5), ("update", 0, 1, 0.5), ("reveal", 0, 0, 0.0),
+             ("reveal", 0, 0, 0.0), ("advance", 0, 0, 0.5)]
+
+
+class TestLedgerOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(LIFECYCLE, min_size=20, max_size=60))
+    @example(ops=COVERING)
+    def test_one_token_legs_book_as_the_two_token_transfer(self, ops):
+        reference = lifecycle_chain()
+        reference._transfer_token = types.MethodType(reference_transfer_token, reference)
+        assert lifecycle(lifecycle_chain(), ops) == lifecycle(reference, ops)
+
+    def test_one_token_leg_at_the_overdraft_edge(self):
+        pairs = [("ghost", "ghost"), ("alice", "bob"), ("alice", "nobody"), ("nobody", "alice"),
+                 ("alice", "alice"), ("nobody", "nobody"), ("alice", POOL)]
+        cases = [(src, dst, token, sign, over, guard) for src, dst in pairs for token in "xy"
+                 for sign in (1.0, -1.0) for over in (-1.0, 0.5, 1.5) for guard in (True, False)]
+
+        def run(chain):
+            out = []
+            for src, dst, token, sign, over, guard in cases:
+                # the payer's whole holding plus `over` times the overdraft tolerance
+                payer = src if sign > 0.0 else dst
+                held = chain.balances.get(payer, (0.0, 0.0))["xy".index(token)]
+                amount = sign * (held + over * 1e-9 * (abs(held) + 1.0))
+                try:
+                    chain._transfer_token(src, dst, token, amount, guard=guard)
+                except FundingError as e:
+                    out.append(repr(e))
+                out.append(repr(list(chain.balances.items())))
+            return out
+
+        opening = {"alice": (1_000.0, -0.0), "bob": (-0.0, 10.0)}
+        reference = make_chain(balances=opening)
+        reference._transfer_token = types.MethodType(reference_transfer_token, reference)
+        assert run(make_chain(balances=opening)) == run(reference)
