@@ -36,7 +36,9 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import add
 
 from .cfmm import Reserves, check_price
 from .errors import DomainError
@@ -169,8 +171,9 @@ class _Book:
     def regime_price(self, k):
         """Regime ``k``'s market-balance price, from index-order sums."""
         lo, hi = self.gap(k)
-        x_in = sum(s for _, s, lim in self.buys if lim is None or lim >= hi)
-        y_in = sum(s for _, s, lim in self.sells if lim is None or lim <= lo)
+        # Plain adds, as in settle: sum() of floats is compensated from Python 3.12.
+        x_in = reduce(add, (s for _, s, lim in self.buys if lim is None or lim >= hi), 0.0)
+        y_in = reduce(add, (s for _, s, lim in self.sells if lim is None or lim <= lo), 0.0)
         return (self.snapshot.x + x_in) / (self.snapshot.y + y_in)
 
     def screened_price(self, k):

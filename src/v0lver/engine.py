@@ -4,8 +4,9 @@ The chain state owns a token ledger covering every party that can hold
 value: the pool reserves, the vault, the per-batch escrows, a collateral
 account for committed orders, agent accounts, and a burn sink. Every token
 movement goes through a transfer helper, so total supply is conserved by
-construction; every block end checks it, and that the pool is live and holds
-its earmarks.
+construction; every block end checks it, that the pool is live and holds its
+earmarks, and that the vault is not negative. No agent may act as one of the
+engine's accounts.
 
 Escrow accounting: the update that allocates a batch sizes its escrow to pay
 out the worst case, ``count`` orders all selling the same side at the
@@ -35,6 +36,7 @@ What happens in a block is recorded once, in the ``BlockReceipt`` that
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -59,9 +61,16 @@ POOL = "pool"
 VAULT = "vault"
 COLLATERAL = "collateral"
 BURNED = "burned"
+# The engine's own accounts, with each batch's escrow ``alloc:<label>``; no agent acts as one.
+ENGINE_ACCOUNTS = frozenset({POOL, VAULT, COLLATERAL, BURNED})
 
 _NEG_TOL = 1e-9
 _SUPPLY_RTOL = 1e-9
+
+
+def _refuse_engine_account(name, what):
+    if name in ENGINE_ACCOUNTS or str(name).startswith("alloc:"):
+        raise DomainError(f"{what} must not name the engine's account {name!r}")
 
 
 def _guard(src, dst, s, d, dx, dy):
@@ -238,15 +247,14 @@ class ChainState:
         pool = check_reserves(reserves.x, reserves.y)
         self.balances: dict[str, list[float]] = {POOL: [pool.x, pool.y]}
         for party, opening in (balances or {}).items():
-            if party in (POOL, COLLATERAL, BURNED) or str(party).startswith("alloc:"):
-                raise DomainError(f"opening balances must not name the engine's account {party!r}")
+            if party != VAULT:
+                _refuse_engine_account(party, "opening balances")
             what = f"opening balance of {party!r}"
             if not (isinstance(opening, (tuple, list)) and len(opening) == 2):
                 raise DomainError(f"{what} must be a pair (x, y), got {opening!r}")
             self.balances[party] = [check_price(b, what, or_zero=True) for b in opening]
-        self.balances.setdefault(VAULT, [0.0, 0.0])
-        self.balances.setdefault(COLLATERAL, [0.0, 0.0])
-        self.balances.setdefault(BURNED, [0.0, 0.0])
+        for party in (VAULT, COLLATERAL, BURNED):
+            self.balances.setdefault(party, [0.0, 0.0])
         self._next_oct_id = 0
         self._supply0 = self.total_supply()
         self._open_block()
@@ -316,20 +324,24 @@ class ChainState:
 
     def check_books(self):
         """Raise InvariantViolation unless each token's supply is conserved (to a
-        relative ``_SUPPLY_RTOL``), the pool is live and it holds its earmarks."""
+        relative ``_SUPPLY_RTOL``), the pool is live and holds its earmarks, and
+        the vault is not negative."""
         (tx, ty), (x0, y0) = self.total_supply(), self._supply0
         # Written so that a NaN fails the comparison and raises.
         if not (abs(tx - x0) <= _SUPPLY_RTOL * abs(x0) and abs(ty - y0) <= _SUPPLY_RTOL * abs(y0)):
             raise InvariantViolation(f"token supply drifted from ({x0!r}, {y0!r}) "
                                      f"to ({tx!r}, {ty!r})")
-        (ex, ey), (px, py) = self.earmark(), self.balances[POOL]
-        try:
-            check_reserves(px, py)
-        except DomainError as e:
-            raise InvariantViolation(str(e)) from None
+        (ex, ey), (px, py), (vx, vy) = self.earmark(), self.balances[POOL], self.balances[VAULT]
+        if not (0.0 < px < math.inf and 0.0 < py < math.inf and 0.0 < px / py < math.inf):
+            try:  # check_reserves's own test, inline; called only to raise with its message
+                check_reserves(px, py)
+            except DomainError as e:
+                raise InvariantViolation(str(e)) from None
         if not (ex <= px and ey <= py):
             raise InvariantViolation(f"pool ({px!r}, {py!r}) cannot hold its earmarks "
                                      f"({ex!r}, {ey!r})")
+        if vx < 0.0 or vy < 0.0:
+            raise InvariantViolation(f"vault overdrawn: ({vx!r}, {vy!r})")
 
     # ------------------------------------------------------------------- views
 
@@ -355,6 +367,7 @@ class ChainState:
         the order body; only the commitment, the sold token and the
         collateral stay visible until reveal.
         """
+        _refuse_engine_account(owner, "owner")
         token = order.sells_token
         bound = self.max_x if token == "x" else self.max_y
         if order.size > bound:
@@ -373,20 +386,20 @@ class ChainState:
         Refused once an update has allocated the current height: no later
         update could allocate the insertion.
         """
+        _refuse_engine_account(producer, "producer")
         if self.last_alloc_label >= self.height:
             raise InvalidTransition(f"height {self.height} is already allocated")
         ids = list(oct_ids)
+        if not ids:
+            return ids
         seen = set()
         for oct_id in ids:
             # The mempool holds exactly the pending OCTs.
             if oct_id not in self.mempool or oct_id in seen:
                 raise InvalidTransition(f"oct {oct_id!r} is not in the mempool")
             seen.add(oct_id)
-        block = self.inserted_by_height.setdefault(self.height, [])
-        for oct_id in ids:
-            block.append(self.mempool.pop(oct_id))
-        if ids:
-            self._inserts.append((producer, tuple(ids)))
+        self.inserted_by_height.setdefault(self.height, []).extend(map(self.mempool.pop, ids))
+        self._inserts.append((producer, tuple(ids)))
         return ids
 
     def apply_update_tx(self, producer: str, alloc_label: int, price) -> UpdateReceipt:
@@ -396,6 +409,7 @@ class ChainState:
         heights up to it (and after the previous label) become the batch.
         The rebate fraction follows the schedule at gap ``H - H_a``.
         """
+        _refuse_engine_account(producer, "producer")
         h = self.height
         if self._update is not None:
             raise InvalidTransition(f"block {h} already carries an update transaction")
@@ -406,19 +420,25 @@ class ChainState:
         p = check_price(price)
         beta = self.schedule.value_at(h - alloc_label)
 
-        before = self.pool_reserves()
+        before = Reserves(*self.balances[POOL])
         move = apply_rebated_move(self.curve, before, p, beta)
         (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
-        # The pool after the two move legs, subtracted in the order they book;
-        # it and every leg, in booking order, are checked before the first transfer.
+        # The pool after the two move legs, subtracted in the order they book.
+        # Live, it bounds the pool after the first leg too (the vault deposit is
+        # >= 0) and the vault only receives, so of the move legs' payers only
+        # the producer can overdraw: tested as ``_guard`` would, refused by it.
         snapshot = check_reserves(before.x - fx - vx, before.y - fy - vy)
         legs = [(POOL, producer, fx, fy), (POOL, VAULT, vx, vy)]
-        self._check(*legs)
+        funds = self.balances.get(producer) or (0.0, 0.0)
+        if ((fx < 0.0 and funds[0] + fx < -_NEG_TOL * (abs(fx) + 1.0))
+                or (fy < 0.0 and funds[1] + fy < -_NEG_TOL * (abs(fy) + 1.0))):
+            self._check(*legs)
 
         heights = range(self.last_alloc_label + 1, alloc_label + 1)
         batch: list[Oct] = []
-        for height in heights:
-            batch += self.inserted_by_height.get(height, ())
+        if self.inserted_by_height:
+            for height in heights:
+                batch += self.inserted_by_height.get(height, ())
         ex, ey = escrow = (len(batch) * self.max_y * p, len(batch) * self.max_x / p)
         # The moved pool must back the open batches' earmarks and this one's.
         held_x, held_y = self.earmark()
@@ -429,28 +449,18 @@ class ChainState:
                 f"pool reserves cannot back escrow earmarks ({need_x!r}, {need_y!r})",
                 party=POOL,
             )
-        if batch:
+        if batch:  # every leg, in booking order, before the first transfer
             legs.append((producer, f"alloc:{alloc_label}", beta * ex, beta * ey))
             self._check(*legs)
         for leg in legs:
             self._transfer(*leg, guard=False)
-        for height in heights:
-            self.inserted_by_height.pop(height, None)
 
         self.last_alloc_label = alloc_label
-        self._update = UpdateReceipt(
-            height=h,
-            label=alloc_label,
-            beta=beta,
-            price=p,
-            before=before,
-            move=move,
-            escrow=escrow,
-            snapshot=snapshot,
-            producer=producer,
-            oct_ids=tuple(oct.id for oct in batch),
-        )
-        if batch:
+        self._update = UpdateReceipt(h, alloc_label, beta, p, before, move, escrow, snapshot,
+                                     producer, tuple(oct.id for oct in batch))
+        if batch:  # every insertion sits in a non-empty list
+            for height in heights:
+                self.inserted_by_height.pop(height, None)
             self.open_allocations[alloc_label] = self._update
             for oct in batch:
                 self.allocated[oct.id] = (oct, self._update)
@@ -540,14 +550,7 @@ class ChainState:
         self._transfer(escrow, u.producer, min(ax, 0.0), min(ay, 0.0), guard=False)
         del self.balances[escrow], self.open_allocations[label]
 
-        receipt = ExecutionReceipt(
-            update=u,
-            settlement=settlement,
-            orders=orders,
-            burned=burned,
-            to_pool=to_pool,
-            to_producer=to_producer,
-        )
+        receipt = ExecutionReceipt(u, settlement, orders, burned, to_pool, to_producer)
         self._executions.append(receipt)
         return receipt
 
@@ -561,38 +564,31 @@ class ChainState:
         (``check_books``), the closing pool included.
         """
         eps = check_price(eps)
+        who = converter if converter is not None else "converter"
+        _refuse_engine_account(who, "converter")
         h = self.height
-        for label in sorted(self.open_allocations):
-            u = self.open_allocations[label]
-            if h >= u.height + self.reveal_window or all(i in self.reveals for i in u.oct_ids):
-                self.execute_batch(label)
+        if self.open_allocations:
+            for label in sorted(self.open_allocations):
+                u = self.open_allocations[label]
+                if h >= u.height + self.reveal_window or all(i in self.reveals for i in u.oct_ids):
+                    self.execute_batch(label)
 
         reentry = None
         freq = self.conversion_frequency
         vault = tuple(self.balances[VAULT])
         if freq > 0 and (h + 1) % freq == 0 and vault != (0.0, 0.0):
-            who = converter if converter is not None else "converter"
             added, flow = vault_reenter(vault, eps)
             # The converter swaps the vault basket for the price-preserving
             # one; value-neutral at eps, so outside liquidity may go through
             # a transiently negative account.
             self._transfer(VAULT, who, *vault, guard=False)
             self._transfer(who, POOL, *added, guard=False)
-            reentry = ReentryReceipt(added=added, converter_flow=flow, converter=who)
+            reentry = ReentryReceipt(added, flow, who)
 
         self.check_books()
-        block = BlockReceipt(
-            height=h,
-            eps=eps,
-            submitted=tuple(self._submitted),
-            inserts=tuple(self._inserts),
-            update=self._update,
-            revealed=tuple(self._revealed),
-            executions=tuple(self._executions),
-            reentry=reentry,
-            pool=tuple(self.balances[POOL]),
-            vault=tuple(self.balances[VAULT]),
-        )
+        block = BlockReceipt(h, eps, tuple(self._submitted), tuple(self._inserts), self._update,
+                             tuple(self._revealed), tuple(self._executions), reentry,
+                             tuple(self.balances[POOL]), tuple(self.balances[VAULT]))
         self._open_block()
         self.height = h + 1
         return block

@@ -83,7 +83,7 @@ def apply_rebated_move(curve, reserves: Reserves, target_price, rebate: float) -
         raise DomainError(f"rebate fraction must lie in [0, 1), got {rebate!r}")
     p0 = curve.price(reserves)
     if target_price == p0:
-        return RebatedMoveResult(vault_deposit=(0.0, 0.0), producer_flow=(0.0, 0.0))
+        return RebatedMoveResult((0.0, 0.0), (0.0, 0.0))
     k = curve.invariant(reserves)
     full = curve.reserves_at_price(k, target_price)
     dx = full.x - reserves.x
@@ -100,7 +100,7 @@ def apply_rebated_move(curve, reserves: Reserves, target_price, rebate: float) -
         deposit = (0.0, max(0.0, mid_y - curve.y_matching_price(target_price, mid_x)))
     else:
         deposit = (max(0.0, mid_x - curve.x_matching_price(target_price, mid_y)), 0.0)
-    return RebatedMoveResult(vault_deposit=deposit, producer_flow=(-keep * dx, -keep * dy))
+    return RebatedMoveResult(deposit, (-keep * dx, -keep * dy))
 
 
 def vault_reenter(

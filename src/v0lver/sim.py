@@ -203,14 +203,14 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
 def _block_row(block: BlockReceipt) -> dict:
     """The ``blocks.csv`` row of one block, keys in column order."""
     u = block.update
-    pool = Reserves(*block.pool)
+    px, py = block.pool
     return {
         "height": block.height,
         "eps": block.eps,
-        "pool_x": pool.x,
-        "pool_y": pool.y,
-        "pool_price": CONSTANT_PRODUCT.price(pool),
-        "pool_k": CONSTANT_PRODUCT.invariant(pool),
+        "pool_x": px,
+        "pool_y": py,
+        "pool_price": px / py,  # the constant-product price and invariant
+        "pool_k": px * py,
         "vault_x": block.vault[0],
         "vault_y": block.vault[1],
         "update": int(u is not None),

@@ -19,8 +19,13 @@ writer the CLI's one strict encoder replaced: every record made JSON-safe
 match it byte for byte. ``reference_transfer_token`` is the one-token
 ledger leg as the generic two-token ``ChainState._transfer`` books it, which
 the engine's in-place ``_transfer_token`` must reproduce bit for bit, signed
-zeros, account order and refusals included. ``market_orders``, ``settlement_bits``,
-``InlineExecutor`` and ``pool_price`` are test plumbing, not references.
+zeros, account order and refusals included. ``reference_update_refusal`` is
+the update's dry run with every leg guarded, the pool's and the vault's
+included; the engine, which pre-tests only the producer, must refuse exactly
+when it does, with the same party and message. ``ReferenceBook`` sums with
+``plain_sum``, the left-to-right adds of the sorted book's loops.
+``market_orders``, ``settlement_bits``, ``InlineExecutor`` and ``pool_price``
+are test plumbing, not references.
 """
 from __future__ import annotations
 
@@ -37,9 +42,10 @@ from v0lver.allocation import (
     Settlement,
     clearing_price_with_limits,
 )
-from v0lver.errors import DomainError
-from v0lver.cfmm import Reserves, check_price
-from v0lver.engine import ChainState
+from v0lver.errors import DomainError, FundingError
+from v0lver.cfmm import Reserves, check_price, check_reserves
+from v0lver.engine import POOL, VAULT, ChainState
+from v0lver.rebate import apply_rebated_move
 
 
 def bisect_market_clearing(snapshot_x: float, snapshot_y: float, dx: float, dy: float,
@@ -125,6 +131,15 @@ def market_orders(dx: float, dy: float) -> list[Order]:
     return [Order(side, q) for side, q in flow if q != 0.0]
 
 
+def plain_sum(values) -> float:
+    """Left-to-right float adds. ``sum()`` of floats is compensated from Python
+    3.12 on, so it would not reproduce the book's index-order loops there."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class ReferenceBook:
     """One batch, split once: the orders, each side's ``(index, size, limit)``
     triples in index order (``limit=None`` for markets), and the sorted limits."""
@@ -146,8 +161,8 @@ class ReferenceBook:
         """
         edges = [0.0] + self.limits + [math.inf]
         for lo, hi in zip(edges, edges[1:]):
-            x_in = sum(s for _, s, lim in self.buys if lim is None or lim >= hi)
-            y_in = sum(s for _, s, lim in self.sells if lim is None or lim <= lo)
+            x_in = plain_sum(s for _, s, lim in self.buys if lim is None or lim >= hi)
+            y_in = plain_sum(s for _, s, lim in self.sells if lim is None or lim <= lo)
             yield lo, hi, (snapshot.x + x_in) / (snapshot.y + y_in)
 
     def settle(self, curve, snapshot, p):
@@ -159,10 +174,10 @@ class ReferenceBook:
         Returns the Settlement, or None when no fill fractions in [0, 1]
         balance the batch.
         """
-        in_x = sum(s for _, s, lim in self.buys if lim is None or lim > p)
-        mb = sum(s for _, s, lim in self.buys if lim == p)
-        in_y = sum(s for _, s, lim in self.sells if lim is None or lim < p)
-        ms = sum(s for _, s, lim in self.sells if lim == p)
+        in_x = plain_sum(s for _, s, lim in self.buys if lim is None or lim > p)
+        mb = plain_sum(s for _, s, lim in self.buys if lim == p)
+        in_y = plain_sum(s for _, s, lim in self.sells if lim is None or lim < p)
+        ms = plain_sum(s for _, s, lim in self.sells if lim == p)
         chord = curve.chord_y(snapshot, p)
         scale = max(snapshot.y, abs(chord), (in_x + mb) / p, in_y + ms, 1e-30)
         tol = CLEARING_RTOL * scale
@@ -403,6 +418,39 @@ def reference_transfer_token(chain: ChainState, src: str, dst: str, token: str, 
         chain._transfer(src, dst, amount, 0.0, guard=guard)
     else:
         chain._transfer(src, dst, 0.0, amount, guard=guard)
+
+
+def reference_update_refusal(chain: ChainState, producer: str, alloc_label: int, price):
+    """The FundingError ``chain.apply_update_tx(producer, alloc_label, price)``
+    raises under a dry run that guards every leg, or None if it books.
+
+    ``chain._check`` runs over the two move legs, then the earmarks are
+    checked, then ``_check`` runs over every leg in booking order, the escrow
+    leg of a non-empty batch included. The update must be otherwise valid
+    (fresh label, a price that keeps the pool live)."""
+    p = check_price(price)
+    beta = chain.schedule.value_at(chain.height - alloc_label)
+    before = Reserves(*chain.balances[POOL])
+    move = apply_rebated_move(chain.curve, before, p, beta)
+    (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
+    snapshot = check_reserves(before.x - fx - vx, before.y - fy - vy)
+    legs = [(POOL, producer, fx, fy), (POOL, VAULT, vx, vy)]
+    n = sum(len(chain.inserted_by_height.get(h, ()))
+            for h in range(chain.last_alloc_label + 1, alloc_label + 1))
+    ex, ey = n * chain.max_y * p, n * chain.max_x / p
+    held_x, held_y = chain.earmark()
+    try:
+        chain._check(*legs)
+        need_x, need_y = held_x + (1.0 - beta) * ex, held_y + (1.0 - beta) * ey
+        if need_x > snapshot.x or need_y > snapshot.y:
+            raise FundingError(
+                f"pool reserves cannot back escrow earmarks ({need_x!r}, {need_y!r})", party=POOL)
+        if n:
+            legs.append((producer, f"alloc:{alloc_label}", beta * ex, beta * ey))
+            chain._check(*legs)
+    except FundingError as e:
+        return e
+    return None
 
 
 def pool_price(chain: ChainState) -> float:

@@ -354,6 +354,18 @@ class TestSortedBookMatchesReference:
             assert settlement_bits(verify_clearing_price(C, snapshot, orders, p)) == (
                 settlement_bits(reference_verify_clearing_price(C, snapshot, orders, p))), p
 
+    def test_sums_are_plain_left_to_right_adds(self):
+        # 1e16 + 1.0 rounds back to 1e16, twice; a compensated sum (sum() of
+        # floats from Python 3.12 on) keeps the 2.0 and prices one ulp higher.
+        snapshot, orders = Reserves(2.0, 1.0), [buy(1e16), buy(1.0), buy(1.0)]
+        plain = (2.0 + ((1e16 + 1.0) + 1.0)) / 1.0
+        assert plain != (2.0 + math.fsum([1e16, 1.0, 1.0])) / 1.0
+        assert allocation._Book(C, snapshot, orders).regime_price(0) == plain
+        assert [p_star for _, _, p_star in ReferenceBook(orders).regimes(snapshot)] == [plain]
+        s = clearing_price_with_limits(C, snapshot, orders)
+        assert s.price == plain
+        assert settlement_bits(s) == settlement_bits(reference_clearing_price(C, snapshot, orders))
+
     def test_a_non_finite_gap_does_not_settle(self):
         snapshot, orders = OVERFLOWING
         s = clearing_price_with_limits(C, snapshot, orders)

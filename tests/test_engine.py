@@ -12,6 +12,7 @@ from v0lver.engine import (
     COLLATERAL,
     POOL,
     VAULT,
+    _NEG_TOL,
     ChainState,
     commit_order,
 )
@@ -22,9 +23,9 @@ from v0lver.errors import (
     InvariantViolation,
     VerificationError,
 )
-from v0lver.rebate import RebateSchedule
+from v0lver.rebate import RebateSchedule, apply_rebated_move
 
-from oracles import pool_price, reference_transfer_token
+from oracles import pool_price, reference_transfer_token, reference_update_refusal
 
 C = CONSTANT_PRODUCT
 SCHEDULE = RebateSchedule(z_max=4, beta0=0.8)
@@ -60,6 +61,13 @@ def stages(chain, oct_id):
     queues = (("pending", chain.mempool), ("inserted", inserted),
               ("allocated", chain.allocated), ("revealed", chain.reveals))
     return [name for name, ids in queues if oct_id in ids]
+
+
+def ledger_and_queues(chain):
+    """Every balance (signed zeros included), every OCT queue and the last allocation label."""
+    return (repr(list(chain.balances.items())), dict(chain.mempool),
+            {h: list(v) for h, v in chain.inserted_by_height.items()}, dict(chain.allocated),
+            dict(chain.reveals), dict(chain.open_allocations), chain.last_alloc_label)
 
 
 def buy(size, limit=None):
@@ -430,6 +438,31 @@ class TestTransitionGuards:
         assert chain.open_allocations == {}
         assert chain.advance_block(110.0).update is None
 
+    @pytest.mark.parametrize("name", [POOL, VAULT, COLLATERAL, BURNED, "alloc:0"])
+    @pytest.mark.parametrize("entry, arg", [("submit_oct", "owner"), ("insert_octs", "producer"),
+                                            ("apply_update_tx", "producer"),
+                                            ("advance_block", "converter")])
+    def test_agents_must_not_act_as_engine_accounts(self, entry, arg, name):
+        chain = make_chain(conversion_frequency=2)
+        first = chain.submit_oct("alice", buy(5.0))
+        chain.insert_octs("prod", [first.id])
+        chain.apply_update_tx("prod", 0, 101.0)
+        chain.advance_block(101.0, converter="prod")
+        # block 1: batch 0 waits for its reveal in alloc:0, the vault holds the
+        # update's deposit and re-enters at this block's end
+        pending = chain.submit_oct("alice", buy(5.0))
+        assert chain.balances["alloc:0"] != [0.0, 0.0] and chain.balances[VAULT] != [0.0, 0.0]
+        state = ledger_and_queues(chain)
+        call = {"submit_oct": lambda: chain.submit_oct(name, buy(5.0)),
+                "insert_octs": lambda: chain.insert_octs(name, [pending.id]),
+                "apply_update_tx": lambda: chain.apply_update_tx(name, 1, 102.0),
+                "advance_block": lambda: chain.advance_block(102.0, converter=name)}[entry]
+        with pytest.raises(DomainError, match=f"^{arg} .*'{name}'"):
+            call()
+        assert ledger_and_queues(chain) == state
+        assert chain.height == 1 and chain._update is None
+        assert chain._submitted == [pending] and chain._inserts == []
+
     def test_overdraft_tolerance_is_per_token(self):
         chain = make_chain(balances={"alice": (1_000.0, 1e12)})
         # a 1e12 y leg allows 1e3 y of rounding slack, but no x overdraft beyond ~1e-6
@@ -663,6 +696,12 @@ class TestLedger:
         with pytest.raises(InvariantViolation, match="pool reserves"):
             chain.advance_block(100.0)
 
+    def test_a_negative_vault_is_an_invariant_break(self):
+        chain = make_chain()
+        chain._transfer(VAULT, "alice", 0.0, 1e-3, guard=False)  # supply conserved
+        with pytest.raises(InvariantViolation, match="vault"):
+            chain.check_books()
+
     def test_replay_determinism(self):
         def run():
             chain = make_chain()
@@ -840,3 +879,67 @@ class TestLedgerOracle:
         reference = make_chain(balances=opening)
         reference._transfer_token = types.MethodType(reference_transfer_token, reference)
         assert run(make_chain(balances=opening)) == run(reference)
+
+
+# One token of the producer's opening balance for an update: zero, plenty, or
+# the overdraft-tolerance edge of the move leg or of the escrow leg, moved by
+# a few ulps (clamped at zero, where the producer pays nothing of that token).
+HOLDING = st.tuples(st.sampled_from(["zero", "plenty", "move", "escrow"]), st.integers(-2, 2))
+
+
+def holding(kind, ulps, flow, escrow):
+    """An opening balance for a producer receiving ``flow`` (signed) of one token
+    in the move leg, then paying ``escrow`` of it into the batch."""
+    if kind == "zero":
+        return 0.0
+    if kind == "plenty":
+        return 1e6
+    # Where the balance after the leg sits exactly at -_NEG_TOL * (|amount| + 1).
+    if kind == "move":
+        edge = -flow - _NEG_TOL * (abs(flow) + 1.0)
+    else:
+        edge = escrow - flow - _NEG_TOL * (escrow + 1.0)
+    for _ in range(abs(ulps)):
+        edge = math.nextafter(edge, math.copysign(math.inf, ulps))
+    return max(edge, 0.0)
+
+
+class TestUpdateDryRun:
+    @settings(max_examples=300, deadline=None)
+    @given(beta0=st.sampled_from([0.0, 0.8]),
+           ratio=st.sampled_from([0.9, 0.999, 1.0, 1.001, 1.1]) | st.floats(0.5, 2.0),
+           n=st.integers(0, 2), max_y=st.sampled_from([0.1, 1_000.0]),
+           holdings=st.none() | st.tuples(HOLDING, HOLDING))
+    @example(beta0=0.8, ratio=1.1, n=0, max_y=0.1, holdings=None)
+    @example(beta0=0.8, ratio=1.1, n=0, max_y=0.1, holdings=(("move", -1), ("zero", 0)))
+    @example(beta0=0.8, ratio=1.1, n=0, max_y=0.1, holdings=(("move", 1), ("zero", 0)))
+    @example(beta0=0.0, ratio=0.9, n=0, max_y=0.1, holdings=(("zero", 0), ("move", -1)))
+    @example(beta0=0.0, ratio=0.9, n=0, max_y=0.1, holdings=(("zero", 0), ("move", 1)))
+    @example(beta0=0.8, ratio=0.9, n=2, max_y=0.1, holdings=(("escrow", -1), ("escrow", 1)))
+    @example(beta0=0.8, ratio=1.1, n=2, max_y=0.1, holdings=(("escrow", 1), ("escrow", -1)))
+    @example(beta0=0.8, ratio=1.1, n=2, max_y=1_000.0, holdings=(("move", -1), ("zero", 0)))
+    @example(beta0=0.8, ratio=1.1, n=2, max_y=1_000.0, holdings=(("plenty", 0), ("plenty", 0)))
+    def test_refuses_exactly_as_a_dry_run_of_every_leg(self, beta0, ratio, n, max_y, holdings):
+        schedule = RebateSchedule(z_max=1 if beta0 else 0, beta0=beta0)
+        price = 100.0 * ratio
+        move = apply_rebated_move(C, Reserves(10_000.0, 100.0), price, beta0)
+        escrow = (beta0 * n * max_y * price, beta0 * n * 10.0 / price)
+        balances = {"alice": (1_000.0, 10.0)}
+        if holdings is not None:  # else the producer holds no account
+            balances["prod"] = tuple(holding(kind, ulps, f, e) for (kind, ulps), f, e
+                                     in zip(holdings, move.producer_flow, escrow))
+        chain = make_chain(schedule=schedule, max_y=max_y, balances=balances)
+        octs = [chain.submit_oct("alice", buy(5.0)) for _ in range(n)]
+        chain.insert_octs("prod", [oct.id for oct in octs])
+        want = reference_update_refusal(chain, "prod", 0, price)
+        state = ledger_and_queues(chain)
+        try:
+            chain.apply_update_tx("prod", 0, price)
+        except FundingError as e:
+            got = e
+            assert ledger_and_queues(chain) == state
+        else:
+            got = None
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.party, str(got)) == (want.party, str(want))
