@@ -50,25 +50,37 @@ def gen_user_orders(
 
     Sides are value-symmetric: each order first draws a value in x units,
     then sells x (size = value) or y (size = value / eps) with equal
-    probability, so the expected signed value imbalance is zero.
+    probability, so the expected signed value imbalance is zero. Per order the
+    uniforms come in the order side, value, limit coin (when ``limit_prob > 0``
+    and the value is > 0) and limit offset (when the coin is below
+    ``limit_prob``); a block draws them in one call, with the generator's end
+    state exactly that of the one-at-a-time loop.
     """
     if flow.arrival <= 0:
         return []
     n = int(rng.poisson(flow.arrival))
     cap = flow.value_frac * min(max_x, max_y * eps)
-    orders = []
+    p, width = flow.limit_prob, flow.limit_width
+    state = rng.bit_generator.state if p > 0 else None
+    u = rng.random((4 if p > 0 else 2) * n).tolist()  # an order draws at most 4
+    orders, j = [], 0
     for _ in range(n):
-        sells_x = rng.random() < 0.5
-        value = cap * rng.random()
+        sells_x, value = u[j] < 0.5, cap * u[j + 1]
+        j += 2
         if value <= 0.0:
             continue
         limit = None
-        if flow.limit_prob > 0 and rng.random() < flow.limit_prob:
-            limit = eps * (1.0 + flow.limit_width * rng.uniform(-1.0, 1.0))
-        if sells_x:
-            orders.append(Order(OrderSide.BUY_Y, value, limit, owner))
-        else:
-            orders.append(Order(OrderSide.SELL_Y, value / eps, limit, owner))
+        if p > 0:
+            j += 1
+            if u[j - 1] < p:
+                # numpy's uniform(-1, 1) is -1 + 2 * u; 2 * u is exact, so even fused adds agree.
+                limit = eps * (1.0 + width * (-1.0 + 2.0 * u[j]))
+                j += 1
+        side, size = (OrderSide.BUY_Y, value) if sells_x else (OrderSide.SELL_Y, value / eps)
+        orders.append(Order(side, size, limit, owner))
+    if state is not None:  # rewind, then draw exactly the j values the orders used
+        rng.bit_generator.state = state
+        rng.random(j)
     return orders
 
 

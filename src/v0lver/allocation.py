@@ -47,6 +47,11 @@ from .errors import DomainError
 CLEARING_RTOL = 1e-9
 
 
+def plain_sum(values) -> float:
+    """Left-to-right float adds: ``sum()`` of floats is compensated from Python 3.12."""
+    return reduce(add, values, 0.0)
+
+
 class OrderSide(enum.Enum):
     """BUY_Y sells token x for y; SELL_Y sells token y for x."""
 
@@ -75,9 +80,12 @@ class Order:
             except ValueError:
                 raise DomainError(
                     f"order side must be 'buy_y' or 'sell_y', got {self.side!r}") from None
-        object.__setattr__(self, "size", check_price(self.size, what="order size"))
-        if self.limit is not None:
-            object.__setattr__(self, "limit", check_price(self.limit, what="order limit"))
+        # A finite float > 0 passes as it is; anything else is converted or refused.
+        if not (type(self.size) is float and 0.0 < self.size < math.inf):
+            object.__setattr__(self, "size", check_price(self.size, what="order size"))
+        limit = self.limit
+        if limit is not None and not (type(limit) is float and 0.0 < limit < math.inf):
+            object.__setattr__(self, "limit", check_price(limit, what="order limit"))
 
     @property
     def sells_token(self) -> str:
@@ -171,9 +179,8 @@ class _Book:
     def regime_price(self, k):
         """Regime ``k``'s market-balance price, from index-order sums."""
         lo, hi = self.gap(k)
-        # Plain adds, as in settle: sum() of floats is compensated from Python 3.12.
-        x_in = reduce(add, (s for _, s, lim in self.buys if lim is None or lim >= hi), 0.0)
-        y_in = reduce(add, (s for _, s, lim in self.sells if lim is None or lim <= lo), 0.0)
+        x_in = plain_sum(s for _, s, lim in self.buys if lim is None or lim >= hi)  # as in settle
+        y_in = plain_sum(s for _, s, lim in self.sells if lim is None or lim <= lo)
         return (self.snapshot.x + x_in) / (self.snapshot.y + y_in)
 
     def screened_price(self, k):

@@ -277,13 +277,10 @@ class ChainState:
             _guard(src, dst, s, d, dx, dy)
             after[src], after[dst] = (s[0] - dx, s[1] - dy), (d[0] + dx, d[1] + dy)
 
-    def _transfer(self, src: str, dst: str, dx: float, dy: float, *, guard: bool = True):
-        """Move (dx, dy) from src to dst; negative components flip direction."""
+    def _transfer(self, src: str, dst: str, dx: float, dy: float):
+        """Move (dx, dy) from src to dst, unchecked; negative components flip direction."""
         if dx == 0.0 and dy == 0.0:
             return
-        if guard:  # before an account opens, so a refused transfer leaves no trace
-            _guard(src, dst, self.balances.get(src, (0.0, 0.0)),
-                   self.balances.get(dst, (0.0, 0.0)), dx, dy)
         s = self.balances.setdefault(src, [0.0, 0.0])
         d = self.balances.setdefault(dst, [0.0, 0.0])
         s[0] -= dx
@@ -292,8 +289,8 @@ class ChainState:
         d[1] += dy
 
     def _transfer_token(self, src: str, dst: str, token: str, amount: float, *, guard: bool = True):
-        """Move ``amount`` of one token, ``"x"`` or ``"y"``, from src to dst, in one
-        call that books, checks and opens accounts as ``_transfer`` would."""
+        """Move ``amount`` of one token, ``"x"`` or ``"y"``, from src to dst, in one call
+        that books and opens accounts as ``_transfer`` would; ``guard`` refuses as ``_guard``."""
         if amount == 0.0:
             return
         i = 0 if token == "x" else 1
@@ -453,7 +450,7 @@ class ChainState:
             legs.append((producer, f"alloc:{alloc_label}", beta * ex, beta * ey))
             self._check(*legs)
         for leg in legs:
-            self._transfer(*leg, guard=False)
+            self._transfer(*leg)
 
         self.last_alloc_label = alloc_label
         self._update = UpdateReceipt(h, alloc_label, beta, p, before, move, escrow, snapshot,
@@ -539,15 +536,15 @@ class ChainState:
         rx, ry = max(rx, 0.0), max(ry, 0.0)
         to_pool = ((1.0 - beta) * rx, (1.0 - beta) * ry)
         to_producer = (beta * rx, beta * ry)
-        self._transfer(escrow, POOL, (1.0 - beta) * dx, (1.0 - beta) * dy, guard=False)
-        self._transfer(escrow, u.producer, *to_producer, guard=False)
+        self._transfer(escrow, POOL, (1.0 - beta) * dx, (1.0 - beta) * dy)
+        self._transfer(escrow, u.producer, *to_producer)
         ax, ay = self.balances.setdefault(escrow, [0.0, 0.0])
         if abs(ax) > tol_x or abs(ay) > tol_y:
             raise InvariantViolation(f"escrow {escrow} not fully unwound: ({ax!r}, {ay!r})")
         # The settled escrow closes with supply unchanged: positive rounding dust
         # burns, and the producer, the escrow's residual claimant, pays negative dust.
-        self._transfer(escrow, BURNED, max(ax, 0.0), max(ay, 0.0), guard=False)
-        self._transfer(escrow, u.producer, min(ax, 0.0), min(ay, 0.0), guard=False)
+        self._transfer(escrow, BURNED, max(ax, 0.0), max(ay, 0.0))
+        self._transfer(escrow, u.producer, min(ax, 0.0), min(ay, 0.0))
         del self.balances[escrow], self.open_allocations[label]
 
         receipt = ExecutionReceipt(u, settlement, orders, burned, to_pool, to_producer)
@@ -581,8 +578,8 @@ class ChainState:
             # The converter swaps the vault basket for the price-preserving
             # one; value-neutral at eps, so outside liquidity may go through
             # a transiently negative account.
-            self._transfer(VAULT, who, *vault, guard=False)
-            self._transfer(who, POOL, *added, guard=False)
+            self._transfer(VAULT, who, *vault)
+            self._transfer(who, POOL, *added)
             reentry = ReentryReceipt(added, flow, who)
 
         self.check_books()

@@ -31,9 +31,9 @@ from .agents import (
     gen_user_orders,
     producer_utility,
 )
-from .allocation import Order, OrderSide
+from .allocation import Order, OrderSide, plain_sum
 from .cfmm import CONSTANT_PRODUCT, Reserves, max_lvr
-from .config import ScenarioConfig
+from .config import FlowModel, ScenarioConfig
 from .engine import POOL, BlockReceipt, ChainState
 from .errors import ConfigError, FundingError
 
@@ -171,9 +171,10 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
             prev_eps = eps
             eps = proc.step(price_rng)
 
-        for order in gen_user_orders(flow_rng, cfg.flow, eps, cfg.max_x, cfg.max_y, USERS):
+        orders, hidden = _user_flow(flow_rng, cfg.flow, eps, cfg.max_x, cfg.max_y)
+        for order, hide in zip(orders, hidden):
             oct = chain.submit_oct(USERS, order)
-            if not (cfg.flow.no_reveal_prob > 0 and flow_rng.random() < cfg.flow.no_reveal_prob):
+            if not hide:
                 private_orders[oct.id] = order
         alpha = cfg.producer.self_trade_alpha
         if alpha > 0:
@@ -200,6 +201,13 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
         yield chain.advance_block(eps, converter=PRODUCER)
 
 
+def _user_flow(rng, flow: FlowModel, eps: float, max_x: float, max_y: float):
+    """One block's user orders, then, in one draw, whether each stays unrevealed."""
+    orders, p = gen_user_orders(rng, flow, eps, max_x, max_y, USERS), flow.no_reveal_prob
+    hidden = (rng.random(len(orders)) < p).tolist() if p > 0 and orders else [False] * len(orders)
+    return orders, hidden
+
+
 def _block_row(block: BlockReceipt) -> dict:
     """The ``blocks.csv`` row of one block, keys in column order."""
     u = block.update
@@ -222,7 +230,7 @@ def _block_row(block: BlockReceipt) -> dict:
         "n_revealed": len(block.revealed),
         "n_executed": sum(len(er.orders) for er in block.executions),
         "n_burned": sum(len(er.burned) for er in block.executions),
-        "volume_y": sum((er.settlement.volume_y for er in block.executions), 0.0),
+        "volume_y": plain_sum(er.settlement.volume_y for er in block.executions),
     }
 
 
@@ -306,8 +314,8 @@ def lvr_experiment(cfg: ScenarioConfig, seed: int, runs: int = 200, jobs: int = 
     n = len(ratios)
     if not n:
         raise ConfigError(f"no run produced an LVR ratio: none of the {runs} runs extracted value")
-    mean = sum(ratios) / n
-    var = sum((r - mean) ** 2 for r in ratios) / (n - 1) if n > 1 else 0.0
+    mean = plain_sum(ratios) / n
+    var = plain_sum((r - mean) ** 2 for r in ratios) / (n - 1) if n > 1 else 0.0
     se = math.sqrt(var / n)
     half = 1.96 * se
     return {
@@ -325,8 +333,8 @@ def user_price_experiment(cfg: ScenarioConfig, seed: int, runs: int = 1, jobs: i
     """Pooled signed deviation of user execution prices from the block price."""
     results = run_many(cfg, seed, runs, jobs)
     n = sum(m.n_user_fills for m in results)
-    total = sum(m.user_dev_sum for m in results)
-    sq = sum(m.user_dev_sq for m in results)
+    total = plain_sum(m.user_dev_sum for m in results)
+    sq = plain_sum(m.user_dev_sq for m in results)
     mean, se = _mean_se(n, total, sq)
     return {
         "runs": len(results),

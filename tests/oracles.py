@@ -16,13 +16,16 @@ and settles every candidate exactly, and the sorted book must reproduce its
 solver and verifier bit for bit. ``reference_ndjson`` is the event-log
 writer the CLI's one strict encoder replaced: every record made JSON-safe
 (NaN and inf become null), then ``json.dumps`` per line; the CLI's log must
-match it byte for byte. ``reference_transfer_token`` is the one-token
-ledger leg as the generic two-token ``ChainState._transfer`` books it, which
-the engine's in-place ``_transfer_token`` must reproduce bit for bit, signed
-zeros, account order and refusals included. ``reference_update_refusal`` is
-the update's dry run with every leg guarded, the pool's and the vault's
-included; the engine, which pre-tests only the producer, must refuse exactly
-when it does, with the same party and message. ``ReferenceBook`` sums with
+match it byte for byte. ``reference_transfer`` is the guarded two-token
+ledger leg, and ``reference_transfer_token`` the one-token leg as it books
+it, which the engine's in-place ``_transfer_token`` must reproduce bit for
+bit, signed zeros, account order and refusals included.
+``reference_update_refusal`` is the update's dry run with every leg guarded,
+the pool's and the vault's included; the engine, which pre-tests only the
+producer, must refuse exactly when it does, with the same party and
+message. ``reference_user_flow`` is a block's user flow drawn one scalar at
+a time, which the flow's one-call draws must reproduce bit for bit, the
+generator's state after them included. ``ReferenceBook`` sums with
 ``plain_sum``, the left-to-right adds of the sorted book's loops.
 ``market_orders``, ``settlement_bits``, ``InlineExecutor`` and ``pool_price``
 are test plumbing, not references.
@@ -44,7 +47,7 @@ from v0lver.allocation import (
 )
 from v0lver.errors import DomainError, FundingError
 from v0lver.cfmm import Reserves, check_price, check_reserves
-from v0lver.engine import POOL, VAULT, ChainState
+from v0lver.engine import POOL, VAULT, ChainState, _guard
 from v0lver.rebate import apply_rebated_move
 
 
@@ -411,13 +414,23 @@ class InlineExecutor:
         return map(fn, iterable)
 
 
+def reference_transfer(chain: ChainState, src: str, dst: str, dx: float, dy: float,
+                       *, guard: bool = True):
+    """Move (dx, dy) from src to dst through ``chain._transfer``; with ``guard``,
+    refuse first, as ``_guard`` does, so a refused leg opens no account."""
+    if guard and not (dx == 0.0 and dy == 0.0):
+        _guard(src, dst, chain.balances.get(src, (0.0, 0.0)),
+               chain.balances.get(dst, (0.0, 0.0)), dx, dy)
+    chain._transfer(src, dst, dx, dy)
+
+
 def reference_transfer_token(chain: ChainState, src: str, dst: str, token: str, amount: float,
                              *, guard: bool = True):
-    """Move ``amount`` of one token from src to dst through ``chain._transfer``."""
+    """Move ``amount`` of one token from src to dst as the two-token ``reference_transfer``."""
     if token == "x":
-        chain._transfer(src, dst, amount, 0.0, guard=guard)
+        reference_transfer(chain, src, dst, amount, 0.0, guard=guard)
     else:
-        chain._transfer(src, dst, 0.0, amount, guard=guard)
+        reference_transfer(chain, src, dst, 0.0, amount, guard=guard)
 
 
 def reference_update_refusal(chain: ChainState, producer: str, alloc_label: int, price):
@@ -451,6 +464,32 @@ def reference_update_refusal(chain: ChainState, producer: str, alloc_label: int,
     except FundingError as e:
         return e
     return None
+
+
+def reference_user_flow(rng, flow, eps: float, max_x: float, max_y: float, owner: str = "users"):
+    """One block of user orders and their no-reveal coins, one scalar draw at a time.
+
+    The orders are ``agents.gen_user_orders``'s per-order loop, the coins the
+    per-order draw ``sim._drive`` made after them; ``sim._user_flow``, which
+    draws each in one call, must reproduce both, and the generator's state."""
+    orders = []
+    if flow.arrival > 0:
+        n = int(rng.poisson(flow.arrival))
+        cap = flow.value_frac * min(max_x, max_y * eps)
+        for _ in range(n):
+            sells_x = rng.random() < 0.5
+            value = cap * rng.random()
+            if value <= 0.0:
+                continue
+            limit = None
+            if flow.limit_prob > 0 and rng.random() < flow.limit_prob:
+                limit = eps * (1.0 + flow.limit_width * rng.uniform(-1.0, 1.0))
+            if sells_x:
+                orders.append(Order(OrderSide.BUY_Y, value, limit, owner))
+            else:
+                orders.append(Order(OrderSide.SELL_Y, value / eps, limit, owner))
+    hidden = [flow.no_reveal_prob > 0 and rng.random() < flow.no_reveal_prob for _ in orders]
+    return orders, hidden
 
 
 def pool_price(chain: ChainState) -> float:

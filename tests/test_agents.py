@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from v0lver.agents import (
     PriceProcess,
@@ -15,8 +18,9 @@ from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
 from v0lver.config import FlowModel, ProducerModel, builtin_scenarios
 from v0lver.errors import DomainError
 from v0lver.rebate import RebateSchedule
+from v0lver.sim import _user_flow
 
-from oracles import engine_producer_payoffs
+from oracles import engine_producer_payoffs, reference_user_flow
 
 C = CONSTANT_PRODUCT
 SCHEDULE = RebateSchedule(z_max=4, beta0=0.8)
@@ -113,6 +117,45 @@ class TestUserFlow:
         # expected one-side value: arrival/2 orders of mean value cap/2
         cap = flow.value_frac * min(mx, my * eps)
         assert dx.mean() == pytest.approx(flow.arrival / 2 * cap / 2, rel=0.05)
+
+
+BIT_GENERATORS = {"PCG64": np.random.PCG64, "MT19937": np.random.MT19937,
+                  "Philox": np.random.Philox}
+DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+# 0 and 1 are the edges where a draw is always or never made.
+PROB = st.one_of(st.sampled_from([0.0, 1.0]),
+                 st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+def order_bits(orders):
+    """Each order field by field, floats as their exact bits."""
+    return [(o.side, o.size.hex(), None if o.limit is None else o.limit.hex(), o.owner)
+            for o in orders]
+
+
+def state_of(rng):
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+class TestUserFlowDraw:
+    @settings(max_examples=150, deadline=None)
+    @given(arrival=st.one_of(st.just(0.0), st.floats(0.0, 500.0)), limit_prob=PROB,
+           limit_width=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+           value_frac=st.floats(-6.0, 0.0).map(lambda e: 10.0**e), no_reveal_prob=PROB,
+           eps=DECADES, max_x=DECADES, max_y=DECADES,
+           bit_generator=st.sampled_from(sorted(BIT_GENERATORS)), seed=st.integers(0, 2**32 - 1))
+    def test_one_call_per_block_is_the_scalar_stream(self, arrival, limit_prob, limit_width,
+                                                    value_frac, no_reveal_prob, eps, max_x,
+                                                    max_y, bit_generator, seed):
+        flow = FlowModel(arrival=arrival, limit_prob=limit_prob, limit_width=limit_width,
+                         value_frac=value_frac, no_reveal_prob=no_reveal_prob)
+        fast, slow = (np.random.Generator(BIT_GENERATORS[bit_generator](seed)) for _ in "ab")
+        for _ in range(3):  # consecutive blocks start where the last one left the stream
+            orders, hidden = _user_flow(fast, flow, eps, max_x, max_y)
+            ref_orders, ref_hidden = reference_user_flow(slow, flow, eps, max_x, max_y)
+            assert order_bits(orders) == order_bits(ref_orders)
+            assert hidden == ref_hidden
+            assert state_of(fast) == state_of(slow)
 
 
 class TestProducerUtility:

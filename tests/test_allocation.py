@@ -577,6 +577,23 @@ class TestOrderValidation:
             with pytest.raises(DomainError, match="limit"):
                 Order(OrderSide.SELL_Y, 1.0, bad)
 
+    @pytest.mark.parametrize("value", [np.float64(2.5), 2, True, "2.0"])
+    def test_a_non_float_size_or_limit_comes_out_a_float(self, value):
+        o = Order(OrderSide.SELL_Y, value, value)
+        for v in (o.size, o.limit):
+            assert type(v) is float and v == float(value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -2.0,
+                                     np.float64(math.nan), "abc", None])
+    def test_a_bad_size_or_limit_keeps_its_message(self, bad):
+        with pytest.raises(DomainError) as e:
+            Order(OrderSide.SELL_Y, bad)
+        assert str(e.value) == f"order size must be finite and > 0, got {bad!r}"
+        if bad is not None:  # a limit of None is a market order
+            with pytest.raises(DomainError) as e:
+                Order(OrderSide.BUY_Y, 1.0, bad)
+            assert str(e.value) == f"order limit must be finite and > 0, got {bad!r}"
+
     def test_sells_token(self):
         assert buy(1.0).sells_token == "x"
         assert sell(1.0).sells_token == "y"

