@@ -77,6 +77,9 @@ def gen_user_orders(
                 limit = eps * (1.0 + width * (-1.0 + 2.0 * u[j]))
                 j += 1
         side, size = (OrderSide.BUY_Y, value) if sells_x else (OrderSide.SELL_Y, value / eps)
+        if size == 0.0:  # value / eps underflowed
+            raise DomainError(f"flow.value_frac {flow.value_frac!r} is too small: an order "
+                              f"worth {value!r} x has no size in y at price {eps!r}")
         orders.append(Order(side, size, limit, owner))
     if state is not None:  # rewind, then draw exactly the j values the orders used
         rng.bit_generator.state = state

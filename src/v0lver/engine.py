@@ -4,9 +4,10 @@ The chain state owns a token ledger covering every party that can hold
 value: the pool reserves, the vault, the per-batch escrows, a collateral
 account for committed orders, agent accounts, and a burn sink. Every token
 movement goes through a transfer helper, so total supply is conserved by
-construction; every block end checks it, that the pool is live and holds its
-earmarks, and that the vault is not negative. No agent may act as one of the
-engine's accounts.
+construction. Legs book unchecked; the two outside payers, an order's owner
+and the update's producer, are checked where they pay. Every block end checks
+the supply, that the pool is live and holds its earmarks, and that neither the
+vault nor the collateral is overdrawn. No agent acts as an engine account.
 
 Escrow accounting: the update that allocates a batch sizes its escrow to pay
 out the worst case, ``count`` orders all selling the same side at the
@@ -228,15 +229,15 @@ class ChainState:
         balances: dict[str, tuple[float, float]] | None = None,
     ):
         max_x, max_y = check_price(max_x, what="max_x"), check_price(max_y, what="max_y")
-        if reveal_window < 0:
-            raise DomainError("reveal window must be >= 0")
-        if conversion_frequency < 0:
-            raise DomainError("conversion frequency must be >= 0")
+        for what, n in (("reveal_window", reveal_window),
+                        ("conversion_frequency", conversion_frequency)):
+            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+                raise DomainError(f"{what} must be an integer >= 0, got {n!r}")
         self.curve = curve
         self.schedule = schedule
         self.max_x, self.max_y = max_x, max_y
-        self.reveal_window = int(reveal_window)
-        self.conversion_frequency = int(conversion_frequency)
+        self.reveal_window = reveal_window
+        self.conversion_frequency = conversion_frequency
         self.height = 0
         self.last_alloc_label = -1
         self.mempool: dict[int, Oct] = {}
@@ -268,15 +269,6 @@ class ChainState:
 
     # ------------------------------------------------------------------ ledger
 
-    def _check(self, *legs):
-        """Dry run: raise FundingError if booking the (src, dst, dx, dy) legs would."""
-        after = {}
-        for src, dst, dx, dy in legs:
-            s = after.get(src) or self.balances.get(src, (0.0, 0.0))
-            d = after.get(dst) or self.balances.get(dst, (0.0, 0.0))
-            _guard(src, dst, s, d, dx, dy)
-            after[src], after[dst] = (s[0] - dx, s[1] - dy), (d[0] + dx, d[1] + dy)
-
     def _transfer(self, src: str, dst: str, dx: float, dy: float):
         """Move (dx, dy) from src to dst, unchecked; negative components flip direction."""
         if dx == 0.0 and dy == 0.0:
@@ -288,18 +280,13 @@ class ChainState:
         d[0] += dx
         d[1] += dy
 
-    def _transfer_token(self, src: str, dst: str, token: str, amount: float, *, guard: bool = True):
-        """Move ``amount`` of one token, ``"x"`` or ``"y"``, from src to dst, in one call
-        that books and opens accounts as ``_transfer`` would; ``guard`` refuses as ``_guard``."""
+    def _transfer_token(self, src: str, dst: str, token: str, amount: float):
+        """Move ``amount`` of one token, ``"x"`` or ``"y"``, from src to dst, unchecked,
+        in one call that books and opens accounts as ``_transfer`` would."""
         if amount == 0.0:
             return
         i = 0 if token == "x" else 1
         s, d = self.balances.get(src), self.balances.get(dst)
-        if guard:  # only the payer, src (dst when amount < 0), can overdraw
-            held = (s if amount > 0.0 else d) or (0.0, 0.0)
-            if held[i] - abs(amount) < -_NEG_TOL * (abs(amount) + 1.0):
-                _guard(src, dst, s or (0.0, 0.0), d or (0.0, 0.0),
-                       *((amount, 0.0), (0.0, amount))[i])
         if s is None:
             s = self.balances[src] = [0.0, 0.0]
         if d is None:
@@ -321,8 +308,8 @@ class ChainState:
 
     def check_books(self):
         """Raise InvariantViolation unless each token's supply is conserved (to a
-        relative ``_SUPPLY_RTOL``), the pool is live and holds its earmarks, and
-        the vault is not negative."""
+        relative ``_SUPPLY_RTOL``), the pool is live and holds its earmarks, the
+        vault is not negative and the collateral not overdrawn (by one bound's tolerance)."""
         (tx, ty), (x0, y0) = self.total_supply(), self._supply0
         # Written so that a NaN fails the comparison and raises.
         if not (abs(tx - x0) <= _SUPPLY_RTOL * abs(x0) and abs(ty - y0) <= _SUPPLY_RTOL * abs(y0)):
@@ -339,6 +326,9 @@ class ChainState:
                                      f"({ex!r}, {ey!r})")
         if vx < 0.0 or vy < 0.0:
             raise InvariantViolation(f"vault overdrawn: ({vx!r}, {vy!r})")
+        cx, cy = self.balances[COLLATERAL]  # unchecked legs may leave rounding dust below 0
+        if not (cx >= -_NEG_TOL * (self.max_x + 1.0) and cy >= -_NEG_TOL * (self.max_y + 1.0)):
+            raise InvariantViolation(f"collateral overdrawn: ({cx!r}, {cy!r})")
 
     # ------------------------------------------------------------------- views
 
@@ -369,6 +359,10 @@ class ChainState:
         bound = self.max_x if token == "x" else self.max_y
         if order.size > bound:
             raise DomainError(f"order size {order.size!r} exceeds the {token} bound {bound!r}")
+        funds, i = self.balances.get(owner) or (0.0, 0.0), 0 if token == "x" else 1
+        if funds[i] - bound < -_NEG_TOL * (bound + 1.0):  # the leg's one payer, as _guard tests
+            _guard(owner, COLLATERAL, funds, self.balances[COLLATERAL],
+                   *((bound, 0.0), (0.0, bound))[i])
         oct_id = self._next_oct_id
         oct = Oct(oct_id, owner, commit_order(order, str(oct_id)), token, bound)
         self._transfer_token(owner, COLLATERAL, token, bound)
@@ -425,11 +419,10 @@ class ChainState:
         # >= 0) and the vault only receives, so of the move legs' payers only
         # the producer can overdraw: tested as ``_guard`` would, refused by it.
         snapshot = check_reserves(before.x - fx - vx, before.y - fy - vy)
-        legs = [(POOL, producer, fx, fy), (POOL, VAULT, vx, vy)]
         funds = self.balances.get(producer) or (0.0, 0.0)
         if ((fx < 0.0 and funds[0] + fx < -_NEG_TOL * (abs(fx) + 1.0))
                 or (fy < 0.0 and funds[1] + fy < -_NEG_TOL * (abs(fy) + 1.0))):
-            self._check(*legs)
+            _guard(POOL, producer, self.balances[POOL], funds, fx, fy)
 
         heights = range(self.last_alloc_label + 1, alloc_label + 1)
         batch: list[Oct] = []
@@ -446,11 +439,14 @@ class ChainState:
                 f"pool reserves cannot back escrow earmarks ({need_x!r}, {need_y!r})",
                 party=POOL,
             )
-        if batch:  # every leg, in booking order, before the first transfer
-            legs.append((producer, f"alloc:{alloc_label}", beta * ex, beta * ey))
-            self._check(*legs)
-        for leg in legs:
-            self._transfer(*leg)
+        if batch:  # the producer funds its share from what it holds after the move
+            account = f"alloc:{alloc_label}"
+            _guard(producer, account, (funds[0] + fx, funds[1] + fy), (0.0, 0.0),
+                   beta * ex, beta * ey)
+        self._transfer(POOL, producer, fx, fy)
+        self._transfer(POOL, VAULT, vx, vy)
+        if batch:
+            self._transfer(producer, account, beta * ex, beta * ey)
 
         self.last_alloc_label = alloc_label
         self._update = UpdateReceipt(h, alloc_label, beta, p, before, move, escrow, snapshot,
@@ -525,8 +521,8 @@ class ChainState:
             sold, bought = (f.sold, f.bought) if f is not None else (0.0, 0.0)
             sells = oct.collateral_token  # the reveal checked it is the order's
             buys = "y" if sells == "x" else "x"
-            self._transfer_token(COLLATERAL, escrow, sells, sold, guard=False)
-            self._transfer_token(escrow, oct.owner, buys, bought, guard=False)
+            self._transfer_token(COLLATERAL, escrow, sells, sold)
+            self._transfer_token(escrow, oct.owner, buys, bought)
             self._transfer_token(COLLATERAL, oct.owner, sells, oct.collateral - sold)
 
         # The remainder splits 1 - beta : beta, the ratio the escrow was funded

@@ -307,7 +307,7 @@ def lvr_experiment(cfg: ScenarioConfig, seed: int, runs: int = 200, jobs: int = 
 
     The headline numbers are the mean ratio and its 95% confidence interval;
     with the linear rebate schedule at gap zero the mean should sit near
-    ``1 - beta0``.
+    ``1 - beta0``. One ratio gives no spread: ``se`` and ``ci95`` are NaN.
     """
     results = run_many(cfg, seed, runs, jobs)
     ratios = [m.lvr_ratio for m in results if not math.isnan(m.lvr_ratio)]
@@ -315,7 +315,7 @@ def lvr_experiment(cfg: ScenarioConfig, seed: int, runs: int = 200, jobs: int = 
     if not n:
         raise ConfigError(f"no run produced an LVR ratio: none of the {runs} runs extracted value")
     mean = plain_sum(ratios) / n
-    var = plain_sum((r - mean) ** 2 for r in ratios) / (n - 1) if n > 1 else 0.0
+    var = plain_sum((r - mean) ** 2 for r in ratios) / (n - 1) if n > 1 else math.nan
     se = math.sqrt(var / n)
     half = 1.96 * se
     return {

@@ -19,13 +19,17 @@ writer the CLI's one strict encoder replaced: every record made JSON-safe
 match it byte for byte. ``reference_transfer`` is the guarded two-token
 ledger leg, and ``reference_transfer_token`` the one-token leg as it books
 it, which the engine's in-place ``_transfer_token`` must reproduce bit for
-bit, signed zeros, account order and refusals included.
-``reference_update_refusal`` is the update's dry run with every leg guarded,
-the pool's and the vault's included; the engine, which pre-tests only the
-producer, must refuse exactly when it does, with the same party and
-message. ``reference_user_flow`` is a block's user flow drawn one scalar at
-a time, which the flow's one-call draws must reproduce bit for bit, the
-generator's state after them included. ``ReferenceBook`` sums with
+bit, signed zeros and account order included. ``reference_guarded_leg`` is
+the per-leg guard the engine's one-token legs once had (every leg no
+``alloc:`` escrow pays or receives): the engine, which checks the owner once
+where it posts collateral and the collateral at block end, must refuse
+exactly when it does. ``reference_dry_run`` is the generic dry run over a
+list of legs, and ``reference_update_refusal`` the update's dry run with
+every leg guarded, the pool's and the vault's included; the engine, which
+checks only the producer, must refuse exactly when it does, with the same
+party and message. ``reference_user_flow`` is a block's user flow drawn one
+scalar at a time, which the flow's one-call draws must reproduce bit for bit,
+the generator's state after them included. ``ReferenceBook`` sums with
 ``plain_sum``, the left-to-right adds of the sorted book's loops.
 ``market_orders``, ``settlement_bits``, ``InlineExecutor`` and ``pool_price``
 are test plumbing, not references.
@@ -433,12 +437,28 @@ def reference_transfer_token(chain: ChainState, src: str, dst: str, token: str, 
         reference_transfer(chain, src, dst, 0.0, amount, guard=guard)
 
 
+def reference_guarded_leg(chain: ChainState, src: str, dst: str, token: str, amount: float):
+    """``reference_transfer_token``, guarded unless an ``alloc:`` escrow pays or receives."""
+    guard = not (src.startswith("alloc:") or dst.startswith("alloc:"))
+    reference_transfer_token(chain, src, dst, token, amount, guard=guard)
+
+
+def reference_dry_run(chain: ChainState, *legs):
+    """Dry run: raise FundingError if booking the (src, dst, dx, dy) legs would."""
+    after = {}
+    for src, dst, dx, dy in legs:
+        s = after.get(src) or chain.balances.get(src, (0.0, 0.0))
+        d = after.get(dst) or chain.balances.get(dst, (0.0, 0.0))
+        _guard(src, dst, s, d, dx, dy)
+        after[src], after[dst] = (s[0] - dx, s[1] - dy), (d[0] + dx, d[1] + dy)
+
+
 def reference_update_refusal(chain: ChainState, producer: str, alloc_label: int, price):
     """The FundingError ``chain.apply_update_tx(producer, alloc_label, price)``
     raises under a dry run that guards every leg, or None if it books.
 
-    ``chain._check`` runs over the two move legs, then the earmarks are
-    checked, then ``_check`` runs over every leg in booking order, the escrow
+    ``reference_dry_run`` runs over the two move legs, then the earmarks are
+    checked, then it runs over every leg in booking order, the escrow
     leg of a non-empty batch included. The update must be otherwise valid
     (fresh label, a price that keeps the pool live)."""
     p = check_price(price)
@@ -453,14 +473,14 @@ def reference_update_refusal(chain: ChainState, producer: str, alloc_label: int,
     ex, ey = n * chain.max_y * p, n * chain.max_x / p
     held_x, held_y = chain.earmark()
     try:
-        chain._check(*legs)
+        reference_dry_run(chain, *legs)
         need_x, need_y = held_x + (1.0 - beta) * ex, held_y + (1.0 - beta) * ey
         if need_x > snapshot.x or need_y > snapshot.y:
             raise FundingError(
                 f"pool reserves cannot back escrow earmarks ({need_x!r}, {need_y!r})", party=POOL)
         if n:
             legs.append((producer, f"alloc:{alloc_label}", beta * ex, beta * ey))
-            chain._check(*legs)
+            reference_dry_run(chain, *legs)
     except FundingError as e:
         return e
     return None

@@ -199,6 +199,13 @@ class TestExperimentCommands:
         with open(os.path.join(out, "ratios.csv")) as f:
             assert len(list(csv.DictReader(f))) == 4
 
+    def test_lvr_with_one_ratio_writes_no_interval(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["lvr", "--scenario", "lvr", "--out", out, "--runs", "1"]) == 0
+        result = read_json(os.path.join(out, "summary.json"))["result"]
+        assert result["runs"] == 1 and math.isfinite(result["mean_ratio"])
+        assert (result["se"], result["ci95"]) == (None, [None, None])
+
     def test_lvr_jobs_do_not_change_results(self, tmp_path):
         raw = scenario_to_dict(builtin_scenarios()["lvr"])
         raw["blocks"] = 40
@@ -310,6 +317,8 @@ class TestExitCodes:
         ({"curve": ["x"]}, "curve"),
         ({"flow": {"arrival": "4"}}, "flow.arrival"),
         ({"flow": {"limit_width": 5}}, "flow.limit_width"),
+        # valid, but a drawn y size underflows to 0.0
+        ({"flow": {**DEFAULT_FLOW, "value_frac": 5e-324}}, "flow.value_frac"),
         ({"price": {"sigma": math.inf}}, "price.sigma"),
         ({"price": {"sigma": 1e200}}, "price.sigma"),
         ({"price": {"drift": 800}}, "price.drift"),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import types
 
@@ -25,8 +26,8 @@ from v0lver.errors import (
 )
 from v0lver.rebate import RebateSchedule, apply_rebated_move
 
-from oracles import (pool_price, reference_transfer, reference_transfer_token,
-                     reference_update_refusal)
+from oracles import (pool_price, reference_guarded_leg, reference_transfer,
+                     reference_transfer_token, reference_update_refusal)
 
 C = CONSTANT_PRODUCT
 SCHEDULE = RebateSchedule(z_max=4, beta0=0.8)
@@ -261,6 +262,12 @@ class TestConstruction:
     def test_opening_balances_are_checked_where_they_enter(self, opening, named):
         with pytest.raises(DomainError, match=named):
             make_chain(balances={"bob": (1.0, 1.0), **opening})
+
+    @pytest.mark.parametrize("field", ["reveal_window", "conversion_frequency"])
+    @pytest.mark.parametrize("bad", [1.7, 2.0, "2", -1, True, None])
+    def test_block_counts_are_integers_checked_where_they_enter(self, field, bad):
+        with pytest.raises(DomainError, match=field):
+            make_chain(**{field: bad})
 
     def test_zero_opening_balances_are_kept(self):
         chain = make_chain(balances={"alice": (0.0, 0.0), VAULT: (5.0, 0.0)})
@@ -703,6 +710,31 @@ class TestLedger:
         with pytest.raises(InvariantViolation, match="vault"):
             chain.check_books()
 
+    def test_collateral_dust_below_zero_passes(self):
+        # block-end collateral reads as low as -1.35e-13 over the builtins
+        chain = make_chain()
+        chain._transfer(COLLATERAL, "alice", 1e-13, 1e-13)  # supply conserved
+        chain.check_books()
+        chain.advance_block(100.0)
+
+    def test_overdrawn_collateral_is_an_invariant_break(self, monkeypatch):
+        for token, bound in (("x", 10.0), ("y", 0.1)):
+            chain = make_chain()
+            over = math.nextafter(_NEG_TOL * (bound + 1.0), math.inf)
+            chain._transfer_token(COLLATERAL, "alice", token, over)  # supply conserved
+            with pytest.raises(InvariantViolation, match="collateral overdrawn"):
+                chain.check_books()
+            chain._transfer_token("alice", COLLATERAL, token, over - _NEG_TOL * (bound + 1.0))
+            chain.check_books()  # exactly at the tolerance
+        # a NaN fails the collateral check itself, not only the supply check
+        chain = make_chain()
+        monkeypatch.setattr(chain, "total_supply", lambda: chain._supply0)
+        for i in range(2):
+            chain.balances[COLLATERAL] = [0.0, 0.0]
+            chain.balances[COLLATERAL][i] = float("nan")
+            with pytest.raises(InvariantViolation, match="collateral overdrawn"):
+                chain.check_books()
+
     def test_replay_determinism(self):
         def run():
             chain = make_chain()
@@ -852,34 +884,76 @@ class TestLedgerOracle:
     @given(ops=st.lists(LIFECYCLE, min_size=20, max_size=60))
     @example(ops=COVERING)
     def test_one_token_legs_book_as_the_two_token_transfer(self, ops):
+        # the twin guards every one-token leg no escrow pays or receives; the engine,
+        # which checks the owner in submit_oct and the collateral at block end, must
+        # refuse alike
         reference = lifecycle_chain()
-        reference._transfer_token = types.MethodType(reference_transfer_token, reference)
+        reference._transfer_token = types.MethodType(reference_guarded_leg, reference)
         assert lifecycle(lifecycle_chain(), ops) == lifecycle(reference, ops)
 
     def test_one_token_leg_at_the_overdraft_edge(self):
         pairs = [("ghost", "ghost"), ("alice", "bob"), ("alice", "nobody"), ("nobody", "alice"),
                  ("alice", "alice"), ("nobody", "nobody"), ("alice", POOL)]
-        cases = [(src, dst, token, sign, over, guard) for src, dst in pairs for token in "xy"
-                 for sign in (1.0, -1.0) for over in (-1.0, 0.5, 1.5) for guard in (True, False)]
+        cases = [(src, dst, token, sign, over) for src, dst in pairs for token in "xy"
+                 for sign in (1.0, -1.0) for over in (-1.0, 0.5, 1.5)]
 
-        def run(chain):
+        def run(chain, transfer_token):
             out = []
-            for src, dst, token, sign, over, guard in cases:
+            for src, dst, token, sign, over in cases:
                 # the payer's whole holding plus `over` times the overdraft tolerance
                 payer = src if sign > 0.0 else dst
                 held = chain.balances.get(payer, (0.0, 0.0))["xy".index(token)]
                 amount = sign * (held + over * 1e-9 * (abs(held) + 1.0))
-                try:
-                    chain._transfer_token(src, dst, token, amount, guard=guard)
-                except FundingError as e:
-                    out.append(repr(e))
+                transfer_token(chain, src, dst, token, amount)
                 out.append(repr(list(chain.balances.items())))
             return out
 
         opening = {"alice": (1_000.0, -0.0), "bob": (-0.0, 10.0)}
-        reference = make_chain(balances=opening)
-        reference._transfer_token = types.MethodType(reference_transfer_token, reference)
-        assert run(make_chain(balances=opening)) == run(reference)
+        unguarded = functools.partial(reference_transfer_token, guard=False)
+        assert (run(make_chain(balances=opening), ChainState._transfer_token)
+                == run(make_chain(balances=opening), unguarded))
+
+    @pytest.mark.parametrize("token", "xy")
+    def test_submit_at_the_overdraft_edge(self, token):
+        """submit_oct refuses exactly when the guarded collateral leg does, with its error."""
+        i, bound = "xy".index(token), 10.0 if token == "x" else 0.1
+        # The holding, or the order bound for a holding of 0, where the owner's
+        # balance after posting sits exactly at -_NEG_TOL * (bound + 1).
+        edge_bound = _NEG_TOL / (1.0 - _NEG_TOL)
+        cases = [("some", bound - _NEG_TOL * (bound + 1.0))]
+        cases += [(held, edge_bound) for held in ("new", "-0.0", "0.0")]
+        for held, edge in cases:
+            seen = set()
+            for ulps in range(-2, 3):
+                v = edge
+                for _ in range(abs(ulps)):
+                    v = math.nextafter(v, math.copysign(math.inf, ulps))
+                if held == "some":
+                    b, opening = bound, v
+                else:
+                    b, opening = v, {"-0.0": -0.0, "0.0": 0.0}.get(held)
+                balances = {"alice": (1_000.0, 10.0)}
+                if opening is not None:
+                    balances["owner"] = tuple(opening if j == i else -0.0 for j in range(2))
+                bounds = {"max_x": 10.0, "max_y": 0.1, f"max_{token}": b}
+                chain, reference = (make_chain(balances=balances, **bounds) for _ in range(2))
+                order = Order(OrderSide.BUY_Y if token == "x" else OrderSide.SELL_Y, b,
+                              None, "owner")
+                try:
+                    chain.submit_oct("owner", order)
+                    got = None
+                except FundingError as e:
+                    got = (repr(e), e.party)
+                    assert (chain._next_oct_id, chain.mempool) == (0, {})
+                try:
+                    reference_transfer_token(reference, "owner", COLLATERAL, token, b)
+                    want = None
+                except FundingError as e:
+                    want = (repr(e), e.party)
+                assert got == want, (held, ulps)
+                assert repr(list(chain.balances.items())) == repr(list(reference.balances.items()))
+                seen.add(got is None)
+            assert seen == {True, False}, held  # both sides of the edge were reached
 
 
 # One token of the producer's opening balance for an update: zero, plenty, or

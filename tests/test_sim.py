@@ -8,7 +8,7 @@ import pytest
 from v0lver import engine, sim
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
 from v0lver.config import builtin_scenarios, scenario_from_dict
-from v0lver.errors import ConfigError
+from v0lver.errors import ConfigError, DomainError
 from v0lver.sim import (
     RunMetrics,
     dominance_sweep,
@@ -81,6 +81,13 @@ class TestScenarioRuns:
         assert m.final_k > 0
         # realized extraction strictly below the no-rebate counterfactual
         assert 0.0 < m.realized_lvr < m.full_lvr
+
+    def test_underflowing_order_size_names_the_flow_field(self):
+        # 5e-324 is a valid value_frac, but a drawn y size value / eps rounds to 0.0
+        cfg = dataclasses.replace(SCN["default"], flow=dataclasses.replace(
+            SCN["default"].flow, value_frac=5e-324))
+        with pytest.raises(DomainError, match=r"flow\.value_frac 5e-324 is too small"):
+            run_scenario(cfg, seed=0)
 
     def test_quiet_scenario_never_moves(self):
         cfg = dataclasses.replace(
@@ -199,6 +206,11 @@ class TestExperiments:
         assert lo < out["mean_ratio"] < hi
         # crude sanity: nowhere near the no-rebate ratio of 1
         assert out["mean_ratio"] < 0.6
+
+    def test_lvr_experiment_with_one_ratio_has_no_interval(self):
+        out = lvr_experiment(shrink(SCN["lvr"], 60), 0, runs=1)
+        assert out["runs"] == 1 and math.isfinite(out["mean_ratio"])
+        assert math.isnan(out["se"]) and all(map(math.isnan, out["ci95"]))
 
     def test_user_price_experiment_pools_runs(self):
         cfg = shrink(SCN["neutrality"], 150)
