@@ -119,8 +119,8 @@ class Settlement:
 class _Book:
     """One batch against one snapshot, sorted once.
 
-    The exact side keeps the orders and each side's ``(index, size, limit)``
-    triples in index order (``limit=None`` for markets); ``settle`` and
+    The exact side keeps the orders and each side's ``(size, limit)`` pairs
+    in index order (``limit=None`` for markets); ``settle`` and
     ``regime_price`` sum them in that order, so every number that reaches a
     Settlement has one summation order. The screening side totals each
     side's size per limit (``buy_at``, ``sell_at``) and keeps prefix sums
@@ -143,16 +143,16 @@ class _Book:
         self.buys, self.sells = [], []
         buy_at, sell_at = self.buy_at, self.sell_at = {}, {}
         buy_markets = sell_markets = 0.0
-        for i, o in enumerate(self.orders):
+        for o in self.orders:
             lim, size = o.limit, o.size
             if o.side is OrderSide.BUY_Y:
-                self.buys.append((i, size, lim))
+                self.buys.append((size, lim))
                 if lim is None:
                     buy_markets += size
                 else:
                     buy_at[lim] = buy_at.get(lim, 0.0) + size
             else:
-                self.sells.append((i, size, lim))
+                self.sells.append((size, lim))
                 if lim is None:
                     sell_markets += size
                 else:
@@ -179,8 +179,8 @@ class _Book:
     def regime_price(self, k):
         """Regime ``k``'s market-balance price, from index-order sums."""
         lo, hi = self.gap(k)
-        x_in = plain_sum(s for _, s, lim in self.buys if lim is None or lim >= hi)  # as in settle
-        y_in = plain_sum(s for _, s, lim in self.sells if lim is None or lim <= lo)
+        x_in = plain_sum(s for s, lim in self.buys if lim is None or lim >= hi)  # as in settle
+        y_in = plain_sum(s for s, lim in self.sells if lim is None or lim <= lo)
         return (self.snapshot.x + x_in) / (self.snapshot.y + y_in)
 
     def screened_price(self, k):
@@ -235,12 +235,12 @@ class _Book:
         """
         snapshot = self.snapshot
         in_x = mb = in_y = ms = 0.0  # each sums in index order
-        for _, s, lim in self.buys:
+        for s, lim in self.buys:
             if lim is None or lim > p:
                 in_x += s
             elif lim == p:
                 mb += s
-        for _, s, lim in self.sells:
+        for s, lim in self.sells:
             if lim is None or lim < p:
                 in_y += s
             elif lim == p:

@@ -23,13 +23,14 @@ which a zero-rebate schedule reduces the protocol exactly to a plain CFMM —
 and settlement flows are routed so each side ends up with its
 ``1 - beta : beta`` share of the escrow remainder.
 
-Order commitments are modeled as salted digests of the order's exact bits
-with honest binding: the engine computes the commitment at submission, keeps
-only commitment, side and collateral, and checks the digest again at
-reveal. An ``Oct`` is a frozen record, and its stage is the queue that holds
+Order commitments are modeled as salted digests of the order's exact bits with
+honest binding. The engine keeps only commitment, side and collateral, and a
+reveal checks only the digest: it binds the side and size the collateral was
+sized from, and a batch closes with its reveal window, so a late reveal finds
+its OCT gone. An ``Oct`` is a frozen record whose stage is the queue holding
 it: ``mempool`` (pending), ``inserted_by_height``, ``allocated`` (in an open
-batch, unrevealed), ``reveals``, and finally its batch's ``ExecutionReceipt``
-(filled or burned). A refused action books nothing and moves no OCT.
+batch, unrevealed), ``reveals``, then its batch's ``ExecutionReceipt`` (filled
+or burned). A refused action books nothing and moves no OCT.
 
 What happens in a block is recorded once, in the ``BlockReceipt`` that
 ``advance_block`` returns; events, block rows and run metrics derive from it.
@@ -243,7 +244,7 @@ class ChainState:
         self.mempool: dict[int, Oct] = {}
         self.inserted_by_height: dict[int, list[Oct]] = {}
         self.open_allocations: dict[int, UpdateReceipt] = {}
-        self.allocated: dict[int, tuple[Oct, UpdateReceipt]] = {}
+        self.allocated: dict[int, Oct] = {}
         self.reveals: dict[int, tuple[Oct, Order]] = {}
         pool = check_reserves(reserves.x, reserves.y)
         self.balances: dict[str, list[float]] = {POOL: [pool.x, pool.y]}
@@ -350,11 +351,13 @@ class ChainState:
     def submit_oct(self, owner: str, order: Order) -> Oct:
         """Commit an order to the mempool, posting max-bound collateral.
 
-        The engine computes the binding commitment and immediately forgets
-        the order body; only the commitment, the sold token and the
-        collateral stay visible until reveal.
+        The order names ``owner`` or no one. The engine computes the binding
+        commitment and forgets the order body: only the commitment, the
+        sold token and the collateral stay visible until reveal.
         """
         _refuse_engine_account(owner, "owner")
+        if order.owner is not None and order.owner != owner:
+            raise DomainError(f"order of owner {order.owner!r} submitted by {owner!r}")
         token = order.sells_token
         bound = self.max_x if token == "x" else self.max_y
         if order.size > bound:
@@ -456,22 +459,18 @@ class ChainState:
                 self.inserted_by_height.pop(height, None)
             self.open_allocations[alloc_label] = self._update
             for oct in batch:
-                self.allocated[oct.id] = (oct, self._update)
+                self.allocated[oct.id] = oct
         return self._update
 
     def reveal_order(self, oct_id: int, order: Order):
-        """Reveal the order behind an allocated OCT within the window."""
-        if oct_id not in self.allocated:
+        """Reveal an allocated OCT's order, checked only against its commitment: a
+        batch closes with its window, and the digest binds the collateral's side and size."""
+        oct = self.allocated.get(oct_id)
+        if oct is None:
             raise InvalidTransition(f"oct {oct_id!r} is not allocated and unrevealed")
-        oct, u = self.allocated[oct_id]
-        if self.height > u.height + self.reveal_window:
-            raise InvalidTransition(f"reveal window for oct {oct_id} closed")
         if commit_order(order, salt=str(oct_id)) != oct.commitment:
             raise InvalidTransition(f"order does not match the commitment of oct {oct_id}")
-        if order.sells_token != oct.collateral_token or order.size > oct.collateral:
-            raise InvalidTransition(f"order breaches the collateral of oct {oct_id}")
-        del self.allocated[oct_id]
-        self.reveals[oct_id] = (oct, order)
+        self.reveals[oct_id] = (self.allocated.pop(oct_id), order)
         self._revealed.append(oct_id)
 
     def execute_batch(self, label: int, proposed_price=None) -> ExecutionReceipt:
@@ -508,7 +507,7 @@ class ChainState:
         if rx < -tol_x or ry < -tol_y:
             raise InvariantViolation(f"allocation escrow {label} breached: ({rx!r}, {ry!r})")
 
-        burned = tuple(self.allocated.pop(i)[0] for i in u.oct_ids if i in self.allocated)
+        burned = tuple(self.allocated.pop(i) for i in u.oct_ids if i in self.allocated)
         for oct in burned:
             self._transfer_token(COLLATERAL, BURNED, oct.collateral_token, oct.collateral)
         for oct, _ in revealed:
@@ -519,7 +518,7 @@ class ChainState:
         for idx, (oct, order) in enumerate(revealed):
             f = filled_by_index.get(idx)
             sold, bought = (f.sold, f.bought) if f is not None else (0.0, 0.0)
-            sells = oct.collateral_token  # the reveal checked it is the order's
+            sells = oct.collateral_token  # the order's: the commitment binds its side
             buys = "y" if sells == "x" else "x"
             self._transfer_token(COLLATERAL, escrow, sells, sold)
             self._transfer_token(escrow, oct.owner, buys, bought)

@@ -16,7 +16,7 @@ from v0lver.allocation import (
 )
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
 from v0lver.engine import ChainState
-from v0lver.errors import DomainError, InvariantViolation
+from v0lver.errors import DomainError, InvariantViolation, VerificationError
 from v0lver.rebate import RebateSchedule
 
 from oracles import (
@@ -272,6 +272,32 @@ class TestVerification:
         assert not verify_clearing_price(C, SNAP, orders, float("nan"))
         assert not verify_clearing_price(C, SNAP, orders, "abc")
         assert not verify_clearing_price(C, SNAP, orders, None)
+
+    def test_a_proposal_that_settles_but_loses_volume_is_refused(self):
+        # a buy limited just above a deep pool's price: the proposal above its
+        # limit settles with zero volume, the pool's chord inside the balance
+        # tolerance, and only the volume rule refuses it
+        snapshot = Reserves(1e8, 1e6)
+        orders = [buy(1e-3, limit=100.0 * (1.0 + 1e-12))]
+        proposal = 100.0 * (1.0 + 1e-10)
+        assert allocation._Book(C, snapshot, orders).settle(proposal).volume_y == 0.0
+        assert verify_clearing_price(C, snapshot, orders, proposal) is None
+        solved = clearing_price_with_limits(C, snapshot, orders)
+        assert solved.price == pytest.approx(100.0, rel=1e-11)
+        assert solved.volume_y == pytest.approx(1e-5, rel=1e-9)
+        assert verify_clearing_price(C, snapshot, orders, solved.price) == solved
+
+        chain = ChainState(C, snapshot, RebateSchedule(z_max=4, beta0=0.8), max_x=1.0,
+                           max_y=0.01, balances={"u": (1.0, 0.0), "prod": (10.0, 1.0)})
+        oct = chain.submit_oct("u", orders[0])
+        chain.insert_octs("prod", [oct.id])
+        assert chain.apply_update_tx("prod", 0, 100.0).snapshot == snapshot
+        chain.reveal_order(oct.id, orders[0])
+        state = repr(chain.balances), dict(chain.reveals), dict(chain.open_allocations)
+        with pytest.raises(VerificationError):
+            chain.execute_batch(0, proposed_price=proposal)
+        assert (repr(chain.balances), dict(chain.reveals), dict(chain.open_allocations)) == state
+        assert chain.execute_batch(0).settlement == solved
 
     def test_volume_probe_matches_settlement(self):
         orders = [buy(10.0, limit=1.05)]

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
+from v0lver import sim
 from v0lver.cli import _OutDir, main
 from v0lver.config import builtin_scenarios, scenario_to_dict
+from v0lver.errors import InvariantViolation
 
 from oracles import reference_ndjson
 
@@ -292,6 +294,20 @@ class TestExitCodes:
         assert main([command, "--scenario", "lvr", "--out", out, flag, value]) == 1
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("error, message", [
+        (InvariantViolation("x"), "invariant violation: x\n"),
+        (RuntimeError("boom"), "internal error: RuntimeError: boom\n"),
+    ])
+    def test_engine_breaks_and_bugs_exit_two(self, error, message, tiny_scenario, tmp_path,
+                                             capsys, monkeypatch):
+        def run_scenario(cfg, seed):
+            raise error
+
+        monkeypatch.setattr(sim, "run_scenario", run_scenario)
+        out = str(tmp_path / "out")
+        assert main(["run", "--scenario", tiny_scenario, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(message)
 
     def test_lvr_without_extraction_exits_one(self, tmp_path, capsys):
         scn = tmp_path / "flat.json"

@@ -11,6 +11,7 @@ from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
 from v0lver.engine import (
     BURNED,
     COLLATERAL,
+    ENGINE_ACCOUNTS,
     POOL,
     VAULT,
     _NEG_TOL,
@@ -111,7 +112,8 @@ class TestCommitments:
 
     @settings(max_examples=100, deadline=None)
     @given(side=st.sampled_from(list(OrderSide)), frac=st.floats(1e-6, 1.0),
-           limit=st.none() | st.floats(1e-3, 1e6), owner=st.none() | st.text(max_size=4),
+           limit=st.none() | st.floats(1e-3, 1e6),
+           owner=st.none() | st.text(max_size=4).filter(lambda name: name not in ENGINE_ACCOUNTS),
            field=st.sampled_from(["side", "size", "limit", "owner"]))
     def test_reveal_refuses_an_order_one_field_off(self, side, frac, limit, owner, field):
         order = Order(side, frac * (10.0 if side is OrderSide.BUY_Y else 0.1), limit, owner)
@@ -121,8 +123,10 @@ class TestCommitments:
             "limit": {"limit": 100.0 if limit is None else math.nextafter(limit, math.inf)},
             "owner": {"owner": "x" if owner is None else owner + "x"},
         }[field])
-        chain = make_chain()
-        oct = chain.submit_oct("alice", order)
+        # each order is submitted by its own funded owner, an unnamed one by alice
+        who = "alice" if owner is None else owner
+        chain = make_chain(balances={"prod": (10_000.0, 100.0), who: (1_000.0, 10.0)})
+        oct = chain.submit_oct(who, order)
         chain.insert_octs("prod", [oct.id])
         chain.apply_update_tx("prod", 0, 100.0)
         with pytest.raises(InvalidTransition, match="commitment"):
@@ -155,7 +159,7 @@ class TestLifecycle:
         assert pool_price(chain) == pytest.approx(102.0, rel=1e-12)
         assert chain.balances[VAULT] != [0.0, 0.0]
         assert receipt.oct_ids == (oct_a.id, oct_b.id)
-        assert chain.allocated[oct_a.id] == (oct_a, receipt)
+        assert chain.allocated[oct_a.id] == oct_a
         assert stages(chain, oct_a.id) == ["allocated"]
 
         chain.reveal_order(oct_a.id, o_a)
@@ -294,6 +298,18 @@ class TestTransitionGuards:
         assert "nobody" not in chain.balances
         assert chain.submit_oct("alice", buy(5.0)).id == 0
 
+    def test_an_order_names_its_submitter_or_no_one(self):
+        chain = make_chain()
+        state = ledger_and_queues(chain)
+        # alice would pay for bob's order, and the receipt would credit bob's fill
+        for who, owner in (("alice", "bob"), ("carol", "bob"), ("alice", "")):
+            with pytest.raises(DomainError, match=f"{owner!r}.*{who!r}"):
+                chain.submit_oct(who, Order(OrderSide.BUY_Y, 5.0, None, owner))
+        # refused before anything books: no new account and no id spent
+        assert ledger_and_queues(chain) == state and chain._next_oct_id == 0
+        assert chain.submit_oct("bob", Order(OrderSide.BUY_Y, 5.0, None, "bob")).id == 0
+        assert chain.submit_oct("alice", buy(5.0)).id == 1
+
     def test_insert_unknown_or_duplicate(self):
         chain = make_chain()
         oct = chain.submit_oct("alice", buy(5.0))
@@ -360,6 +376,41 @@ class TestTransitionGuards:
         chain.advance_block(101.0)
         with pytest.raises(InvalidTransition):
             chain.reveal_order(oct.id, o)  # window closed (burned by now)
+
+    @pytest.mark.parametrize("window", range(4))
+    def test_a_late_reveal_finds_its_oct_gone(self, window):
+        def allocated_chain():
+            chain = make_chain(reveal_window=window)
+            oct = chain.submit_oct("alice", o)
+            chain.insert_octs("prod", [oct.id])
+            chain.apply_update_tx("prod", 0, 101.0)
+            for _ in range(window):
+                chain.advance_block(101.0)
+            return chain, oct
+
+        o = buy(5.0)
+        chain, oct = allocated_chain()  # at the window's last height: still in time
+        chain.reveal_order(oct.id, o)
+        assert chain.advance_block(101.0).executions[0].orders == (o,)
+        chain, oct = allocated_chain()
+        # the batch executes as the window closes and burns what is unrevealed
+        assert chain.advance_block(101.0).executions[0].burned == (oct,)
+        state = ledger_and_queues(chain)
+        with pytest.raises(InvalidTransition, match="not allocated and unrevealed"):
+            chain.reveal_order(oct.id, o)
+        assert ledger_and_queues(chain) == state
+
+    @pytest.mark.parametrize("body", [sell(0.05), sell(5.0), buy(10.0), buy(10.5),
+                                      buy(math.nextafter(5.0, math.inf))])
+    def test_an_order_beyond_its_collateral_fails_on_the_commitment(self, body):
+        # the commitment binds side and size, the two fields the collateral was sized from
+        chain = make_chain()
+        oct = chain.submit_oct("alice", buy(5.0))
+        chain.insert_octs("prod", [oct.id])
+        chain.apply_update_tx("prod", 0, 101.0)
+        with pytest.raises(InvalidTransition, match="does not match the commitment"):
+            chain.reveal_order(oct.id, body)
+        assert stages(chain, oct.id) == ["allocated"]
 
     def test_execute_guards(self):
         chain = make_chain()
@@ -812,6 +863,11 @@ class TestStageProperty:
                         if i not in closed and o.collateral_token == token) for token in "xy"]
             assert chain.balances[COLLATERAL] == pytest.approx(held, abs=1e-9)
             assert all(h > chain.last_alloc_label for h in chain.inserted_by_height)
+            # an allocated OCT sits in an open batch whose reveal window is open
+            for oct_id, oct in chain.allocated.items():
+                assert oct == octs[oct_id]
+                assert any(oct_id in u.oct_ids and chain.height <= u.height + window
+                           for u in chain.open_allocations.values())
 
 
 # One step of a random lifecycle: (kind, a, b, f). "zed" and "amy" open with a -0.0,

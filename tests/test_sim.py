@@ -118,6 +118,35 @@ class TestScenarioRuns:
         # each conversion is value-neutral at its own block's price
         assert abs(m.converter_value) < 1e-6 * max(1.0, m.full_lvr)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("offset", [0.99, 1.01])
+    def test_producer_metrics_add_up_to_its_ledger(self, alpha, offset, monkeypatch):
+        # with sigma 0 every block marks at one eps, so the producer's ledger change
+        # valued there is the sum of the metrics that value each of its flows;
+        # update_costs is notional and never touches the ledger
+        base = SCN["default"]
+        cfg = dataclasses.replace(
+            base, blocks=200, price=dataclasses.replace(base.price, sigma=0.0),
+            producer=dataclasses.replace(base.producer, price_policy="offset",
+                                         price_offset=offset, self_trade_alpha=alpha))
+        chains = []
+
+        def chain_state(*args, **kwargs):
+            chains.append(engine.ChainState(*args, **kwargs))
+            return chains[-1]
+
+        monkeypatch.setattr(sim, "ChainState", chain_state)
+        run = run_scenario(cfg, 3)
+        (chain,), m = chains, run.metrics
+        eps = m.final_eps
+        assert {row["eps"] for row in run.blocks} == {eps}
+        x, y = chain.balances[sim.PRODUCER]
+        ledger = (x - cfg.producer.budget_x) + (y - cfg.producer.budget_y) * eps
+        assert ledger == pytest.approx(m.producer_flow_value + m.producer_escrow_net
+                                       + m.producer_order_pnl + m.converter_value, abs=1e-8)
+        # the producer's own order fills exactly when it places one
+        assert (m.producer_order_pnl != 0.0) == (alpha > 0.0)
+
 
 class TestReceipts:
     def test_block_rows_rebuild_from_the_receipts_alone(self):
