@@ -42,8 +42,8 @@ show(chain, "genesis")
 
 # Alice wants y, Bob sells y. They commit hashes; the engine holds the full
 # per-order bound as collateral and forgets the order bodies.
-alice_order = Order(OrderSide.BUY_Y, 5.0, limit=104.0, owner="alice")
-bob_order = Order(OrderSide.SELL_Y, 0.05, owner="bob")
+alice_order = Order(OrderSide.BUY_Y, 5.0, limit=104.0)
+bob_order = Order(OrderSide.SELL_Y, 0.05)
 a = chain.submit_oct("alice", alice_order)
 b = chain.submit_oct("bob", bob_order)
 print(f"\ncommitments: {a.commitment[:16]}..., {b.commitment[:16]}...")
@@ -70,7 +70,7 @@ s = er.settlement
 print(f"\nbatch settled at {s.price:.4f} "
       f"(snapshot price was {receipt.snapshot.x / receipt.snapshot.y:.4f})")
 for f in s.fills:
-    print(f"    {er.orders[f.index].owner} sold {f.sold:.4f}, bought {f.bought:.6f}")
+    print(f"    {er.owners[f.index]} sold {f.sold:.4f}, bought {f.bought:.6f}")
 print(f"escrow remainder split pool/producer: {er.to_pool} / {er.to_producer}")
 show(chain, "after block 0 (settled, vault re-entered)")
 
@@ -78,7 +78,7 @@ print(f"\nconservation error: {chain.conservation_error():.2e}")
 print(f"pool k: {CONSTANT_PRODUCT.invariant(chain.pool_reserves()):.1f} (started at 1000000.0)")
 
 # A second block where nobody reveals: the unrevealed order burns.
-c = chain.submit_oct("alice", Order(OrderSide.BUY_Y, 3.0, owner="alice"))
+c = chain.submit_oct("alice", Order(OrderSide.BUY_Y, 3.0))
 chain.insert_octs("prod", [c.id])
 chain.apply_update_tx("prod", 1, 102.5)
 chain.advance_block(102.5, converter="prod")

@@ -44,7 +44,6 @@ def gen_user_orders(
     eps: float,
     max_x: float,
     max_y: float,
-    owner: str = "users",
 ) -> list[Order]:
     """Draw one block of user orders at external price ``eps``.
 
@@ -80,7 +79,7 @@ def gen_user_orders(
         if size == 0.0:  # value / eps underflowed
             raise DomainError(f"flow.value_frac {flow.value_frac!r} is too small: an order "
                               f"worth {value!r} x has no size in y at price {eps!r}")
-        orders.append(Order(side, size, limit, owner))
+        orders.append(Order(side, size, limit))
     if state is not None:  # rewind, then draw exactly the j values the orders used
         rng.bit_generator.state = state
         rng.random(j)
@@ -145,6 +144,7 @@ def producer_utility(
     move = apply_rebated_move(curve, reserves, multiplier * eps, beta)
     (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
     sx, sy = reserves.x - fx - vx, reserves.y - fy - vy
+    check_reserves(sx, sy)  # the engine refuses an update that leaves no live pool
     own_x, own_y = (0.0, alpha * max_y) if multiplier >= 1.0 else (alpha * max_x, 0.0)
     x_in, y_in = flow_dx + own_x, flow_dy + own_y
     p_e = (sx + x_in) / (sy + y_in)

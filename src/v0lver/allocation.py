@@ -71,7 +71,6 @@ class Order:
     side: OrderSide
     size: float
     limit: float | None = None
-    owner: str | None = None
 
     def __post_init__(self):
         if not isinstance(self.side, OrderSide):

@@ -24,7 +24,7 @@ and settlement flows are routed so each side ends up with its
 ``1 - beta : beta`` share of the escrow remainder.
 
 Order commitments are modeled as salted digests of the order's exact bits with
-honest binding. The engine keeps only commitment, side and collateral, and a
+honest binding. An OCT keeps only owner, commitment, side and collateral; a
 reveal checks only the digest: it binds the side and size the collateral was
 sized from, and a batch closes with its reveal window, so a late reveal finds
 its OCT gone. An ``Oct`` is a frozen record whose stage is the queue holding
@@ -86,15 +86,15 @@ def _guard(src, dst, s, d, dx, dy):
                                f"holds {list(acct)!r}", party=party)
 
 
-_ORDER_BITS = struct.Struct("<?dd")  # sells x, size, limit or -1.0 (market; limits are > 0)
+_ORDER_BITS = struct.Struct("<?dd")  # 17 bytes: sells x, size, limit or -1.0 (market; limits > 0)
 
 
 def commit_order(order: Order, salt: str) -> str:
-    """Salted binding commitment to the exact bits of an order's side, size, limit and owner."""
+    """Salted binding commitment to the exact bits of an order's side, size and limit."""
     limit = order.limit
     bits = _ORDER_BITS.pack(order.side is OrderSide.BUY_Y, order.size,
                             -1.0 if limit is None else limit)
-    return hashlib.sha256(bits + f"{order.owner!r}|{salt}".encode()).hexdigest()
+    return hashlib.sha256(bits + salt.encode()).hexdigest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,6 +143,7 @@ class ExecutionReceipt:
     update: UpdateReceipt
     settlement: Settlement
     orders: tuple[Order, ...]
+    owners: tuple[str, ...]  # owners[i] submitted the OCT that carried orders[i]
     burned: tuple[Oct, ...]
     to_pool: tuple[float, float]
     to_producer: tuple[float, float]
@@ -349,15 +350,13 @@ class ChainState:
     # ----------------------------------------------------------------- actions
 
     def submit_oct(self, owner: str, order: Order) -> Oct:
-        """Commit an order to the mempool, posting max-bound collateral.
+        """Commit ``owner``'s order to the mempool, posting max-bound collateral.
 
-        The order names ``owner`` or no one. The engine computes the binding
-        commitment and forgets the order body: only the commitment, the
-        sold token and the collateral stay visible until reveal.
+        The engine computes the binding commitment and forgets the order body:
+        only the owner, the commitment, the sold token and the collateral stay
+        visible until reveal.
         """
         _refuse_engine_account(owner, "owner")
-        if order.owner is not None and order.owner != owner:
-            raise DomainError(f"order of owner {order.owner!r} submitted by {owner!r}")
         token = order.sells_token
         bound = self.max_x if token == "x" else self.max_y
         if order.size > bound:
@@ -388,8 +387,8 @@ class ChainState:
             return ids
         seen = set()
         for oct_id in ids:
-            # The mempool holds exactly the pending OCTs.
-            if oct_id not in self.mempool or oct_id in seen:
+            # The mempool holds exactly the pending OCTs, keyed by int.
+            if type(oct_id) is not int or oct_id not in self.mempool or oct_id in seen:
                 raise InvalidTransition(f"oct {oct_id!r} is not in the mempool")
             seen.add(oct_id)
         self.inserted_by_height.setdefault(self.height, []).extend(map(self.mempool.pop, ids))
@@ -407,6 +406,8 @@ class ChainState:
         h = self.height
         if self._update is not None:
             raise InvalidTransition(f"block {h} already carries an update transaction")
+        if type(alloc_label) is not int:
+            raise DomainError(f"alloc_label must be an integer, got {alloc_label!r}")
         if not (self.last_alloc_label < alloc_label <= h):
             raise InvalidTransition(
                 f"allocation height {alloc_label} outside ({self.last_alloc_label}, {h}]"
@@ -465,7 +466,7 @@ class ChainState:
     def reveal_order(self, oct_id: int, order: Order):
         """Reveal an allocated OCT's order, checked only against its commitment: a
         batch closes with its window, and the digest binds the collateral's side and size."""
-        oct = self.allocated.get(oct_id)
+        oct = self.allocated.get(oct_id) if type(oct_id) is int else None
         if oct is None:
             raise InvalidTransition(f"oct {oct_id!r} is not allocated and unrevealed")
         if commit_order(order, salt=str(oct_id)) != oct.commitment:
@@ -483,7 +484,7 @@ class ChainState:
         A refused execution books nothing. The execution receipt is also part
         of the current block's receipt.
         """
-        u = self.open_allocations.get(label)
+        u = self.open_allocations.get(label) if type(label) is int else None
         if u is None:
             raise InvalidTransition(f"no open allocation with label {label!r}")
         revealed = [self.reveals[i] for i in u.oct_ids if i in self.reveals]
@@ -542,7 +543,8 @@ class ChainState:
         self._transfer(escrow, u.producer, min(ax, 0.0), min(ay, 0.0))
         del self.balances[escrow], self.open_allocations[label]
 
-        receipt = ExecutionReceipt(u, settlement, orders, burned, to_pool, to_producer)
+        receipt = ExecutionReceipt(u, settlement, orders, tuple(oct.owner for oct, _ in revealed),
+                                   burned, to_pool, to_producer)
         self._executions.append(receipt)
         return receipt
 

@@ -35,7 +35,7 @@ from .allocation import Order, OrderSide, plain_sum
 from .cfmm import CONSTANT_PRODUCT, Reserves, max_lvr
 from .config import FlowModel, ScenarioConfig
 from .engine import POOL, BlockReceipt, ChainState
-from .errors import ConfigError, FundingError
+from .errors import ConfigError, DomainError, FundingError
 
 PRODUCER = "producer"
 USERS = "users"
@@ -179,9 +179,9 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
         alpha = cfg.producer.self_trade_alpha
         if alpha > 0:
             if cfg.producer.price_offset >= 1.0:
-                own = Order(OrderSide.SELL_Y, alpha * cfg.max_y, None, PRODUCER)
+                own = Order(OrderSide.SELL_Y, alpha * cfg.max_y)
             else:
-                own = Order(OrderSide.BUY_Y, alpha * cfg.max_x, None, PRODUCER)
+                own = Order(OrderSide.BUY_Y, alpha * cfg.max_x)
             oct = chain.submit_oct(PRODUCER, own)
             private_orders[oct.id] = own
 
@@ -203,7 +203,7 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
 
 def _user_flow(rng, flow: FlowModel, eps: float, max_x: float, max_y: float):
     """One block's user orders, then, in one draw, whether each stays unrevealed."""
-    orders, p = gen_user_orders(rng, flow, eps, max_x, max_y, USERS), flow.no_reveal_prob
+    orders, p = gen_user_orders(rng, flow, eps, max_x, max_y), flow.no_reveal_prob
     hidden = (rng.random(len(orders)) < p).tolist() if p > 0 and orders else [False] * len(orders)
     return orders, hidden
 
@@ -260,14 +260,14 @@ def _tally(m: RunMetrics, cfg: ScenarioConfig, block: BlockReceipt, rows: list):
         tx, ty = er.to_producer
         m.producer_escrow_net += (tx - beta * ex) + (ty - beta * ey) * eps
         for f in er.settlement.fills:
-            order = er.orders[f.index]
-            if order.owner == USERS:
+            owner = er.owners[f.index]
+            if owner == USERS:
                 m.n_user_fills += 1
                 dev = er.settlement.price / eps_alloc - 1.0
                 m.user_dev_sum += dev
                 m.user_dev_sq += dev * dev
-            elif order.owner == PRODUCER:
-                if order.side is OrderSide.SELL_Y:
+            elif owner == PRODUCER:
+                if er.orders[f.index].side is OrderSide.SELL_Y:
                     m.producer_order_pnl += f.bought - f.sold * eps
                 else:
                     m.producer_order_pnl += f.bought * eps - f.sold
@@ -382,23 +382,30 @@ def dominance_sweep(
     cfg.validate()
     if multipliers is None:
         multipliers = [(90 + i) / 100.0 for i in range(21)]
-    if trials < 1:
-        raise ConfigError("trials must be > 0")
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
     for name, grid in (("multipliers", multipliers), ("alphas", alphas)):
         if len(grid) == 0:
             raise ConfigError(f"{name} must not be empty")
     reserves = Reserves(float(cfg.pool_x), float(cfg.pool_y))
     eps = cfg.price.initial
+    for m in multipliers:  # a bool is no number; m * eps is the update's target price
+        if isinstance(m, bool) or not isinstance(m, (int, float)) or not 0.0 < m * eps < math.inf:
+            raise ConfigError(f"multipliers must be > 0 with a finite target price, got {m!r}")
+    for a in alphas:  # the rule for producer.self_trade_alpha
+        if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0.0 <= a <= 1.0:
+            raise ConfigError(f"alphas must lie in [0, 1], got {a!r}")
     schedule = cfg.rebate_schedule()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     flow_dx, flow_dy = aggregate_market_flow(rng, cfg.flow, eps, cfg.max_x, cfg.max_y, trials)
     rows = []
     for m in multipliers:
         for a in alphas:
-            u = producer_utility(
-                CONSTANT_PRODUCT, reserves, eps, schedule, cfg.max_x, cfg.max_y,
-                m, a, flow_dx, flow_dy,
-            )
+            try:
+                u = producer_utility(CONSTANT_PRODUCT, reserves, eps, schedule, cfg.max_x,
+                                     cfg.max_y, m, a, flow_dx, flow_dy)
+            except DomainError as e:
+                raise ConfigError(f"multipliers: {m!r} moves the pool out of range: {e}") from None
             rows.append({"multiplier": m, "alpha": a, "utility": u})
     best = max(rows, key=lambda r: r["utility"])
     return {

@@ -382,12 +382,12 @@ def engine_producer_payoffs(curve, reserves: Reserves, eps: float, schedule, max
         orders = []
         for side, q, bound in ((OrderSide.BUY_Y, qx, max_x), (OrderSide.SELL_Y, qy, max_y)):
             n = math.ceil(q / bound)
-            orders += [Order(side, float(q) / n, None, "users") for _ in range(n)]
+            orders += [Order(side, float(q) / n) for _ in range(n)]
         octs = [(chain.submit_oct("users", o), o) for o in orders]
         x0, y0 = chain.balances["producer"]
         if alpha > 0.0:
-            own = (Order(OrderSide.SELL_Y, alpha * max_y, None, "producer") if multiplier >= 1.0
-                   else Order(OrderSide.BUY_Y, alpha * max_x, None, "producer"))
+            own = (Order(OrderSide.SELL_Y, alpha * max_y) if multiplier >= 1.0
+                   else Order(OrderSide.BUY_Y, alpha * max_x))
             octs.append((chain.submit_oct("producer", own), own))
         chain.insert_octs("producer", [oct.id for oct, _ in octs])
         chain.apply_update_tx("producer", 0, multiplier * eps)
@@ -486,7 +486,7 @@ def reference_update_refusal(chain: ChainState, producer: str, alloc_label: int,
     return None
 
 
-def reference_user_flow(rng, flow, eps: float, max_x: float, max_y: float, owner: str = "users"):
+def reference_user_flow(rng, flow, eps: float, max_x: float, max_y: float):
     """One block of user orders and their no-reveal coins, one scalar draw at a time.
 
     The orders are ``agents.gen_user_orders``'s per-order loop, the coins the
@@ -505,9 +505,9 @@ def reference_user_flow(rng, flow, eps: float, max_x: float, max_y: float, owner
             if flow.limit_prob > 0 and rng.random() < flow.limit_prob:
                 limit = eps * (1.0 + flow.limit_width * rng.uniform(-1.0, 1.0))
             if sells_x:
-                orders.append(Order(OrderSide.BUY_Y, value, limit, owner))
+                orders.append(Order(OrderSide.BUY_Y, value, limit))
             else:
-                orders.append(Order(OrderSide.SELL_Y, value / eps, limit, owner))
+                orders.append(Order(OrderSide.SELL_Y, value / eps, limit))
     hidden = [flow.no_reveal_prob > 0 and rng.random() < flow.no_reveal_prob for _ in orders]
     return orders, hidden
 

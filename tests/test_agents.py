@@ -129,8 +129,7 @@ PROB = st.one_of(st.sampled_from([0.0, 1.0]),
 
 def order_bits(orders):
     """Each order field by field, floats as their exact bits."""
-    return [(o.side, o.size.hex(), None if o.limit is None else o.limit.hex(), o.owner)
-            for o in orders]
+    return [(o.side, o.size.hex(), None if o.limit is None else o.limit.hex()) for o in orders]
 
 
 def state_of(rng):

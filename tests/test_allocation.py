@@ -33,12 +33,12 @@ C = CONSTANT_PRODUCT
 SNAP = Reserves(100.0, 100.0)
 
 
-def buy(size, limit=None, owner=None):
-    return Order(side=OrderSide.BUY_Y, size=size, limit=limit, owner=owner)
+def buy(size, limit=None):
+    return Order(side=OrderSide.BUY_Y, size=size, limit=limit)
 
 
-def sell(size, limit=None, owner=None):
-    return Order(side=OrderSide.SELL_Y, size=size, limit=limit, owner=owner)
+def sell(size, limit=None):
+    return Order(side=OrderSide.SELL_Y, size=size, limit=limit)
 
 
 def market_batch(snapshot, dx, dy):

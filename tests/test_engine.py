@@ -1,17 +1,19 @@
 import dataclasses
 import functools
+import json
 import math
 import types
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from v0lver.allocation import Order, OrderSide
+from v0lver import cli, engine
+from v0lver.allocation import Order, OrderSide, verify_clearing_price
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
 from v0lver.engine import (
     BURNED,
     COLLATERAL,
-    ENGINE_ACCOUNTS,
     POOL,
     VAULT,
     _NEG_TOL,
@@ -37,8 +39,7 @@ SCHEDULE = RebateSchedule(z_max=4, beta0=0.8)
 POSITIVE = (st.sampled_from([0.1, 1.0, 5e-324])
             | st.floats(0.0, exclude_min=True, allow_infinity=False))
 COMMITTED = st.tuples(
-    st.builds(Order, st.sampled_from(list(OrderSide)), POSITIVE, st.none() | POSITIVE,
-              st.none() | st.sampled_from(["a", "b", "None", "'a'"]) | st.text(max_size=4)),
+    st.builds(Order, st.sampled_from(list(OrderSide)), POSITIVE, st.none() | POSITIVE),
     st.sampled_from(["0", "1"]) | st.text(max_size=4))
 
 
@@ -83,21 +84,15 @@ def sell(size, limit=None):
 
 class TestCommitments:
     def test_commitment_binds_every_field(self):
-        base = Order(side=OrderSide.BUY_Y, size=5.0, limit=101.0, owner="a")
+        base = Order(side=OrderSide.BUY_Y, size=5.0, limit=101.0)
         c = commit_order(base, salt="7")
         assert commit_order(base, salt="8") != c
         for other in (
-            Order(side=OrderSide.SELL_Y, size=5.0, limit=101.0, owner="a"),
-            Order(side=OrderSide.BUY_Y, size=5.1, limit=101.0, owner="a"),
-            Order(side=OrderSide.BUY_Y, size=5.0, limit=102.0, owner="a"),
-            Order(side=OrderSide.BUY_Y, size=5.0, limit=101.0, owner="b"),
+            Order(side=OrderSide.SELL_Y, size=5.0, limit=101.0),
+            Order(side=OrderSide.BUY_Y, size=5.1, limit=101.0),
+            Order(side=OrderSide.BUY_Y, size=5.0, limit=102.0),
         ):
             assert commit_order(other, salt="7") != c
-        # the owner enters as its repr: no owner and salt can pose as another pair
-        assert commit_order(dataclasses.replace(base, owner=None), salt="7") != commit_order(
-            dataclasses.replace(base, owner="None"), salt="7")
-        assert commit_order(dataclasses.replace(base, owner="a|7"), salt="") != commit_order(
-            base, salt="7|")
 
     @settings(max_examples=300, deadline=None)
     @given(a=COMMITTED, b=COMMITTED, limit=POSITIVE)
@@ -113,20 +108,16 @@ class TestCommitments:
     @settings(max_examples=100, deadline=None)
     @given(side=st.sampled_from(list(OrderSide)), frac=st.floats(1e-6, 1.0),
            limit=st.none() | st.floats(1e-3, 1e6),
-           owner=st.none() | st.text(max_size=4).filter(lambda name: name not in ENGINE_ACCOUNTS),
-           field=st.sampled_from(["side", "size", "limit", "owner"]))
-    def test_reveal_refuses_an_order_one_field_off(self, side, frac, limit, owner, field):
-        order = Order(side, frac * (10.0 if side is OrderSide.BUY_Y else 0.1), limit, owner)
+           field=st.sampled_from(["side", "size", "limit"]))
+    def test_reveal_refuses_an_order_one_field_off(self, side, frac, limit, field):
+        order = Order(side, frac * (10.0 if side is OrderSide.BUY_Y else 0.1), limit)
         altered = dataclasses.replace(order, **{
             "side": {"side": OrderSide.SELL_Y if side is OrderSide.BUY_Y else OrderSide.BUY_Y},
             "size": {"size": math.nextafter(order.size, 0.0)},  # one bit off
             "limit": {"limit": 100.0 if limit is None else math.nextafter(limit, math.inf)},
-            "owner": {"owner": "x" if owner is None else owner + "x"},
         }[field])
-        # each order is submitted by its own funded owner, an unnamed one by alice
-        who = "alice" if owner is None else owner
-        chain = make_chain(balances={"prod": (10_000.0, 100.0), who: (1_000.0, 10.0)})
-        oct = chain.submit_oct(who, order)
+        chain = make_chain()
+        oct = chain.submit_oct("alice", order)
         chain.insert_octs("prod", [oct.id])
         chain.apply_update_tx("prod", 0, 100.0)
         with pytest.raises(InvalidTransition, match="commitment"):
@@ -197,6 +188,30 @@ class TestLifecycle:
         assert chain.balances[VAULT] == pytest.approx([0.0, 0.0], abs=1e-12)
         assert chain.conservation_error() < 1e-9
         assert chain.height == 1
+
+    def test_each_fill_is_booked_to_its_owner(self):
+        # This schedule rebates nothing and the pool already prices at 100, so
+        # the update moves nothing and the producer funds no escrow: each owner's
+        # ledger moves by its own fill alone, the producer's included.
+        chain = make_chain(schedule=RebateSchedule(z_max=0, beta0=0.0))
+        submitted = [("alice", buy(5.0, limit=103.0)), ("prod", sell(0.03)),
+                     ("bob", sell(0.05))]
+        before = {who: list(chain.balances[who]) for who, _ in submitted}
+        octs = [chain.submit_oct(who, o) for who, o in submitted]
+        chain.insert_octs("prod", [oct.id for oct in octs])
+        update = chain.apply_update_tx("prod", 0, 100.0)
+        assert update.move.producer_flow == (0.0, 0.0) and update.beta == 0.0
+        for oct, (_, o) in reversed(list(zip(octs, submitted))):
+            chain.reveal_order(oct.id, o)
+        er = chain.advance_block(100.0, converter="prod").executions[0]
+        assert er.owners == ("alice", "prod", "bob")
+        assert er.orders == tuple(o for _, o in submitted)
+        assert sorted(f.index for f in er.settlement.fills) == [0, 1, 2]
+        for f in er.settlement.fills:
+            owner, sells = er.owners[f.index], "xy".index(er.orders[f.index].sells_token)
+            change = [now - then for now, then in zip(chain.balances[owner], before[owner])]
+            assert change[sells] == pytest.approx(-f.sold, rel=1e-12, abs=1e-12), owner
+            assert change[1 - sells] == pytest.approx(f.bought, rel=1e-12, abs=1e-12), owner
 
     def test_unrevealed_orders_burn(self):
         chain = make_chain()
@@ -297,18 +312,6 @@ class TestTransitionGuards:
             chain.submit_oct("nobody", buy(5.0))
         assert "nobody" not in chain.balances
         assert chain.submit_oct("alice", buy(5.0)).id == 0
-
-    def test_an_order_names_its_submitter_or_no_one(self):
-        chain = make_chain()
-        state = ledger_and_queues(chain)
-        # alice would pay for bob's order, and the receipt would credit bob's fill
-        for who, owner in (("alice", "bob"), ("carol", "bob"), ("alice", "")):
-            with pytest.raises(DomainError, match=f"{owner!r}.*{who!r}"):
-                chain.submit_oct(who, Order(OrderSide.BUY_Y, 5.0, None, owner))
-        # refused before anything books: no new account and no id spent
-        assert ledger_and_queues(chain) == state and chain._next_oct_id == 0
-        assert chain.submit_oct("bob", Order(OrderSide.BUY_Y, 5.0, None, "bob")).id == 0
-        assert chain.submit_oct("alice", buy(5.0)).id == 1
 
     def test_insert_unknown_or_duplicate(self):
         chain = make_chain()
@@ -554,6 +557,107 @@ class TestTransitionGuards:
             with pytest.raises(DomainError):
                 chain.advance_block(bad)
         assert chain.height == 0
+
+
+# Values equal by hash to an OCT id or batch label 0 or 1, and two that are not.
+NOT_INTS = [np.int64(0), True, False, 0.0, "0", None]
+
+
+class TestIdsAndLabelsAreInts:
+    """An OCT id or a batch label must be an ``int``: a value that merely equals one
+    is refused before anything books, so no receipt records it."""
+
+    @staticmethod
+    def staged(entry):
+        """A chain on which ``entry`` accepts 0 and 1 as OCT ids or batch labels."""
+        chain = make_chain()
+        orders = [buy(5.0), sell(0.05)]
+        octs = [chain.submit_oct(who, o) for who, o in zip(("alice", "bob"), orders)]
+        if entry == "execute_batch":  # batches 0 and 1, both revealed and due
+            chain.insert_octs("prod", [0])
+            chain.apply_update_tx("prod", 0, 100.0)
+            chain.advance_block(100.0)
+            chain.insert_octs("prod", [1])
+            chain.apply_update_tx("prod", 1, 100.0)
+            for oct, o in zip(octs, orders):
+                chain.reveal_order(oct.id, o)
+        elif entry != "insert_octs":
+            chain.insert_octs("prod", [0, 1])
+            if entry == "reveal_order":
+                chain.apply_update_tx("prod", 0, 100.0)
+            else:  # at height 1 with nothing allocated, labels 0 and 1 are open
+                chain.advance_block(100.0)
+        return chain, orders
+
+    @pytest.mark.parametrize("bad", NOT_INTS, ids=repr)
+    @pytest.mark.parametrize("entry", ["insert_octs", "reveal_order", "apply_update_tx",
+                                       "execute_batch"])
+    def test_a_value_equal_to_an_id_is_refused(self, entry, bad):
+        chain, orders = self.staged(entry)
+        call, error, message = {
+            "insert_octs": (lambda v: chain.insert_octs("prod", [v]), InvalidTransition,
+                            "is not in the mempool"),
+            "reveal_order": (lambda v: chain.reveal_order(v, orders[0]), InvalidTransition,
+                             "is not allocated and unrevealed"),
+            "apply_update_tx": (lambda v: chain.apply_update_tx("prod", v, 100.0), DomainError,
+                                "^alloc_label must be an integer"),
+            "execute_batch": (chain.execute_batch, InvalidTransition, "no open allocation"),
+        }[entry]
+        balances, state = repr(list(chain.balances.items())), ledger_and_queues(chain)
+        block = (chain._next_oct_id, list(chain._inserts), list(chain._revealed),
+                 list(chain._executions), chain._update)
+        with pytest.raises(error, match=message):
+            call(bad)
+        assert repr(list(chain.balances.items())) == balances
+        assert ledger_and_queues(chain) == state
+        assert (chain._next_oct_id, chain._inserts, chain._revealed, chain._executions,
+                chain._update) == block
+        call(0)  # the id itself is accepted, and the block's events encode
+        json.dumps(chain.advance_block(100.0).events(), allow_nan=False)
+
+
+def _overpaid(curve, snapshot, orders, price):
+    """The true settlement, with the first fill's ``bought`` doubled."""
+    s = verify_clearing_price(curve, snapshot, orders, price)
+    if s is None or not s.fills:
+        return s
+    first = dataclasses.replace(s.fills[0], bought=2.0 * s.fills[0].bought)
+    return dataclasses.replace(s, fills=(first, *s.fills[1:]))
+
+
+# A verifier that refuses the solver's price, and one whose settlement overpays.
+BREAKS = pytest.mark.parametrize("verify, message", [
+    (lambda curve, snapshot, orders, price: None, "failed self-verification"),
+    (_overpaid, "not fully unwound"),
+], ids=["refused", "overpaid"])
+
+
+class TestInvariantBreaks:
+    """The engine's two raises that only a broken solver or verifier reaches."""
+
+    @BREAKS
+    def test_a_broken_settlement_raises(self, verify, message, monkeypatch):
+        chain = make_chain(reveal_window=0)  # the batch is due at once
+        o = buy(5.0)
+        oct, hidden = chain.submit_oct("alice", o), chain.submit_oct("bob", sell(0.05))
+        chain.insert_octs("prod", [oct.id, hidden.id])
+        chain.apply_update_tx("prod", 0, 101.0)
+        chain.reveal_order(oct.id, o)
+        state = ledger_and_queues(chain)
+        monkeypatch.setattr(engine, "verify_clearing_price", verify)
+        with pytest.raises(InvariantViolation, match=message):
+            chain.advance_block(101.0)
+        if message == "failed self-verification":
+            # refused before the unrevealed OCT burns or any order is paid
+            assert ledger_and_queues(chain) == state
+            assert chain.balances[BURNED] == [0.0, 0.0]
+
+    @BREAKS
+    def test_a_run_that_breaks_exits_two(self, verify, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "verify_clearing_price", verify)
+        assert cli.main(["run", "--scenario", "default", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation:") and message in err
 
 
 class TestZeroRebateFallback:
@@ -889,7 +993,7 @@ def lifecycle(chain, ops):
                 who = ("alice", "zed", "amy", ("poor", "nobody")[a % 2])[a // 2]
                 side = OrderSide.SELL_Y if a % 2 else OrderSide.BUY_Y
                 limit = None if b < 3 else pool_price(chain) * (0.98 + 0.01 * (b - 3))
-                order = Order(side, (1.0 if a % 2 else 100.0) * max(f, 0.01), limit, who)
+                order = Order(side, (1.0 if a % 2 else 100.0) * max(f, 0.01), limit)
                 before = repr(chain.balances.get(who))
                 try:
                     oct = chain.submit_oct(who, order)
@@ -993,8 +1097,7 @@ class TestLedgerOracle:
                     balances["owner"] = tuple(opening if j == i else -0.0 for j in range(2))
                 bounds = {"max_x": 10.0, "max_y": 0.1, f"max_{token}": b}
                 chain, reference = (make_chain(balances=balances, **bounds) for _ in range(2))
-                order = Order(OrderSide.BUY_Y if token == "x" else OrderSide.SELL_Y, b,
-                              None, "owner")
+                order = Order(OrderSide.BUY_Y if token == "x" else OrderSide.SELL_Y, b)
                 try:
                     chain.submit_oct("owner", order)
                     got = None

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -271,6 +272,31 @@ class TestExperiments:
     def test_dominance_sweep_rejects_an_empty_grid(self, arg):
         with pytest.raises(ConfigError, match=arg):
             dominance_sweep(SCN["dominance"], 3, trials=10, **{arg: []})
+
+    @pytest.mark.parametrize("grid, named", [
+        ({"multipliers": [0.0]}, "^multipliers .*0.0"),
+        ({"multipliers": [1.0, -1.0]}, "^multipliers .*-1.0"),
+        ({"multipliers": [math.nan]}, "^multipliers .*nan"),
+        ({"multipliers": [math.inf]}, "^multipliers .*inf"),
+        ({"multipliers": [1e307]}, "^multipliers .*1e\\+307"),  # the target price overflows
+        ({"multipliers": ["1.0"]}, "^multipliers .*'1.0'"),
+        ({"multipliers": [True]}, "^multipliers .*True"),
+        # live targets whose moved pool is not: y reserve 0.0, and x / y underflowing
+        ({"multipliers": [1.0, 1e100]}, "^multipliers: 1e\\+100 .*pool reserves"),
+        ({"multipliers": [5e-324]}, "^multipliers: 5e-324 .*pool reserves"),
+        ({"alphas": [2.0]}, "^alphas .*2.0"),
+        ({"alphas": [0.0, -0.1]}, "^alphas .*-0.1"),
+        ({"alphas": [math.nan]}, "^alphas .*nan"),
+        ({"alphas": [None]}, "^alphas .*None"),
+        ({"trials": 2.5}, "^trials .*2.5"),
+        ({"trials": True}, "^trials .*True"),
+        ({"trials": "10"}, "^trials .*'10'"),
+    ])
+    def test_dominance_sweep_checks_its_grid_where_it_enters(self, grid, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any numpy warning
+            with pytest.raises(ConfigError, match=named):
+                dominance_sweep(SCN["dominance"], 3, **{"trials": 10, **grid})
 
 
 class TestPlainReductions:
