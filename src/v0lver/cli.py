@@ -118,7 +118,8 @@ def cmd_run(args) -> int:
     result = sim.run_scenario(cfg, args.seed)
     out.write_json("summary.json", _summary("run", cfg, args.seed,
                                             {"metrics": result.metrics.to_dict()}))
-    out.write_table("blocks", list(result.blocks[0]), result.blocks, args.format)
+    rows = result.blocks
+    out.write_table("blocks", list(rows[0]), rows, args.format)
     if cfg.record_events:
         out.write_ndjson("events.ndjson", (e for block in result.receipts for e in block.events()))
     return 0

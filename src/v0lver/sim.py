@@ -103,11 +103,14 @@ class RunMetrics:
 
 @dataclass(slots=True)
 class RunResult:
-    """A run's metrics, block rows and block receipts (rows and metrics derive from the receipts)."""
+    """A run's receipts and the metrics reduced from them; ``blocks`` builds its rows on access."""
 
     metrics: RunMetrics
-    blocks: list
     receipts: list
+
+    @property
+    def blocks(self) -> list:
+        return [_block_row(b) for b in self.receipts]
 
 
 #: The scenario fields that fund each ledger account a run can overdraw.
@@ -141,20 +144,19 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
         raise FundingError(f"{e} (funded by {_FUNDED_BY[e.party]})", party=e.party) from None
 
     metrics = RunMetrics(blocks=cfg.blocks)
-    rows = []
     for block in receipts:
-        rows.append(_block_row(block))
-        _tally(metrics, cfg, block, rows)
-    last = rows[-1]
-    vault_value = last["vault_x"] + last["vault_y"] * last["eps"]
+        _tally(metrics, cfg, block, receipts)
+    last = receipts[-1]
+    (px, py), (vx, vy) = last.pool, last.vault
+    vault_value = vx + vy * last.eps
     metrics.realized_lvr -= vault_value
-    metrics.final_eps = last["eps"]
-    metrics.final_pool_x = last["pool_x"]
-    metrics.final_pool_y = last["pool_y"]
-    metrics.final_k = last["pool_k"]
+    metrics.final_eps = last.eps
+    metrics.final_pool_x = px
+    metrics.final_pool_y = py
+    metrics.final_k = px * py
     metrics.final_vault_value = vault_value
     metrics.conservation_error = chain.conservation_error()
-    return RunResult(metrics=metrics, blocks=rows, receipts=receipts)
+    return RunResult(metrics=metrics, receipts=receipts)
 
 
 def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
@@ -234,15 +236,12 @@ def _block_row(block: BlockReceipt) -> dict:
     }
 
 
-def _tally(m: RunMetrics, cfg: ScenarioConfig, block: BlockReceipt, rows: list):
+def _tally(m: RunMetrics, cfg: ScenarioConfig, block: BlockReceipt, receipts: list):
     """Add one block's share of the run metrics; float sums go per update, execution and fill."""
-    row, eps = rows[block.height], block.eps
-    m.n_octs += row["n_submitted"]
-    m.n_executed += row["n_executed"]
-    m.n_burned += row["n_burned"]
-    m.ops += (row["n_submitted"] + row["n_inserted"] + row["update"] + row["n_revealed"]
-              + 1 + len(block.executions) + (block.reentry is not None))
-    u = block.update
+    eps, u, n_submitted = block.eps, block.update, len(block.submitted)
+    m.n_octs += n_submitted
+    m.ops += (n_submitted + sum(len(ids) for _, ids in block.inserts) + (u is not None)
+              + len(block.revealed) + 1 + len(block.executions) + (block.reentry is not None))
     if u is not None:
         m.n_updates += 1
         m.updates_by_gap[u.gap] = m.updates_by_gap.get(u.gap, 0) + 1
@@ -253,9 +252,11 @@ def _tally(m: RunMetrics, cfg: ScenarioConfig, block: BlockReceipt, rows: list):
         m.realized_lvr += (fx + vx) + (fy + vy) * eps
         m.full_lvr += max_lvr(CONSTANT_PRODUCT, u.before, eps)[1]
     for er in block.executions:
+        m.n_executed += len(er.orders)
+        m.n_burned += len(er.burned)
         m.volume_y += er.settlement.volume_y
         alloc = er.update
-        eps_alloc = rows[alloc.height]["eps"]  # the external price at allocation
+        eps_alloc = receipts[alloc.height].eps  # the external price at allocation
         beta, (ex, ey) = alloc.beta, alloc.escrow
         tx, ty = er.to_producer
         m.producer_escrow_net += (tx - beta * ex) + (ty - beta * ey) * eps
@@ -292,8 +293,9 @@ def run_many(cfg: ScenarioConfig, seed: int, runs: int, jobs: int = 1) -> list[R
     The per-run seeds do not depend on ``jobs``, so outputs are identical
     however the work is spread.
     """
-    if runs <= 0:
-        raise ConfigError("runs must be > 0")
+    for name, value in (("runs", runs), ("jobs", jobs)):  # a bool is no count
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
     seeds = np.random.SeedSequence(seed).generate_state(runs, dtype=np.uint64)
     args = [(cfg, int(s)) for s in seeds]
     if jobs <= 1:
@@ -308,6 +310,7 @@ def lvr_experiment(cfg: ScenarioConfig, seed: int, runs: int = 200, jobs: int = 
     The headline numbers are the mean ratio and its 95% confidence interval;
     with the linear rebate schedule at gap zero the mean should sit near
     ``1 - beta0``. One ratio gives no spread: ``se`` and ``ci95`` are NaN.
+    ``dropped_runs`` counts the runs that gave no ratio (no full LVR to divide by).
     """
     results = run_many(cfg, seed, runs, jobs)
     ratios = [m.lvr_ratio for m in results if not math.isnan(m.lvr_ratio)]
@@ -320,6 +323,7 @@ def lvr_experiment(cfg: ScenarioConfig, seed: int, runs: int = 200, jobs: int = 
     half = 1.96 * se
     return {
         "runs": n,
+        "dropped_runs": len(results) - n,
         "blocks": cfg.blocks,
         "expected_keep": 1.0 - cfg.rebate_schedule().value_at(0),
         "mean_ratio": mean,

@@ -66,9 +66,19 @@ class TestDeterminism:
         assert InlineExecutor.workers == [2]
         assert pooled == run_many(cfg, 3, 2, jobs=1)
 
-    def test_run_many_rejects_no_runs(self):
-        with pytest.raises(ConfigError):
-            run_many(SCN["default"], 0, 0)
+    @pytest.mark.parametrize("value", [2.5, "2", True, 0, -1])
+    @pytest.mark.parametrize("name", ["runs", "jobs"])
+    def test_run_many_refuses_a_bad_count_before_any_work(self, name, value, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("run_many did work before checking its arguments")
+
+        # Neither seeds nor runs nor a process pool may come before the check.
+        monkeypatch.setattr(sim.np.random, "SeedSequence", no_work)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(sim, "_metrics_worker", no_work)
+        counts = {"runs": 2, "jobs": 1, name: value}
+        with pytest.raises(ConfigError, match=rf"^{name} must be an integer >= 1, got "):
+            run_many(shrink(SCN["lvr"], 5), 0, **counts)
 
 
 class TestScenarioRuns:
@@ -185,6 +195,37 @@ class TestReceipts:
         assert repr(row["eps"]) == repr(row["update_price"]) == "100.0"
 
 
+class TestRowsAndMetrics:
+    """Metrics reduce straight from the receipts and rows build from them on
+    access; the two reports of one record must tie."""
+
+    def test_experiments_build_no_rows(self, monkeypatch):
+        def no_rows(block):
+            raise AssertionError("an experiment built a block row")
+
+        monkeypatch.setattr(sim, "_block_row", no_rows)
+        out = lvr_experiment(shrink(SCN["lvr"], 50), 0, runs=3)
+        assert out["runs"] == 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(SCN))
+    def test_metrics_tie_to_the_block_rows(self, name, seed):
+        res = run_scenario(shrink(SCN[name], 60), seed)
+        m, rows = res.metrics, res.blocks
+        assert len(rows) == len(res.receipts) == 60
+        assert m.n_octs == sum(row["n_submitted"] for row in rows)
+        assert m.n_executed == sum(row["n_executed"] for row in rows)
+        assert m.n_burned == sum(row["n_burned"] for row in rows)
+        assert m.ops == sum(
+            row["n_submitted"] + row["n_inserted"] + row["update"] + row["n_revealed"]
+            + 1 + len(b.executions) + (b.reentry is not None)
+            for row, b in zip(rows, res.receipts)
+        )
+        last = rows[-1]
+        assert (m.final_eps, m.final_pool_x, m.final_pool_y, m.final_k) == (
+            last["eps"], last["pool_x"], last["pool_y"], last["pool_k"])
+
+
 class TestSortedBookAtBatchScale:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_settlements_match_the_reference_clearing(self, seed, monkeypatch):
@@ -230,7 +271,7 @@ class TestExperiments:
     def test_lvr_experiment_tracks_expected_keep(self):
         cfg = shrink(SCN["lvr"], 120)
         out = lvr_experiment(cfg, 21, runs=12)
-        assert out["runs"] == 12
+        assert out["runs"] == 12 and out["dropped_runs"] == 0
         assert out["expected_keep"] == pytest.approx(0.2)
         lo, hi = out["ci95"]
         assert lo < out["mean_ratio"] < hi
@@ -241,6 +282,15 @@ class TestExperiments:
         out = lvr_experiment(shrink(SCN["lvr"], 60), 0, runs=1)
         assert out["runs"] == 1 and math.isfinite(out["mean_ratio"])
         assert math.isnan(out["se"]) and all(map(math.isnan, out["ci95"]))
+
+    def test_lvr_experiment_counts_the_runs_it_dropped(self, monkeypatch):
+        # One shared scenario cannot give a ratio in some runs and not others,
+        # so the runs come from a stub: a run with no full LVR gives no ratio.
+        full = (1.0, 0.0, 2.0, 0.0, 0.0)
+        metrics = [RunMetrics(blocks=1, realized_lvr=0.5 * f, full_lvr=f) for f in full]
+        monkeypatch.setattr(sim, "run_many", lambda cfg, seed, runs, jobs: metrics[:runs])
+        out = lvr_experiment(SCN["lvr"], 0, runs=5)
+        assert (out["runs"], out["dropped_runs"], out["ratios"]) == (2, 3, [0.5, 0.5])
 
     def test_user_price_experiment_pools_runs(self):
         cfg = shrink(SCN["neutrality"], 150)
