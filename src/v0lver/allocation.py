@@ -35,10 +35,10 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import add
+from typing import NamedTuple
 
 from .cfmm import Reserves, check_price
 from .errors import DomainError
@@ -59,40 +59,49 @@ class OrderSide(enum.Enum):
     SELL_Y = "sell_y"
 
 
-@dataclass(frozen=True, slots=True)
-class Order:
-    """A revealed order: side, size in the sold token, optional limit.
-
-    The limit is a price in x per y. A BUY_Y order executes at clearing
-    prices up to its limit, a SELL_Y order at prices down to its limit;
-    ``limit=None`` is a market order.
-    """
-
+class _OrderFields(NamedTuple):
     side: OrderSide
     size: float
     limit: float | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.side, OrderSide):
+
+class Order(_OrderFields):
+    """A revealed order: side, size in the sold token, optional limit.
+
+    The limit is a price in x per y. A BUY_Y order executes at clearing
+    prices up to its limit, a SELL_Y order at prices down to its limit;
+    ``limit=None`` is a market order. ``_make``, ``_replace``, unpickling
+    and copies all go through the checks in ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, side, size, limit=None):
+        if not isinstance(side, OrderSide):
             try:
-                object.__setattr__(self, "side", OrderSide(self.side))
+                side = OrderSide(side)
             except ValueError:
-                raise DomainError(
-                    f"order side must be 'buy_y' or 'sell_y', got {self.side!r}") from None
+                raise DomainError(f"order side must be 'buy_y' or 'sell_y', got {side!r}") from None
         # A finite float > 0 passes as it is; anything else is converted or refused.
-        if not (type(self.size) is float and 0.0 < self.size < math.inf):
-            object.__setattr__(self, "size", check_price(self.size, what="order size"))
-        limit = self.limit
+        if not (type(size) is float and 0.0 < size < math.inf):
+            size = check_price(size, what="order size")
         if limit is not None and not (type(limit) is float and 0.0 < limit < math.inf):
-            object.__setattr__(self, "limit", check_price(limit, what="order limit"))
+            limit = check_price(limit, what="order limit")
+        return tuple.__new__(cls, (side, size, limit))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @property
     def sells_token(self) -> str:
         return "x" if self.side is OrderSide.BUY_Y else "y"
 
 
-@dataclass(frozen=True, slots=True)
-class Fill:
+class Fill(NamedTuple):
     """Executed part of one order: what it sold and what it received."""
 
     index: int
@@ -100,8 +109,7 @@ class Fill:
     bought: float
 
 
-@dataclass(frozen=True, slots=True)
-class Settlement:
+class Settlement(NamedTuple):
     """Uniform-price batch outcome against a pool snapshot.
 
     ``pool_delta`` is signed into the pool's residual position: applying it

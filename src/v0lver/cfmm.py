@@ -15,7 +15,7 @@ are checked where they enter the package, not each time one is computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -31,8 +31,7 @@ def check_price(value, what="price", or_zero=False) -> float:
     return v
 
 
-@dataclass(frozen=True, slots=True)
-class Reserves:
+class Reserves(NamedTuple):
     """Token reserves ``(x, y)``; a live pool has both, and its price, finite and > 0."""
 
     x: float

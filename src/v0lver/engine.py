@@ -27,10 +27,11 @@ Order commitments are modeled as salted digests of the order's exact bits with
 honest binding. An OCT keeps only owner, commitment, side and collateral; a
 reveal checks only the digest: it binds the side and size the collateral was
 sized from, and a batch closes with its reveal window, so a late reveal finds
-its OCT gone. An ``Oct`` is a frozen record whose stage is the queue holding
-it: ``mempool`` (pending), ``inserted_by_height``, ``allocated`` (in an open
-batch, unrevealed), ``reveals``, then its batch's ``ExecutionReceipt`` (filled
-or burned). A refused action books nothing and moves no OCT.
+its OCT gone. An ``Oct`` is an immutable ``NamedTuple`` record whose stage is
+the queue holding it: ``mempool`` (pending), ``inserted_by_height``,
+``allocated`` (in an open batch, unrevealed), ``reveals``, then its batch's
+``ExecutionReceipt`` (filled or burned). A refused action books nothing and
+moves no OCT.
 
 What happens in a block is recorded once, in the ``BlockReceipt`` that
 ``advance_block`` returns; events, block rows and run metrics derive from it.
@@ -40,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .allocation import (Order, OrderSide, Settlement, clearing_price_with_limits,
                          verify_clearing_price)
@@ -91,14 +92,15 @@ _ORDER_BITS = struct.Struct("<?dd")  # 17 bytes: sells x, size, limit or -1.0 (m
 
 def commit_order(order: Order, salt: str) -> str:
     """Salted binding commitment to the exact bits of an order's side, size and limit."""
+    if type(order) is not Order:  # a plain tuple of the same fields would compare equal
+        raise DomainError(f"order must be an Order, got {order!r}")
     limit = order.limit
     bits = _ORDER_BITS.pack(order.side is OrderSide.BUY_Y, order.size,
                             -1.0 if limit is None else limit)
     return hashlib.sha256(bits + salt.encode()).hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
-class Oct:
+class Oct(NamedTuple):
     """An order-commitment transaction as the chain sees it."""
 
     id: int
@@ -108,8 +110,7 @@ class Oct:
     collateral: float
 
 
-@dataclass(frozen=True, slots=True)
-class UpdateReceipt:
+class UpdateReceipt(NamedTuple):
     """One update transaction at ``height`` and the batch ``oct_ids`` it allocated.
 
     ``before`` is the pool the move started from, ``snapshot`` the pool the
@@ -138,8 +139,7 @@ class UpdateReceipt:
         return len(self.oct_ids)
 
 
-@dataclass(frozen=True, slots=True)
-class ExecutionReceipt:
+class ExecutionReceipt(NamedTuple):
     update: UpdateReceipt
     settlement: Settlement
     orders: tuple[Order, ...]
@@ -149,15 +149,13 @@ class ExecutionReceipt:
     to_producer: tuple[float, float]
 
 
-@dataclass(frozen=True, slots=True)
-class ReentryReceipt:
+class ReentryReceipt(NamedTuple):
     added: tuple[float, float]
     converter_flow: tuple[float, float]
     converter: str
 
 
-@dataclass(frozen=True, slots=True)
-class BlockReceipt:
+class BlockReceipt(NamedTuple):
     """Everything that happened in one block, and its closing balances.
 
     ``eps`` is the block's external price, the one the vault converts at;
@@ -357,6 +355,8 @@ class ChainState:
         visible until reveal.
         """
         _refuse_engine_account(owner, "owner")
+        oct_id = self._next_oct_id
+        commitment = commit_order(order, str(oct_id))  # refuses what is not an Order
         token = order.sells_token
         bound = self.max_x if token == "x" else self.max_y
         if order.size > bound:
@@ -365,8 +365,7 @@ class ChainState:
         if funds[i] - bound < -_NEG_TOL * (bound + 1.0):  # the leg's one payer, as _guard tests
             _guard(owner, COLLATERAL, funds, self.balances[COLLATERAL],
                    *((bound, 0.0), (0.0, bound))[i])
-        oct_id = self._next_oct_id
-        oct = Oct(oct_id, owner, commit_order(order, str(oct_id)), token, bound)
+        oct = Oct(oct_id, owner, commitment, token, bound)
         self._transfer_token(owner, COLLATERAL, token, bound)
         self._next_oct_id += 1
         self.mempool[oct_id] = oct

@@ -16,6 +16,7 @@ re-entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cfmm import Reserves
 from .errors import DomainError
@@ -50,8 +51,7 @@ class RebateSchedule:
         return self.beta0 * (1.0 - gap / self.z_max)
 
 
-@dataclass(frozen=True, slots=True)
-class RebatedMoveResult:
+class RebatedMoveResult(NamedTuple):
     """Outcome of one rebated price move.
 
     ``producer_flow`` is signed from the producer's point of view (positive

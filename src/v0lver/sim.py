@@ -121,7 +121,14 @@ _FUNDED_BY = {
 }
 
 
+def _check_int(name: str, value, low: int = 1):
+    """ConfigError naming ``name`` unless ``value`` is an integer (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
+    _check_int("seed", seed, 0)
     cfg.validate()
     chain = ChainState(
         CONSTANT_PRODUCT,
@@ -293,9 +300,9 @@ def run_many(cfg: ScenarioConfig, seed: int, runs: int, jobs: int = 1) -> list[R
     The per-run seeds do not depend on ``jobs``, so outputs are identical
     however the work is spread.
     """
-    for name, value in (("runs", runs), ("jobs", jobs)):  # a bool is no count
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    _check_int("runs", runs)
+    _check_int("jobs", jobs)
+    _check_int("seed", seed, 0)
     seeds = np.random.SeedSequence(seed).generate_state(runs, dtype=np.uint64)
     args = [(cfg, int(s)) for s in seeds]
     if jobs <= 1:
@@ -383,11 +390,11 @@ def dominance_sweep(
     strategy — target the external price, no self-trading — should come out
     on top whenever the pool starts at the external price.
     """
+    _check_int("seed", seed, 0)
     cfg.validate()
     if multipliers is None:
         multipliers = [(90 + i) / 100.0 for i in range(21)]
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_int("trials", trials)
     for name, grid in (("multipliers", multipliers), ("alphas", alphas)):
         if len(grid) == 0:
             raise ConfigError(f"{name} must not be empty")

@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -559,8 +560,7 @@ class TestRedistribute:
     def test_rejects_breached_escrow(self):
         chain, _ = allocated([buy(5.0)])
         # book the batch with an empty escrow: the pool's y payout breaches it
-        chain.open_allocations[0] = dataclasses.replace(chain.open_allocations[0],
-                                                        escrow=(0.0, 0.0))
+        chain.open_allocations[0] = chain.open_allocations[0]._replace(escrow=(0.0, 0.0))
         with pytest.raises(InvariantViolation, match="breached"):
             chain.execute_batch(0)
 
@@ -568,8 +568,7 @@ class TestRedistribute:
         chain, _ = allocated([buy(5.0)])
         # book the batch with a vast x escrow, the producer's share funded, and
         # no y: the pool's y payout breaches it whatever the x side holds
-        chain.open_allocations[0] = dataclasses.replace(chain.open_allocations[0],
-                                                        escrow=(1e9, 0.0))
+        chain.open_allocations[0] = chain.open_allocations[0]._replace(escrow=(1e9, 0.0))
         chain.balances["alloc:0"] = [0.8 * 1e9, 0.0]
         with pytest.raises(InvariantViolation, match="breached"):
             chain.execute_batch(0)
@@ -619,6 +618,37 @@ class TestOrderValidation:
             with pytest.raises(DomainError) as e:
                 Order(OrderSide.BUY_Y, 1.0, bad)
             assert str(e.value) == f"order limit must be finite and > 0, got {bad!r}"
+
+    @pytest.mark.parametrize("field, bad", [("side", "buy"), ("side", None), ("size", 0.0),
+                                            ("size", math.nan), ("size", "ten"),
+                                            ("limit", -2.0), ("limit", math.inf)])
+    def test_every_way_to_build_an_order_checks_it(self, field, bad):
+        good = {"side": OrderSide.BUY_Y, "size": 5.0, "limit": 101.0}
+        fields = {**good, field: bad}
+        with pytest.raises(DomainError) as expected:
+            Order(**fields)
+        # The bad fields in an Order that skipped the checks, as a forged pickle carries them.
+        forged = tuple.__new__(Order, fields.values())
+        builds = {"_make": lambda: Order._make(fields.values()),
+                  "_replace": lambda: Order(**good)._replace(**{field: bad}),
+                  "deepcopy": lambda: copy.deepcopy(forged),
+                  "copy": lambda: copy.copy(forged)}
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            builds[f"pickle {protocol}"] = lambda p=protocol: pickle.loads(pickle.dumps(forged, p))
+        for how, build in builds.items():
+            with pytest.raises(DomainError) as raised:
+                build()
+            assert str(raised.value) == str(expected.value), how
+
+    def test_every_way_to_build_an_order_converts_as_the_call_does(self):
+        o = Order("sell_y", 2, np.float64(3.5))
+        assert Order._make(("sell_y", 2, np.float64(3.5))) == o
+        assert buy(1.0)._replace(side="sell_y", size=2, limit=np.float64(3.5)) == o
+        copies = [copy.copy(o), copy.deepcopy(o)]
+        copies += [pickle.loads(pickle.dumps(o, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert c == o and type(c) is Order
+            assert c.side is OrderSide.SELL_Y and type(c.size) is type(c.limit) is float
 
     def test_sells_token(self):
         assert buy(1.0).sells_token == "x"

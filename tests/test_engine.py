@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -101,9 +100,9 @@ class TestCommitments:
         same = order_a == order_b and salt_a == salt_b  # > 0 floats: equal means equal bits
         assert (commit_order(order_a, salt_a) == commit_order(order_b, salt_b)) == same
         # no limit takes the value that stands for a market order
-        market = dataclasses.replace(order_a, limit=None)
+        market = order_a._replace(limit=None)
         assert commit_order(market, salt_a) != commit_order(
-            dataclasses.replace(order_a, limit=limit), salt_a)
+            order_a._replace(limit=limit), salt_a)
 
     @settings(max_examples=100, deadline=None)
     @given(side=st.sampled_from(list(OrderSide)), frac=st.floats(1e-6, 1.0),
@@ -111,7 +110,7 @@ class TestCommitments:
            field=st.sampled_from(["side", "size", "limit"]))
     def test_reveal_refuses_an_order_one_field_off(self, side, frac, limit, field):
         order = Order(side, frac * (10.0 if side is OrderSide.BUY_Y else 0.1), limit)
-        altered = dataclasses.replace(order, **{
+        altered = order._replace(**{
             "side": {"side": OrderSide.SELL_Y if side is OrderSide.BUY_Y else OrderSide.BUY_Y},
             "size": {"size": math.nextafter(order.size, 0.0)},  # one bit off
             "limit": {"limit": 100.0 if limit is None else math.nextafter(limit, math.inf)},
@@ -167,8 +166,9 @@ class TestLifecycle:
         # closed: no queue holds it; its batch's receipt records the fill
         assert stages(chain, oct_a.id) == [] and er.orders == (o_a, o_b)
         assert block.submitted == (oct_a, oct_b)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             block.submitted[0].collateral = 0.0
+        assert block.submitted[0].collateral == 10.0
         snap = er.settlement
         assert snap.price == pytest.approx(
             (receipt.snapshot.x + 5.0) / (receipt.snapshot.y + 0.05), rel=1e-12
@@ -224,8 +224,9 @@ class TestLifecycle:
         block = chain.advance_block(101.0)
         assert stages(chain, oct.id) == []
         assert block.executions[0].burned == (oct,)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             block.executions[0].burned[0].owner = "bob"
+        assert block.executions[0].burned[0].owner == "alice"
         assert (oct.owner, oct.collateral_token, oct.collateral) == ("alice", "x", 10.0)
         assert chain.balances[BURNED] == [10.0, 0.0]
         assert chain.balances["alice"] == [990.0, 10.0]
@@ -616,13 +617,38 @@ class TestIdsAndLabelsAreInts:
         json.dumps(chain.advance_block(100.0).events(), allow_nan=False)
 
 
+class TestOrdersAreOrders:
+    """An order must be an ``Order``: a plain tuple of its fields compares equal to
+    one, so only the type keeps it out, and it is refused before anything books."""
+
+    @pytest.mark.parametrize("bad", [(OrderSide.BUY_Y, 5.0, None), ("buy_y", 5.0, None), None,
+                                     {"side": OrderSide.BUY_Y, "size": 5.0, "limit": None}],
+                             ids=["tuple", "raw_tuple", "none", "dict"])
+    @pytest.mark.parametrize("entry", ["submit_oct", "reveal_order"])
+    def test_a_non_order_is_refused(self, entry, bad):
+        chain = make_chain()
+        oct = chain.submit_oct("alice", buy(5.0))
+        chain.insert_octs("prod", [oct.id])
+        chain.apply_update_tx("prod", 0, 100.0)
+        call = {"submit_oct": lambda o: chain.submit_oct("alice", o),
+                "reveal_order": lambda o: chain.reveal_order(oct.id, o)}[entry]
+        state = ledger_and_queues(chain)
+        block = (chain._next_oct_id, list(chain._submitted), list(chain._revealed))
+        with pytest.raises(DomainError, match="^order must be an Order, got "):
+            call(bad)
+        assert ledger_and_queues(chain) == state
+        assert (chain._next_oct_id, chain._submitted, chain._revealed) == block
+        call(buy(5.0))  # the order itself is accepted
+        assert (OrderSide.BUY_Y, 5.0, None) == buy(5.0)
+
+
 def _overpaid(curve, snapshot, orders, price):
     """The true settlement, with the first fill's ``bought`` doubled."""
     s = verify_clearing_price(curve, snapshot, orders, price)
     if s is None or not s.fills:
         return s
-    first = dataclasses.replace(s.fills[0], bought=2.0 * s.fills[0].bought)
-    return dataclasses.replace(s, fills=(first, *s.fills[1:]))
+    first = s.fills[0]._replace(bought=2.0 * s.fills[0].bought)
+    return s._replace(fills=(first, *s.fills[1:]))
 
 
 # A verifier that refuses the solver's price, and one whose settlement overpays.
@@ -770,6 +796,31 @@ class TestLedger:
         assert (empty.height, empty.submitted, empty.update, empty.executions) == (1, (), None, ())
         assert [e["kind"] for e in empty.events()] == ["block_end"]
 
+    def test_every_record_of_a_block_is_immutable(self):
+        chain = make_chain()
+        oct = chain.submit_oct("alice", buy(5.0))
+        chain.insert_octs("prod", [oct.id])
+        chain.apply_update_tx("prod", 0, 102.0)
+        chain.reveal_order(oct.id, buy(5.0))
+        block = chain.advance_block(102.0, converter="prod")
+        er = block.executions[0]
+        records = [block, block.submitted[0], block.update, block.update.before,
+                   block.update.move, er, er.settlement, er.settlement.fills[0], er.orders[0],
+                   block.reentry]
+        assert [type(r).__name__ for r in records] == [
+            "BlockReceipt", "Oct", "UpdateReceipt", "Reserves", "RebatedMoveResult",
+            "ExecutionReceipt", "Settlement", "Fill", "Order", "ReentryReceipt"]
+        for r in records:
+            for name in r._fields:
+                value = getattr(r, name)
+                with pytest.raises(AttributeError):
+                    setattr(r, name, None)
+                with pytest.raises(AttributeError):
+                    object.__setattr__(r, name, None)
+                assert getattr(r, name) is value
+            with pytest.raises(AttributeError):
+                r.note = None  # no field can be added either
+
     def test_settled_escrows_leave_the_ledger(self):
         chain = make_chain(conversion_frequency=2)
         s0 = chain.total_supply()
@@ -843,8 +894,7 @@ class TestLedger:
             chain.insert_octs("prod", [oct.id])
             chain.apply_update_tx("prod", 0, 100.0)
             chain.check_books()
-            chain.open_allocations[0] = dataclasses.replace(chain.open_allocations[0],
-                                                            escrow=(bad, 0.0))
+            chain.open_allocations[0] = chain.open_allocations[0]._replace(escrow=(bad, 0.0))
             with pytest.raises(InvariantViolation, match="earmarks"):
                 chain.check_books()
 
@@ -947,7 +997,7 @@ class TestStageProperty:
                                           pool_price(chain) * (0.9 + 0.16 * f))
                 elif kind == "reveal" and bodies:
                     oct_id = sorted(bodies)[a % len(bodies)]
-                    body = bodies[oct_id] if b < 7 else dataclasses.replace(bodies[oct_id], size=1e-6)
+                    body = bodies[oct_id] if b < 7 else bodies[oct_id]._replace(size=1e-6)
                     chain.reveal_order(oct_id, body)
                 elif kind == "execute":
                     labels = sorted(chain.open_allocations) or [0]

@@ -4,6 +4,7 @@ import math
 import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from v0lver import engine, sim
@@ -79,6 +80,30 @@ class TestDeterminism:
         counts = {"runs": 2, "jobs": 1, name: value}
         with pytest.raises(ConfigError, match=rf"^{name} must be an integer >= 1, got "):
             run_many(shrink(SCN["lvr"], 5), 0, **counts)
+
+
+    @pytest.mark.parametrize("seed", [None, True, -1, 2.5, "3"], ids=repr)
+    @pytest.mark.parametrize("entry", ["run_scenario", "run_many", "lvr_experiment",
+                                       "dominance_sweep"])
+    def test_a_seed_must_be_an_integer_at_least_zero(self, entry, seed, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a seed was used before it was checked")
+
+        monkeypatch.setattr(sim.np.random, "SeedSequence", no_work)
+        call = {"run_scenario": lambda cfg: run_scenario(cfg, seed),
+                "run_many": lambda cfg: run_many(cfg, seed, 2),
+                "lvr_experiment": lambda cfg: lvr_experiment(cfg, seed, runs=2),
+                "dominance_sweep": lambda cfg: dominance_sweep(cfg, seed, trials=10)}[entry]
+        with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0, got "):
+            call(shrink(SCN["dominance"], 5))
+
+    def test_a_uint64_seed_runs(self):
+        cfg = shrink(SCN["lvr"], 5)
+        seed = np.random.SeedSequence(0).generate_state(1, dtype=np.uint64)[0]
+        assert seed >= 2**63  # past the int64 range, as run_many's per-run seeds may be
+        runs = [run_scenario(cfg, s).metrics.to_dict() for s in (seed, int(seed))]
+        assert json.dumps(runs[0], sort_keys=True) == json.dumps(runs[1], sort_keys=True)
+        run_scenario(cfg, 2**64 - 1)
 
 
 class TestScenarioRuns:
