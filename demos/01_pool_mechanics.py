@@ -35,7 +35,7 @@ print(f"chord at uniform price 110.25: pool sells {q:.4f} y for "
 # quotes 100. An arbitrageur can buy y cheap from the pool and sell it
 # outside. The maximal extraction and the reserve point it leaves behind:
 eps = 104.0
-best, value = max_lvr(curve, r, eps)
+best, value = max_lvr(r, eps)
 print(f"\nexternal price {eps}: optimal move leaves x={best.x:.2f} y={best.y:.4f}")
 print(f"extractable value: {value:.4f} (in x units, marked at eps)")
 
@@ -50,7 +50,7 @@ for p in (101.0, 102.0, 104.0, 106.0, 110.0):
 # The value scales linearly with pool size -- double the reserves, double
 # the leak. This is why the per-block leak matters for LPs.
 double = Reserves(2 * r.x, 2 * r.y)
-_, v2 = max_lvr(curve, double, eps)
+_, v2 = max_lvr(double, eps)
 print(f"\ndoubled pool: extractable value {v2:.4f} = 2 x {value:.4f}")
 
 # Over a volatile day the leak accumulates: simulate price factors and sum
@@ -60,7 +60,7 @@ eps_path = 100.0 * np.cumprod(np.exp(-0.5 * 0.02**2 + 0.02 * rng.standard_normal
 pool = Reserves(10_000.0, 100.0)
 total = 0.0
 for e in eps_path:
-    step_target, step_value = max_lvr(curve, pool, float(e))
+    step_target, step_value = max_lvr(pool, float(e))
     total += step_value
     pool = step_target
 print(f"\n100 blocks at sigma=2%: cumulative extraction {total:.2f} x "

@@ -32,7 +32,7 @@ full = curve.reserves_at_price(curve.invariant(r), eps)
 print(f"\nfull swap would land on ({full.x:.1f}, {full.y:.1f})")
 # The move returns the two legs the pool pays out: the producer's flow and
 # the vault deposit. The pool the engine books is what is left.
-move = apply_rebated_move(curve, r, eps, rebate=0.5)
+move = apply_rebated_move(r, eps, rebate=0.5)
 fx, fy = move.producer_flow
 vx, vy = move.vault_deposit
 pool = Reserves(r.x - fx - vx, r.y - fy - vy)
@@ -44,7 +44,7 @@ print(f"producer flow: {fx:+.1f} x, {fy:+.1f} y "
 
 # Compare with the unrebated arbitrage value: the producer kept exactly
 # (1 - beta) of it.
-_, full_value = max_lvr(curve, r, eps)
+_, full_value = max_lvr(r, eps)
 print(f"full arbitrage value {full_value:.1f}; kept fraction "
       f"{move.producer_payoff_at(eps) / full_value:.2f}")
 
@@ -69,7 +69,7 @@ print(f"converter flow ({cx:+.2f}, {cy:+.2f}) is worth {cx + cy * eps:+.2f} at e
 # The pool's constant ends higher than it started whenever beta > 0: the
 # rebate is a real transfer from the arbitrageur back to the LPs.
 for beta in (0.0, 0.2, 0.5, 0.8):
-    m = apply_rebated_move(curve, r, eps, beta)
+    m = apply_rebated_move(r, eps, beta)
     (fx, fy), (vx, vy) = m.producer_flow, m.vault_deposit
     (ax, ay), _ = vault_reenter(m.vault_deposit, eps)
     k_end = curve.invariant(Reserves(r.x - fx - vx + ax, r.y - fy - vy + ay))

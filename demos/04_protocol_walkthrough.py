@@ -28,7 +28,6 @@ def show(chain, label):
 
 
 chain = ChainState(
-    CONSTANT_PRODUCT,
     Reserves(10_000.0, 100.0),
     RebateSchedule(z_max=4, beta0=0.8),
     max_x=10.0,
@@ -55,7 +54,7 @@ show(chain, "after submit (collateral posted)")
 chain.insert_octs("prod", [a.id, b.id])
 receipt = chain.apply_update_tx("prod", 0, 102.0)
 print(f"\nupdate: gap {receipt.gap}, beta {receipt.beta}, "
-      f"pool now prices {chain.curve.price(chain.pool_reserves()):.2f}")
+      f"pool now prices {CONSTANT_PRODUCT.price(chain.pool_reserves()):.2f}")
 print(f"batch of {receipt.count} allocated at label {receipt.label}; "
       f"escrow sized {receipt.escrow}")
 show(chain, "after update (escrow + vault funded)")

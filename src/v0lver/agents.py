@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Order, OrderSide
-from .cfmm import Reserves, check_reserves
+from .cfmm import CONSTANT_PRODUCT, Reserves, check_reserves
 from .config import FlowModel, ProducerModel
 from .errors import DomainError
 from .rebate import RebateSchedule, apply_rebated_move
@@ -116,7 +116,6 @@ def aggregate_market_flow(
 
 
 def producer_utility(
-    curve,
     reserves: Reserves,
     eps: float,
     schedule: RebateSchedule,
@@ -141,7 +140,7 @@ def producer_utility(
     update costs are omitted: they are constant across the grid.
     """
     beta = schedule.value_at(0)
-    move = apply_rebated_move(curve, reserves, multiplier * eps, beta)
+    move = apply_rebated_move(reserves, multiplier * eps, beta)
     (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
     sx, sy = reserves.x - fx - vx, reserves.y - fy - vy
     check_reserves(sx, sy)  # the engine refuses an update that leaves no live pool
@@ -179,7 +178,6 @@ def price_target(producer: ProducerModel, eps: float, prev_eps: float) -> float:
 def decide_update(
     producer: ProducerModel,
     schedule: RebateSchedule,
-    curve,
     reserves: Reserves,
     height: int,
     last_label: int,
@@ -209,8 +207,7 @@ def decide_update(
     keep = 1.0 - schedule.value_at(height - label)
     if producer.update_policy == "threshold" and keep < producer.min_keep:
         return None
-    k = curve.invariant(reserves)
-    full = curve.reserves_at_price(k, target)
+    full = CONSTANT_PRODUCT.reserves_at_price(CONSTANT_PRODUCT.invariant(reserves), target)
     check_reserves(full.x, full.y)  # a target whose reserves overflow cannot be reached
     value = (reserves.x - full.x) + (reserves.y - full.y) * eps
     if keep * value < producer.update_cost:

@@ -2,12 +2,13 @@
 
 A pool holds reserves ``(x, y)`` of two tokens and quotes the marginal price
 of token y in units of token x. For the constant-product family the price is
-``x / y`` and the feasible set is the level curve ``x * y = k``. This module
-provides the curve abstraction plus ``max_lvr``: the reserve target an
-arbitrageur with frictionless access to the external market would pick, and
-the value ``(x - x_t) + (y - y_t) * eps`` of moving the pool there, marked at
-the external price. For the constant-product curve the optimal target is the
-point whose pool price equals the external price.
+``x / y`` and the feasible set is the level curve ``x * y = k``. The package
+has one curve, the module constant ``CONSTANT_PRODUCT``; the rebate math, the
+producer's policy and the engine read its formulas there rather than take a
+curve argument. ``max_lvr`` gives the reserve target an arbitrageur with
+frictionless access to the external market would pick, the point whose pool
+price equals the external price, and the value ``(x - x_t) + (y - y_t) * eps``
+of moving the pool there, marked at the external price.
 
 All quantities are plain floats; token amounts are assumed divisible. Values
 are checked where they enter the package, not each time one is computed.
@@ -21,12 +22,13 @@ from .errors import DomainError
 
 
 def check_price(value, what="price", or_zero=False) -> float:
-    """``value`` as a float; DomainError naming ``what`` unless finite and > 0 (>= 0 with or_zero)."""
+    """``value`` as a float; DomainError naming ``what`` unless a number (no bool), finite and
+    > 0 (>= 0 with or_zero)."""
     try:
         v = float(value)
     except (TypeError, ValueError, OverflowError):
         v = math.nan
-    if not (0.0 < v < math.inf or or_zero and v == 0.0):
+    if not (0.0 < v < math.inf or or_zero and v == 0.0) or value is True or value is False:
         raise DomainError(f"{what} must be finite and {'>=' if or_zero else '>'} 0, got {value!r}")
     return v
 
@@ -86,17 +88,16 @@ class ConstantProduct:
 CONSTANT_PRODUCT = ConstantProduct()
 
 
-def max_lvr(curve, r: Reserves, eps: float) -> tuple[Reserves, float]:
+def max_lvr(r: Reserves, eps: float) -> tuple[Reserves, float]:
     """Optimal arbitrage target against external price ``eps`` and its value.
 
     ``r`` is a live pool and ``eps`` a price > 0. Returns
     ``(target_reserves, value)`` where ``value >= 0`` and is zero exactly
     when the pool already prices at ``eps``.
     """
-    p0 = curve.price(r)
-    if p0 == eps:
+    if CONSTANT_PRODUCT.price(r) == eps:
         return r, 0.0
-    target = curve.reserves_at_price(curve.invariant(r), eps)
+    target = CONSTANT_PRODUCT.reserves_at_price(CONSTANT_PRODUCT.invariant(r), eps)
     value = (r.x - target.x) + (r.y - target.y) * eps
     # The optimum is mathematically >= 0; drop float dust for near-at-price pools.
     return target, max(0.0, value)

@@ -173,7 +173,6 @@ class ScenarioConfig:
             self.rebate_schedule()
         except DomainError as e:
             raise ConfigError(f"rebate.{e}") from None
-        _require(self.z_max > 0 or self.beta0 == 0, "rebate.beta0 must be 0 when z_max is 0")
         _require(self.max_x > 0 and self.max_y > 0, "bounds.max_x and bounds.max_y must be > 0")
         _require(self.reveal_window >= 0, "reveal_window must be >= 0")
         _require(self.conversion_frequency >= 0, "conversion_frequency must be >= 0")

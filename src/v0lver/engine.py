@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .allocation import (Order, OrderSide, Settlement, clearing_price_with_limits,
                          verify_clearing_price)
-from .cfmm import Reserves, check_price, check_reserves
+from .cfmm import CONSTANT_PRODUCT, Reserves, check_price, check_reserves
 from .errors import (
     DomainError,
     FundingError,
@@ -74,6 +74,13 @@ _SUPPLY_RTOL = 1e-9
 def _refuse_engine_account(name, what):
     if name in ENGINE_ACCOUNTS or str(name).startswith("alloc:"):
         raise DomainError(f"{what} must not name the engine's account {name!r}")
+
+
+def _check_pair(value, what, or_zero=False) -> list[float]:
+    """``[x, y]`` from a tuple or list of two numbers each passing ``check_price``."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2):
+        raise DomainError(f"{what} must be a pair (x, y), got {value!r}")
+    return [check_price(v, what, or_zero) for v in value]
 
 
 def _guard(src, dst, s, d, dx, dy):
@@ -218,7 +225,6 @@ class ChainState:
 
     def __init__(
         self,
-        curve,
         reserves: Reserves,
         schedule: RebateSchedule,
         *,
@@ -233,7 +239,6 @@ class ChainState:
                         ("conversion_frequency", conversion_frequency)):
             if isinstance(n, bool) or not isinstance(n, int) or n < 0:
                 raise DomainError(f"{what} must be an integer >= 0, got {n!r}")
-        self.curve = curve
         self.schedule = schedule
         self.max_x, self.max_y = max_x, max_y
         self.reveal_window = reveal_window
@@ -245,15 +250,12 @@ class ChainState:
         self.open_allocations: dict[int, UpdateReceipt] = {}
         self.allocated: dict[int, Oct] = {}
         self.reveals: dict[int, tuple[Oct, Order]] = {}
-        pool = check_reserves(reserves.x, reserves.y)
-        self.balances: dict[str, list[float]] = {POOL: [pool.x, pool.y]}
+        pool = list(check_reserves(*_check_pair(reserves, "reserves")))
+        self.balances: dict[str, list[float]] = {POOL: pool}
         for party, opening in (balances or {}).items():
             if party != VAULT:
                 _refuse_engine_account(party, "opening balances")
-            what = f"opening balance of {party!r}"
-            if not (isinstance(opening, (tuple, list)) and len(opening) == 2):
-                raise DomainError(f"{what} must be a pair (x, y), got {opening!r}")
-            self.balances[party] = [check_price(b, what, or_zero=True) for b in opening]
+            self.balances[party] = _check_pair(opening, f"opening balance of {party!r}", True)
         for party in (VAULT, COLLATERAL, BURNED):
             self.balances.setdefault(party, [0.0, 0.0])
         self._next_oct_id = 0
@@ -415,7 +417,7 @@ class ChainState:
         beta = self.schedule.value_at(h - alloc_label)
 
         before = Reserves(*self.balances[POOL])
-        move = apply_rebated_move(self.curve, before, p, beta)
+        move = apply_rebated_move(before, p, beta)
         (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
         # The pool after the two move legs, subtracted in the order they book.
         # Live, it bounds the pool after the first leg too (the vault deposit is
@@ -493,8 +495,8 @@ class ChainState:
         orders = tuple(order for _, order in revealed)
         price = proposed_price
         if price is None:
-            price = clearing_price_with_limits(self.curve, u.snapshot, orders).price
-        settlement = verify_clearing_price(self.curve, u.snapshot, orders, price)
+            price = clearing_price_with_limits(CONSTANT_PRODUCT, u.snapshot, orders).price
+        settlement = verify_clearing_price(CONSTANT_PRODUCT, u.snapshot, orders, price)
         if settlement is None:
             if proposed_price is None:
                 raise InvariantViolation(f"solver clearing price {price!r} failed self-verification")

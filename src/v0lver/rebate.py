@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cfmm import Reserves
+from .cfmm import CONSTANT_PRODUCT, Reserves
 from .errors import DomainError
 
 
@@ -36,12 +36,15 @@ class RebateSchedule:
     beta0: float
 
     def __post_init__(self):
-        if not isinstance(self.z_max, int) or self.z_max < 0:
-            raise DomainError(f"z_max must be a non-negative integer, got {self.z_max!r}")
-        if not (0.0 <= self.beta0 < 1.0):
-            raise DomainError(f"beta0 must lie in [0, 1), got {self.beta0!r}")
-        if self.z_max > 0 and self.beta0 == 0.0:
+        z_max, beta0 = self.z_max, self.beta0  # a bool is no number
+        if isinstance(z_max, bool) or not isinstance(z_max, int) or z_max < 0:
+            raise DomainError(f"z_max must be a non-negative integer, got {z_max!r}")
+        if isinstance(beta0, bool) or not isinstance(beta0, (int, float)) or not 0.0 <= beta0 < 1.0:
+            raise DomainError(f"beta0 must lie in [0, 1), got {beta0!r}")
+        if z_max > 0 and beta0 == 0.0:
             raise DomainError("beta0 must be > 0 when z_max > 0 (schedule must decrease)")
+        if z_max == 0 and beta0 != 0.0:
+            raise DomainError("beta0 must be 0 when z_max is 0")
 
     def value_at(self, gap: int) -> float:
         if gap < 0:
@@ -69,7 +72,7 @@ class RebatedMoveResult(NamedTuple):
         return fx + fy * float(eps)
 
 
-def apply_rebated_move(curve, reserves: Reserves, target_price, rebate: float) -> RebatedMoveResult:
+def apply_rebated_move(reserves: Reserves, target_price, rebate: float) -> RebatedMoveResult:
     """Move the pool price to ``target_price`` paying rebate fraction ``rebate``.
 
     The producer trades ``(1 - rebate)`` of the full reserve swap that would
@@ -81,11 +84,10 @@ def apply_rebated_move(curve, reserves: Reserves, target_price, rebate: float) -
     """
     if not (0.0 <= rebate < 1.0):
         raise DomainError(f"rebate fraction must lie in [0, 1), got {rebate!r}")
-    p0 = curve.price(reserves)
+    p0 = CONSTANT_PRODUCT.price(reserves)
     if target_price == p0:
         return RebatedMoveResult((0.0, 0.0), (0.0, 0.0))
-    k = curve.invariant(reserves)
-    full = curve.reserves_at_price(k, target_price)
+    full = CONSTANT_PRODUCT.reserves_at_price(CONSTANT_PRODUCT.invariant(reserves), target_price)
     dx = full.x - reserves.x
     dy = full.y - reserves.y
     keep = 1.0 - rebate
@@ -97,9 +99,9 @@ def apply_rebated_move(curve, reserves: Reserves, target_price, rebate: float) -
         # Price rose: the partial move undershoots, y is the rich side.
         # The shed amount is mathematically non-negative; the max() guards
         # against one-ulp roundoff when the rebate is vanishingly small.
-        deposit = (0.0, max(0.0, mid_y - curve.y_matching_price(target_price, mid_x)))
+        deposit = (0.0, max(0.0, mid_y - CONSTANT_PRODUCT.y_matching_price(target_price, mid_x)))
     else:
-        deposit = (max(0.0, mid_x - curve.x_matching_price(target_price, mid_y)), 0.0)
+        deposit = (max(0.0, mid_x - CONSTANT_PRODUCT.x_matching_price(target_price, mid_y)), 0.0)
     return RebatedMoveResult(deposit, (-keep * dx, -keep * dy))
 
 

@@ -32,7 +32,7 @@ from .agents import (
     producer_utility,
 )
 from .allocation import Order, OrderSide, plain_sum
-from .cfmm import CONSTANT_PRODUCT, Reserves, max_lvr
+from .cfmm import Reserves, max_lvr
 from .config import FlowModel, ScenarioConfig
 from .engine import POOL, BlockReceipt, ChainState
 from .errors import ConfigError, DomainError, FundingError
@@ -131,7 +131,6 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
     _check_int("seed", seed, 0)
     cfg.validate()
     chain = ChainState(
-        CONSTANT_PRODUCT,
         Reserves(cfg.pool_x, cfg.pool_y),
         cfg.rebate_schedule(),
         max_x=cfg.max_x,
@@ -197,10 +196,8 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
         chain.insert_octs(
             PRODUCER, choose_inserts(prod_rng, chain.mempool.keys(), cfg.producer.censor_rate)
         )
-        decision = decide_update(
-            cfg.producer, chain.schedule, chain.curve, chain.pool_reserves(), h,
-            chain.last_alloc_label, eps, prev_eps,
-        )
+        decision = decide_update(cfg.producer, chain.schedule, chain.pool_reserves(), h,
+                                 chain.last_alloc_label, eps, prev_eps)
         if decision is not None:
             update = chain.apply_update_tx(PRODUCER, *decision)
             for oct_id in sorted(update.oct_ids):
@@ -257,7 +254,7 @@ def _tally(m: RunMetrics, cfg: ScenarioConfig, block: BlockReceipt, receipts: li
         vx, vy = u.move.vault_deposit
         m.producer_flow_value += fx + fy * eps
         m.realized_lvr += (fx + vx) + (fy + vy) * eps
-        m.full_lvr += max_lvr(CONSTANT_PRODUCT, u.before, eps)[1]
+        m.full_lvr += max_lvr(u.before, eps)[1]
     for er in block.executions:
         m.n_executed += len(er.orders)
         m.n_burned += len(er.burned)
@@ -413,8 +410,8 @@ def dominance_sweep(
     for m in multipliers:
         for a in alphas:
             try:
-                u = producer_utility(CONSTANT_PRODUCT, reserves, eps, schedule, cfg.max_x,
-                                     cfg.max_y, m, a, flow_dx, flow_dy)
+                u = producer_utility(reserves, eps, schedule, cfg.max_x, cfg.max_y, m, a,
+                                     flow_dx, flow_dy)
             except DomainError as e:
                 raise ConfigError(f"multipliers: {m!r} moves the pool out of range: {e}") from None
             rows.append({"multiplier": m, "alpha": a, "utility": u})

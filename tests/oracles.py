@@ -50,7 +50,7 @@ from v0lver.allocation import (
     clearing_price_with_limits,
 )
 from v0lver.errors import DomainError, FundingError
-from v0lver.cfmm import Reserves, check_price, check_reserves
+from v0lver.cfmm import CONSTANT_PRODUCT, Reserves, check_price, check_reserves
 from v0lver.engine import POOL, VAULT, ChainState, _guard
 from v0lver.rebate import apply_rebated_move
 
@@ -309,15 +309,30 @@ def grid_max_extraction(x: float, y: float, eps: float, points: int = 10_001):
     return float(value[i]), float(xt[i])
 
 
-def brentq_vault_shed(x: float, y: float, target: float, beta: float):
+def _bisect(f, lo: float, hi: float) -> float:
+    """A root of monotone ``f`` on ``[lo, hi]``, where ``f(lo)`` and ``f(hi)``
+    differ in sign, halved until the bracket is two adjacent floats."""
+    below = f(lo) < 0.0
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            return lo if abs(f(lo)) <= abs(f(hi)) else hi
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == below:
+            lo = mid
+        else:
+            hi = mid
+
+
+def bisect_vault_shed(x: float, y: float, target: float, beta: float):
     """Re-derive a rebated move by root-finding instead of algebra.
 
-    After moving fraction ``1 - beta`` of the full swap, solve for the
-    rich-side amount whose removal puts the pool price exactly on target.
-    Returns (new_x, new_y, shed_x, shed_y).
+    After moving fraction ``1 - beta`` of the full swap, solve by bisection
+    for the rich-side amount whose removal puts the pool price exactly on
+    target. Returns (new_x, new_y, shed_x, shed_y).
     """
-    from scipy.optimize import brentq
-
     k = x * y
     x_full = (k * target) ** 0.5
     y_full = (k / target) ** 0.5
@@ -325,19 +340,16 @@ def brentq_vault_shed(x: float, y: float, target: float, beta: float):
     mid_y = y + (1.0 - beta) * (y_full - y)
     if beta == 0.0:
         return mid_x, mid_y, 0.0, 0.0
-    p_mid = mid_x / mid_y
     if target > x / y:
-        f = lambda s: mid_x / (mid_y - s) - target
-        s = brentq(f, 0.0, mid_y * (1.0 - 1e-12), xtol=1e-15, rtol=8.9e-16)
+        s = _bisect(lambda s: mid_x / (mid_y - s) - target, 0.0, mid_y * (1.0 - 1e-12))
         return mid_x, mid_y - s, 0.0, s
     if target < x / y:
-        f = lambda s: (mid_x - s) / mid_y - target
-        s = brentq(f, 0.0, mid_x * (1.0 - 1e-12), xtol=1e-15, rtol=8.9e-16)
+        s = _bisect(lambda s: (mid_x - s) / mid_y - target, 0.0, mid_x)
         return mid_x - s, mid_y, s, 0.0
     return x, y, 0.0, 0.0
 
 
-def baseline_cfmm_replay(curve, reserves: Reserves, receipts):
+def baseline_cfmm_replay(reserves: Reserves, receipts):
     """Drive a plain CFMM through the block receipts of a protocol run.
 
     Updates become full arbitrage moves to the receipt's price; each batch is
@@ -352,18 +364,19 @@ def baseline_cfmm_replay(curve, reserves: Reserves, receipts):
     for block in receipts:
         u = block.update
         if u is not None:
-            r = curve.reserves_at_price(curve.invariant(r), u.price)
+            r = CONSTANT_PRODUCT.reserves_at_price(CONSTANT_PRODUCT.invariant(r), u.price)
             snapshots[u.label] = r
         for e in block.executions:
-            settled = clearing_price_with_limits(curve, snapshots[e.update.label], e.orders)
+            settled = clearing_price_with_limits(CONSTANT_PRODUCT, snapshots[e.update.label],
+                                                 e.orders)
             dx, dy = settled.pool_delta
             r = Reserves(r.x + dx, r.y + dy)
         out.append((block.height, r.x, r.y))
     return out
 
 
-def engine_producer_payoffs(curve, reserves: Reserves, eps: float, schedule, max_x: float,
-                            max_y: float, multiplier: float, alpha: float, flow_dx, flow_dy):
+def engine_producer_payoffs(reserves: Reserves, eps: float, schedule, max_x: float, max_y: float,
+                            multiplier: float, alpha: float, flow_dx, flow_dy):
     """Per-trial producer payoffs of ``agents.producer_utility``'s strategy, one block each.
 
     Each trial is one ``ChainState`` block: the users commit the trial's x and
@@ -376,7 +389,7 @@ def engine_producer_payoffs(curve, reserves: Reserves, eps: float, schedule, max
     """
     out = []
     for qx, qy in zip(flow_dx, flow_dy):
-        chain = ChainState(curve, reserves, schedule, max_x=max_x, max_y=max_y,
+        chain = ChainState(reserves, schedule, max_x=max_x, max_y=max_y,
                            conversion_frequency=0,
                            balances={"users": (1e6, 1e4), "producer": (1e5, 1e3)})
         orders = []
@@ -464,7 +477,7 @@ def reference_update_refusal(chain: ChainState, producer: str, alloc_label: int,
     p = check_price(price)
     beta = chain.schedule.value_at(chain.height - alloc_label)
     before = Reserves(*chain.balances[POOL])
-    move = apply_rebated_move(chain.curve, before, p, beta)
+    move = apply_rebated_move(before, p, beta)
     (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
     snapshot = check_reserves(before.x - fx - vx, before.y - fy - vy)
     legs = [(POOL, producer, fx, fy), (POOL, VAULT, vx, vy)]
@@ -513,8 +526,8 @@ def reference_user_flow(rng, flow, eps: float, max_x: float, max_y: float):
 
 
 def pool_price(chain: ChainState) -> float:
-    """The price of ``chain``'s pool on its own curve."""
-    return chain.curve.price(chain.pool_reserves())
+    """The price of ``chain``'s pool."""
+    return CONSTANT_PRODUCT.price(chain.pool_reserves())
 
 
 def _json_safe(obj):

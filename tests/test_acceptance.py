@@ -80,15 +80,15 @@ class TestCriterion2UpdateOptimality:
             eps = float(C.price(r)) * float(rng.uniform(0.25, 4.0))
             beta = float(rng.uniform(0.0, 0.95))
             scale = x + y * eps
-            _, lvr = max_lvr(C, r, eps)
-            best = apply_rebated_move(C, r, eps, beta).producer_payoff_at(eps)
+            _, lvr = max_lvr(r, eps)
+            best = apply_rebated_move(r, eps, beta).producer_payoff_at(eps)
             err = abs(best - (1.0 - beta) * lvr) / max(scale, 1.0)
             worst_eq = max(worst_eq, err)
             # every other target price does weakly worse
             for mult in rng.uniform(0.2, 5.0, size=100):
                 if mult == 1.0:
                     continue
-                other = apply_rebated_move(C, r, eps * float(mult), beta)
+                other = apply_rebated_move(r, eps * float(mult), beta)
                 assert other.producer_payoff_at(eps) <= best + 1e-9 * scale
         elapsed = time.perf_counter() - t0
         assert worst_eq <= 1e-9
@@ -151,7 +151,7 @@ class TestCriterion7Fallback:
         cfg = SCN["fallback"]
         assert cfg.z_max == 0 and cfg.beta0 == 0.0
         res = run_scenario(cfg, 7)
-        replay = baseline_cfmm_replay(C, Reserves(cfg.pool_x, cfg.pool_y), res.receipts)
+        replay = baseline_cfmm_replay(Reserves(cfg.pool_x, cfg.pool_y), res.receipts)
         assert len(replay) == cfg.blocks
         worst = 0.0
         by_height = {row["height"]: row for row in res.blocks}
@@ -209,7 +209,6 @@ class TestCriterion8Properties:
         for chain_i in range(40):
             schedule = RebateSchedule(z_max=4, beta0=0.8)
             chain = ChainState(
-                C,
                 Reserves(10_000.0, 100.0),
                 schedule,
                 max_x=10.0,

@@ -160,16 +160,16 @@ class TestUserFlowDraw:
 class TestProducerUtility:
     def test_no_selftrade_reduces_to_move_payoff(self):
         r = Reserves(10_000.0, 100.0)
-        u = producer_utility(C, r, 104.0, SCHEDULE, 10.0, 0.1, 1.0, 0.0, NO_FLOW, NO_FLOW)
+        u = producer_utility(r, 104.0, SCHEDULE, 10.0, 0.1, 1.0, 0.0, NO_FLOW, NO_FLOW)
         # full extraction at eps, kept fraction (1 - 0.8)
         from v0lver.cfmm import max_lvr
 
-        _, lvr = max_lvr(C, r, 104.0)
+        _, lvr = max_lvr(r, 104.0)
         assert u == pytest.approx(0.2 * lvr, rel=1e-12)
 
     def test_updating_to_eps_with_zero_alpha_is_zero_at_eps_start(self):
         r = C.reserves_at_price(1e6, 100.0)
-        assert producer_utility(C, r, 100.0, SCHEDULE, 10.0, 0.1, 1.0, 0.0, NO_FLOW, NO_FLOW) == 0.0
+        assert producer_utility(r, 100.0, SCHEDULE, 10.0, 0.1, 1.0, 0.0, NO_FLOW, NO_FLOW) == 0.0
 
     def test_selftrade_against_balanced_flow_loses(self):
         # at multiplier 1 the batch clears at eps on average; pushing extra
@@ -177,8 +177,8 @@ class TestProducerUtility:
         r = C.reserves_at_price(1e6, 100.0)
         flow = FlowModel(arrival=4.0, limit_prob=0.0, limit_width=0.0, value_frac=0.5)
         dx, dy = aggregate_market_flow(np.random.default_rng(8), flow, 100.0, 10.0, 0.1, 20_000)
-        u0 = producer_utility(C, r, 100.0, SCHEDULE, 10.0, 0.1, 1.0, 0.0, dx, dy)
-        u1 = producer_utility(C, r, 100.0, SCHEDULE, 10.0, 0.1, 1.0, 0.5, dx, dy)
+        u0 = producer_utility(r, 100.0, SCHEDULE, 10.0, 0.1, 1.0, 0.0, dx, dy)
+        u1 = producer_utility(r, 100.0, SCHEDULE, 10.0, 0.1, 1.0, 0.5, dx, dy)
         # the honest update moves nothing, and its escrow share earns the
         # batch's price impact: beta of the pool's gain from the flow
         assert u0 > 0.0
@@ -192,9 +192,9 @@ class TestProducerUtility:
         eps, schedule = cfg.price.initial, cfg.rebate_schedule()
         dx, dy = aggregate_market_flow(np.random.default_rng(4), cfg.flow, eps, cfg.max_x,
                                        cfg.max_y, 300)
-        engine = engine_producer_payoffs(C, r, eps, schedule, cfg.max_x, cfg.max_y,
+        engine = engine_producer_payoffs(r, eps, schedule, cfg.max_x, cfg.max_y,
                                          multiplier, alpha, dx, dy)
-        model = [producer_utility(C, r, eps, schedule, cfg.max_x, cfg.max_y, multiplier, alpha,
+        model = [producer_utility(r, eps, schedule, cfg.max_x, cfg.max_y, multiplier, alpha,
                                   dx[i:i + 1], dy[i:i + 1]) for i in range(len(dx))]
         assert np.max(np.abs(np.array(model) - engine)) <= 1e-10 * 2.0 * r.x
 
@@ -243,40 +243,40 @@ class TestUpdateDecision:
 
     def test_never_policy(self):
         p = self.prod(update_policy="never")
-        assert decide_update(p, SCHEDULE, C, self.R, 5, 2, 104.0, 103.0) is None
+        assert decide_update(p, SCHEDULE, self.R, 5, 2, 104.0, 103.0) is None
 
     def test_always_updates_at_current_height(self):
         p = self.prod()
-        assert decide_update(p, SCHEDULE, C, self.R, 5, 2, 104.0, 103.0) == (5, 104.0)
+        assert decide_update(p, SCHEDULE, self.R, 5, 2, 104.0, 103.0) == (5, 104.0)
         # even when there is nothing to gain
-        assert decide_update(p, SCHEDULE, C, self.R, 5, 2, 100.0, 100.0) == (5, 100.0)
+        assert decide_update(p, SCHEDULE, self.R, 5, 2, 100.0, 100.0) == (5, 100.0)
 
     def test_best_response_takes_current_label_when_profitable(self):
         p = self.prod(update_policy="best_response", update_cost=1e-9)
-        got = decide_update(p, SCHEDULE, C, self.R, 5, 2, 104.0, 103.0)
+        got = decide_update(p, SCHEDULE, self.R, 5, 2, 104.0, 103.0)
         assert got == (5, 104.0)
 
     def test_best_response_skips_when_cost_dominates(self):
         # keep = 1 - beta0 = 0.2 of the tiny arbitrage does not cover cost
         p = self.prod(update_policy="best_response", update_cost=10.0)
-        assert decide_update(p, SCHEDULE, C, self.R, 5, 2, 100.001, 100.0) is None
+        assert decide_update(p, SCHEDULE, self.R, 5, 2, 100.001, 100.0) is None
 
     def test_threshold_backdates_to_schedule_horizon(self):
         p = self.prod(update_policy="threshold", min_keep=1.0, update_cost=0.0)
         # height 10, last label 2: backdate to 10 - 4 = 6, where beta = 0
-        got = decide_update(p, SCHEDULE, C, self.R, 10, 2, 104.0, 103.0)
+        got = decide_update(p, SCHEDULE, self.R, 10, 2, 104.0, 103.0)
         assert got == (6, 104.0)
         # a fresher last label forces a smaller gap and keep < 1: no update
-        assert decide_update(p, SCHEDULE, C, self.R, 10, 8, 104.0, 103.0) is None
+        assert decide_update(p, SCHEDULE, self.R, 10, 8, 104.0, 103.0) is None
 
     def test_threshold_with_partial_keep(self):
         p = self.prod(update_policy="threshold", min_keep=0.55, update_cost=0.0)
         # gap 3 gives keep 0.8 >= 0.55 at label height-4+1
-        got = decide_update(p, SCHEDULE, C, self.R, 10, 6, 104.0, 103.0)
+        got = decide_update(p, SCHEDULE, self.R, 10, 6, 104.0, 103.0)
         assert got == (7, 104.0)
 
     def test_zero_schedule_makes_every_gap_free(self):
         p = self.prod(update_policy="best_response", update_cost=0.0)
         zero = RebateSchedule(z_max=0, beta0=0.0)
-        got = decide_update(p, zero, C, self.R, 5, 2, 104.0, 103.0)
+        got = decide_update(p, zero, self.R, 5, 2, 104.0, 103.0)
         assert got == (5, 104.0)

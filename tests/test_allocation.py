@@ -50,7 +50,7 @@ def market_batch(snapshot, dx, dy):
 def allocated(orders, price=102.0):
     """A chain at price 100 whose update at ``price`` allocated ``orders``
     (label 0, beta 0.8, bounds 10 x and 0.1 y), all revealed."""
-    chain = ChainState(C, Reserves(10_000.0, 100.0), RebateSchedule(z_max=4, beta0=0.8),
+    chain = ChainState(Reserves(10_000.0, 100.0), RebateSchedule(z_max=4, beta0=0.8),
                        max_x=10.0, max_y=0.1,
                        balances={"u": (1_000.0, 10.0), "prod": (10_000.0, 100.0)})
     octs = [chain.submit_oct("u", o) for o in orders]
@@ -288,7 +288,7 @@ class TestVerification:
         assert solved.volume_y == pytest.approx(1e-5, rel=1e-9)
         assert verify_clearing_price(C, snapshot, orders, solved.price) == solved
 
-        chain = ChainState(C, snapshot, RebateSchedule(z_max=4, beta0=0.8), max_x=1.0,
+        chain = ChainState(snapshot, RebateSchedule(z_max=4, beta0=0.8), max_x=1.0,
                            max_y=0.01, balances={"u": (1.0, 0.0), "prod": (10.0, 1.0)})
         oct = chain.submit_oct("u", orders[0])
         chain.insert_octs("prod", [oct.id])
@@ -512,7 +512,7 @@ class TestEscrowSizing:
     def test_escrow_worked_example(self):
         # three orders, bounds 4 x and 1 y, allocated at price 2: the escrow
         # covers three max-size sells of either token, (3 * 1 * 2, 3 * 4 / 2)
-        chain = ChainState(C, Reserves(2_000.0, 1_000.0), RebateSchedule(z_max=4, beta0=0.8),
+        chain = ChainState(Reserves(2_000.0, 1_000.0), RebateSchedule(z_max=4, beta0=0.8),
                            max_x=4.0, max_y=1.0,
                            balances={"u": (100.0, 100.0), "prod": (100.0, 100.0)})
         octs = [chain.submit_oct("u", o) for o in (buy(4.0), buy(1.0), sell(1.0))]
@@ -593,23 +593,23 @@ class TestOrderValidation:
             Order(None, 1.0)
 
     def test_size_and_limit_are_coerced_and_checked(self):
-        o = Order(OrderSide.BUY_Y, True)
+        o = Order(OrderSide.BUY_Y, 1)
         assert type(o.size) is float and o.size == 1.0
-        for bad in ("ten", None, float("nan"), float("inf"), 0.0):
+        for bad in ("ten", None, float("nan"), float("inf"), 0.0, True):
             with pytest.raises(DomainError, match="size"):
                 Order(OrderSide.SELL_Y, bad)
-        for bad in ("ten", float("nan"), -2.0):
+        for bad in ("ten", float("nan"), -2.0, True):
             with pytest.raises(DomainError, match="limit"):
                 Order(OrderSide.SELL_Y, 1.0, bad)
 
-    @pytest.mark.parametrize("value", [np.float64(2.5), 2, True, "2.0"])
+    @pytest.mark.parametrize("value", [np.float64(2.5), 2, "2.0"])
     def test_a_non_float_size_or_limit_comes_out_a_float(self, value):
         o = Order(OrderSide.SELL_Y, value, value)
         for v in (o.size, o.limit):
             assert type(v) is float and v == float(value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -2.0,
-                                     np.float64(math.nan), "abc", None])
+                                     np.float64(math.nan), "abc", None, True, False])
     def test_a_bad_size_or_limit_keeps_its_message(self, bad):
         with pytest.raises(DomainError) as e:
             Order(OrderSide.SELL_Y, bad)

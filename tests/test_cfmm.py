@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from v0lver.allocation import Order, OrderSide, verify_clearing_price
 from v0lver.cfmm import (
     CONSTANT_PRODUCT,
     Reserves,
@@ -25,10 +26,31 @@ class TestPrimitives:
             with pytest.raises(DomainError):
                 check_price(bad)
 
+    def test_a_bool_is_no_number(self):
+        """True is not a price, a size, a bound or a balance of 1.0, nor False one of 0.0."""
+        zero = RebateSchedule(z_max=0, beta0=0.0)
+        for flag in (True, False):
+            for or_zero in (False, True):
+                with pytest.raises(DomainError, match=f"got {flag}"):
+                    check_price(flag, "price", or_zero)
+            with pytest.raises(DomainError, match="order size"):
+                Order(OrderSide.BUY_Y, flag)
+            with pytest.raises(DomainError, match="order limit"):
+                Order(OrderSide.BUY_Y, 1.0, limit=flag)
+            with pytest.raises(DomainError, match="max_x"):
+                ChainState(Reserves(1.0, 1.0), zero, max_x=flag, max_y=1.0)
+        for opening in ((True, 0.0), (0.0, False)):
+            with pytest.raises(DomainError, match="opening balance of 'a'"):
+                ChainState(Reserves(1.0, 1.0), zero, max_x=1.0, max_y=1.0,
+                           balances={"a": opening})
+        orders = [Order(OrderSide.BUY_Y, 1.0), Order(OrderSide.SELL_Y, 1.0)]
+        assert verify_clearing_price(C, Reserves(100.0, 100.0), orders, 1.0)
+        assert verify_clearing_price(C, Reserves(100.0, 100.0), orders, True) is None
+
     def test_reserves_reject_degenerate_values(self):
         for bad in ((0, 1), (1, 0), (-1, 1), (math.nan, 1), (1, math.inf)):
             with pytest.raises(DomainError):
-                ChainState(C, Reserves(*bad), RebateSchedule(z_max=0, beta0=0.0),
+                ChainState(Reserves(*bad), RebateSchedule(z_max=0, beta0=0.0),
                            max_x=1.0, max_y=1.0)
 
     def test_pool_price(self):
@@ -69,14 +91,14 @@ class TestExtractionValue:
     def test_worked_example(self):
         # (100, 100) against an external price of 4: the optimal move lands
         # on (200, 50) and extracts 100.
-        target, value = max_lvr(C, Reserves(100, 100), 4.0)
+        target, value = max_lvr(Reserves(100, 100), 4.0)
         assert value == pytest.approx(100.0, rel=1e-12)
         assert target.x == pytest.approx(200.0, rel=1e-12)
         assert target.y == pytest.approx(50.0, rel=1e-12)
 
     def test_at_price_pool_has_nothing_to_extract(self):
         r = Reserves(10_000, 100)
-        target, value = max_lvr(C, r, 100.0)
+        target, value = max_lvr(r, 100.0)
         assert value == 0.0
         assert target == r
 
@@ -88,8 +110,8 @@ class TestExtractionValue:
     )
     @example(x=184624.0, y=188616.0, eps=1.0, c=3.5)
     def test_value_scales_linearly_with_pool_size(self, x, y, eps, c):
-        _, v1 = max_lvr(C, Reserves(x, y), eps)
-        _, v2 = max_lvr(C, Reserves(c * x, c * y), eps)
+        _, v1 = max_lvr(Reserves(x, y), eps)
+        _, v2 = max_lvr(Reserves(c * x, c * y), eps)
         # Near price parity max_lvr cancels terms the size of the pool value
         # x + y*eps, so the value is exact only to a few ulps of that value.
         assert v2 == pytest.approx(c * v1, rel=1e-12, abs=1e-14 * c * (x + y * eps))
@@ -100,7 +122,7 @@ class TestExtractionValue:
             x = float(rng.uniform(1.0, 1e5))
             y = float(rng.uniform(1.0, 1e5))
             eps = float((x / y) * rng.uniform(0.25, 4.0))
-            target, value = max_lvr(C, Reserves(x, y), eps)
+            target, value = max_lvr(Reserves(x, y), eps)
             grid_value, grid_x = grid_max_extraction(x, y, eps)
             scale = x + y * eps
             # the grid can only undershoot the true optimum
@@ -120,7 +142,7 @@ class TestExtractionValue:
     def test_no_curve_point_beats_the_closed_form(self, x, y, eps_mult, probe):
         r = Reserves(x, y)
         eps = float(C.price(r)) * eps_mult
-        target, value = max_lvr(C, r, eps)
+        target, value = max_lvr(r, eps)
         k = C.invariant(r)
         other = C.reserves_at_price(k, eps * probe)
         assert (r.x - other.x) + (r.y - other.y) * eps <= value + 1e-9 * max(1.0, value)

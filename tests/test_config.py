@@ -60,9 +60,9 @@ class TestValidation:
 
     def test_rebate_switch_must_be_consistent(self):
         cfg = builtin_scenarios()["default"]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^rebate.beta0 must be 0 when z_max is 0$"):
             dataclasses.replace(cfg, z_max=0).validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^rebate.beta0 must be > 0 when z_max > 0"):
             dataclasses.replace(cfg, beta0=0.0).validate()
         dataclasses.replace(cfg, z_max=0, beta0=0.0).validate()
 

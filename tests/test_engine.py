@@ -55,7 +55,7 @@ def make_chain(schedule=SCHEDULE, **kwargs):
         },
     )
     defaults.update(kwargs)
-    return ChainState(C, Reserves(10_000.0, 100.0), schedule, **defaults)
+    return ChainState(Reserves(10_000.0, 100.0), schedule, **defaults)
 
 
 def stages(chain, oct_id):
@@ -283,6 +283,23 @@ class TestConstruction:
         with pytest.raises(DomainError, match=named):
             make_chain(balances={"bob": (1.0, 1.0), **opening})
 
+    @pytest.mark.parametrize("reserves", [(100.0, 100.0), [100.0, 100.0], (100, 100)],
+                             ids=["tuple", "list", "ints"])
+    def test_reserves_are_any_pair_of_numbers(self, reserves):
+        chain = ChainState(reserves, SCHEDULE, max_x=1.0, max_y=1.0)
+        assert chain.pool_reserves() == Reserves(100.0, 100.0)
+        assert chain.balances[POOL] == [100.0, 100.0]
+        assert all(type(v) is float for v in chain.balances[POOL])
+
+    @pytest.mark.parametrize("bad", [None, (1.0, 2.0, 3.0), (1.0,), ("a", 1.0),
+                                     (math.nan, 1.0), (True, 1.0), (1.0, False), 100.0,
+                                     (1e-300, 1e300)],
+                             ids=["none", "triple", "single", "text", "nan", "true", "false",
+                                  "scalar", "price_underflows"])
+    def test_reserves_that_are_no_pair_of_numbers_are_refused(self, bad):
+        with pytest.raises(DomainError, match="reserves"):
+            ChainState(bad, SCHEDULE, max_x=1.0, max_y=1.0)
+
     @pytest.mark.parametrize("field", ["reveal_window", "conversion_frequency"])
     @pytest.mark.parametrize("bad", [1.7, 2.0, "2", -1, True, None])
     def test_block_counts_are_integers_checked_where_they_enter(self, field, bad):
@@ -481,7 +498,6 @@ class TestTransitionGuards:
 
     def test_earmark_funding_limit(self):
         chain = ChainState(
-            C,
             Reserves(100.0, 1.0),
             RebateSchedule(z_max=0, beta0=0.0),
             max_x=10.0,
@@ -689,7 +705,6 @@ class TestInvariantBreaks:
 class TestZeroRebateFallback:
     def test_updates_are_plain_swaps(self):
         chain = ChainState(
-            C,
             Reserves(10_000.0, 100.0),
             RebateSchedule(z_max=0, beta0=0.0),
             max_x=10.0,
@@ -1206,7 +1221,7 @@ class TestUpdateDryRun:
     def test_refuses_exactly_as_a_dry_run_of_every_leg(self, beta0, ratio, n, max_y, holdings):
         schedule = RebateSchedule(z_max=1 if beta0 else 0, beta0=beta0)
         price = 100.0 * ratio
-        move = apply_rebated_move(C, Reserves(10_000.0, 100.0), price, beta0)
+        move = apply_rebated_move(Reserves(10_000.0, 100.0), price, beta0)
         escrow = (beta0 * n * max_y * price, beta0 * n * 10.0 / price)
         balances = {"alice": (1_000.0, 10.0)}
         if holdings is not None:  # else the producer holds no account

@@ -5,7 +5,7 @@ from v0lver.cfmm import CONSTANT_PRODUCT, Reserves, max_lvr
 from v0lver.errors import DomainError
 from v0lver.rebate import RebateSchedule, apply_rebated_move, vault_reenter
 
-from oracles import brentq_vault_shed
+from oracles import bisect_vault_shed
 
 C = CONSTANT_PRODUCT
 
@@ -38,6 +38,25 @@ class TestSchedule:
         with pytest.raises(DomainError):
             RebateSchedule(z_max=4, beta0=0.8).value_at(-1)
 
+    @pytest.mark.parametrize("z_max, beta0, named", [
+        (True, 0.5, "z_max"),
+        (False, 0.0, "z_max"),
+        (4, True, "beta0"),
+        (0, False, "beta0"),
+        (4, "0.5", "beta0"),
+        (4, None, "beta0"),
+        (4, float("nan"), "beta0"),
+    ], ids=["z_max_true", "z_max_false", "beta0_true", "beta0_false", "beta0_text",
+            "beta0_none", "beta0_nan"])
+    def test_each_field_is_a_number_and_no_bool(self, z_max, beta0, named):
+        with pytest.raises(DomainError, match=f"^{named} must"):
+            RebateSchedule(z_max=z_max, beta0=beta0)
+
+    def test_no_rebate_without_a_horizon(self):
+        with pytest.raises(DomainError, match="^beta0 must be 0 when z_max is 0$"):
+            RebateSchedule(z_max=0, beta0=0.5)
+        assert RebateSchedule(z_max=0, beta0=0).value_at(0) == 0.0
+
 
 class TestRebatedMove:
     def test_worked_example(self):
@@ -45,7 +64,7 @@ class TestRebatedMove:
         # half of the full swap, the pool sheds the leftover y into the vault
         # and lands exactly on price 4.
         r = Reserves(100, 100)
-        res = apply_rebated_move(C, r, 4.0, 0.5)
+        res = apply_rebated_move(r, 4.0, 0.5)
         assert booked(r, res).x == pytest.approx(150.0, rel=1e-12)
         assert booked(r, res).y == pytest.approx(37.5, rel=1e-12)
         assert res.vault_deposit == pytest.approx((0.0, 37.5))
@@ -61,8 +80,8 @@ class TestRebatedMove:
             (10_000.0, 100.0, 95.7, 0.2),
             (3.0, 7.0, 1.0, 0.6),
         ]:
-            res = apply_rebated_move(C, Reserves(x, y), tp, beta)
-            ox, oy, sx, sy = brentq_vault_shed(x, y, tp, beta)
+            res = apply_rebated_move(Reserves(x, y), tp, beta)
+            ox, oy, sx, sy = bisect_vault_shed(x, y, tp, beta)
             pool = booked(Reserves(x, y), res)
             assert pool.x == pytest.approx(ox, rel=1e-9)
             assert pool.y == pytest.approx(oy, rel=1e-9)
@@ -71,7 +90,7 @@ class TestRebatedMove:
 
     def test_noop_at_current_price(self):
         r = Reserves(123.0, 45.0)
-        res = apply_rebated_move(C, r, 123.0 / 45.0, 0.7)
+        res = apply_rebated_move(r, 123.0 / 45.0, 0.7)
         assert booked(r, res) == r
         assert res.vault_deposit == (0.0, 0.0)
         assert res.producer_flow == (0.0, 0.0)
@@ -79,7 +98,7 @@ class TestRebatedMove:
     def test_zero_rebate_is_the_full_swap(self):
         # The full swap from (100, 100) to price 4 lands on (200, 50).
         r = Reserves(100, 100)
-        res = apply_rebated_move(C, r, 4.0, 0.0)
+        res = apply_rebated_move(r, 4.0, 0.0)
         assert booked(r, res) == Reserves(200.0, 50.0) == C.reserves_at_price(C.invariant(r), 4.0)
         assert res.vault_deposit == (0.0, 0.0)
         assert C.invariant(booked(r, res)) == pytest.approx(10_000.0, rel=1e-12)
@@ -87,7 +106,7 @@ class TestRebatedMove:
     def test_rejects_rebate_out_of_range(self):
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(DomainError):
-                apply_rebated_move(C, Reserves(1, 1), 2.0, bad)
+                apply_rebated_move(Reserves(1, 1), 2.0, bad)
 
     @given(
         x=st.floats(1.0, 1e6),
@@ -98,7 +117,7 @@ class TestRebatedMove:
     def test_lands_on_target_and_never_grows_k(self, x, y, mult, beta):
         r = Reserves(x, y)
         tp = float(C.price(r)) * mult
-        res = apply_rebated_move(C, r, tp, beta)
+        res = apply_rebated_move(r, tp, beta)
         pool = booked(r, res)
         assert C.price(pool) == pytest.approx(tp, rel=1e-9)
         k0 = C.invariant(r)
@@ -121,12 +140,12 @@ class TestRebatedMove:
         # the extraction is at least as good as any other rebated move.
         r = Reserves(x, y)
         eps = float(C.price(r)) * eps_mult
-        _, best_value = max_lvr(C, r, eps)
-        at_eps = apply_rebated_move(C, r, eps, beta)
+        _, best_value = max_lvr(r, eps)
+        at_eps = apply_rebated_move(r, eps, beta)
         assert at_eps.producer_payoff_at(eps) == pytest.approx(
             (1.0 - beta) * best_value, rel=1e-9, abs=1e-9 * (x + y * eps)
         )
-        probe = apply_rebated_move(C, r, eps * probe_mult, beta)
+        probe = apply_rebated_move(r, eps * probe_mult, beta)
         assert probe.producer_payoff_at(eps) <= at_eps.producer_payoff_at(eps) + 1e-9 * (
             x + y * eps
         )

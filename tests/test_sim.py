@@ -274,7 +274,7 @@ class TestBaselineReplay:
         cfg = shrink(SCN["fallback"], 50)
         res = run_scenario(cfg, 11)
         replay = baseline_cfmm_replay(
-            CONSTANT_PRODUCT, Reserves(cfg.pool_x, cfg.pool_y), res.receipts
+            Reserves(cfg.pool_x, cfg.pool_y), res.receipts
         )
         assert len(replay) == cfg.blocks
         by_height = {row["height"]: row for row in res.blocks}
@@ -286,7 +286,7 @@ class TestBaselineReplay:
         cfg = shrink(SCN["default"], 30)
         res = run_scenario(cfg, 11)
         replay = baseline_cfmm_replay(
-            CONSTANT_PRODUCT, Reserves(cfg.pool_x, cfg.pool_y), res.receipts
+            Reserves(cfg.pool_x, cfg.pool_y), res.receipts
         )
         final = res.blocks[-1]
         assert final["pool_x"] != pytest.approx(replay[-1][1], rel=1e-9)
