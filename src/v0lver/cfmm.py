@@ -16,19 +16,25 @@ are checked where they enter the package, not each time one is computed.
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import NamedTuple
 
 from .errors import DomainError
 
 
 def check_price(value, what="price", or_zero=False) -> float:
-    """``value`` as a float; DomainError naming ``what`` unless a number (no bool), finite and
-    > 0 (>= 0 with or_zero)."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError, OverflowError):
+    """``value`` as a float; DomainError naming ``what`` unless a real number (no bool, no
+    text), finite and > 0 (>= 0 with or_zero)."""
+    if type(value) is float:
+        v = value
+    elif isinstance(value, Real) and not isinstance(value, bool):  # numpy's bool is no Real
+        try:
+            v = float(value)
+        except OverflowError:  # an int or Fraction past the float range
+            v = math.inf
+    else:
         v = math.nan
-    if not (0.0 < v < math.inf or or_zero and v == 0.0) or value is True or value is False:
+    if not (0.0 < v < math.inf or or_zero and v == 0.0):
         raise DomainError(f"{what} must be finite and {'>=' if or_zero else '>'} 0, got {value!r}")
     return v
 
@@ -80,9 +86,6 @@ class ConstantProduct:
         positive means the pool sells y, negative means it buys y.
         """
         return r.y - r.x / p
-
-    def __repr__(self):
-        return f"{type(self).__name__}()"
 
 
 CONSTANT_PRODUCT = ConstantProduct()

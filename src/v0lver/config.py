@@ -3,7 +3,8 @@
 A scenario pins everything a simulation run depends on except the seed, so a
 (scenario, seed) pair is fully reproducible. Unknown keys are rejected
 rather than ignored — silent typos in experiment configs are worse than a
-loud failure.
+loud failure. The ``rebate`` section is the engine's ``RebateSchedule``
+itself, which checks its fields when it is built.
 """
 from __future__ import annotations
 
@@ -20,11 +21,10 @@ UPDATE_POLICIES = ("always", "never", "best_response", "threshold")
 PRICE_POLICIES = ("external", "offset", "stale")
 
 #: Where scenario JSON nests ``ScenarioConfig`` fields: section -> {field: key}.
-#: Every other field, the price, flow and producer models included, is a
-#: top-level key of its own name.
+#: Every other field, the rebate, price, flow and producer models included, is
+#: a top-level key of its own name.
 _LAYOUT = {
     "pool": {"pool_x": "x", "pool_y": "y"},
-    "rebate": {"z_max": "z_max", "beta0": "beta0"},
     "bounds": {"max_x": "max_x", "max_y": "max_y"},
     "users": {"user_budget_x": "budget_x", "user_budget_y": "budget_y"},
 }
@@ -40,11 +40,13 @@ def _require(cond: bool, msg: str):
 
 
 def _check_types(obj, section: str = ""):
-    """Type-check scalar fields (a bool is no number); ``section`` is a model's JSON key."""
+    """Type-check each field (a bool is no number); ``section`` is a model's JSON key."""
     for f in fields(obj):
-        if f.type not in _TYPES:
-            continue  # a nested model checks its own fields
         value = getattr(obj, f.name)
+        if f.type not in _TYPES:  # a nested model, which checks its own fields
+            _require(isinstance(value, f.default_factory),
+                     f"{f.name} must be a {f.type}, got {value!r}")
+            continue
         ok = isinstance(value, _TYPES[f.type]) and isinstance(value, bool) == (f.type == "bool")
         if ok and f.type == "float":
             ok = abs(value) <= sys.float_info.max  # exact for ints; NaN and inf fail
@@ -148,8 +150,7 @@ class ScenarioConfig:
     pool_x: float = 10_000.0
     pool_y: float = 100.0
     curve: str = "constant_product"
-    z_max: int = 4
-    beta0: float = 0.8
+    rebate: RebateSchedule = field(default_factory=RebateSchedule)
     max_x: float = 10.0
     max_y: float = 0.1
     reveal_window: int = 2
@@ -169,10 +170,6 @@ class ScenarioConfig:
         _require(sys.float_info.min <= self.pool_x * self.pool_y <= sys.float_info.max,
                  "pool.x * pool.y must lie in the normal float range (2.2e-308 to 1.8e308)")
         _require(self.curve == "constant_product", 'curve must be "constant_product"')
-        try:
-            self.rebate_schedule()
-        except DomainError as e:
-            raise ConfigError(f"rebate.{e}") from None
         _require(self.max_x > 0 and self.max_y > 0, "bounds.max_x and bounds.max_y must be > 0")
         _require(self.reveal_window >= 0, "reveal_window must be >= 0")
         _require(self.conversion_frequency >= 0, "conversion_frequency must be >= 0")
@@ -182,9 +179,6 @@ class ScenarioConfig:
         self.flow.validate()
         self.producer.validate()
         return self
-
-    def rebate_schedule(self) -> RebateSchedule:
-        return RebateSchedule(z_max=self.z_max, beta0=self.beta0)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -219,7 +213,11 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     for f in fields(ScenarioConfig):
         model = f.default_factory
         if is_dataclass(model):
-            given[f.name] = model(**_pop_object(raw, f.name, [g.name for g in fields(model)]))
+            sub = _pop_object(raw, f.name, [g.name for g in fields(model)])
+            try:
+                given[f.name] = model(**sub)
+            except DomainError as e:  # the rebate schedule checks itself when built
+                raise ConfigError(f"{f.name}.{e}") from None
         elif f.name not in _JSON_PATH and f.name in raw:
             given[f.name] = raw.pop(f.name)
     _require(not raw, f"unknown scenario keys: {sorted(raw)}")
@@ -257,8 +255,7 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
         # Zero-rebate schedule: the protocol degenerates to a plain CFMM.
         ScenarioConfig(
             name="fallback",
-            z_max=0,
-            beta0=0.0,
+            rebate=RebateSchedule(z_max=0, beta0=0.0),
             flow=FlowModel(arrival=2.0, limit_prob=0.3, limit_width=0.02,
                            no_reveal_prob=0.02),
         ),
@@ -278,7 +275,7 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
         ScenarioConfig(
             name="dominance",
             blocks=100,
-            beta0=0.5,
+            rebate=RebateSchedule(beta0=0.5),
             flow=FlowModel(arrival=4.0),
         ),
         # A producer that refuses to share: waits out the schedule and

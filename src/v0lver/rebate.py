@@ -29,11 +29,11 @@ class RebateSchedule:
     The schedule is linear: ``beta(z) = beta0 * (1 - z / z_max)`` for
     ``z < z_max`` and zero from ``z_max`` on. ``z_max = 0`` disables rebates
     entirely (``beta == 0`` everywhere), which reduces the protocol to a
-    plain CFMM.
+    plain CFMM. It is also the scenario's ``rebate`` section, defaults included.
     """
 
-    z_max: int
-    beta0: float
+    z_max: int = 4
+    beta0: float = 0.8
 
     def __post_init__(self):
         z_max, beta0 = self.z_max, self.beta0  # a bool is no number

@@ -83,21 +83,13 @@ class RunMetrics:
         """Realized LVR over the counterfactual full-LVR of the same updates."""
         return self.realized_lvr / self.full_lvr if self.full_lvr > 0 else math.nan
 
-    @property
-    def user_dev_mean(self) -> float:
-        return _mean_se(self.n_user_fills, self.user_dev_sum, self.user_dev_sq)[0]
-
-    @property
-    def user_dev_se(self) -> float:
-        return _mean_se(self.n_user_fills, self.user_dev_sum, self.user_dev_sq)[1]
-
     def to_dict(self) -> dict:
         d = asdict(self)
         # The raw deviation sums are reported as their mean and standard error.
         del d["user_dev_sum"], d["user_dev_sq"]
         d["updates_by_gap"] = {str(g): c for g, c in sorted(self.updates_by_gap.items())}
-        d.update(lvr_ratio=self.lvr_ratio, user_dev_mean=self.user_dev_mean,
-                 user_dev_se=self.user_dev_se)
+        mean, se = _mean_se(self.n_user_fills, self.user_dev_sum, self.user_dev_sq)
+        d.update(lvr_ratio=self.lvr_ratio, user_dev_mean=mean, user_dev_se=se)
         return d
 
 
@@ -132,7 +124,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
     cfg.validate()
     chain = ChainState(
         Reserves(cfg.pool_x, cfg.pool_y),
-        cfg.rebate_schedule(),
+        cfg.rebate,
         max_x=cfg.max_x,
         max_y=cfg.max_y,
         reveal_window=cfg.reveal_window,
@@ -329,7 +321,7 @@ def lvr_experiment(cfg: ScenarioConfig, seed: int, runs: int = 200, jobs: int = 
         "runs": n,
         "dropped_runs": len(results) - n,
         "blocks": cfg.blocks,
-        "expected_keep": 1.0 - cfg.rebate_schedule().value_at(0),
+        "expected_keep": 1.0 - cfg.rebate.value_at(0),
         "mean_ratio": mean,
         "se": se,
         "ci95": [mean - half, mean + half],
@@ -372,15 +364,16 @@ def equilibrium_experiment(cfg: ScenarioConfig, seed: int, runs: int = 100, jobs
     }
 
 
-def dominance_sweep(
-    cfg: ScenarioConfig,
-    seed: int,
-    multipliers=None,
-    alphas=(0.0, 0.25, 0.5),
-    trials: int = 10_000,
-) -> dict:
-    """Expected producer utility over a (price multiplier, self-trade) grid.
+#: ``dominance_sweep``'s strategy grid: target-price multipliers 0.90 to 1.10 of
+#: the external price, and self-trades of these fractions of the order bound.
+SWEEP_MULTIPLIERS = tuple((90 + i) / 100.0 for i in range(21))
+SWEEP_ALPHAS = (0.0, 0.25, 0.5)
 
+
+def dominance_sweep(cfg: ScenarioConfig, seed: int, trials: int = 10_000) -> dict:
+    """Expected producer utility over the (price multiplier, self-trade) grid.
+
+    The grid is fixed: every pair of ``SWEEP_MULTIPLIERS`` and ``SWEEP_ALPHAS``.
     All grid points share one set of sampled user-flow batches, so the
     comparison is paired; every point, ``alpha == 0`` included, is a Monte
     Carlo mean, since the escrow leg depends on the sampled flow. The honest
@@ -389,31 +382,21 @@ def dominance_sweep(
     """
     _check_int("seed", seed, 0)
     cfg.validate()
-    if multipliers is None:
-        multipliers = [(90 + i) / 100.0 for i in range(21)]
     _check_int("trials", trials)
-    for name, grid in (("multipliers", multipliers), ("alphas", alphas)):
-        if len(grid) == 0:
-            raise ConfigError(f"{name} must not be empty")
     reserves = Reserves(float(cfg.pool_x), float(cfg.pool_y))
     eps = cfg.price.initial
-    for m in multipliers:  # a bool is no number; m * eps is the update's target price
-        if isinstance(m, bool) or not isinstance(m, (int, float)) or not 0.0 < m * eps < math.inf:
-            raise ConfigError(f"multipliers must be > 0 with a finite target price, got {m!r}")
-    for a in alphas:  # the rule for producer.self_trade_alpha
-        if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0.0 <= a <= 1.0:
-            raise ConfigError(f"alphas must lie in [0, 1], got {a!r}")
-    schedule = cfg.rebate_schedule()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     flow_dx, flow_dy = aggregate_market_flow(rng, cfg.flow, eps, cfg.max_x, cfg.max_y, trials)
     rows = []
-    for m in multipliers:
-        for a in alphas:
+    for m in SWEEP_MULTIPLIERS:
+        for a in SWEEP_ALPHAS:
             try:
-                u = producer_utility(reserves, eps, schedule, cfg.max_x, cfg.max_y, m, a,
+                u = producer_utility(reserves, eps, cfg.rebate, cfg.max_x, cfg.max_y, m, a,
                                      flow_dx, flow_dy)
             except DomainError as e:
-                raise ConfigError(f"multipliers: {m!r} moves the pool out of range: {e}") from None
+                raise ConfigError(f"price.initial {eps!r} with pool ({cfg.pool_x!r}, "
+                                  f"{cfg.pool_y!r}): the grid target {m!r} * price.initial "
+                                  f"moves the pool out of range: {e}") from None
             rows.append({"multiplier": m, "alpha": a, "utility": u})
     best = max(rows, key=lambda r: r["utility"])
     return {

@@ -102,7 +102,7 @@ class TestCriterion3RebateCapture:
         cfg = SCN["lvr"]
         # the stated workload: schedule (4, 0.8), sigma 0.02, >= 200 runs of
         # >= 500 blocks
-        assert cfg.z_max == 4 and cfg.beta0 == 0.8
+        assert cfg.rebate.z_max == 4 and cfg.rebate.beta0 == 0.8
         assert cfg.price.sigma == 0.02
         assert cfg.blocks >= 500
         out = lvr_experiment(cfg, seed=11, runs=400)
@@ -149,7 +149,7 @@ class TestCriterion6Equilibrium:
 class TestCriterion7Fallback:
     def test_criterion_7_zero_rebate_reduces_to_a_plain_cfmm(self):
         cfg = SCN["fallback"]
-        assert cfg.z_max == 0 and cfg.beta0 == 0.0
+        assert cfg.rebate.z_max == 0 and cfg.rebate.beta0 == 0.0
         res = run_scenario(cfg, 7)
         replay = baseline_cfmm_replay(Reserves(cfg.pool_x, cfg.pool_y), res.receipts)
         assert len(replay) == cfg.blocks

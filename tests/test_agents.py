@@ -189,7 +189,7 @@ class TestProducerUtility:
     def test_matches_one_engine_block_per_trial(self, multiplier, alpha):
         cfg = builtin_scenarios()["dominance"]
         r = Reserves(cfg.pool_x, cfg.pool_y)
-        eps, schedule = cfg.price.initial, cfg.rebate_schedule()
+        eps, schedule = cfg.price.initial, cfg.rebate
         dx, dy = aggregate_market_flow(np.random.default_rng(4), cfg.flow, eps, cfg.max_x,
                                        cfg.max_y, 300)
         engine = engine_producer_payoffs(r, eps, schedule, cfg.max_x, cfg.max_y,

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -602,14 +603,15 @@ class TestOrderValidation:
             with pytest.raises(DomainError, match="limit"):
                 Order(OrderSide.SELL_Y, 1.0, bad)
 
-    @pytest.mark.parametrize("value", [np.float64(2.5), 2, "2.0"])
+    @pytest.mark.parametrize("value", [np.float64(2.5), 2, np.int64(2), Fraction(5, 2)])
     def test_a_non_float_size_or_limit_comes_out_a_float(self, value):
         o = Order(OrderSide.SELL_Y, value, value)
         for v in (o.size, o.limit):
             assert type(v) is float and v == float(value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -2.0,
-                                     np.float64(math.nan), "abc", None, True, False])
+                                     np.float64(math.nan), "abc", "2.0", b"2", None, True,
+                                     False, np.True_])
     def test_a_bad_size_or_limit_keeps_its_message(self, bad):
         with pytest.raises(DomainError) as e:
             Order(OrderSide.SELL_Y, bad)

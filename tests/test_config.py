@@ -5,7 +5,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from v0lver.cli import main
 from v0lver.config import (
     FlowModel,
     PriceModel,
@@ -17,6 +20,15 @@ from v0lver.config import (
     scenario_to_json,
 )
 from v0lver.errors import ConfigError
+from v0lver.rebate import RebateSchedule
+
+VALID_Z_MAX = st.integers(min_value=1, max_value=2**63)
+VALID_BETA0 = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+#: Valid ``rebate`` sections, a partial one taking the defaults for what it leaves out.
+REBATE_SECTIONS = st.one_of(
+    st.fixed_dictionaries({}, optional={"z_max": VALID_Z_MAX, "beta0": VALID_BETA0}),
+    st.just({"z_max": 0, "beta0": 0.0}),
+)
 
 
 class TestRoundTrip:
@@ -34,6 +46,16 @@ class TestRoundTrip:
         path = tmp_path / "s.json"
         path.write_text(scenario_to_json(builtin_scenarios()["lvr"]))
         assert load_scenario(str(path)) == builtin_scenarios()["lvr"]
+
+    @given(section=REBATE_SECTIONS)
+    def test_a_valid_rebate_section_round_trips(self, section):
+        cfg = scenario_from_dict({"rebate": section})
+        assert cfg.rebate == RebateSchedule(**section)
+        assert scenario_from_dict(scenario_to_dict(cfg)) == cfg
+        text = scenario_to_json(cfg)
+        assert json.loads(text)["rebate"] == {"z_max": cfg.rebate.z_max,
+                                              "beta0": cfg.rebate.beta0}
+        assert scenario_to_json(scenario_from_dict(json.loads(text))) == text
 
 
 class TestValidation:
@@ -59,12 +81,32 @@ class TestValidation:
                 scenario_from_dict(raw)
 
     def test_rebate_switch_must_be_consistent(self):
-        cfg = builtin_scenarios()["default"]
         with pytest.raises(ConfigError, match="^rebate.beta0 must be 0 when z_max is 0$"):
-            dataclasses.replace(cfg, z_max=0).validate()
+            scenario_from_dict({"rebate": {"z_max": 0}})
         with pytest.raises(ConfigError, match="^rebate.beta0 must be > 0 when z_max > 0"):
-            dataclasses.replace(cfg, beta0=0.0).validate()
-        dataclasses.replace(cfg, z_max=0, beta0=0.0).validate()
+            scenario_from_dict({"rebate": {"beta0": 0.0}})
+        cfg = scenario_from_dict({"rebate": {"z_max": 0, "beta0": 0.0}})
+        assert cfg.rebate == builtin_scenarios()["fallback"].rebate
+
+    @pytest.mark.parametrize("section, named", [
+        ({"z_max": 4.0}, "z_max"),
+        ({"z_max": True}, "z_max"),
+        ({"z_max": "4"}, "z_max"),
+        ({"z_max": -1}, "z_max"),
+        ({"beta0": 1.0}, "beta0"),
+        ({"beta0": math.nan}, "beta0"),
+        ({"beta0": True}, "beta0"),
+        ({"beta0": "0.5"}, "beta0"),
+        ({"z_max": 0, "beta0": 0.8}, "beta0"),
+        ({"z_max": 4, "beta0": 0}, "beta0"),
+    ])
+    def test_a_bad_rebate_section_names_its_field(self, section, named, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=rf"^rebate\.{named} "):
+            scenario_from_dict({"rebate": section})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"rebate": section}))
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: rebate.{named} ")
 
     def test_rejects_bad_field_values(self):
         cfg = builtin_scenarios()["default"]
@@ -82,9 +124,7 @@ class TestValidation:
             {"reveal_window": 1.5},
             {"record_events": "yes"},
             {"curve": ["x"]},
-            {"z_max": 4.0},
             {"pool_x": math.inf},
-            {"beta0": math.nan},
             {"max_y": 10**400},
             {"price": PriceModel(sigma=math.inf)},
             {"flow": FlowModel(arrival="4")},
@@ -93,6 +133,10 @@ class TestValidation:
             {"flow": FlowModel(arrival=1e6)},
             {"producer": ProducerModel(self_trade_alpha=2.0)},
             {"producer": ProducerModel(self_trade_alpha=1.5)},
+            {"rebate": None},
+            {"rebate": (4, 0.8)},
+            {"price": None},
+            {"flow": {"arrival": 2.0}},
         ):
             with pytest.raises(ConfigError):
                 dataclasses.replace(cfg, **change).validate()
@@ -132,11 +176,9 @@ class TestValidation:
             ).validate()
 
     def test_schedule_construction(self):
-        cfg = builtin_scenarios()["default"]
-        s = cfg.rebate_schedule()
-        assert s.z_max == cfg.z_max and s.beta0 == cfg.beta0
-        fallback = builtin_scenarios()["fallback"].rebate_schedule()
-        assert fallback.value_at(0) == 0.0
+        assert builtin_scenarios()["default"].rebate == RebateSchedule(z_max=4, beta0=0.8)
+        assert builtin_scenarios()["dominance"].rebate == RebateSchedule(z_max=4, beta0=0.5)
+        assert builtin_scenarios()["fallback"].rebate.value_at(0) == 0.0
 
 
 class TestScenarioFiles:

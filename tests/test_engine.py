@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from v0lver import cli, engine
 from v0lver.allocation import Order, OrderSide, verify_clearing_price
-from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
+from v0lver.cfmm import CONSTANT_PRODUCT, Reserves, check_price
 from v0lver.engine import (
     BURNED,
     COLLATERAL,
@@ -311,6 +312,40 @@ class TestConstruction:
         assert chain.balances["alice"] == [0.0, 0.0]
         assert chain.balances[VAULT] == [5.0, 0.0]
         assert chain.balances[POOL] == [10_000.0, 100.0]
+
+
+def _verify_or_refuse(value):
+    """The verifier refuses a bad proposal by returning None; raise then, like the others."""
+    if verify_clearing_price(C, Reserves(100.0, 1.0), [], value) is None:
+        raise DomainError(f"proposal {value!r} refused")
+
+
+class TestOneNumberRule:
+    """Every numeric entry point takes a real number and nothing that merely converts to one."""
+
+    ENTRY_POINTS = {
+        "check_price": check_price,
+        "order_size": lambda v: Order(OrderSide.BUY_Y, v),
+        "order_limit": lambda v: Order(OrderSide.BUY_Y, 1.0, v),
+        "max_x": lambda v: make_chain(max_x=v),
+        "reserve": lambda v: ChainState((v, 1.0), SCHEDULE, max_x=10.0, max_y=0.1),
+        "opening_balance": lambda v: make_chain(balances={"u": (v, 0.0)}),
+        "advance_block_eps": lambda v: make_chain().advance_block(v),
+        "proposed_price": _verify_or_refuse,
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", ["100", b"100", np.True_], ids=["str", "bytes", "np_bool"])
+    def test_text_and_numpy_bools_are_refused(self, entry, bad):
+        with pytest.raises(DomainError):
+            self.ENTRY_POINTS[entry](bad)
+
+    @pytest.mark.parametrize("good", [np.int64(100), np.float32(100.0), Fraction(100)],
+                             ids=["np_int", "np_float", "fraction"])
+    def test_numpy_numbers_and_fractions_pass_as_floats(self, good):
+        assert check_price(good) == 100.0 and type(check_price(good)) is float
+        assert make_chain().advance_block(good).eps == 100.0
+        assert verify_clearing_price(C, Reserves(100.0, 1.0), [], good) is not None
 
 
 class TestTransitionGuards:

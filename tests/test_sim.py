@@ -9,7 +9,8 @@ import pytest
 
 from v0lver import engine, sim
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
-from v0lver.config import builtin_scenarios, scenario_from_dict
+from v0lver.cli import main
+from v0lver.config import builtin_scenarios, scenario_from_dict, scenario_to_dict
 from v0lver.errors import ConfigError, DomainError
 from v0lver.sim import (
     RunMetrics,
@@ -147,7 +148,7 @@ class TestScenarioRuns:
         cfg = shrink(SCN["monopolist"], 60)
         m = run_scenario(cfg, 4).metrics
         assert m.n_updates > 0
-        assert set(m.updates_by_gap) == {cfg.z_max}
+        assert set(m.updates_by_gap) == {cfg.rebate.z_max}
 
     def test_converter_breaks_even_at_conversion_prices(self):
         m = run_scenario(shrink(SCN["default"], 60), 5).metrics
@@ -330,39 +331,20 @@ class TestExperiments:
         assert out["frac_gap0"] == pytest.approx(1.0)
 
     def test_dominance_prefers_honesty_on_a_coarse_grid(self):
-        out = dominance_sweep(
-            SCN["dominance"], 3, multipliers=[0.95, 1.0, 1.05], trials=4_000
-        )
+        out = dominance_sweep(SCN["dominance"], 3, trials=4_000)
         assert out["best"]["multiplier"] == 1.0
         assert out["best"]["alpha"] == 0.0
         # at (1, 0) the move is empty and the escrow share earns the batch's price impact
         assert out["best"]["utility"] > 0.0
-        assert len(out["rows"]) == 9
+        assert len(out["rows"]) == 63
+        assert [(r["multiplier"], r["alpha"]) for r in out["rows"]] == [
+            (m, a) for m in sim.SWEEP_MULTIPLIERS for a in sim.SWEEP_ALPHAS]
 
     def test_dominance_sweep_rejects_no_trials(self):
         with pytest.raises(ConfigError, match="trials"):
             dominance_sweep(SCN["dominance"], 3, trials=0)
 
-    @pytest.mark.parametrize("arg", ["multipliers", "alphas"])
-    def test_dominance_sweep_rejects_an_empty_grid(self, arg):
-        with pytest.raises(ConfigError, match=arg):
-            dominance_sweep(SCN["dominance"], 3, trials=10, **{arg: []})
-
     @pytest.mark.parametrize("grid, named", [
-        ({"multipliers": [0.0]}, "^multipliers .*0.0"),
-        ({"multipliers": [1.0, -1.0]}, "^multipliers .*-1.0"),
-        ({"multipliers": [math.nan]}, "^multipliers .*nan"),
-        ({"multipliers": [math.inf]}, "^multipliers .*inf"),
-        ({"multipliers": [1e307]}, "^multipliers .*1e\\+307"),  # the target price overflows
-        ({"multipliers": ["1.0"]}, "^multipliers .*'1.0'"),
-        ({"multipliers": [True]}, "^multipliers .*True"),
-        # live targets whose moved pool is not: y reserve 0.0, and x / y underflowing
-        ({"multipliers": [1.0, 1e100]}, "^multipliers: 1e\\+100 .*pool reserves"),
-        ({"multipliers": [5e-324]}, "^multipliers: 5e-324 .*pool reserves"),
-        ({"alphas": [2.0]}, "^alphas .*2.0"),
-        ({"alphas": [0.0, -0.1]}, "^alphas .*-0.1"),
-        ({"alphas": [math.nan]}, "^alphas .*nan"),
-        ({"alphas": [None]}, "^alphas .*None"),
         ({"trials": 2.5}, "^trials .*2.5"),
         ({"trials": True}, "^trials .*True"),
         ({"trials": "10"}, "^trials .*'10'"),
@@ -372,6 +354,22 @@ class TestExperiments:
             warnings.simplefilter("error")  # refused before any numpy warning
             with pytest.raises(ConfigError, match=named):
                 dominance_sweep(SCN["dominance"], 3, **{"trials": 10, **grid})
+
+    @pytest.mark.parametrize("change", [
+        {"price": {"initial": v}} for v in (1e308, 1.7e308, 5e-324, 1e-300, 1e300)
+    ] + [{"pool": {"x": 1e-300, "y": 1e-5}}, {"pool": {"x": 1e154, "y": 1e154}}])
+    def test_an_unreachable_grid_target_names_the_scenario(self, change, tmp_path, capsys):
+        # valid scenarios, but a grid target's moved pool overflows or underflows
+        raw = {**scenario_to_dict(SCN["dominance"]), **change}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any numpy warning
+            with pytest.raises(ConfigError, match=r"^price\.initial .* pool "):
+                dominance_sweep(scenario_from_dict(raw), 3, trials=10)
+            path = tmp_path / "far.json"
+            path.write_text(json.dumps(raw))
+            assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                         "--trials", "10"]) == 1
+        assert capsys.readouterr().err.startswith("error: price.initial ")
 
 
 class TestPlainReductions:
