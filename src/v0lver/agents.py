@@ -86,35 +86,6 @@ def gen_user_orders(
     return orders
 
 
-def aggregate_market_flow(
-    rng: np.random.Generator,
-    flow: FlowModel,
-    eps: float,
-    max_x: float,
-    max_y: float,
-    trials: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-trial aggregate market flow (x sold, y sold).
-
-    Matches the distribution of ``gen_user_orders`` with all-market flow;
-    used by Monte Carlo utility estimates where order identity is
-    irrelevant and only batch totals matter.
-    """
-    counts = rng.poisson(flow.arrival, size=trials)
-    total = int(counts.sum())
-    dx = np.zeros(trials)
-    dy = np.zeros(trials)
-    if total == 0:
-        return dx, dy
-    cap = flow.value_frac * min(max_x, max_y * eps)
-    sells_x = rng.random(total) < 0.5
-    values = cap * rng.random(total)
-    trial = np.repeat(np.arange(trials), counts)
-    np.add.at(dx, trial[sells_x], values[sells_x])
-    np.add.at(dy, trial[~sells_x], values[~sells_x] / eps)
-    return dx, dy
-
-
 def producer_utility(
     reserves: Reserves,
     eps: float,
@@ -130,11 +101,12 @@ def producer_utility(
 
     The producer updates at gap zero to ``multiplier * eps`` and optionally
     self-trades ``alpha`` of the per-order bound in its own batch (selling y
-    when the target is above the external price, buying otherwise). Each
-    trial's batch, the given user flow aggregates plus the own order, clears
-    against the snapshot the engine books at ``clearing_price_with_limits``'s
-    all-market closed form ``(R_x + x_in) / (R_y + y_in)``. The payoff sums the
-    exact move leg, the own order's fill and the escrow leg
+    when the target is above the external price, buying otherwise). In trial
+    ``i`` the users sell ``flow_dx[i]`` x and ``flow_dy[i]`` y in market
+    orders, and that batch plus the own order clears against the snapshot the
+    engine books at ``clearing_price_with_limits``'s all-market closed form
+    ``(R_x + x_in) / (R_y + y_in)``; limit orders have no closed form here. The
+    payoff sums the exact move leg, the own order's fill and the escrow leg
     ``beta * (dx + dy * eps)``, the producer's share of the batch's pool delta;
     callers share the flow across grid points so comparisons are paired. Fixed
     update costs are omitted: they are constant across the grid.

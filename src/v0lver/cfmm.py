@@ -16,7 +16,7 @@ are checked where they enter the package, not each time one is computed.
 from __future__ import annotations
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -37,6 +37,13 @@ def check_price(value, what="price", or_zero=False) -> float:
     if not (0.0 < v < math.inf or or_zero and v == 0.0):
         raise DomainError(f"{what} must be finite and {'>=' if or_zero else '>'} 0, got {value!r}")
     return v
+
+
+def check_int(value, what, low=0) -> int:
+    """``value`` as an int; DomainError naming ``what`` unless an integer (no bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise DomainError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 class Reserves(NamedTuple):

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .allocation import (Order, OrderSide, Settlement, clearing_price_with_limits,
                          verify_clearing_price)
-from .cfmm import CONSTANT_PRODUCT, Reserves, check_price, check_reserves
+from .cfmm import CONSTANT_PRODUCT, Reserves, check_int, check_price, check_reserves
 from .errors import (
     DomainError,
     FundingError,
@@ -235,14 +235,14 @@ class ChainState:
         balances: dict[str, tuple[float, float]] | None = None,
     ):
         max_x, max_y = check_price(max_x, what="max_x"), check_price(max_y, what="max_y")
-        for what, n in (("reveal_window", reveal_window),
-                        ("conversion_frequency", conversion_frequency)):
-            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-                raise DomainError(f"{what} must be an integer >= 0, got {n!r}")
+        if not isinstance(schedule, RebateSchedule):
+            raise DomainError(f"schedule must be a RebateSchedule, got {schedule!r}")
+        if not isinstance(balances, (dict, type(None))):
+            raise DomainError(f"balances must be a dict of party -> (x, y), got {balances!r}")
         self.schedule = schedule
         self.max_x, self.max_y = max_x, max_y
-        self.reveal_window = reveal_window
-        self.conversion_frequency = conversion_frequency
+        self.reveal_window = check_int(reveal_window, "reveal_window")
+        self.conversion_frequency = check_int(conversion_frequency, "conversion_frequency")
         self.height = 0
         self.last_alloc_label = -1
         self.mempool: dict[int, Oct] = {}

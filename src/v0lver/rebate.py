@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cfmm import CONSTANT_PRODUCT, Reserves
+from .cfmm import CONSTANT_PRODUCT, Reserves, check_int, check_price
 from .errors import DomainError
 
 
@@ -36,15 +36,17 @@ class RebateSchedule:
     beta0: float = 0.8
 
     def __post_init__(self):
-        z_max, beta0 = self.z_max, self.beta0  # a bool is no number
-        if isinstance(z_max, bool) or not isinstance(z_max, int) or z_max < 0:
-            raise DomainError(f"z_max must be a non-negative integer, got {z_max!r}")
-        if isinstance(beta0, bool) or not isinstance(beta0, (int, float)) or not 0.0 <= beta0 < 1.0:
-            raise DomainError(f"beta0 must lie in [0, 1), got {beta0!r}")
+        z_max, beta0 = check_int(self.z_max, "z_max"), check_price(self.beta0, "beta0", True)
+        if not beta0 < 1.0:
+            raise DomainError(f"beta0 must lie in [0, 1), got {self.beta0!r}")
         if z_max > 0 and beta0 == 0.0:
             raise DomainError("beta0 must be > 0 when z_max > 0 (schedule must decrease)")
         if z_max == 0 and beta0 != 0.0:
             raise DomainError("beta0 must be 0 when z_max is 0")
+        # Plain Python numbers, which JSON encodes; a plain int beta0 keeps its type.
+        object.__setattr__(self, "z_max", z_max)
+        if type(self.beta0) is not int:
+            object.__setattr__(self, "beta0", beta0)
 
     def value_at(self, gap: int) -> float:
         if gap < 0:

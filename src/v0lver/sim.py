@@ -25,14 +25,13 @@ import numpy as np
 
 from .agents import (
     PriceProcess,
-    aggregate_market_flow,
     choose_inserts,
     decide_update,
     gen_user_orders,
     producer_utility,
 )
 from .allocation import Order, OrderSide, plain_sum
-from .cfmm import Reserves, max_lvr
+from .cfmm import Reserves, check_int, max_lvr
 from .config import FlowModel, ScenarioConfig
 from .engine import POOL, BlockReceipt, ChainState
 from .errors import ConfigError, DomainError, FundingError
@@ -114,9 +113,11 @@ _FUNDED_BY = {
 
 
 def _check_int(name: str, value, low: int = 1):
-    """ConfigError naming ``name`` unless ``value`` is an integer (not a bool) >= ``low``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    """``cfmm.check_int``'s rule, raising a ConfigError naming ``name``."""
+    try:
+        check_int(value, name, low)
+    except DomainError as e:
+        raise ConfigError(str(e)) from None
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
@@ -374,19 +375,31 @@ def dominance_sweep(cfg: ScenarioConfig, seed: int, trials: int = 10_000) -> dic
     """Expected producer utility over the (price multiplier, self-trade) grid.
 
     The grid is fixed: every pair of ``SWEEP_MULTIPLIERS`` and ``SWEEP_ALPHAS``.
-    All grid points share one set of sampled user-flow batches, so the
-    comparison is paired; every point, ``alpha == 0`` included, is a Monte
-    Carlo mean, since the escrow leg depends on the sampled flow. The honest
-    strategy — target the external price, no self-trading — should come out
-    on top whenever the pool starts at the external price.
+    Each trial is one block of the run's user flow at ``price.initial``, drawn
+    by ``_user_flow`` from one generator seeded by ``seed``; its batch is what
+    the revealed orders sell, as an unrevealed order never trades. Limit flow
+    is refused: ``producer_utility`` clears market orders only. All grid points
+    share the trials, so the comparison is paired; every point, ``alpha == 0``
+    included, is a Monte Carlo mean. The honest strategy — target the external
+    price, no self-trading — should come out on top whenever the pool starts
+    at the external price.
     """
     _check_int("seed", seed, 0)
     cfg.validate()
     _check_int("trials", trials)
+    if cfg.flow.limit_prob > 0:
+        raise ConfigError(f"flow.limit_prob must be 0 for the sweep, which clears market orders "
+                          f"only, got {cfg.flow.limit_prob!r}")
     reserves = Reserves(float(cfg.pool_x), float(cfg.pool_y))
     eps = cfg.price.initial
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    flow_dx, flow_dy = aggregate_market_flow(rng, cfg.flow, eps, cfg.max_x, cfg.max_y, trials)
+    totals = []
+    for _ in range(trials):
+        orders, hidden = _user_flow(rng, cfg.flow, eps, cfg.max_x, cfg.max_y)
+        sold = [o for o, hide in zip(orders, hidden) if not hide]
+        totals.append([plain_sum(o.size for o in sold if o.side is side)
+                       for side in (OrderSide.BUY_Y, OrderSide.SELL_Y)])
+    flow_dx, flow_dy = np.array(totals).T
     rows = []
     for m in SWEEP_MULTIPLIERS:
         for a in SWEEP_ALPHAS:

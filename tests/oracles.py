@@ -31,8 +31,8 @@ party and message. ``reference_user_flow`` is a block's user flow drawn one
 scalar at a time, which the flow's one-call draws must reproduce bit for bit,
 the generator's state after them included. ``ReferenceBook`` sums with
 ``plain_sum``, the left-to-right adds of the sorted book's loops.
-``market_orders``, ``settlement_bits``, ``InlineExecutor`` and ``pool_price``
-are test plumbing, not references.
+``market_orders``, ``user_flow_trials``, ``settlement_bits``, ``InlineExecutor``
+and ``pool_price`` are test plumbing, not references.
 """
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ import math
 
 import numpy as np
 
+from v0lver.agents import gen_user_orders
 from v0lver.allocation import (
     CLEARING_RTOL,
     Fill,
@@ -375,27 +376,31 @@ def baseline_cfmm_replay(reserves: Reserves, receipts):
     return out
 
 
+def user_flow_trials(rng, flow, eps: float, max_x: float, max_y: float, trials: int):
+    """``trials`` blocks of ``agents.gen_user_orders`` at ``eps``, and per block the x
+    and y its orders sell, summed in order, as the arrays ``producer_utility`` takes."""
+    blocks = [gen_user_orders(rng, flow, eps, max_x, max_y) for _ in range(trials)]
+    dx, dy = (np.array([plain_sum(o.size for o in b if o.side is side) for b in blocks])
+              for side in (OrderSide.BUY_Y, OrderSide.SELL_Y))
+    return blocks, dx, dy
+
+
 def engine_producer_payoffs(reserves: Reserves, eps: float, schedule, max_x: float, max_y: float,
-                            multiplier: float, alpha: float, flow_dx, flow_dy):
+                            multiplier: float, alpha: float, blocks):
     """Per-trial producer payoffs of ``agents.producer_utility``'s strategy, one block each.
 
-    Each trial is one ``ChainState`` block: the users commit the trial's x and
-    y flow, each side split into ceil(q / bound) equal market orders, the
-    producer commits its own order (``alpha`` of the y bound sold when
-    ``multiplier >= 1``, of the x bound otherwise), inserts everything, updates
-    at gap zero to ``multiplier * eps``, and all orders reveal and settle at
-    block end. The payoff is the producer's ledger change marked at ``eps``,
-    from its balance before its own collateral is posted.
+    Each trial is one ``ChainState`` block: the users commit the trial's
+    orders, the producer commits its own order (``alpha`` of the y bound sold
+    when ``multiplier >= 1``, of the x bound otherwise), inserts everything,
+    updates at gap zero to ``multiplier * eps``, and all orders reveal and
+    settle at block end. The payoff is the producer's ledger change marked at
+    ``eps``, from its balance before its own collateral is posted.
     """
     out = []
-    for qx, qy in zip(flow_dx, flow_dy):
+    for orders in blocks:
         chain = ChainState(reserves, schedule, max_x=max_x, max_y=max_y,
                            conversion_frequency=0,
                            balances={"users": (1e6, 1e4), "producer": (1e5, 1e3)})
-        orders = []
-        for side, q, bound in ((OrderSide.BUY_Y, qx, max_x), (OrderSide.SELL_Y, qy, max_y)):
-            n = math.ceil(q / bound)
-            orders += [Order(side, float(q) / n) for _ in range(n)]
         octs = [(chain.submit_oct("users", o), o) for o in orders]
         x0, y0 = chain.balances["producer"]
         if alpha > 0.0:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from v0lver.agents import (
     PriceProcess,
-    aggregate_market_flow,
     choose_inserts,
     decide_update,
     gen_user_orders,
@@ -20,7 +19,7 @@ from v0lver.errors import DomainError
 from v0lver.rebate import RebateSchedule
 from v0lver.sim import _user_flow
 
-from oracles import engine_producer_payoffs, reference_user_flow
+from oracles import engine_producer_payoffs, reference_user_flow, user_flow_trials
 
 C = CONSTANT_PRODUCT
 SCHEDULE = RebateSchedule(z_max=4, beta0=0.8)
@@ -99,25 +98,6 @@ class TestUserFlow:
         flow = FlowModel(arrival=0.0, limit_prob=0.0, limit_width=0.0, value_frac=0.5)
         assert gen_user_orders(rng, flow, 100.0, 10.0, 0.1) == []
 
-    def test_aggregate_flow_matches_order_flow_distribution(self):
-        flow = FlowModel(arrival=3.0, limit_prob=0.0, limit_width=0.0, value_frac=0.5)
-        eps, mx, my = 100.0, 10.0, 0.1
-        dx, dy = aggregate_market_flow(np.random.default_rng(6), flow, eps, mx, my, 40_000)
-        sx = sy = 0.0
-        rng = np.random.default_rng(7)
-        reps = 4_000
-        for _ in range(reps):
-            for o in gen_user_orders(rng, flow, eps, mx, my):
-                if o.side is OrderSide.BUY_Y:
-                    sx += o.size
-                else:
-                    sy += o.size
-        assert dx.mean() == pytest.approx(sx / reps, rel=0.1)
-        assert dy.mean() == pytest.approx(sy / reps, rel=0.1)
-        # expected one-side value: arrival/2 orders of mean value cap/2
-        cap = flow.value_frac * min(mx, my * eps)
-        assert dx.mean() == pytest.approx(flow.arrival / 2 * cap / 2, rel=0.05)
-
 
 BIT_GENERATORS = {"PCG64": np.random.PCG64, "MT19937": np.random.MT19937,
                   "Philox": np.random.Philox}
@@ -176,7 +156,7 @@ class TestProducerUtility:
         # size through moves the price against the trade, so alpha > 0 loses
         r = C.reserves_at_price(1e6, 100.0)
         flow = FlowModel(arrival=4.0, limit_prob=0.0, limit_width=0.0, value_frac=0.5)
-        dx, dy = aggregate_market_flow(np.random.default_rng(8), flow, 100.0, 10.0, 0.1, 20_000)
+        _, dx, dy = user_flow_trials(np.random.default_rng(8), flow, 100.0, 10.0, 0.1, 20_000)
         u0 = producer_utility(r, 100.0, SCHEDULE, 10.0, 0.1, 1.0, 0.0, dx, dy)
         u1 = producer_utility(r, 100.0, SCHEDULE, 10.0, 0.1, 1.0, 0.5, dx, dy)
         # the honest update moves nothing, and its escrow share earns the
@@ -190,10 +170,10 @@ class TestProducerUtility:
         cfg = builtin_scenarios()["dominance"]
         r = Reserves(cfg.pool_x, cfg.pool_y)
         eps, schedule = cfg.price.initial, cfg.rebate
-        dx, dy = aggregate_market_flow(np.random.default_rng(4), cfg.flow, eps, cfg.max_x,
-                                       cfg.max_y, 300)
+        blocks, dx, dy = user_flow_trials(np.random.default_rng(4), cfg.flow, eps, cfg.max_x,
+                                          cfg.max_y, 300)
         engine = engine_producer_payoffs(r, eps, schedule, cfg.max_x, cfg.max_y,
-                                         multiplier, alpha, dx, dy)
+                                         multiplier, alpha, blocks)
         model = [producer_utility(r, eps, schedule, cfg.max_x, cfg.max_y, multiplier, alpha,
                                   dx[i:i + 1], dy[i:i + 1]) for i in range(len(dx))]
         assert np.max(np.abs(np.array(model) - engine)) <= 1e-10 * 2.0 * r.x

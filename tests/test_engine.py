@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -302,9 +303,10 @@ class TestConstruction:
             ChainState(bad, SCHEDULE, max_x=1.0, max_y=1.0)
 
     @pytest.mark.parametrize("field", ["reveal_window", "conversion_frequency"])
-    @pytest.mark.parametrize("bad", [1.7, 2.0, "2", -1, True, None])
+    @pytest.mark.parametrize("bad", [1.7, 2.0, "2", -1, True, None, np.True_, np.float64(2.0),
+                                     Fraction(2)])
     def test_block_counts_are_integers_checked_where_they_enter(self, field, bad):
-        with pytest.raises(DomainError, match=field):
+        with pytest.raises(DomainError, match=f"^{field} must be an integer >= 0, got "):
             make_chain(**{field: bad})
 
     def test_zero_opening_balances_are_kept(self):
@@ -346,6 +348,44 @@ class TestOneNumberRule:
         assert check_price(good) == 100.0 and type(check_price(good)) is float
         assert make_chain().advance_block(good).eps == 100.0
         assert verify_clearing_price(C, Reserves(100.0, 1.0), [], good) is not None
+
+
+class TestOneIntegerRule:
+    """Every integer entry point takes an integral number, numpy's too, and stores an int."""
+
+    ENTRY_POINTS = {
+        "reveal_window": lambda v: make_chain(reveal_window=v).reveal_window,
+        "conversion_frequency": lambda v: make_chain(conversion_frequency=v).conversion_frequency,
+        "z_max": lambda v: RebateSchedule(z_max=v).z_max,
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("good", [np.int64(4), np.uint8(4), 4], ids=["np_int64", "np_uint8",
+                                                                         "int"])
+    def test_integral_numbers_pass_as_ints(self, entry, good):
+        stored = self.ENTRY_POINTS[entry](good)
+        assert stored == 4 and type(stored) is int
+
+    @pytest.mark.parametrize("beta0", [np.float32(0.5), np.float64(0.5), Fraction(1, 2)],
+                             ids=["np_float32", "np_float64", "fraction"])
+    def test_a_real_beta0_is_stored_as_a_float(self, beta0):
+        schedule = RebateSchedule(beta0=beta0)
+        assert schedule.beta0 == 0.5 and type(schedule.beta0) is float
+        assert json.dumps(dataclasses.asdict(RebateSchedule(z_max=np.int64(3), beta0=beta0)))
+
+
+class TestChainArguments:
+    @pytest.mark.parametrize("schedule", [None, 0.8, {"z_max": 4, "beta0": 0.8}],
+                             ids=["none", "number", "dict"])
+    def test_a_schedule_that_is_no_rebate_schedule_is_refused(self, schedule):
+        with pytest.raises(DomainError, match="^schedule must be a RebateSchedule, got "):
+            ChainState(Reserves(10_000.0, 100.0), schedule, max_x=1.0, max_y=1.0)
+
+    @pytest.mark.parametrize("balances", [[("a", (1.0, 1.0))], (("a", (1.0, 1.0)),), "a"],
+                             ids=["list", "tuple", "str"])
+    def test_balances_that_are_no_dict_are_refused(self, balances):
+        with pytest.raises(DomainError, match="^balances must be a dict"):
+            make_chain(balances=balances)
 
 
 class TestTransitionGuards:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,12 +42,14 @@ class TestSchedule:
     @pytest.mark.parametrize("z_max, beta0, named", [
         (True, 0.5, "z_max"),
         (False, 0.0, "z_max"),
+        (np.True_, 0.5, "z_max"),
+        (4.0, 0.5, "z_max"),
         (4, True, "beta0"),
         (0, False, "beta0"),
         (4, "0.5", "beta0"),
         (4, None, "beta0"),
         (4, float("nan"), "beta0"),
-    ], ids=["z_max_true", "z_max_false", "beta0_true", "beta0_false", "beta0_text",
+    ], ids=["z_max_true", "z_max_false", "z_max_np_true", "z_max_float", "beta0_true", "beta0_false", "beta0_text",
             "beta0_none", "beta0_nan"])
     def test_each_field_is_a_number_and_no_bool(self, z_max, beta0, named):
         with pytest.raises(DomainError, match=f"^{named} must"):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from v0lver import engine, sim
+from v0lver.agents import producer_utility
+from v0lver.allocation import OrderSide
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
 from v0lver.cli import main
 from v0lver.config import builtin_scenarios, scenario_from_dict, scenario_to_dict
@@ -339,6 +341,55 @@ class TestExperiments:
         assert len(out["rows"]) == 63
         assert [(r["multiplier"], r["alpha"]) for r in out["rows"]] == [
             (m, a) for m in sim.SWEEP_MULTIPLIERS for a in sim.SWEEP_ALPHAS]
+
+    @pytest.mark.parametrize("multiplier, alpha", [(1.0, 0.0), (1.03, 0.25)])
+    def test_each_sweep_trial_is_one_block_of_the_run_user_flow(self, multiplier, alpha):
+        flow = dataclasses.replace(SCN["dominance"].flow, no_reveal_prob=0.25)
+        cfg, seed, trials = dataclasses.replace(SCN["dominance"], flow=flow), 7, 300
+        eps = cfg.price.initial
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        dx, dy = np.zeros(trials), np.zeros(trials)
+        for i in range(trials):
+            orders, hidden = sim._user_flow(rng, cfg.flow, eps, cfg.max_x, cfg.max_y)
+            for o, hide in zip(orders, hidden):
+                if not hide:  # an unrevealed order never trades
+                    if o.side is OrderSide.BUY_Y:
+                        dx[i] += o.size
+                    else:
+                        dy[i] += o.size
+        want = producer_utility(Reserves(cfg.pool_x, cfg.pool_y), eps, cfg.rebate, cfg.max_x,
+                                cfg.max_y, multiplier, alpha, dx, dy)
+        rows = dominance_sweep(cfg, seed, trials=trials)["rows"]
+        got = next(r["utility"] for r in rows if (r["multiplier"], r["alpha"]) == (multiplier,
+                                                                                   alpha))
+        assert got.hex() == want.hex()
+
+    def test_flow_that_never_reveals_earns_the_no_flow_utility(self):
+        flow = dataclasses.replace(SCN["dominance"].flow, no_reveal_prob=1.0)
+        cfg, trials = dataclasses.replace(SCN["dominance"], flow=flow), 200
+        none = np.zeros(trials)
+        rows = dominance_sweep(cfg, 5, trials=trials)["rows"]
+        for r in rows:
+            assert r["utility"] == producer_utility(
+                Reserves(cfg.pool_x, cfg.pool_y), cfg.price.initial, cfg.rebate, cfg.max_x,
+                cfg.max_y, r["multiplier"], r["alpha"], none, none)
+        assert rows[sim.SWEEP_MULTIPLIERS.index(1.0) * len(sim.SWEEP_ALPHAS)]["utility"] == 0.0
+
+    def test_limit_flow_is_refused_before_any_draw(self, monkeypatch, tmp_path, capsys):
+        cfg = SCN["default"]
+        assert cfg.flow.limit_prob > 0
+        with pytest.raises(ConfigError, match="^trials "):  # the count is checked first
+            dominance_sweep(cfg, 3, trials=0)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the flow was drawn before limit_prob was checked")
+
+        monkeypatch.setattr(sim, "_user_flow", no_draw)
+        with pytest.raises(ConfigError, match=r"^flow\.limit_prob must be 0 .*got 0\.3$"):
+            dominance_sweep(cfg, 3, trials=10)
+        assert main(["sweep", "--scenario", "default", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "flow.limit_prob" in err
 
     def test_dominance_sweep_rejects_no_trials(self):
         with pytest.raises(ConfigError, match="trials"):
