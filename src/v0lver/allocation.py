@@ -146,24 +146,17 @@ class _Book:
 
     def __init__(self, curve, snapshot, orders):
         self.curve, self.snapshot = curve, snapshot
-        self.orders = list(orders)
-        self.buys, self.sells = [], []
-        buy_at, sell_at = self.buy_at, self.sell_at = {}, {}
-        buy_markets = sell_markets = 0.0
-        for o in self.orders:
-            lim, size = o.limit, o.size
-            if o.side is OrderSide.BUY_Y:
-                self.buys.append((size, lim))
-                if lim is None:
-                    buy_markets += size
-                else:
-                    buy_at[lim] = buy_at.get(lim, 0.0) + size
-            else:
-                self.sells.append((size, lim))
-                if lim is None:
-                    sell_markets += size
-                else:
-                    sell_at[lim] = sell_at.get(lim, 0.0) + size
+        orders = self.orders = list(orders)
+        # One scan at C speed; every pass below unpacks an order as (side, size, limit).
+        if not {*map(type, orders)} <= {Order}:
+            i = next(i for i, o in enumerate(orders) if type(o) is not Order)
+            raise DomainError(f"orders[{i}] must be an Order, got {orders[i]!r}")
+        buy = OrderSide.BUY_Y
+        buys = self.buys = [(size, lim) for side, size, lim in orders if side is buy]
+        sells = self.sells = [(size, lim) for side, size, lim in orders if side is not buy]
+        buy_markets, buy_at = self._totals(buys)
+        sell_markets, sell_at = self._totals(sells)
+        self.buy_at, self.sell_at = buy_at, sell_at
         limits = self.limits = sorted(buy_at.keys() | sell_at.keys())
         self.bx = list(accumulate([buy_at.get(lim, 0.0) for lim in reversed(limits)],
                                   initial=buy_markets))[::-1]
@@ -177,6 +170,17 @@ class _Book:
         safe = (2.0**-400 < low and high < 2.0**400
                 and (x + y + x_all + y_all) * max(high, 1.0 / low, 1.0) ** 2 < 2.0**900)
         self.slack = 16.0 * (len(self.orders) + 8) * 2.0**-53 if safe else math.inf
+
+    @staticmethod
+    def _totals(side):
+        """The side's market size and its size per limit, each summed in index order."""
+        markets, at = 0.0, {}
+        for size, lim in side:
+            if lim is None:
+                markets += size
+            else:
+                at[lim] = at.get(lim, 0.0) + size
+        return markets, at
 
     def gap(self, k):
         """``(lo, hi)``: the limits around regime ``k``."""
@@ -282,22 +286,30 @@ class _Book:
                 snapshot.y, abs(chord), ex_x / p, ex_y, 1e-30) < math.inf:
             return None
 
+        # Fills in ascending index order. A full fill sells ``size``, which is
+        # ``1.0 * size`` to the bit; ``tuple.__new__(Fill, ...)`` is ``Fill.__new__``'s body.
         fills = []
+        append, new, buy = fills.append, tuple.__new__, OrderSide.BUY_Y
         sold_x = sold_y = 0.0
-        for i, o in enumerate(self.orders):
-            lim = o.limit
-            if o.side is OrderSide.BUY_Y:
-                f = 1.0 if lim is None or lim > p else phi_b if lim == p else 0.0
-                if f > 0.0:
-                    amt = f * o.size
-                    fills.append(Fill(i, amt, amt / p))
-                    sold_x += amt
+        for i, (side, size, lim) in enumerate(self.orders):
+            if side is buy:
+                if lim is None or lim > p:
+                    amt = size
+                elif lim == p and phi_b > 0.0:
+                    amt = phi_b * size
+                else:
+                    continue
+                append(new(Fill, (i, amt, amt / p)))
+                sold_x += amt
             else:
-                f = 1.0 if lim is None or lim < p else phi_s if lim == p else 0.0
-                if f > 0.0:
-                    amt = f * o.size
-                    fills.append(Fill(i, amt, amt * p))
-                    sold_y += amt
+                if lim is None or lim < p:
+                    amt = size
+                elif lim == p and phi_s > 0.0:
+                    amt = phi_s * size
+                else:
+                    continue
+                append(new(Fill, (i, amt, amt * p)))
+                sold_y += amt
         return Settlement(
             price=p,
             pool_delta=(sold_x - sold_y * p, sold_y - sold_x / p),
@@ -318,7 +330,8 @@ def clearing_price_with_limits(curve, snapshot: Reserves, orders) -> Settlement:
     The walk starts at the lowest regime and settles a market-balance price
     only when its screened value may lie inside the gap, and a limit only
     when ``excluded`` cannot rule it out. An empty batch clears at the
-    snapshot price with zero volume.
+    snapshot price with zero volume. Every entry of ``orders`` must be an
+    ``Order``; anything else raises a DomainError naming it.
     """
     book = _Book(curve, snapshot, orders)
     m = len(book.limits)
@@ -349,13 +362,14 @@ def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> Settle
     price or any regime's market-balance price — achieves more executed
     volume; None otherwise. The proposal is settled exactly; a candidate is
     settled exactly only when the screen cannot rule it out, i.e. it may
-    clear and its volume may beat the proposal's.
+    clear and its volume may beat the proposal's. ``orders`` is checked as
+    in ``clearing_price_with_limits``, before the proposal.
     """
+    book = _Book(curve, snapshot, orders)
     try:
         p = check_price(proposed)
     except DomainError:
         return None
-    book = _Book(curve, snapshot, orders)
     settled = book.settle(p)
     if settled is None:
         return None

@@ -114,8 +114,8 @@ def _summary(command: str, cfg, seed: int, body: dict) -> dict:
 
 def cmd_run(args) -> int:
     cfg = _resolve_scenario(args.scenario)
-    out = _OutDir(args.out, args.force)
     result = sim.run_scenario(cfg, args.seed)
+    out = _OutDir(args.out, args.force)
     out.write_json("summary.json", _summary("run", cfg, args.seed,
                                             {"metrics": result.metrics.to_dict()}))
     rows = result.blocks
@@ -127,8 +127,8 @@ def cmd_run(args) -> int:
 
 def cmd_lvr(args) -> int:
     cfg = _resolve_scenario(args.scenario)
-    out = _OutDir(args.out, args.force)
     res = sim.lvr_experiment(cfg, args.seed, runs=args.runs, jobs=args.jobs)
+    out = _OutDir(args.out, args.force)
     ratios = res.pop("ratios")
     out.write_json("summary.json", _summary("lvr", cfg, args.seed, {"result": res}))
     rows = [{"run": i, "ratio": r} for i, r in enumerate(ratios)]
@@ -138,8 +138,8 @@ def cmd_lvr(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     cfg = _resolve_scenario(args.scenario)
-    out = _OutDir(args.out, args.force)
     res = sim.equilibrium_experiment(cfg, args.seed, runs=args.runs, jobs=args.jobs)
+    out = _OutDir(args.out, args.force)
     out.write_json("summary.json", _summary("equilibrium", cfg, args.seed, {"result": res}))
     rows = [{"gap": g, "count": c} for g, c in sorted(
         (int(g), c) for g, c in res["updates_by_gap"].items())]
@@ -149,8 +149,8 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_scenario(args.scenario)
-    out = _OutDir(args.out, args.force)
     res = sim.dominance_sweep(cfg, args.seed, trials=args.trials)
+    out = _OutDir(args.out, args.force)
     rows = res.pop("rows")
     out.write_json("summary.json", _summary("sweep", cfg, args.seed, {"result": res}))
     out.write_table("sweep", ["multiplier", "alpha", "utility"], rows, args.format)

@@ -297,6 +297,33 @@ class ChainState:
         d[i] += amount
         d[1 - i] += 0.0  # as the two-token add does: a -0.0 there becomes 0.0
 
+    def _book_fill(self, escrow: str, oct: Oct, sold: float, bought: float):
+        """Book a revealed order's fill in place, unchecked, as the three ``_transfer_token``
+        legs would: ``sold`` of the OCT's token from the collateral into ``escrow``,
+        ``bought`` of the other from ``escrow`` to the owner, the collateral's rest to
+        the owner. The owner's account exists (it posted the collateral), and a fill
+        that sells nothing buys nothing, so the first leg opens the escrow if any does."""
+        i = 0 if oct.collateral_token == "x" else 1
+        j = 1 - i
+        balances = self.balances
+        collateral, owner = balances[COLLATERAL], balances[oct.owner]
+        if sold != 0.0:
+            e = balances.get(escrow)
+            if e is None:
+                e = balances[escrow] = [0.0, 0.0]
+            collateral[i] -= sold
+            e[i] += sold
+            e[j] += 0.0  # as the two-token add does: a -0.0 there becomes 0.0
+        if bought != 0.0:
+            e[j] -= bought
+            owner[j] += bought
+            owner[i] += 0.0
+        rest = oct.collateral - sold
+        if rest != 0.0:
+            collateral[i] -= rest
+            owner[i] += rest
+            owner[j] += 0.0
+
     def total_supply(self) -> tuple[float, float]:
         tx = ty = 0.0
         for bx, by in self.balances.values():
@@ -515,16 +542,16 @@ class ChainState:
         for oct, _ in revealed:
             del self.reveals[oct.id]
 
-        escrow = f"alloc:{label}"
-        filled_by_index = {f.index: f for f in settlement.fills}
-        for idx, (oct, order) in enumerate(revealed):
-            f = filled_by_index.get(idx)
-            sold, bought = (f.sold, f.bought) if f is not None else (0.0, 0.0)
-            sells = oct.collateral_token  # the order's: the commitment binds its side
-            buys = "y" if sells == "x" else "x"
-            self._transfer_token(COLLATERAL, escrow, sells, sold)
-            self._transfer_token(escrow, oct.owner, buys, bought)
-            self._transfer_token(COLLATERAL, oct.owner, sells, oct.collateral - sold)
+        # ``settle`` emits fills in ascending index order: walk them beside the orders.
+        escrow, book_fill = f"alloc:{label}", self._book_fill
+        fills = iter(settlement.fills)
+        f = next(fills, None)
+        for idx, (oct, _) in enumerate(revealed):
+            if f is not None and f.index == idx:
+                book_fill(escrow, oct, f.sold, f.bought)
+                f = next(fills, None)
+            else:
+                book_fill(escrow, oct, 0.0, 0.0)
 
         # The remainder splits 1 - beta : beta, the ratio the escrow was funded
         # with. Pool reserves take their share of the batch imbalance; the rest

@@ -120,8 +120,14 @@ def _check_int(name: str, value, low: int = 1):
         raise ConfigError(str(e)) from None
 
 
+def _check_scenario(cfg):
+    if not isinstance(cfg, ScenarioConfig):
+        raise ConfigError(f"cfg must be a ScenarioConfig, got {cfg!r}")
+
+
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
     _check_int("seed", seed, 0)
+    _check_scenario(cfg)
     cfg.validate()
     chain = ChainState(
         Reserves(cfg.pool_x, cfg.pool_y),
@@ -293,6 +299,7 @@ def run_many(cfg: ScenarioConfig, seed: int, runs: int, jobs: int = 1) -> list[R
     _check_int("runs", runs)
     _check_int("jobs", jobs)
     _check_int("seed", seed, 0)
+    _check_scenario(cfg)
     seeds = np.random.SeedSequence(seed).generate_state(runs, dtype=np.uint64)
     args = [(cfg, int(s)) for s in seeds]
     if jobs <= 1:
@@ -385,6 +392,7 @@ def dominance_sweep(cfg: ScenarioConfig, seed: int, trials: int = 10_000) -> dic
     at the external price.
     """
     _check_int("seed", seed, 0)
+    _check_scenario(cfg)
     cfg.validate()
     _check_int("trials", trials)
     if cfg.flow.limit_prob > 0:

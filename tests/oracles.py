@@ -23,7 +23,11 @@ bit, signed zeros and account order included. ``reference_guarded_leg`` is
 the per-leg guard the engine's one-token legs once had (every leg no
 ``alloc:`` escrow pays or receives): the engine, which checks the owner once
 where it posts collateral and the collateral at block end, must refuse
-exactly when it does. ``reference_dry_run`` is the generic dry run over a
+exactly when it does. ``reference_book_fill`` is a revealed order's fill as
+three ``reference_guarded_leg`` calls in booking order (sold into the batch's
+escrow, bought out of it, the collateral's rest back to the owner), which the
+engine's in-place ``_book_fill`` must reproduce bit for bit, the escrow's
+opening included. ``reference_dry_run`` is the generic dry run over a
 list of legs, and ``reference_update_refusal`` the update's dry run with
 every leg guarded, the pool's and the vault's included; the engine, which
 checks only the producer, must refuse exactly when it does, with the same
@@ -52,7 +56,7 @@ from v0lver.allocation import (
 )
 from v0lver.errors import DomainError, FundingError
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves, check_price, check_reserves
-from v0lver.engine import POOL, VAULT, ChainState, _guard
+from v0lver.engine import COLLATERAL, POOL, VAULT, ChainState, Oct, _guard
 from v0lver.rebate import apply_rebated_move
 
 
@@ -459,6 +463,15 @@ def reference_guarded_leg(chain: ChainState, src: str, dst: str, token: str, amo
     """``reference_transfer_token``, guarded unless an ``alloc:`` escrow pays or receives."""
     guard = not (src.startswith("alloc:") or dst.startswith("alloc:"))
     reference_transfer_token(chain, src, dst, token, amount, guard=guard)
+
+
+def reference_book_fill(chain: ChainState, escrow: str, oct: Oct, sold: float, bought: float):
+    """One revealed order's fill as three one-token legs, in the order they book."""
+    sells = oct.collateral_token
+    buys = "y" if sells == "x" else "x"
+    reference_guarded_leg(chain, COLLATERAL, escrow, sells, sold)
+    reference_guarded_leg(chain, escrow, oct.owner, buys, bought)
+    reference_guarded_leg(chain, COLLATERAL, oct.owner, sells, oct.collateral - sold)
 
 
 def reference_dry_run(chain: ChainState, *legs):

@@ -275,6 +275,22 @@ class TestVerification:
         assert not verify_clearing_price(C, SNAP, orders, "abc")
         assert not verify_clearing_price(C, SNAP, orders, None)
 
+    @pytest.mark.parametrize("orders, index", [
+        ([("buy_y", 1.0, None)], 0),
+        ([(OrderSide.BUY_Y, 1.0, None)], 0),  # a plain tuple of an order's fields
+        ([None], 0),
+        ("ab", 0),
+        ([buy(1.0), sell(1.0, limit=1.0), None], 2),
+    ])
+    def test_an_entry_that_is_not_an_order_is_refused(self, orders, index):
+        bad = list(orders)[index]
+        for call in (lambda: clearing_price_with_limits(C, SNAP, orders),
+                     lambda: verify_clearing_price(C, SNAP, orders, 1.0),
+                     lambda: verify_clearing_price(C, SNAP, orders, math.nan)):
+            with pytest.raises(DomainError) as e:
+                call()
+            assert str(e.value) == f"orders[{index}] must be an Order, got {bad!r}"
+
     def test_a_proposal_that_settles_but_loses_volume_is_refused(self):
         # a buy limited just above a deep pool's price: the proposal above its
         # limit settles with zero volume, the pool's chord inside the balance
@@ -357,6 +373,14 @@ NARROWLY_BEATEN = (SNAP, [buy(100.0 * 1.05 * (1.0 - 1.5e-9) - 100.0), sell(1000.
 OVERFLOWING = (Reserves(1e300, 1e300), [buy(1.7e308, limit=0.5), buy(1e300)])
 
 
+def assert_fills_in_index_order(s):
+    """The engine books a settlement by walking its fills beside the orders."""
+    if s is not None:
+        assert all(type(f) is Fill for f in s.fills)
+        indices = [f.index for f in s.fills]
+        assert all(a < b for a, b in zip(indices, indices[1:])), indices
+
+
 class TestSortedBookMatchesReference:
     """The sorted book reproduces the quadratic reference clearing bit for bit."""
 
@@ -365,8 +389,10 @@ class TestSortedBookMatchesReference:
     @settings(max_examples=300, deadline=None)
     def test_solver(self, book):
         snapshot, orders = book
-        assert outcome(clearing_price_with_limits, C, snapshot, orders) == outcome(
-            reference_clearing_price, C, snapshot, orders)
+        got = outcome(clearing_price_with_limits, C, snapshot, orders)
+        assert got == outcome(reference_clearing_price, C, snapshot, orders)
+        if got != "DomainError":
+            assert_fills_in_index_order(clearing_price_with_limits(C, snapshot, orders))
 
     @given(book=grid_books())
     @example(book=MARGINAL_ARTIFACT)
@@ -379,8 +405,10 @@ class TestSortedBookMatchesReference:
         prices.update(p_star for _, _, p_star in ref.regimes(snapshot))
         proposals = prices | {math.nextafter(p, d) for p in prices for d in (0.0, math.inf)}
         for p in [*sorted(proposals), 0.0, -1.0, math.nan]:
-            assert settlement_bits(verify_clearing_price(C, snapshot, orders, p)) == (
+            verified = verify_clearing_price(C, snapshot, orders, p)
+            assert settlement_bits(verified) == (
                 settlement_bits(reference_verify_clearing_price(C, snapshot, orders, p))), p
+            assert_fills_in_index_order(verified)
 
     def test_sums_are_plain_left_to_right_adds(self):
         # 1e16 + 1.0 rounds back to 1e16, twice; a compensated sum (sum() of

@@ -309,12 +309,28 @@ class TestExitCodes:
         assert main(["run", "--scenario", tiny_scenario, "--out", out]) == 2
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("command, raw, message", [
+        ("run", {"blocks": 20, "producer": {"budget_x": 0.0, "budget_y": 0.0}},
+         "funded by producer.budget_x/producer.budget_y"),
+        ("sweep", {"blocks": 20, "flow": {"limit_prob": 0.3}}, "flow.limit_prob must be 0"),
+    ])
+    def test_a_refused_run_leaves_no_out_directory(self, command, raw, message, tmp_path,
+                                                   capsys):
+        # lvr and equilibrium: the two tests below
+        scn = tmp_path / "refused.json"
+        scn.write_text(json.dumps(raw))
+        out = str(tmp_path / "out")
+        assert main([command, "--scenario", str(scn), "--out", out]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_lvr_without_extraction_exits_one(self, tmp_path, capsys):
         scn = tmp_path / "flat.json"
         scn.write_text(json.dumps({"blocks": 20, "price": {"sigma": 0.0}}))
         out = str(tmp_path / "out")
         assert main(["lvr", "--scenario", str(scn), "--out", out, "--runs", "2"]) == 1
         assert "no run produced an LVR ratio" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_equilibrium_without_update_exits_one(self, tmp_path, capsys):
         scn = tmp_path / "idle.json"
@@ -322,6 +338,7 @@ class TestExitCodes:
         out = str(tmp_path / "out")
         assert main(["equilibrium", "--scenario", str(scn), "--out", out, "--runs", "2"]) == 1
         assert "no run made an update" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("raw, path", [
         ({"blocks": "10"}, "blocks"),

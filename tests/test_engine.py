@@ -30,8 +30,8 @@ from v0lver.errors import (
 )
 from v0lver.rebate import RebateSchedule, apply_rebated_move
 
-from oracles import (pool_price, reference_guarded_leg, reference_transfer,
-                     reference_transfer_token, reference_update_refusal)
+from oracles import (pool_price, reference_book_fill, reference_guarded_leg,
+                     reference_transfer, reference_transfer_token, reference_update_refusal)
 
 C = CONSTANT_PRODUCT
 SCHEDULE = RebateSchedule(z_max=4, beta0=0.8)
@@ -1184,12 +1184,32 @@ class TestLedgerOracle:
     @given(ops=st.lists(LIFECYCLE, min_size=20, max_size=60))
     @example(ops=COVERING)
     def test_one_token_legs_book_as_the_two_token_transfer(self, ops):
-        # the twin guards every one-token leg no escrow pays or receives; the engine,
-        # which checks the owner in submit_oct and the collateral at block end, must
-        # refuse alike
+        # the twin guards every one-token leg no escrow pays or receives, a fill's
+        # three legs included; the engine, which checks the owner in submit_oct and
+        # the collateral at block end, must refuse alike
         reference = lifecycle_chain()
         reference._transfer_token = types.MethodType(reference_guarded_leg, reference)
+        reference._book_fill = types.MethodType(reference_book_fill, reference)
         assert lifecycle(lifecycle_chain(), ops) == lifecycle(reference, ops)
+
+    @pytest.mark.parametrize("fills", [
+        [(0, 0.0, 0.0), (1, 0.0, 0.0)],  # zero fills: the escrow is never opened
+        [(0, 0.0, 0.0), (1, 0.04, 4.0)],  # the first leg through the escrow opens it
+        [(0, 10.0, 0.1), (1, 0.1, 10.0)],  # full fills: no collateral rest
+        [(1, 5e-324, 0.0), (0, 2.5, 0.025)],  # a fill whose proceeds underflow to 0
+    ])
+    def test_book_fill_books_as_three_one_token_legs(self, fills):
+        # each owner holds -0.0 of the token it buys, and no escrow is open
+        opening = {"buyer": (10.0, -0.0), "seller": (-0.0, 0.1)}
+        traces = []
+        for book_fill in (ChainState._book_fill, reference_book_fill):
+            chain, trace = make_chain(balances=opening), []
+            octs = [chain.submit_oct("buyer", buy(10.0)), chain.submit_oct("seller", sell(0.1))]
+            for k, sold, bought in fills:
+                book_fill(chain, "alloc:0", octs[k], sold, bought)
+                trace.append(repr(list(chain.balances.items())))
+            traces.append(trace)
+        assert traces[0] == traces[1]
 
     def test_one_token_leg_at_the_overdraft_edge(self):
         pairs = [("ghost", "ghost"), ("alice", "bob"), ("alice", "nobody"), ("nobody", "alice"),

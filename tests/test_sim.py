@@ -100,6 +100,23 @@ class TestDeterminism:
         with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0, got "):
             call(shrink(SCN["dominance"], 5))
 
+    @pytest.mark.parametrize("cfg", [{}, None, "lvr"], ids=repr)
+    @pytest.mark.parametrize("entry", ["run_scenario", "run_many", "lvr_experiment",
+                                       "dominance_sweep"])
+    def test_a_scenario_must_be_a_scenario_config(self, entry, cfg, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began before the scenario was checked")
+
+        monkeypatch.setattr(sim.np.random, "SeedSequence", no_work)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", no_work)
+        call = {"run_scenario": lambda: run_scenario(cfg, 1),
+                "run_many": lambda: run_many(cfg, 1, 2, jobs=2),
+                "lvr_experiment": lambda: lvr_experiment(cfg, 1, runs=2),
+                "dominance_sweep": lambda: dominance_sweep(cfg, 1)}[entry]
+        with pytest.raises(ConfigError) as e:
+            call()
+        assert str(e.value) == f"cfg must be a ScenarioConfig, got {cfg!r}"
+
     def test_a_uint64_seed_runs(self):
         cfg = shrink(SCN["lvr"], 5)
         seed = np.random.SeedSequence(0).generate_state(1, dtype=np.uint64)[0]
