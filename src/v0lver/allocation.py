@@ -29,6 +29,13 @@ by a bound on the difference between the two summation orders, so both
 return, bit for bit, what settling every candidate would. Clearing n orders
 with L distinct limits costs O(n + L log L) plus a few exact passes, where
 settling every candidate cost O(n L).
+
+A batch has one book. Both functions take it from a slot holding the last
+batch's, reused only for the very objects it was sorted from: the same curve,
+a ``Reserves`` snapshot and a ``tuple`` of orders, which cannot change in
+place. The engine solves and verifies one such tuple, so the verifier reads
+the solver's book, and the proposal's exact settle, which the book remembers,
+is the solver's own.
 """
 from __future__ import annotations
 
@@ -142,7 +149,7 @@ class _Book:
     """
 
     __slots__ = ("curve", "snapshot", "orders", "buys", "sells", "limits",
-                 "bx", "sy", "buy_at", "sell_at", "slack")
+                 "bx", "sy", "buy_at", "sell_at", "slack", "last_settled")
 
     def __init__(self, curve, snapshot, orders):
         self.curve, self.snapshot = curve, snapshot
@@ -170,6 +177,7 @@ class _Book:
         safe = (2.0**-400 < low and high < 2.0**400
                 and (x + y + x_all + y_all) * max(high, 1.0 / low, 1.0) ** 2 < 2.0**900)
         self.slack = 16.0 * (len(self.orders) + 8) * 2.0**-53 if safe else math.inf
+        self.last_settled = (None, None)  # settle's last (price object, result)
 
     @staticmethod
     def _totals(side):
@@ -242,8 +250,12 @@ class _Book:
         must fill fully; orders with limit exactly ``p`` may fill pro-rata so
         that the pool's net trade is exactly the level-curve chord at ``p``.
         Returns the Settlement, or None when no fill fractions in [0, 1]
-        balance the batch.
+        balance the batch. Called again with the price object it settled
+        last, it returns that result without a pass.
         """
+        last_p, last = self.last_settled
+        if p is last_p:
+            return last
         snapshot = self.snapshot
         in_x = mb = in_y = ms = 0.0  # each sums in index order
         for s, lim in self.buys:
@@ -310,12 +322,31 @@ class _Book:
                     continue
                 append(new(Fill, (i, amt, amt * p)))
                 sold_y += amt
-        return Settlement(
+        settled = Settlement(
             price=p,
             pool_delta=(sold_x - sold_y * p, sold_y - sold_x / p),
             fills=tuple(fills),
             volume_y=sold_x / p + sold_y,
         )
+        self.last_settled = (p, settled)
+        return settled
+
+
+_last_book = None  # (curve, snapshot, orders, book) of the last tuple batch
+
+
+def _book(curve, snapshot, orders) -> _Book:
+    """The batch's book: the last one when sorted from these very objects, else a new one,
+    kept for the next call when ``snapshot`` is a ``Reserves`` and ``orders`` a tuple.
+    The slot is read and written as one tuple, so threads sharing it can only miss."""
+    global _last_book
+    last = _last_book
+    if last is not None and last[2] is orders and last[1] is snapshot and last[0] is curve:
+        return last[3]
+    book = _Book(curve, snapshot, orders)
+    if type(snapshot) is Reserves and type(orders) is tuple:
+        _last_book = (curve, snapshot, orders, book)
+    return book
 
 
 def clearing_price_with_limits(curve, snapshot: Reserves, orders) -> Settlement:
@@ -333,7 +364,7 @@ def clearing_price_with_limits(curve, snapshot: Reserves, orders) -> Settlement:
     snapshot price with zero volume. Every entry of ``orders`` must be an
     ``Order``; anything else raises a DomainError naming it.
     """
-    book = _Book(curve, snapshot, orders)
+    book = _book(curve, snapshot, orders)
     m = len(book.limits)
     for k in range(m + 1):
         lo, hi = book.gap(k)
@@ -362,10 +393,14 @@ def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> Settle
     price or any regime's market-balance price — achieves more executed
     volume; None otherwise. The proposal is settled exactly; a candidate is
     settled exactly only when the screen cannot rule it out, i.e. it may
-    clear and its volume may beat the proposal's. ``orders`` is checked as
-    in ``clearing_price_with_limits``, before the proposal.
+    clear and its volume may beat the proposal's. The batch has one book:
+    called on the tuple of orders the solver just cleared, with the price
+    it returned, the verifier reads the solver's book, and the proposal's
+    exact settle is the solver's own, which has the same bits. Every
+    candidate is still screened here. ``orders`` is checked as in
+    ``clearing_price_with_limits``, before the proposal.
     """
-    book = _Book(curve, snapshot, orders)
+    book = _book(curve, snapshot, orders)
     try:
         p = check_price(proposed)
     except DomainError:

@@ -72,15 +72,26 @@ def _create(path: str, force: bool, newline=None):
 
 
 class _OutDir:
+    """An ``--out`` directory: refused when built if it can never be one, so before
+    any run, and created only with its first file, so after the run succeeds."""
+
     def __init__(self, path: str, force: bool):
         self.path = path
         self.force = force
-        try:
-            os.makedirs(path, exist_ok=True)
-        except OSError as e:
-            raise ConfigError(f"--out {path!r} is not a usable directory: {e.strerror}") from None
+        # The nearest path on the way that exists (a dangling link too) must be a directory.
+        probe = os.path.abspath(path)
+        while not os.path.lexists(probe):
+            probe = os.path.dirname(probe)
+        if not path or not os.path.isdir(probe):
+            why = f"{probe!r} is not a directory" if path else "the path is empty"
+            raise ConfigError(f"--out {path!r} is not a usable directory: {why}")
 
     def open(self, name: str, newline=None):
+        try:
+            os.makedirs(self.path, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"--out {self.path!r} is not a usable directory: "
+                              f"{e.strerror}") from None
         return _create(os.path.join(self.path, name), self.force, newline)
 
     def write_json(self, name: str, payload):
@@ -114,8 +125,8 @@ def _summary(command: str, cfg, seed: int, body: dict) -> dict:
 
 def cmd_run(args) -> int:
     cfg = _resolve_scenario(args.scenario)
-    result = sim.run_scenario(cfg, args.seed)
     out = _OutDir(args.out, args.force)
+    result = sim.run_scenario(cfg, args.seed)
     out.write_json("summary.json", _summary("run", cfg, args.seed,
                                             {"metrics": result.metrics.to_dict()}))
     rows = result.blocks
@@ -127,8 +138,8 @@ def cmd_run(args) -> int:
 
 def cmd_lvr(args) -> int:
     cfg = _resolve_scenario(args.scenario)
-    res = sim.lvr_experiment(cfg, args.seed, runs=args.runs, jobs=args.jobs)
     out = _OutDir(args.out, args.force)
+    res = sim.lvr_experiment(cfg, args.seed, runs=args.runs, jobs=args.jobs)
     ratios = res.pop("ratios")
     out.write_json("summary.json", _summary("lvr", cfg, args.seed, {"result": res}))
     rows = [{"run": i, "ratio": r} for i, r in enumerate(ratios)]
@@ -138,8 +149,8 @@ def cmd_lvr(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     cfg = _resolve_scenario(args.scenario)
-    res = sim.equilibrium_experiment(cfg, args.seed, runs=args.runs, jobs=args.jobs)
     out = _OutDir(args.out, args.force)
+    res = sim.equilibrium_experiment(cfg, args.seed, runs=args.runs, jobs=args.jobs)
     out.write_json("summary.json", _summary("equilibrium", cfg, args.seed, {"result": res}))
     rows = [{"gap": g, "count": c} for g, c in sorted(
         (int(g), c) for g, c in res["updates_by_gap"].items())]
@@ -149,8 +160,8 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_scenario(args.scenario)
-    res = sim.dominance_sweep(cfg, args.seed, trials=args.trials)
     out = _OutDir(args.out, args.force)
+    res = sim.dominance_sweep(cfg, args.seed, trials=args.trials)
     rows = res.pop("rows")
     out.write_json("summary.json", _summary("sweep", cfg, args.seed, {"result": res}))
     out.write_table("sweep", ["multiplier", "alpha", "utility"], rows, args.format)

@@ -313,15 +313,16 @@ class ChainState:
                 e = balances[escrow] = [0.0, 0.0]
             collateral[i] -= sold
             e[i] += sold
-            e[j] += 0.0  # as the two-token add does: a -0.0 there becomes 0.0
         if bought != 0.0:
             e[j] -= bought
             owner[j] += bought
-            owner[i] += 0.0
         rest = oct.collateral - sold
         if rest != 0.0:
             collateral[i] -= rest
             owner[i] += rest
+            # The legs' two-token add turns a -0.0 into 0.0. Only this slot can hold one,
+            # from an opening balance: the escrow opens at 0.0, the owner's sold token was
+            # debited the collateral, and no add or subtract makes -0.0 from anything else.
             owner[j] += 0.0
 
     def total_supply(self) -> tuple[float, float]:

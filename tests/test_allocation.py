@@ -1,14 +1,17 @@
 import copy
+import dataclasses
 import math
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from v0lver import allocation
+from v0lver import allocation, sim
 from v0lver.allocation import (
     Fill,
     Order,
@@ -17,6 +20,7 @@ from v0lver.allocation import (
     verify_clearing_price,
 )
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
+from v0lver.config import builtin_scenarios
 from v0lver.engine import ChainState
 from v0lver.errors import DomainError, InvariantViolation, VerificationError
 from v0lver.rebate import RebateSchedule
@@ -381,6 +385,13 @@ def assert_fills_in_index_order(s):
         assert all(a < b for a, b in zip(indices, indices[1:])), indices
 
 
+def count_calls(monkeypatch, cls, name):
+    """Patch ``cls.name`` to record each call's arguments (``self`` left out) in the list returned."""
+    seen, method = [], getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *a, **kw: seen.append(a) or method(self, *a, **kw))
+    return seen
+
+
 class TestSortedBookMatchesReference:
     """The sorted book reproduces the quadratic reference clearing bit for bit."""
 
@@ -493,16 +504,113 @@ class TestSortedBookMatchesReference:
             orders.append(buy(value, limit) if rng.random() < 0.5 else sell(value / 100.0, limit))
         snapshot = Reserves(10_000.0, 100.0)
         assert len({o.limit for o in orders}) > 850
-        calls = {"settle": [], "regime_price": [], "excluded": []}
-        for name, seen in calls.items():
-            method = getattr(allocation._Book, name)
-            monkeypatch.setattr(allocation._Book, name,
-                                lambda self, *a, _m=method, _s=seen: _s.append(a) or _m(self, *a))
+        calls = {name: count_calls(monkeypatch, allocation._Book, name)
+                 for name in ("settle", "regime_price", "excluded")}
         s = clearing_price_with_limits(C, snapshot, orders)
         # the walk screens each limit at most once
         assert len(calls["excluded"]) <= len(allocation._Book(C, snapshot, orders).limits)
         assert verify_clearing_price(C, snapshot, orders, s.price) == s
         assert len(calls["settle"]) + len(calls["regime_price"]) <= 6
+
+
+class TestOneBookPerBatch:
+    """The solver and the verifier share the last tuple batch's book, and only it."""
+
+    def test_an_engine_batch_builds_one_book_and_settles_its_price_once(self, monkeypatch):
+        books = count_calls(monkeypatch, allocation._Book, "__init__")
+        chords = count_calls(monkeypatch, type(C), "chord_y")  # one per exact settle pass
+        batches, execute = [], ChainState.execute_batch
+
+        def execute_batch(chain, label, proposed_price=None):
+            del books[:], chords[:]
+            receipt = execute(chain, label, proposed_price)
+            price = receipt.settlement.price
+            batches.append((len(receipt.orders), len(books),
+                            sum(p == price for _, p in chords)))
+            return receipt
+
+        monkeypatch.setattr(ChainState, "execute_batch", execute_batch)
+        cfg = builtin_scenarios()["default"]
+        flow = dataclasses.replace(cfg.flow, arrival=400.0)
+        sim.run_scenario(dataclasses.replace(cfg, blocks=4, flow=flow).validate(), 1)
+        assert batches and all(n > 200 for n, _, _ in batches), batches
+        assert [(b, s) for _, b, s in batches] == [(1, 1)] * len(batches)
+
+    @given(book=grid_books())
+    @example(book=MARGINAL_ARTIFACT)
+    @example(book=NARROWLY_BEATEN)
+    @settings(max_examples=150, deadline=None)
+    def test_verifying_the_solved_tuple_matches_a_fresh_book(self, book):
+        snapshot, orders = book
+        orders = tuple(orders)
+        solved = clearing_price_with_limits(C, snapshot, orders)
+        proposals = [solved.price, *ReferenceBook(orders).limits]
+        shared = [verify_clearing_price(C, snapshot, orders, p) for p in proposals]
+        assert shared[0] is solved  # the solver's own settlement
+        fresh = [verify_clearing_price(C, snapshot, tuple(list(orders)), p) for p in proposals]
+        ref = [reference_verify_clearing_price(C, snapshot, orders, p) for p in proposals]
+        assert ([*map(settlement_bits, shared)] == [*map(settlement_bits, fresh)]
+                == [*map(settlement_bits, ref)])
+
+    def test_a_list_changed_after_the_solve_is_verified_as_changed(self, monkeypatch):
+        books = count_calls(monkeypatch, allocation._Book, "__init__")
+        orders = [buy(10.0), sell(5.0, limit=0.9)]
+        solved = clearing_price_with_limits(C, SNAP, orders)
+        assert verify_clearing_price(C, SNAP, orders, solved.price) == solved
+        orders[0] = buy(20.0)
+        assert reference_verify_clearing_price(C, SNAP, orders, solved.price) is None
+        assert verify_clearing_price(C, SNAP, orders, solved.price) is None
+        resolved = clearing_price_with_limits(C, SNAP, orders)
+        assert resolved.price != solved.price
+        assert settlement_bits(verify_clearing_price(C, SNAP, orders, resolved.price)) == (
+            settlement_bits(reference_verify_clearing_price(C, SNAP, orders, resolved.price)))
+        assert len(books) == 5  # a list never enters the slot
+
+    def test_only_the_same_objects_reuse_the_book(self, monkeypatch):
+        books = count_calls(monkeypatch, allocation._Book, "__init__")
+        snapshot, orders = Reserves(100.0, 100.0), (buy(10.0), sell(5.0, limit=0.9))
+        solved = clearing_price_with_limits(C, snapshot, orders)
+        assert verify_clearing_price(C, snapshot, orders, solved.price) is solved
+        assert len(books) == 1
+        for args in ((C, Reserves(100.0, 100.0), orders),  # equal snapshot, new object
+                     (C, Reserves(200.0, 100.0), orders),
+                     (C, snapshot, tuple(list(orders))),  # equal orders, new tuple
+                     (type(C)(), snapshot, orders)):  # another curve object
+            assert settlement_bits(verify_clearing_price(*args, solved.price)) == (
+                settlement_bits(reference_verify_clearing_price(*args, solved.price)))
+        assert len(books) == 5
+
+    def test_threads_clearing_their_own_batches_get_their_own_verdicts(self):
+        # Threads replace the slot and the book's last settlement under each
+        # other; a hit needs the very same objects, so a race can only miss it.
+        rng = random.Random(5)
+        batches = [(Reserves(100.0, 100.0), tuple(
+            Order(rng.choice(list(OrderSide)), rng.uniform(0.1, 20.0),
+                  rng.choice(LIMIT_GRID) if rng.random() < 0.5 else None)
+            for _ in range(20))) for _ in range(6)]
+        expected = [settlement_bits(reference_clearing_price(C, *b)) for b in batches]
+        wrong = []
+
+        def clear(start):
+            for n in range(start, start + 60):
+                (snapshot, orders), want = batches[n % 6], expected[n % 6]
+                solved = clearing_price_with_limits(C, snapshot, orders)
+                verified = verify_clearing_price(C, snapshot, orders, solved.price)
+                if not settlement_bits(solved) == settlement_bits(verified) == want:
+                    wrong.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=clear, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 def assert_payable(snapshot, s):

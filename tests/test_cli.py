@@ -324,6 +324,31 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command, experiment", [
+        ("run", "run_scenario"), ("lvr", "lvr_experiment"),
+        ("equilibrium", "equilibrium_experiment"), ("sweep", "dominance_sweep"),
+    ])
+    def test_an_out_that_can_never_be_a_directory_is_refused_before_the_run(
+            self, command, experiment, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sim, experiment, lambda *a, **kw: calls.append(a))
+        afile, dangling = tmp_path / "afile", tmp_path / "dangling"
+        afile.write_text("kept\n")
+        dangling.symlink_to(tmp_path / "missing")
+        monkeypatch.chdir(tmp_path)
+        for out in (afile, afile / "out", afile / "a" / "b", dangling, dangling / "out", ""):
+            assert main([command, "--scenario", "lvr", "--out", str(out)]) == 1
+            assert f"--out {str(out)!r} is not a usable directory" in capsys.readouterr().err
+        assert calls == []
+        assert afile.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["afile", "dangling"]
+
+    def test_an_out_several_levels_deep_is_created_after_the_run(self, tmp_path):
+        out = tmp_path / "a" / "b" / "out"
+        assert main(["sweep", "--scenario", "dominance", "--out", str(out),
+                     "--trials", "20"]) == 0
+        assert sorted(os.listdir(out)) == ["summary.json", "sweep.csv"]
+
     def test_lvr_without_extraction_exits_one(self, tmp_path, capsys):
         scn = tmp_path / "flat.json"
         scn.write_text(json.dumps({"blocks": 20, "price": {"sigma": 0.0}}))
