@@ -16,26 +16,21 @@ with the pool's net trade the chord of the level curve at slope ``p_e``, so
 applying the pool delta to the snapshot preserves the invariant. A batch of
 market orders alone is the auction without limits.
 
-The book sorts the distinct limits once and keeps prefix sums of each side's
-size over them, so the executable amounts at any price, and so whether the
-batch can clear there and how much it could trade, are read in O(log n).
-Those screened values only rule candidates out, through one screen
-(``_Book.excluded``): every number that reaches a Settlement comes from an
-exact O(n) pass that sums the orders in index order. The solver walks the
-candidates upward from the lowest and settles only those the screen cannot
-rule out; the verifier screens all its own candidates and settles only the
-proposal and those it cannot rule out. The screen's comparisons are widened
-by a bound on the difference between the two summation orders, so both
-return, bit for bit, what settling every candidate would. Clearing n orders
-with L distinct limits costs O(n + L log L) plus a few exact passes, where
-settling every candidate cost O(n L).
+A batch has one ``Book``. It sorts the distinct limits once and keeps prefix
+sums of each side's size over them, so whether the batch can clear at a
+price, and how much it could trade, is screened in O(log n)
+(``Book.excluded``). The screen only rules candidates out: every number that
+reaches a Settlement comes from an exact O(n) pass that sums the orders in
+index order, and the screen's comparisons are widened by a bound on the
+difference between the two summation orders, so both functions return, bit
+for bit, what settling every candidate would. Clearing n orders with L
+distinct limits costs O(n + L log L) plus a few exact passes, where settling
+every candidate cost O(n L).
 
-A batch has one book. Both functions take it from a slot holding the last
-batch's, reused only for the very objects it was sorted from: the same curve,
-a ``Reserves`` snapshot and a ``tuple`` of orders, which cannot change in
-place. The engine solves and verifies one such tuple, so the verifier reads
-the solver's book, and the proposal's exact settle, which the book remembers,
-is the solver's own.
+The engine builds the batch's ``Book`` and passes it to both functions as
+``orders``; each uses a book built for the same curve and an equal snapshot
+as it is, so the verifier's exact settle of the solver's price is the
+solver's own. Plain orders get a fresh book at every call.
 """
 from __future__ import annotations
 
@@ -130,8 +125,8 @@ class Settlement(NamedTuple):
     volume_y: float
 
 
-class _Book:
-    """One batch against one snapshot, sorted once.
+class Book:
+    """One batch against one snapshot, sorted once; a sequence of its orders.
 
     The exact side keeps the orders and each side's ``(size, limit)`` pairs
     in index order (``limit=None`` for markets); ``settle`` and
@@ -144,16 +139,26 @@ class _Book:
     above the gap, or market) and of the sells (``sy[k]``, limit at or below
     it, or market) executable inside the gap. A prefix sum differs from the
     index-order sum by rounding only, bounded relative to the sum by
-    ``slack`` (infinite when the book's magnitudes come near overflow, so
-    that nothing is screened out).
+    ``slack`` (infinite near overflow, so that nothing is screened out).
+    A snapshot not live ``Reserves``, or orders not ``Order``s, raise a DomainError.
     """
 
     __slots__ = ("curve", "snapshot", "orders", "buys", "sells", "limits",
                  "bx", "sy", "buy_at", "sell_at", "slack", "last_settled")
 
     def __init__(self, curve, snapshot, orders):
+        try:  # check_reserves's rule, on reserves that must already add to a float
+            live = all(0.0 < v + 0.0 < math.inf for v in (*snapshot, snapshot.x / snapshot.y))
+        except (AttributeError, TypeError, ArithmeticError):
+            live = False
+        if not (live and isinstance(snapshot, Reserves)):
+            raise DomainError(f"snapshot must be live Reserves (finite and > 0), got {snapshot!r}")
+        try:
+            iter(orders)
+        except TypeError:
+            raise DomainError(f"orders must be an iterable of Orders, got {orders!r}") from None
         self.curve, self.snapshot = curve, snapshot
-        orders = self.orders = list(orders)
+        orders = self.orders = tuple(orders)
         # One scan at C speed; every pass below unpacks an order as (side, size, limit).
         if not {*map(type, orders)} <= {Order}:
             i = next(i for i, o in enumerate(orders) if type(o) is not Order)
@@ -178,6 +183,12 @@ class _Book:
                 and (x + y + x_all + y_all) * max(high, 1.0 / low, 1.0) ** 2 < 2.0**900)
         self.slack = 16.0 * (len(self.orders) + 8) * 2.0**-53 if safe else math.inf
         self.last_settled = (None, None)  # settle's last (price object, result)
+
+    def __len__(self):
+        return len(self.orders)
+
+    def __iter__(self):
+        return iter(self.orders)
 
     @staticmethod
     def _totals(side):
@@ -332,21 +343,12 @@ class _Book:
         return settled
 
 
-_last_book = None  # (curve, snapshot, orders, book) of the last tuple batch
-
-
-def _book(curve, snapshot, orders) -> _Book:
-    """The batch's book: the last one when sorted from these very objects, else a new one,
-    kept for the next call when ``snapshot`` is a ``Reserves`` and ``orders`` a tuple.
-    The slot is read and written as one tuple, so threads sharing it can only miss."""
-    global _last_book
-    last = _last_book
-    if last is not None and last[2] is orders and last[1] is snapshot and last[0] is curve:
-        return last[3]
-    book = _Book(curve, snapshot, orders)
-    if type(snapshot) is Reserves and type(orders) is tuple:
-        _last_book = (curve, snapshot, orders, book)
-    return book
+def _book(curve, snapshot, orders) -> Book:
+    """``orders`` if a ``Book`` built for ``curve`` and an equal ``Reserves``, else a new one."""
+    if (isinstance(orders, Book) and orders.curve is curve
+            and isinstance(snapshot, Reserves) and snapshot == orders.snapshot):
+        return orders
+    return Book(curve, snapshot, orders)
 
 
 def clearing_price_with_limits(curve, snapshot: Reserves, orders) -> Settlement:
@@ -356,13 +358,11 @@ def clearing_price_with_limits(curve, snapshot: Reserves, orders) -> Settlement:
     rises, so their crossing is unique; between consecutive limit prices it
     has the same closed form as the all-market batch, and at a limit price
     the marginal orders' pro-rata fraction closes the gap. The result is the
-    first candidate in ascending order that settles (each regime's
-    market-balance price when inside its gap, then the limit above it).
-    The walk starts at the lowest regime and settles a market-balance price
-    only when its screened value may lie inside the gap, and a limit only
-    when ``excluded`` cannot rule it out. An empty batch clears at the
-    snapshot price with zero volume. Every entry of ``orders`` must be an
-    ``Order``; anything else raises a DomainError naming it.
+    first candidate, from the lowest up, that settles: each regime's
+    market-balance price when inside its gap, settled only when its screened
+    value may be, then the limit above it, unless ``excluded`` rules it out.
+    An empty batch clears at the snapshot price with zero volume. ``orders``
+    is the batch's ``Book`` or its orders, which ``Book`` checks.
     """
     book = _book(curve, snapshot, orders)
     m = len(book.limits)
@@ -393,12 +393,11 @@ def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> Settle
     price or any regime's market-balance price — achieves more executed
     volume; None otherwise. The proposal is settled exactly; a candidate is
     settled exactly only when the screen cannot rule it out, i.e. it may
-    clear and its volume may beat the proposal's. The batch has one book:
-    called on the tuple of orders the solver just cleared, with the price
-    it returned, the verifier reads the solver's book, and the proposal's
-    exact settle is the solver's own, which has the same bits. Every
-    candidate is still screened here. ``orders`` is checked as in
-    ``clearing_price_with_limits``, before the proposal.
+    clear and its volume may beat the proposal's. Given the ``Book`` the
+    solver cleared and the price it returned, the verifier reads that book,
+    and the proposal's exact settle is the solver's own settlement; every
+    candidate is still screened here. Plain orders get a fresh book,
+    checked as in ``clearing_price_with_limits``, before the proposal.
     """
     book = _book(curve, snapshot, orders)
     try:
@@ -409,10 +408,9 @@ def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> Settle
     if settled is None:
         return None
     vol = best = settled.volume_y
-    m = len(book.limits)
     candidates = [(c, None) for c in book.limits]
     candidates.append((curve.price(snapshot), None))
-    candidates.extend((book.screened_price(k), k) for k in range(m + 1))
+    candidates.extend((book.screened_price(k), k) for k in range(len(book.limits) + 1))
     for c, k in candidates:
         if k is not None:
             if 0.0 < c < math.inf and book.excluded(c, book.slack, vol):

@@ -43,7 +43,7 @@ import math
 import struct
 from typing import NamedTuple
 
-from .allocation import (Order, OrderSide, Settlement, clearing_price_with_limits,
+from .allocation import (Book, Order, OrderSide, Settlement, clearing_price_with_limits,
                          verify_clearing_price)
 from .cfmm import CONSTANT_PRODUCT, Reserves, check_int, check_price, check_reserves
 from .errors import (
@@ -284,7 +284,8 @@ class ChainState:
 
     def _transfer_token(self, src: str, dst: str, token: str, amount: float):
         """Move ``amount`` of one token, ``"x"`` or ``"y"``, from src to dst, unchecked,
-        in one call that books and opens accounts as ``_transfer`` would."""
+        in one call that books and opens accounts as ``_transfer`` would. Its destinations
+        (collateral, burned) open at 0.0 and never hold -0.0, so the other token needs no add."""
         if amount == 0.0:
             return
         i = 0 if token == "x" else 1
@@ -295,7 +296,6 @@ class ChainState:
             d = self.balances.setdefault(dst, [0.0, 0.0])
         s[i] -= amount
         d[i] += amount
-        d[1 - i] += 0.0  # as the two-token add does: a -0.0 there becomes 0.0
 
     def _book_fill(self, escrow: str, oct: Oct, sold: float, bought: float):
         """Book a revealed order's fill in place, unchecked, as the three ``_transfer_token``
@@ -521,10 +521,11 @@ class ChainState:
             raise InvalidTransition(f"batch {label} is not due (reveals outstanding)")
 
         orders = tuple(order for _, order in revealed)
+        book = Book(CONSTANT_PRODUCT, u.snapshot, orders)  # the solver's and the verifier's
         price = proposed_price
         if price is None:
-            price = clearing_price_with_limits(CONSTANT_PRODUCT, u.snapshot, orders).price
-        settlement = verify_clearing_price(CONSTANT_PRODUCT, u.snapshot, orders, price)
+            price = clearing_price_with_limits(CONSTANT_PRODUCT, u.snapshot, book).price
+        settlement = verify_clearing_price(CONSTANT_PRODUCT, u.snapshot, book, price)
         if settlement is None:
             if proposed_price is None:
                 raise InvariantViolation(f"solver clearing price {price!r} failed self-verification")

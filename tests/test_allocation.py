@@ -3,8 +3,6 @@ import dataclasses
 import math
 import pickle
 import random
-import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -257,6 +255,11 @@ class TestClearingProperties:
         assert C.invariant(after) == pytest.approx(C.invariant(SNAP), rel=1e-9)
 
 
+#: One market buy and one limit sell: cleared against a pool without y, they
+#: would take y from it.
+REFUSED_ORDERS = (Order("buy_y", 1.0), Order("sell_y", 0.5, 1.1))
+
+
 class TestVerification:
     def test_rejects_prices_that_lose_volume(self):
         orders = [buy(10.0, limit=1.2)]
@@ -295,6 +298,35 @@ class TestVerification:
                 call()
             assert str(e.value) == f"orders[{index}] must be an Order, got {bad!r}"
 
+    @pytest.mark.parametrize("snapshot, orders, name", [
+        (Reserves(0.0, 1.0), REFUSED_ORDERS, "snapshot"),  # would leave the pool no y
+        (Reserves(1.0, 0.0), REFUSED_ORDERS, "snapshot"),
+        (Reserves(-1.0, 1.0), REFUSED_ORDERS, "snapshot"),
+        (Reserves(math.nan, 1.0), REFUSED_ORDERS, "snapshot"),
+        (Reserves(1.0, math.inf), REFUSED_ORDERS, "snapshot"),
+        (Reserves(1e300, 1e-10), REFUSED_ORDERS, "snapshot"),  # x / y overflows
+        (Reserves(1e-300, 1e100), REFUSED_ORDERS, "snapshot"),  # x / y underflows
+        ((100.0, 100.0), REFUSED_ORDERS, "snapshot"),
+        (Reserves("1", 2.0), REFUSED_ORDERS, "snapshot"),
+        (Reserves(10**400, 1.0), REFUSED_ORDERS, "snapshot"),
+        (None, REFUSED_ORDERS, "snapshot"),
+        ((100.0, 100.0), "book", "snapshot"),  # equal values, but not Reserves
+        (Reserves(0.0, 1.0), "book", "snapshot"),
+        (SNAP, None, "orders"),
+        (SNAP, 5, "orders"),
+    ])
+    @pytest.mark.parametrize("clear", ["solver", "verifier"])
+    def test_a_dead_snapshot_or_orders_that_are_not_iterable_are_refused(
+            self, snapshot, orders, name, clear):
+        if orders == "book":
+            orders = allocation.Book(C, SNAP, REFUSED_ORDERS)
+        proposal = clearing_price_with_limits(C, SNAP, REFUSED_ORDERS).price
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            if clear == "solver":
+                clearing_price_with_limits(C, snapshot, orders)
+            else:
+                verify_clearing_price(C, snapshot, orders, proposal)
+
     def test_a_proposal_that_settles_but_loses_volume_is_refused(self):
         # a buy limited just above a deep pool's price: the proposal above its
         # limit settles with zero volume, the pool's chord inside the balance
@@ -302,7 +334,7 @@ class TestVerification:
         snapshot = Reserves(1e8, 1e6)
         orders = [buy(1e-3, limit=100.0 * (1.0 + 1e-12))]
         proposal = 100.0 * (1.0 + 1e-10)
-        assert allocation._Book(C, snapshot, orders).settle(proposal).volume_y == 0.0
+        assert allocation.Book(C, snapshot, orders).settle(proposal).volume_y == 0.0
         assert verify_clearing_price(C, snapshot, orders, proposal) is None
         solved = clearing_price_with_limits(C, snapshot, orders)
         assert solved.price == pytest.approx(100.0, rel=1e-11)
@@ -427,7 +459,7 @@ class TestSortedBookMatchesReference:
         snapshot, orders = Reserves(2.0, 1.0), [buy(1e16), buy(1.0), buy(1.0)]
         plain = (2.0 + ((1e16 + 1.0) + 1.0)) / 1.0
         assert plain != (2.0 + math.fsum([1e16, 1.0, 1.0])) / 1.0
-        assert allocation._Book(C, snapshot, orders).regime_price(0) == plain
+        assert allocation.Book(C, snapshot, orders).regime_price(0) == plain
         assert [p_star for _, _, p_star in ReferenceBook(orders).regimes(snapshot)] == [plain]
         s = clearing_price_with_limits(C, snapshot, orders)
         assert s.price == plain
@@ -504,27 +536,35 @@ class TestSortedBookMatchesReference:
             orders.append(buy(value, limit) if rng.random() < 0.5 else sell(value / 100.0, limit))
         snapshot = Reserves(10_000.0, 100.0)
         assert len({o.limit for o in orders}) > 850
-        calls = {name: count_calls(monkeypatch, allocation._Book, name)
+        calls = {name: count_calls(monkeypatch, allocation.Book, name)
                  for name in ("settle", "regime_price", "excluded")}
         s = clearing_price_with_limits(C, snapshot, orders)
         # the walk screens each limit at most once
-        assert len(calls["excluded"]) <= len(allocation._Book(C, snapshot, orders).limits)
+        assert len(calls["excluded"]) <= len(allocation.Book(C, snapshot, orders).limits)
         assert verify_clearing_price(C, snapshot, orders, s.price) == s
         assert len(calls["settle"]) + len(calls["regime_price"]) <= 6
 
 
 class TestOneBookPerBatch:
-    """The solver and the verifier share the last tuple batch's book, and only it."""
+    """The engine's one ``Book`` per batch serves the solver and the verifier."""
 
-    def test_an_engine_batch_builds_one_book_and_settles_its_price_once(self, monkeypatch):
-        books = count_calls(monkeypatch, allocation._Book, "__init__")
+    def batch_counts(self, monkeypatch, propose):
+        """Per engine batch of ``default`` flow at arrival 400: its order count,
+        the ``Book``s built and the exact settle passes at its winning price.
+        With ``propose``, each batch is executed at the solver's price as a proposal."""
+        books = count_calls(monkeypatch, allocation.Book, "__init__")
         chords = count_calls(monkeypatch, type(C), "chord_y")  # one per exact settle pass
         batches, execute = [], ChainState.execute_batch
 
         def execute_batch(chain, label, proposed_price=None):
+            if propose:
+                u = chain.open_allocations[label]
+                orders = [chain.reveals[i][1] for i in u.oct_ids if i in chain.reveals]
+                proposed_price = clearing_price_with_limits(C, u.snapshot, orders).price
             del books[:], chords[:]
             receipt = execute(chain, label, proposed_price)
             price = receipt.settlement.price
+            assert not propose or price == proposed_price
             batches.append((len(receipt.orders), len(books),
                             sum(p == price for _, p in chords)))
             return receipt
@@ -534,26 +574,56 @@ class TestOneBookPerBatch:
         flow = dataclasses.replace(cfg.flow, arrival=400.0)
         sim.run_scenario(dataclasses.replace(cfg, blocks=4, flow=flow).validate(), 1)
         assert batches and all(n > 200 for n, _, _ in batches), batches
-        assert [(b, s) for _, b, s in batches] == [(1, 1)] * len(batches)
+        return [(b, s) for _, b, s in batches]
+
+    def test_an_engine_batch_builds_one_book_and_settles_its_price_once(self, monkeypatch):
+        counts = self.batch_counts(monkeypatch, propose=False)
+        assert counts == [(1, 1)] * len(counts)
+
+    def test_a_proposed_batch_builds_one_book_and_settles_its_price_once(self, monkeypatch):
+        counts = self.batch_counts(monkeypatch, propose=True)
+        assert counts == [(1, 1)] * len(counts)
 
     @given(book=grid_books())
     @example(book=MARGINAL_ARTIFACT)
     @example(book=NARROWLY_BEATEN)
     @settings(max_examples=150, deadline=None)
-    def test_verifying_the_solved_tuple_matches_a_fresh_book(self, book):
+    def test_solving_and_verifying_one_book_matches_the_reference(self, book):
         snapshot, orders = book
-        orders = tuple(orders)
-        solved = clearing_price_with_limits(C, snapshot, orders)
+        shared = allocation.Book(C, snapshot, orders)
+        solved = clearing_price_with_limits(C, snapshot, shared)
+        assert settlement_bits(solved) == settlement_bits(
+            reference_clearing_price(C, snapshot, orders))
         proposals = [solved.price, *ReferenceBook(orders).limits]
-        shared = [verify_clearing_price(C, snapshot, orders, p) for p in proposals]
-        assert shared[0] is solved  # the solver's own settlement
-        fresh = [verify_clearing_price(C, snapshot, tuple(list(orders)), p) for p in proposals]
+        on_book = [verify_clearing_price(C, snapshot, shared, p) for p in proposals]
+        assert on_book[0] is solved  # the solver's own settlement
+        plain = [verify_clearing_price(C, snapshot, tuple(orders), p) for p in proposals]
         ref = [reference_verify_clearing_price(C, snapshot, orders, p) for p in proposals]
-        assert ([*map(settlement_bits, shared)] == [*map(settlement_bits, fresh)]
+        assert ([*map(settlement_bits, on_book)] == [*map(settlement_bits, plain)]
                 == [*map(settlement_bits, ref)])
 
-    def test_a_list_changed_after_the_solve_is_verified_as_changed(self, monkeypatch):
-        books = count_calls(monkeypatch, allocation._Book, "__init__")
+    @pytest.mark.parametrize("snapshot, curve, fresh", [
+        (Reserves(100.0, 100.0), C, False),  # an equal snapshot: the book as it is
+        (Reserves(200.0, 100.0), C, True),
+        (Reserves(100.0, 200.0), C, True),
+        (SNAP, type(C)(), True),  # another curve object
+    ])
+    def test_a_book_for_another_snapshot_or_curve_is_sorted_afresh(
+            self, monkeypatch, snapshot, curve, fresh):
+        orders = (buy(10.0), sell(5.0, limit=0.9), buy(30.0, limit=1.5), sell(8.0, limit=1.2))
+        book = allocation.Book(C, SNAP, orders)
+        at_snap = clearing_price_with_limits(C, SNAP, book).price
+        books = count_calls(monkeypatch, allocation.Book, "__init__")
+        solved = clearing_price_with_limits(curve, snapshot, book)
+        assert settlement_bits(solved) == settlement_bits(
+            reference_clearing_price(curve, snapshot, orders))
+        prices = [solved.price, at_snap, 0.9, 1.2, 1.5]
+        for p in prices:
+            assert settlement_bits(verify_clearing_price(curve, snapshot, book, p)) == (
+                settlement_bits(reference_verify_clearing_price(curve, snapshot, orders, p))), p
+        assert len(books) == (1 + len(prices) if fresh else 0)
+
+    def test_a_list_changed_after_the_solve_is_verified_as_changed(self):
         orders = [buy(10.0), sell(5.0, limit=0.9)]
         solved = clearing_price_with_limits(C, SNAP, orders)
         assert verify_clearing_price(C, SNAP, orders, solved.price) == solved
@@ -564,53 +634,6 @@ class TestOneBookPerBatch:
         assert resolved.price != solved.price
         assert settlement_bits(verify_clearing_price(C, SNAP, orders, resolved.price)) == (
             settlement_bits(reference_verify_clearing_price(C, SNAP, orders, resolved.price)))
-        assert len(books) == 5  # a list never enters the slot
-
-    def test_only_the_same_objects_reuse_the_book(self, monkeypatch):
-        books = count_calls(monkeypatch, allocation._Book, "__init__")
-        snapshot, orders = Reserves(100.0, 100.0), (buy(10.0), sell(5.0, limit=0.9))
-        solved = clearing_price_with_limits(C, snapshot, orders)
-        assert verify_clearing_price(C, snapshot, orders, solved.price) is solved
-        assert len(books) == 1
-        for args in ((C, Reserves(100.0, 100.0), orders),  # equal snapshot, new object
-                     (C, Reserves(200.0, 100.0), orders),
-                     (C, snapshot, tuple(list(orders))),  # equal orders, new tuple
-                     (type(C)(), snapshot, orders)):  # another curve object
-            assert settlement_bits(verify_clearing_price(*args, solved.price)) == (
-                settlement_bits(reference_verify_clearing_price(*args, solved.price)))
-        assert len(books) == 5
-
-    def test_threads_clearing_their_own_batches_get_their_own_verdicts(self):
-        # Threads replace the slot and the book's last settlement under each
-        # other; a hit needs the very same objects, so a race can only miss it.
-        rng = random.Random(5)
-        batches = [(Reserves(100.0, 100.0), tuple(
-            Order(rng.choice(list(OrderSide)), rng.uniform(0.1, 20.0),
-                  rng.choice(LIMIT_GRID) if rng.random() < 0.5 else None)
-            for _ in range(20))) for _ in range(6)]
-        expected = [settlement_bits(reference_clearing_price(C, *b)) for b in batches]
-        wrong = []
-
-        def clear(start):
-            for n in range(start, start + 60):
-                (snapshot, orders), want = batches[n % 6], expected[n % 6]
-                solved = clearing_price_with_limits(C, snapshot, orders)
-                verified = verify_clearing_price(C, snapshot, orders, solved.price)
-                if not settlement_bits(solved) == settlement_bits(verified) == want:
-                    wrong.append(n)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=clear, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
 
 
 def assert_payable(snapshot, s):
