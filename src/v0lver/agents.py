@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Order, OrderSide
-from .cfmm import CONSTANT_PRODUCT, Reserves, check_reserves
+from .cfmm import CONSTANT_PRODUCT, Reserves, check_price, check_reserves
 from .config import FlowModel, ProducerModel
 from .errors import DomainError
 from .rebate import RebateSchedule, apply_rebated_move
@@ -25,6 +25,10 @@ class PriceProcess:
     eps: float
     sigma: float
     drift: float = 0.0
+
+    def __post_init__(self):
+        check_price(self.eps, "eps")
+        check_price(self.sigma, "sigma", or_zero=True)
 
     def step(self, rng: np.random.Generator) -> float:
         z = rng.standard_normal()
@@ -124,29 +128,6 @@ def producer_utility(
     return move.producer_payoff_at(eps) + float(np.mean(own + escrow))
 
 
-def choose_inserts(
-    rng: np.random.Generator, pending_ids, censor_rate: float
-) -> list[int]:
-    """Which mempool commitments the producer writes into this block."""
-    ids = sorted(pending_ids)
-    if censor_rate <= 0.0 or not ids:
-        return ids
-    keep = rng.random(len(ids)) >= censor_rate
-    return [i for i, k in zip(ids, keep) if k]
-
-
-def price_target(producer: ProducerModel, eps: float, prev_eps: float) -> float:
-    if producer.price_policy == "external":
-        return eps
-    if producer.price_policy == "offset":
-        target = eps * producer.price_offset
-        if not 0.0 < target < math.inf:
-            raise DomainError(f"offset target {target!r} left the float range: "
-                              f"producer.price_offset {producer.price_offset!r} is too extreme")
-        return target
-    return prev_eps
-
-
 def decide_update(
     producer: ProducerModel,
     schedule: RebateSchedule,
@@ -154,10 +135,11 @@ def decide_update(
     height: int,
     last_label: int,
     eps: float,
-    prev_eps: float,
 ) -> tuple[int, float] | None:
-    """Producer's update decision: ``(allocation_height, target_price)`` or None.
+    """Producer's update decision: ``(allocation_height, eps)`` or None.
 
+    The producer is honest: an update always moves the pool to the external
+    price ``eps``, and the policy picks only when, and at which label.
     ``always`` updates every block at gap zero. ``best_response`` models a
     producer facing per-block competition: any backdated allocation height
     would already have been claimed by a rival, so the only uncontested
@@ -169,9 +151,8 @@ def decide_update(
     """
     if producer.update_policy == "never":
         return None
-    target = price_target(producer, eps, prev_eps)
     if producer.update_policy == "always":
-        return height, target
+        return height, eps
     if producer.update_policy == "best_response":
         label = height
     else:
@@ -179,9 +160,9 @@ def decide_update(
     keep = 1.0 - schedule.value_at(height - label)
     if producer.update_policy == "threshold" and keep < producer.min_keep:
         return None
-    full = CONSTANT_PRODUCT.reserves_at_price(CONSTANT_PRODUCT.invariant(reserves), target)
+    full = CONSTANT_PRODUCT.reserves_at_price(CONSTANT_PRODUCT.invariant(reserves), eps)
     check_reserves(full.x, full.y)  # a target whose reserves overflow cannot be reached
     value = (reserves.x - full.x) + (reserves.y - full.y) * eps
     if keep * value < producer.update_cost:
         return None
-    return label, target
+    return label, eps

@@ -42,7 +42,7 @@ from itertools import accumulate
 from operator import add
 from typing import NamedTuple
 
-from .cfmm import Reserves, check_price
+from .cfmm import Reserves, check_live, check_price
 from .errors import DomainError
 
 # Relative tolerance used when checking a proposed clearing price.
@@ -147,12 +147,7 @@ class Book:
                  "bx", "sy", "buy_at", "sell_at", "slack", "last_settled")
 
     def __init__(self, curve, snapshot, orders):
-        try:  # check_reserves's rule, on reserves that must already add to a float
-            live = all(0.0 < v + 0.0 < math.inf for v in (*snapshot, snapshot.x / snapshot.y))
-        except (AttributeError, TypeError, ArithmeticError):
-            live = False
-        if not (live and isinstance(snapshot, Reserves)):
-            raise DomainError(f"snapshot must be live Reserves (finite and > 0), got {snapshot!r}")
+        check_live(snapshot, "snapshot")
         try:
             iter(orders)
         except TypeError:

@@ -11,7 +11,8 @@ price equals the external price, and the value ``(x - x_t) + (y - y_t) * eps``
 of moving the pool there, marked at the external price.
 
 All quantities are plain floats; token amounts are assumed divisible. Values
-are checked where they enter the package, not each time one is computed.
+are checked where they enter the package, not each time one is computed: the
+exported functions check their arguments, internal steps do not.
 """
 from __future__ import annotations
 
@@ -41,6 +42,8 @@ def check_price(value, what="price", or_zero=False) -> float:
 
 def check_int(value, what, low=0) -> int:
     """``value`` as an int; DomainError naming ``what`` unless an integer (no bool) >= ``low``."""
+    if type(value) is int and value >= low:  # the plain-int fast path
+        return value
     if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
         raise DomainError(f"{what} must be an integer >= {low}, got {value!r}")
     return int(value)
@@ -59,6 +62,25 @@ def check_reserves(x, y) -> Reserves:
     if not (0.0 < x < math.inf and 0.0 < y < math.inf and 0.0 < x / y < math.inf):
         raise DomainError(f"pool reserves must be finite and > 0, got ({x!r}, {y!r})")
     return Reserves(x, y)
+
+
+def check_live(r, what):
+    """DomainError naming ``what`` unless ``r`` is live ``Reserves`` of numbers adding to floats."""
+    try:
+        x, y = r
+        live = (isinstance(r, Reserves) and 0.0 < x + 0.0 < math.inf
+                and 0.0 < y + 0.0 < math.inf and 0.0 < x / y < math.inf)
+    except (TypeError, ValueError, ArithmeticError):
+        live = False
+    if not live:
+        raise DomainError(f"{what} must be live Reserves (finite and > 0), got {r!r}")
+
+
+def check_pair(value, what, or_zero=False) -> list[float]:
+    """``[x, y]`` from a tuple or list of two numbers each passing ``check_price``."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2):
+        raise DomainError(f"{what} must be a pair (x, y), got {value!r}")
+    return [check_price(v, what, or_zero) for v in value]
 
 
 class ConstantProduct:
@@ -101,10 +123,12 @@ CONSTANT_PRODUCT = ConstantProduct()
 def max_lvr(r: Reserves, eps: float) -> tuple[Reserves, float]:
     """Optimal arbitrage target against external price ``eps`` and its value.
 
-    ``r`` is a live pool and ``eps`` a price > 0. Returns
-    ``(target_reserves, value)`` where ``value >= 0`` and is zero exactly
-    when the pool already prices at ``eps``.
+    ``r`` must be a live pool and ``eps`` a price > 0 (else DomainError).
+    Returns ``(target_reserves, value)`` where ``value >= 0`` and is zero
+    exactly when the pool already prices at ``eps``.
     """
+    check_live(r, "r")
+    eps = check_price(eps, "eps")
     if CONSTANT_PRODUCT.price(r) == eps:
         return r, 0.0
     target = CONSTANT_PRODUCT.reserves_at_price(CONSTANT_PRODUCT.invariant(r), eps)

@@ -18,7 +18,6 @@ from .rebate import RebateSchedule
 SCHEMA_VERSION = 1
 
 UPDATE_POLICIES = ("always", "never", "best_response", "threshold")
-PRICE_POLICIES = ("external", "offset", "stale")
 
 #: Where scenario JSON nests ``ScenarioConfig`` fields: section -> {field: key}.
 #: Every other field, the rebate, price, flow and producer models included, is
@@ -108,13 +107,13 @@ class ProducerModel:
     """Block producer behavior.
 
     ``update_policy`` decides when an update transaction is sent and which
-    allocation height it carries; ``price_policy`` picks the target price
-    (the external price, a multiplicative offset of it, or the previous
-    block's — a stale oracle). ``self_trade_alpha`` sizes the producer's own
-    order flow relative to the per-order bounds, ``censor_rate`` drops
-    pending commitments from insertion, ``update_cost`` is the fixed cost of
+    allocation height it carries, ``update_cost`` is the fixed cost of
     sending an update, and ``min_keep`` is the threshold policy's minimum
-    acceptable kept fraction ``1 - beta``.
+    acceptable kept fraction ``1 - beta``. The producer is honest: it inserts
+    every pending commitment, trades no order of its own and moves the pool
+    to the external price. ``price_policy``, ``price_offset``,
+    ``self_trade_alpha`` and ``censor_rate`` stay in the schema pinned to
+    these defaults; any other value is refused.
     """
 
     update_policy: str = "always"
@@ -131,12 +130,10 @@ class ProducerModel:
         _check_types(self, "producer")
         _require(self.update_policy in UPDATE_POLICIES,
                  f"producer.update_policy must be one of {UPDATE_POLICIES}")
-        _require(self.price_policy in PRICE_POLICIES,
-                 f"producer.price_policy must be one of {PRICE_POLICIES}")
-        _require(self.price_offset > 0, "producer.price_offset must be > 0")
-        # The own order is alpha times an order bound, and orders above the bound are refused.
-        _require(0 <= self.self_trade_alpha <= 1, "producer.self_trade_alpha must lie in [0, 1]")
-        _require(0 <= self.censor_rate <= 1, "producer.censor_rate must lie in [0, 1]")
+        _require(self.price_policy == "external", 'producer.price_policy must be "external"')
+        _require(self.price_offset == 1, "producer.price_offset must be 1.0")
+        _require(self.self_trade_alpha == 0, "producer.self_trade_alpha must be 0.0")
+        _require(self.censor_rate == 0, "producer.censor_rate must be 0.0")
         _require(self.update_cost >= 0, "producer.update_cost must be >= 0")
         _require(0 <= self.min_keep <= 1, "producer.min_keep must lie in [0, 1]")
         _require(self.budget_x >= 0 and self.budget_y >= 0,

@@ -45,7 +45,8 @@ from typing import NamedTuple
 
 from .allocation import (Book, Order, OrderSide, Settlement, clearing_price_with_limits,
                          verify_clearing_price)
-from .cfmm import CONSTANT_PRODUCT, Reserves, check_int, check_price, check_reserves
+from .cfmm import (CONSTANT_PRODUCT, Reserves, check_int, check_pair, check_price,
+                   check_reserves)
 from .errors import (
     DomainError,
     FundingError,
@@ -74,13 +75,6 @@ _SUPPLY_RTOL = 1e-9
 def _refuse_engine_account(name, what):
     if name in ENGINE_ACCOUNTS or str(name).startswith("alloc:"):
         raise DomainError(f"{what} must not name the engine's account {name!r}")
-
-
-def _check_pair(value, what, or_zero=False) -> list[float]:
-    """``[x, y]`` from a tuple or list of two numbers each passing ``check_price``."""
-    if not (isinstance(value, (tuple, list)) and len(value) == 2):
-        raise DomainError(f"{what} must be a pair (x, y), got {value!r}")
-    return [check_price(v, what, or_zero) for v in value]
 
 
 def _guard(src, dst, s, d, dx, dy):
@@ -250,12 +244,12 @@ class ChainState:
         self.open_allocations: dict[int, UpdateReceipt] = {}
         self.allocated: dict[int, Oct] = {}
         self.reveals: dict[int, tuple[Oct, Order]] = {}
-        pool = list(check_reserves(*_check_pair(reserves, "reserves")))
+        pool = list(check_reserves(*check_pair(reserves, "reserves")))
         self.balances: dict[str, list[float]] = {POOL: pool}
         for party, opening in (balances or {}).items():
             if party != VAULT:
                 _refuse_engine_account(party, "opening balances")
-            self.balances[party] = _check_pair(opening, f"opening balance of {party!r}", True)
+            self.balances[party] = check_pair(opening, f"opening balance of {party!r}", True)
         for party in (VAULT, COLLATERAL, BURNED):
             self.balances.setdefault(party, [0.0, 0.0])
         self._next_oct_id = 0

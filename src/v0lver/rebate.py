@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cfmm import CONSTANT_PRODUCT, Reserves, check_int, check_price
+from .cfmm import CONSTANT_PRODUCT, Reserves, check_int, check_live, check_pair, check_price
 from .errors import DomainError
 
 
@@ -49,8 +49,7 @@ class RebateSchedule:
             object.__setattr__(self, "beta0", beta0)
 
     def value_at(self, gap: int) -> float:
-        if gap < 0:
-            raise DomainError(f"update gap must be >= 0, got {gap!r}")
+        gap = check_int(gap, "gap")
         if gap >= self.z_max:
             return 0.0
         return self.beta0 * (1.0 - gap / self.z_max)
@@ -82,10 +81,12 @@ def apply_rebated_move(reserves: Reserves, target_price, rebate: float) -> Rebat
     is closed by removing tokens from the rich side into the vault, so the
     post-move pool prices at exactly ``target_price``. The pool constant
     weakly drops (strictly, whenever the move is real and ``rebate > 0``).
-    ``reserves`` is a live pool and ``target_price`` a price > 0.
+    ``reserves`` must be a live pool and ``target_price`` a price > 0 (else DomainError).
     """
-    if not (0.0 <= rebate < 1.0):
-        raise DomainError(f"rebate fraction must lie in [0, 1), got {rebate!r}")
+    check_live(reserves, "reserves")
+    target_price = check_price(target_price, "target_price")
+    if not check_price(rebate, "rebate", or_zero=True) < 1.0:
+        raise DomainError(f"rebate must lie in [0, 1), got {rebate!r}")
     p0 = CONSTANT_PRODUCT.price(reserves)
     if target_price == p0:
         return RebatedMoveResult((0.0, 0.0), (0.0, 0.0))
@@ -118,12 +119,11 @@ def vault_reenter(
     ``eps``) is split into equal-value halves ``(v/2, v/(2*eps))``, the split
     of a price-preserving deposit for a pool sitting at price ``eps``, so the
     pool constant weakly increases. ``vault`` is the ``(x, y)`` holding to
-    fold in; callers drain it when they route the token movements. ``eps`` is
-    a price > 0.
+    fold in, two numbers finite and >= 0; callers drain it when they route
+    the token movements. ``eps`` must be a price > 0 (else DomainError).
     """
-    vx, vy = vault
-    if vx < 0 or vy < 0:
-        raise DomainError("vault holdings must be non-negative")
+    vx, vy = check_pair(vault, "vault", or_zero=True)
+    eps = check_price(eps, "eps")
     v = vx + vy * eps
     if v == 0.0:
         return (0.0, 0.0), (0.0, 0.0)

@@ -4,8 +4,9 @@
 seed — external price step, user commitments, producer insertion/update,
 reveals, then block close — and reduces the engine receipts to metrics. A
 (scenario, seed) pair fully determines every output, including the order of
-random draws: price, user flow, and producer decisions each consume their
-own named stream.
+random draws: the price and the user flow each consume their own named
+stream. The producer draws nothing: it inserts every pending commitment and
+moves the pool to the external price when its update policy says so.
 
 The realized-LVR measure marks every pool outflow and inflow at the external
 price of the block it happens in: update flows and vault deposits out,
@@ -23,13 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .agents import (
-    PriceProcess,
-    choose_inserts,
-    decide_update,
-    gen_user_orders,
-    producer_utility,
-)
+from .agents import PriceProcess, decide_update, gen_user_orders, producer_utility
 from .allocation import Order, OrderSide, plain_sum
 from .cfmm import Reserves, check_int, max_lvr
 from .config import FlowModel, ScenarioConfig
@@ -59,7 +54,7 @@ class RunMetrics:
     full_lvr: float = 0.0
     producer_flow_value: float = 0.0
     producer_escrow_net: float = 0.0
-    producer_order_pnl: float = 0.0
+    producer_order_pnl: float = 0.0  # always 0.0: the producer places no orders of its own
     converter_value: float = 0.0
     update_costs: float = 0.0
     n_octs: int = 0
@@ -167,15 +162,14 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
 def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
     """Advance ``chain`` through the scenario, yielding each block's receipt."""
     ss = np.random.SeedSequence(seed)
-    price_rng, flow_rng, prod_rng = (np.random.default_rng(s) for s in ss.spawn(3))
+    price_rng, flow_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     proc = PriceProcess(eps=cfg.price.initial, sigma=cfg.price.sigma, drift=cfg.price.drift)
-    eps = prev_eps = proc.eps
+    eps = proc.eps
     # The bodies of the committed orders that will reveal once allocated.
     private_orders: dict[int, Order] = {}
 
     for h in range(cfg.blocks):
         if h > 0:
-            prev_eps = eps
             eps = proc.step(price_rng)
 
         orders, hidden = _user_flow(flow_rng, cfg.flow, eps, cfg.max_x, cfg.max_y)
@@ -183,20 +177,9 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
             oct = chain.submit_oct(USERS, order)
             if not hide:
                 private_orders[oct.id] = order
-        alpha = cfg.producer.self_trade_alpha
-        if alpha > 0:
-            if cfg.producer.price_offset >= 1.0:
-                own = Order(OrderSide.SELL_Y, alpha * cfg.max_y)
-            else:
-                own = Order(OrderSide.BUY_Y, alpha * cfg.max_x)
-            oct = chain.submit_oct(PRODUCER, own)
-            private_orders[oct.id] = own
-
-        chain.insert_octs(
-            PRODUCER, choose_inserts(prod_rng, chain.mempool.keys(), cfg.producer.censor_rate)
-        )
+        chain.insert_octs(PRODUCER, list(chain.mempool))  # ascending ids: submission order
         decision = decide_update(cfg.producer, chain.schedule, chain.pool_reserves(), h,
-                                 chain.last_alloc_label, eps, prev_eps)
+                                 chain.last_alloc_label, eps)
         if decision is not None:
             update = chain.apply_update_tx(PRODUCER, *decision)
             for oct_id in sorted(update.oct_ids):
@@ -264,17 +247,11 @@ def _tally(m: RunMetrics, cfg: ScenarioConfig, block: BlockReceipt, receipts: li
         tx, ty = er.to_producer
         m.producer_escrow_net += (tx - beta * ex) + (ty - beta * ey) * eps
         for f in er.settlement.fills:
-            owner = er.owners[f.index]
-            if owner == USERS:
+            if er.owners[f.index] == USERS:
                 m.n_user_fills += 1
                 dev = er.settlement.price / eps_alloc - 1.0
                 m.user_dev_sum += dev
                 m.user_dev_sq += dev * dev
-            elif owner == PRODUCER:
-                if er.orders[f.index].side is OrderSide.SELL_Y:
-                    m.producer_order_pnl += f.bought - f.sold * eps
-                else:
-                    m.producer_order_pnl += f.bought * eps - f.sold
     if block.reentry is not None:
         cx, cy = block.reentry.converter_flow
         m.converter_value += cx + cy * eps

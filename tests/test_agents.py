@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from v0lver.agents import (
     PriceProcess,
-    choose_inserts,
     decide_update,
     gen_user_orders,
-    price_target,
     producer_utility,
 )
 from v0lver.allocation import OrderSide
@@ -179,84 +177,54 @@ class TestProducerUtility:
         assert np.max(np.abs(np.array(model) - engine)) <= 1e-10 * 2.0 * r.x
 
 
-class TestInsertChoice:
-    def test_no_censoring_keeps_everything_sorted(self):
-        rng = np.random.default_rng(9)
-        assert choose_inserts(rng, {3, 1, 2}, 0.0) == [1, 2, 3]
-
-    def test_full_censoring_drops_everything(self):
-        rng = np.random.default_rng(10)
-        assert choose_inserts(rng, [1, 2, 3], 1.0) == []
-
-    def test_partial_censoring_rate(self):
-        rng = np.random.default_rng(11)
-        kept = sum(len(choose_inserts(rng, range(100), 0.3)) for _ in range(100))
-        assert kept == pytest.approx(7_000, rel=0.05)
-
-
 class TestUpdateDecision:
     R = Reserves(10_000.0, 100.0)
 
     def prod(self, **kw):
         base = dict(
             update_policy="always",
-            price_policy="external",
-            price_offset=1.0,
-            self_trade_alpha=0.0,
-            censor_rate=0.0,
             update_cost=0.0,
             min_keep=0.0,
         )
         base.update(kw)
         return ProducerModel(**base)
 
-    def test_price_targets(self):
-        assert price_target(self.prod(price_policy="external"), 104.0, 99.0) == 104.0
-        assert price_target(self.prod(price_policy="offset", price_offset=1.02), 100.0, 99.0) == pytest.approx(102.0)
-        assert price_target(self.prod(price_policy="stale"), 104.0, 99.0) == 99.0
-
-    @pytest.mark.parametrize("offset, eps", [(1e-300, 1e-30), (1e307, 100.0)])
-    def test_offset_target_out_of_float_range_names_the_field(self, offset, eps):
-        # the target underflows to 0 or overflows to inf
-        with pytest.raises(DomainError, match=r"producer\.price_offset"):
-            price_target(self.prod(price_policy="offset", price_offset=offset), eps, eps)
-
     def test_never_policy(self):
         p = self.prod(update_policy="never")
-        assert decide_update(p, SCHEDULE, self.R, 5, 2, 104.0, 103.0) is None
+        assert decide_update(p, SCHEDULE, self.R, 5, 2, 104.0) is None
 
     def test_always_updates_at_current_height(self):
         p = self.prod()
-        assert decide_update(p, SCHEDULE, self.R, 5, 2, 104.0, 103.0) == (5, 104.0)
+        assert decide_update(p, SCHEDULE, self.R, 5, 2, 104.0) == (5, 104.0)
         # even when there is nothing to gain
-        assert decide_update(p, SCHEDULE, self.R, 5, 2, 100.0, 100.0) == (5, 100.0)
+        assert decide_update(p, SCHEDULE, self.R, 5, 2, 100.0) == (5, 100.0)
 
     def test_best_response_takes_current_label_when_profitable(self):
         p = self.prod(update_policy="best_response", update_cost=1e-9)
-        got = decide_update(p, SCHEDULE, self.R, 5, 2, 104.0, 103.0)
+        got = decide_update(p, SCHEDULE, self.R, 5, 2, 104.0)
         assert got == (5, 104.0)
 
     def test_best_response_skips_when_cost_dominates(self):
         # keep = 1 - beta0 = 0.2 of the tiny arbitrage does not cover cost
         p = self.prod(update_policy="best_response", update_cost=10.0)
-        assert decide_update(p, SCHEDULE, self.R, 5, 2, 100.001, 100.0) is None
+        assert decide_update(p, SCHEDULE, self.R, 5, 2, 100.001) is None
 
     def test_threshold_backdates_to_schedule_horizon(self):
         p = self.prod(update_policy="threshold", min_keep=1.0, update_cost=0.0)
         # height 10, last label 2: backdate to 10 - 4 = 6, where beta = 0
-        got = decide_update(p, SCHEDULE, self.R, 10, 2, 104.0, 103.0)
+        got = decide_update(p, SCHEDULE, self.R, 10, 2, 104.0)
         assert got == (6, 104.0)
         # a fresher last label forces a smaller gap and keep < 1: no update
-        assert decide_update(p, SCHEDULE, self.R, 10, 8, 104.0, 103.0) is None
+        assert decide_update(p, SCHEDULE, self.R, 10, 8, 104.0) is None
 
     def test_threshold_with_partial_keep(self):
         p = self.prod(update_policy="threshold", min_keep=0.55, update_cost=0.0)
         # gap 3 gives keep 0.8 >= 0.55 at label height-4+1
-        got = decide_update(p, SCHEDULE, self.R, 10, 6, 104.0, 103.0)
+        got = decide_update(p, SCHEDULE, self.R, 10, 6, 104.0)
         assert got == (7, 104.0)
 
     def test_zero_schedule_makes_every_gap_free(self):
         p = self.prod(update_policy="best_response", update_cost=0.0)
         zero = RebateSchedule(z_max=0, beta0=0.0)
-        got = decide_update(p, zero, self.R, 5, 2, 104.0, 103.0)
+        got = decide_update(p, zero, self.R, 5, 2, 104.0)
         assert got == (5, 104.0)

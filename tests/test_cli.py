@@ -273,6 +273,17 @@ class TestValidate:
         unknown.write_text(json.dumps(raw))
         assert main(["validate", "--scenario", str(unknown)]) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("price_policy", "stale"), ("price_offset", 0.99), ("self_trade_alpha", 0.25),
+        ("censor_rate", 0.5),
+    ])
+    def test_pinned_producer_key_exits_one_naming_it(self, key, value, tmp_path, capsys):
+        scn = tmp_path / "pinned.json"
+        scn.write_text(json.dumps({"producer": {key: value}}))
+        assert main(["validate", "--scenario", str(scn)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"producer.{key} must be " in err
+
     def test_unknown_scenario_name(self):
         assert main(["validate", "--scenario", "no-such-scenario"]) == 1
 

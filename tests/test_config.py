@@ -175,6 +175,16 @@ class TestValidation:
                 cfg, producer=dataclasses.replace(cfg.producer, price_policy="oracle")
             ).validate()
 
+    @pytest.mark.parametrize("key, value", [
+        ("price_policy", "offset"), ("price_policy", "stale"), ("price_offset", 1.01),
+        ("self_trade_alpha", 0.5), ("censor_rate", 0.5),
+    ])
+    def test_pinned_producer_keys_take_only_their_default(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^producer\.{key} must be "):
+            scenario_from_dict({"producer": {key: value}})
+        default = getattr(ProducerModel(), key)
+        assert getattr(scenario_from_dict({"producer": {key: default}}).producer, key) == default
+
     def test_schedule_construction(self):
         assert builtin_scenarios()["default"].rebate == RebateSchedule(z_max=4, beta0=0.8)
         assert builtin_scenarios()["dominance"].rebate == RebateSchedule(z_max=4, beta0=0.5)

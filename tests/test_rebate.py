@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from v0lver.agents import PriceProcess
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves, max_lvr
 from v0lver.errors import DomainError
 from v0lver.rebate import RebateSchedule, apply_rebated_move, vault_reenter
@@ -181,3 +184,33 @@ class TestVault:
         assert vx + vy * eps == pytest.approx(
             ax + ay * eps, rel=1e-12, abs=1e-12
         )
+
+
+R = Reserves(100.0, 1.0)
+#: (function, what it is called with, the argument it names, hostile values of it).
+HOSTILE = [
+    ("apply_rebated_move", lambda v: apply_rebated_move(R, v, 0.5), "target_price",
+     [math.nan, math.inf, -1.0, True]),
+    ("apply_rebated_move", lambda v: apply_rebated_move(v, 2.0, 0.5), "reserves",
+     [(100.0, 1.0), Reserves(math.nan, 1.0), Reserves(0.0, 1.0), Reserves("1", 1.0)]),
+    ("max_lvr", lambda v: max_lvr(R, v), "eps", [math.nan, -2.0, True, "2"]),
+    ("max_lvr", lambda v: max_lvr(v, 2.0), "r", [(100.0, 1.0), Reserves(1e308, 1e-308)]),
+    ("vault_reenter", lambda v: vault_reenter((1.0, 1.0), v), "eps", [-1.0, math.nan, 0.0]),
+    ("vault_reenter", lambda v: vault_reenter(v, 2.0), "vault",
+     [(math.nan, 0.0), (-1.0, 0.0), (1.0,)]),
+    ("value_at", lambda v: RebateSchedule().value_at(v), "gap", [math.nan, True, 2.5, -1, None]),
+    ("apply_rebated_move", lambda v: apply_rebated_move(R, 2.0, v), "rebate",
+     [math.nan, 1.0, -0.1, "0.5", None]),
+    ("PriceProcess", lambda v: PriceProcess(eps=100.0, sigma=v), "sigma",
+     [-0.5, math.nan, math.inf, "0.02"]),
+    ("PriceProcess", lambda v: PriceProcess(eps=v, sigma=0.02), "eps", [0.0, math.nan, None]),
+]
+
+
+@pytest.mark.parametrize("call, what, value", [
+    pytest.param(call, what, value, id=f"{name}-{what}={value!r}")
+    for name, call, what, values in HOSTILE for value in values
+])
+def test_hostile_arguments_raise_a_domain_error_naming_them(call, what, value):
+    with pytest.raises(DomainError, match=rf"^{what} must "):
+        call(value)

@@ -174,17 +174,16 @@ class TestScenarioRuns:
         # each conversion is value-neutral at its own block's price
         assert abs(m.converter_value) < 1e-6 * max(1.0, m.full_lvr)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    @pytest.mark.parametrize("offset", [0.99, 1.01])
-    def test_producer_metrics_add_up_to_its_ledger(self, alpha, offset, monkeypatch):
+    @pytest.mark.parametrize("scale", [0.99, 1.01])
+    def test_producer_metrics_add_up_to_its_ledger(self, scale, monkeypatch):
         # with sigma 0 every block marks at one eps, so the producer's ledger change
         # valued there is the sum of the metrics that value each of its flows;
-        # update_costs is notional and never touches the ledger
+        # update_costs is notional and never touches the ledger. The pool starts
+        # off the external price, so the first update moves it and pays a rebate.
         base = SCN["default"]
         cfg = dataclasses.replace(
-            base, blocks=200, price=dataclasses.replace(base.price, sigma=0.0),
-            producer=dataclasses.replace(base.producer, price_policy="offset",
-                                         price_offset=offset, self_trade_alpha=alpha))
+            base, blocks=200, pool_x=base.pool_x * scale,
+            price=dataclasses.replace(base.price, sigma=0.0))
         chains = []
 
         def chain_state(*args, **kwargs):
@@ -198,10 +197,11 @@ class TestScenarioRuns:
         assert {row["eps"] for row in run.blocks} == {eps}
         x, y = chain.balances[sim.PRODUCER]
         ledger = (x - cfg.producer.budget_x) + (y - cfg.producer.budget_y) * eps
+        assert m.producer_flow_value != 0.0 and m.producer_escrow_net != 0.0
         assert ledger == pytest.approx(m.producer_flow_value + m.producer_escrow_net
-                                       + m.producer_order_pnl + m.converter_value, abs=1e-8)
-        # the producer's own order fills exactly when it places one
-        assert (m.producer_order_pnl != 0.0) == (alpha > 0.0)
+                                       + m.converter_value, abs=1e-8)
+        # the producer places no orders of its own
+        assert m.producer_order_pnl == 0.0
 
 
 class TestReceipts:
