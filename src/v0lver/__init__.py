@@ -5,9 +5,12 @@ vault re-entry (``rebate``), uniform-price batch settlement
 (``allocation``), the block-by-block protocol state machine (``engine``),
 stochastic agents (``agents``), and the simulation driver plus experiment
 suite (``sim``) behind a CLI (``cli``).
+
+The names imported here are the public boundary; there is no second list.
+``tests/test_boundary.py`` has a row per name: the bad arguments it refuses with
+a ``V0lverError`` naming them, and what it accepts. The rest is internal.
 """
 
-from .agents import PriceProcess, decide_update, gen_user_orders, producer_utility
 from .allocation import (
     Fill,
     Order,
@@ -18,7 +21,6 @@ from .allocation import (
 )
 from .cfmm import (
     CONSTANT_PRODUCT,
-    ConstantProduct,
     Reserves,
     check_price,
     max_lvr,

@@ -2,7 +2,9 @@
 
 Every function takes an explicit numpy Generator; the simulation hands each
 agent its own named stream so runs are reproducible and adding draws to one
-agent never perturbs another.
+agent never perturbs another. These are the simulation's internal helpers,
+not package exports: ``sim`` alone calls them, with values from a validated
+scenario, so they check nothing on entry.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Order, OrderSide
-from .cfmm import CONSTANT_PRODUCT, Reserves, check_price, check_reserves
+from .cfmm import CONSTANT_PRODUCT, Reserves, check_live
 from .config import FlowModel, ProducerModel
 from .errors import DomainError
 from .rebate import RebateSchedule, apply_rebated_move
@@ -25,10 +27,6 @@ class PriceProcess:
     eps: float
     sigma: float
     drift: float = 0.0
-
-    def __post_init__(self):
-        check_price(self.eps, "eps")
-        check_price(self.sigma, "sigma", or_zero=True)
 
     def step(self, rng: np.random.Generator) -> float:
         z = rng.standard_normal()
@@ -119,7 +117,7 @@ def producer_utility(
     move = apply_rebated_move(reserves, multiplier * eps, beta)
     (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
     sx, sy = reserves.x - fx - vx, reserves.y - fy - vy
-    check_reserves(sx, sy)  # the engine refuses an update that leaves no live pool
+    check_live(Reserves(sx, sy), "pool reserves")  # as the engine's update requires
     own_x, own_y = (0.0, alpha * max_y) if multiplier >= 1.0 else (alpha * max_x, 0.0)
     x_in, y_in = flow_dx + own_x, flow_dy + own_y
     p_e = (sx + x_in) / (sy + y_in)
@@ -161,7 +159,7 @@ def decide_update(
     if producer.update_policy == "threshold" and keep < producer.min_keep:
         return None
     full = CONSTANT_PRODUCT.reserves_at_price(CONSTANT_PRODUCT.invariant(reserves), eps)
-    check_reserves(full.x, full.y)  # a target whose reserves overflow cannot be reached
+    check_live(full, "pool reserves")  # a target whose reserves overflow cannot be reached
     value = (reserves.x - full.x) + (reserves.y - full.y) * eps
     if keep * value < producer.update_cost:
         return None

@@ -28,9 +28,9 @@ distinct limits costs O(n + L log L) plus a few exact passes, where settling
 every candidate cost O(n L).
 
 The engine builds the batch's ``Book`` and passes it to both functions as
-``orders``; each uses a book built for the same curve and an equal snapshot
-as it is, so the verifier's exact settle of the solver's price is the
-solver's own. Plain orders get a fresh book at every call.
+``orders``; each uses a book built for an equal snapshot as it is, so the
+verifier's exact settle of the solver's price is the solver's own. Plain
+orders get a fresh book at every call.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from itertools import accumulate
 from operator import add
 from typing import NamedTuple
 
-from .cfmm import Reserves, check_live, check_price
+from .cfmm import CONSTANT_PRODUCT, Reserves, check_live, check_price
 from .errors import DomainError
 
 # Relative tolerance used when checking a proposed clearing price.
@@ -143,17 +143,15 @@ class Book:
     A snapshot not live ``Reserves``, or orders not ``Order``s, raise a DomainError.
     """
 
-    __slots__ = ("curve", "snapshot", "orders", "buys", "sells", "limits",
+    __slots__ = ("snapshot", "orders", "buys", "sells", "limits",
                  "bx", "sy", "buy_at", "sell_at", "slack", "last_settled")
 
-    def __init__(self, curve, snapshot, orders):
-        check_live(snapshot, "snapshot")
+    def __init__(self, snapshot, orders):
+        self.snapshot = check_live(snapshot, "snapshot")
         try:
-            iter(orders)
+            orders = self.orders = tuple(orders)
         except TypeError:
             raise DomainError(f"orders must be an iterable of Orders, got {orders!r}") from None
-        self.curve, self.snapshot = curve, snapshot
-        orders = self.orders = tuple(orders)
         # One scan at C speed; every pass below unpacks an order as (side, size, limit).
         if not {*map(type, orders)} <= {Order}:
             i = next(i for i, o in enumerate(orders) if type(o) is not Order)
@@ -171,7 +169,7 @@ class Book:
 
         # The rounding bound holds while no value settle computes at a
         # candidate price (all within ``prices``) can overflow.
-        x, y, x_all, y_all = snapshot.x, snapshot.y, self.bx[0], self.sy[-1]
+        x, y, x_all, y_all = self.snapshot.x, self.snapshot.y, self.bx[0], self.sy[-1]
         prices = [x / (y + y_all), (x + x_all) / y] + limits[:1] + limits[-1:]
         low, high = min(prices), max(prices)
         safe = (2.0**-400 < low and high < 2.0**400
@@ -274,7 +272,7 @@ class Book:
                 in_y += s
             elif lim == p:
                 ms += s
-        chord = self.curve.chord_y(snapshot, p)
+        chord = CONSTANT_PRODUCT.chord_y(snapshot, p)
         scale = max(snapshot.y, abs(chord), (in_x + mb) / p, in_y + ms, 1e-30)
         tol = CLEARING_RTOL * scale
 
@@ -339,11 +337,13 @@ class Book:
 
 
 def _book(curve, snapshot, orders) -> Book:
-    """``orders`` if a ``Book`` built for ``curve`` and an equal ``Reserves``, else a new one."""
-    if (isinstance(orders, Book) and orders.curve is curve
-            and isinstance(snapshot, Reserves) and snapshot == orders.snapshot):
+    """``orders`` if a ``Book`` built for an equal ``Reserves``, else a new one; DomainError
+    unless ``curve`` is ``CONSTANT_PRODUCT``."""
+    if curve is not CONSTANT_PRODUCT:
+        raise DomainError(f"curve must be CONSTANT_PRODUCT, got {curve!r}")
+    if isinstance(orders, Book) and isinstance(snapshot, Reserves) and snapshot == orders.snapshot:
         return orders
-    return Book(curve, snapshot, orders)
+    return Book(snapshot, orders)
 
 
 def clearing_price_with_limits(curve, snapshot: Reserves, orders) -> Settlement:
@@ -404,7 +404,7 @@ def verify_clearing_price(curve, snapshot: Reserves, orders, proposed) -> Settle
         return None
     vol = best = settled.volume_y
     candidates = [(c, None) for c in book.limits]
-    candidates.append((curve.price(snapshot), None))
+    candidates.append((CONSTANT_PRODUCT.price(book.snapshot), None))
     candidates.extend((book.screened_price(k), k) for k in range(len(book.limits) + 1))
     for c, k in candidates:
         if k is not None:

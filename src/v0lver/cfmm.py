@@ -11,8 +11,9 @@ price equals the external price, and the value ``(x - x_t) + (y - y_t) * eps``
 of moving the pool there, marked at the external price.
 
 All quantities are plain floats; token amounts are assumed divisible. Values
-are checked where they enter the package, not each time one is computed: the
-exported functions check their arguments, internal steps do not.
+are checked where they enter the package, not each time one is computed:
+the exported functions check their arguments, internal steps do not. What
+each export refuses and accepts is the table in ``tests/test_boundary.py``.
 """
 from __future__ import annotations
 
@@ -56,24 +57,15 @@ class Reserves(NamedTuple):
     y: float
 
 
-def check_reserves(x, y) -> Reserves:
-    """Live pool reserves as floats; DomainError unless x, y and x / y are finite and > 0."""
-    x, y = float(x), float(y)
+def check_live(r, what) -> Reserves:
+    """``r`` with float parts; DomainError naming ``what`` unless ``Reserves`` whose x and y
+    pass ``check_price`` and whose price x / y is finite and > 0."""
+    x, y = r if isinstance(r, Reserves) else (math.nan, math.nan)
+    if type(x) is not float or type(y) is not float:
+        x, y = r = Reserves(check_price(x, what), check_price(y, what))
     if not (0.0 < x < math.inf and 0.0 < y < math.inf and 0.0 < x / y < math.inf):
-        raise DomainError(f"pool reserves must be finite and > 0, got ({x!r}, {y!r})")
-    return Reserves(x, y)
-
-
-def check_live(r, what):
-    """DomainError naming ``what`` unless ``r`` is live ``Reserves`` of numbers adding to floats."""
-    try:
-        x, y = r
-        live = (isinstance(r, Reserves) and 0.0 < x + 0.0 < math.inf
-                and 0.0 < y + 0.0 < math.inf and 0.0 < x / y < math.inf)
-    except (TypeError, ValueError, ArithmeticError):
-        live = False
-    if not live:
         raise DomainError(f"{what} must be live Reserves (finite and > 0), got {r!r}")
+    return r
 
 
 def check_pair(value, what, or_zero=False) -> list[float]:
@@ -127,7 +119,7 @@ def max_lvr(r: Reserves, eps: float) -> tuple[Reserves, float]:
     Returns ``(target_reserves, value)`` where ``value >= 0`` and is zero
     exactly when the pool already prices at ``eps``.
     """
-    check_live(r, "r")
+    r = check_live(r, "r")
     eps = check_price(eps, "eps")
     if CONSTANT_PRODUCT.price(r) == eps:
         return r, 0.0

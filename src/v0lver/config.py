@@ -9,6 +9,7 @@ itself, which checks its fields when it is built.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
@@ -178,7 +179,15 @@ class ScenarioConfig:
         return self
 
 
+def check_scenario(cfg) -> ScenarioConfig:
+    """``cfg`` validated; ConfigError unless it is a valid ``ScenarioConfig``."""
+    if not isinstance(cfg, ScenarioConfig):
+        raise ConfigError(f"cfg must be a ScenarioConfig, got {cfg!r}")
+    return cfg.validate()
+
+
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
+    check_scenario(cfg)
     out = {"version": SCHEMA_VERSION}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -225,12 +234,15 @@ def scenario_to_json(cfg: ScenarioConfig) -> str:
     return json.dumps(scenario_to_dict(cfg), indent=2, sort_keys=True) + "\n"
 
 
-def load_scenario(path: str) -> ScenarioConfig:
+def load_scenario(path: str | os.PathLike) -> ScenarioConfig:
+    # open() would take an int as a file descriptor, read it and close it.
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"path must be a str or os.PathLike, got {path!r}")
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except OSError as e:
-        raise ConfigError(f"cannot read scenario {path!r}: {e}") from None
+        raise ConfigError(f"cannot read scenario path {path!r}: {e}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"scenario {path!r} is not valid UTF-8 JSON: {e}") from None
     return scenario_from_dict(raw)

@@ -39,14 +39,12 @@ What happens in a block is recorded once, in the ``BlockReceipt`` that
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from typing import NamedTuple
 
 from .allocation import (Book, Order, OrderSide, Settlement, clearing_price_with_limits,
                          verify_clearing_price)
-from .cfmm import (CONSTANT_PRODUCT, Reserves, check_int, check_pair, check_price,
-                   check_reserves)
+from .cfmm import CONSTANT_PRODUCT, Reserves, check_int, check_live, check_pair, check_price
 from .errors import (
     DomainError,
     FundingError,
@@ -73,8 +71,8 @@ _SUPPLY_RTOL = 1e-9
 
 
 def _refuse_engine_account(name, what):
-    if name in ENGINE_ACCOUNTS or str(name).startswith("alloc:"):
-        raise DomainError(f"{what} must not name the engine's account {name!r}")
+    if type(name) is not str or name in ENGINE_ACCOUNTS or name.startswith("alloc:"):
+        raise DomainError(f"{what} must be a str naming no engine account, got {name!r}")
 
 
 def _guard(src, dst, s, d, dx, dy):
@@ -244,7 +242,7 @@ class ChainState:
         self.open_allocations: dict[int, UpdateReceipt] = {}
         self.allocated: dict[int, Oct] = {}
         self.reveals: dict[int, tuple[Oct, Order]] = {}
-        pool = list(check_reserves(*check_pair(reserves, "reserves")))
+        pool = list(check_live(Reserves(*check_pair(reserves, "reserves")), "reserves"))
         self.balances: dict[str, list[float]] = {POOL: pool}
         for party, opening in (balances or {}).items():
             if party != VAULT:
@@ -339,12 +337,11 @@ class ChainState:
         if not (abs(tx - x0) <= _SUPPLY_RTOL * abs(x0) and abs(ty - y0) <= _SUPPLY_RTOL * abs(y0)):
             raise InvariantViolation(f"token supply drifted from ({x0!r}, {y0!r}) "
                                      f"to ({tx!r}, {ty!r})")
-        (ex, ey), (px, py), (vx, vy) = self.earmark(), self.balances[POOL], self.balances[VAULT]
-        if not (0.0 < px < math.inf and 0.0 < py < math.inf and 0.0 < px / py < math.inf):
-            try:  # check_reserves's own test, inline; called only to raise with its message
-                check_reserves(px, py)
-            except DomainError as e:
-                raise InvariantViolation(str(e)) from None
+        (ex, ey), (vx, vy) = self.earmark(), self.balances[VAULT]
+        try:
+            px, py = check_live(Reserves(*self.balances[POOL]), "pool reserves")
+        except DomainError as e:
+            raise InvariantViolation(str(e)) from None
         if not (ex <= px and ey <= py):
             raise InvariantViolation(f"pool ({px!r}, {py!r}) cannot hold its earmarks "
                                      f"({ex!r}, {ey!r})")
@@ -405,7 +402,10 @@ class ChainState:
         _refuse_engine_account(producer, "producer")
         if self.last_alloc_label >= self.height:
             raise InvalidTransition(f"height {self.height} is already allocated")
-        ids = list(oct_ids)
+        try:
+            ids = list(oct_ids)
+        except TypeError:
+            raise DomainError(f"oct_ids must be an iterable of OCT ids, got {oct_ids!r}") from None
         if not ids:
             return ids
         seen = set()
@@ -445,7 +445,7 @@ class ChainState:
         # Live, it bounds the pool after the first leg too (the vault deposit is
         # >= 0) and the vault only receives, so of the move legs' payers only
         # the producer can overdraw: tested as ``_guard`` would, refused by it.
-        snapshot = check_reserves(before.x - fx - vx, before.y - fy - vy)
+        snapshot = check_live(Reserves(before.x - fx - vx, before.y - fy - vy), "pool reserves")
         funds = self.balances.get(producer) or (0.0, 0.0)
         if ((fx < 0.0 and funds[0] + fx < -_NEG_TOL * (abs(fx) + 1.0))
                 or (fy < 0.0 and funds[1] + fy < -_NEG_TOL * (abs(fy) + 1.0))):
@@ -515,7 +515,7 @@ class ChainState:
             raise InvalidTransition(f"batch {label} is not due (reveals outstanding)")
 
         orders = tuple(order for _, order in revealed)
-        book = Book(CONSTANT_PRODUCT, u.snapshot, orders)  # the solver's and the verifier's
+        book = Book(u.snapshot, orders)  # the solver's and the verifier's
         price = proposed_price
         if price is None:
             price = clearing_price_with_limits(CONSTANT_PRODUCT, u.snapshot, book).price
@@ -581,7 +581,7 @@ class ChainState:
         value-neutral other side of it. The books must balance
         (``check_books``), the closing pool included.
         """
-        eps = check_price(eps)
+        eps = check_price(eps, "eps")
         who = converter if converter is not None else "converter"
         _refuse_engine_account(who, "converter")
         h = self.height

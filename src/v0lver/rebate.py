@@ -83,7 +83,7 @@ def apply_rebated_move(reserves: Reserves, target_price, rebate: float) -> Rebat
     weakly drops (strictly, whenever the move is real and ``rebate > 0``).
     ``reserves`` must be a live pool and ``target_price`` a price > 0 (else DomainError).
     """
-    check_live(reserves, "reserves")
+    reserves = check_live(reserves, "reserves")
     target_price = check_price(target_price, "target_price")
     if not check_price(rebate, "rebate", or_zero=True) < 1.0:
         raise DomainError(f"rebate must lie in [0, 1), got {rebate!r}")

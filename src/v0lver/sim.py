@@ -27,7 +27,7 @@ import numpy as np
 from .agents import PriceProcess, decide_update, gen_user_orders, producer_utility
 from .allocation import Order, OrderSide, plain_sum
 from .cfmm import Reserves, check_int, max_lvr
-from .config import FlowModel, ScenarioConfig
+from .config import FlowModel, ScenarioConfig, check_scenario
 from .engine import POOL, BlockReceipt, ChainState
 from .errors import ConfigError, DomainError, FundingError
 
@@ -115,15 +115,9 @@ def _check_int(name: str, value, low: int = 1):
         raise ConfigError(str(e)) from None
 
 
-def _check_scenario(cfg):
-    if not isinstance(cfg, ScenarioConfig):
-        raise ConfigError(f"cfg must be a ScenarioConfig, got {cfg!r}")
-
-
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunResult:
     _check_int("seed", seed, 0)
-    _check_scenario(cfg)
-    cfg.validate()
+    check_scenario(cfg)
     chain = ChainState(
         Reserves(cfg.pool_x, cfg.pool_y),
         cfg.rebate,
@@ -276,7 +270,7 @@ def run_many(cfg: ScenarioConfig, seed: int, runs: int, jobs: int = 1) -> list[R
     _check_int("runs", runs)
     _check_int("jobs", jobs)
     _check_int("seed", seed, 0)
-    _check_scenario(cfg)
+    check_scenario(cfg)
     seeds = np.random.SeedSequence(seed).generate_state(runs, dtype=np.uint64)
     args = [(cfg, int(s)) for s in seeds]
     if jobs <= 1:
@@ -369,8 +363,7 @@ def dominance_sweep(cfg: ScenarioConfig, seed: int, trials: int = 10_000) -> dic
     at the external price.
     """
     _check_int("seed", seed, 0)
-    _check_scenario(cfg)
-    cfg.validate()
+    check_scenario(cfg)
     _check_int("trials", trials)
     if cfg.flow.limit_prob > 0:
         raise ConfigError(f"flow.limit_prob must be 0 for the sweep, which clears market orders "

@@ -55,7 +55,7 @@ from v0lver.allocation import (
     clearing_price_with_limits,
 )
 from v0lver.errors import DomainError, FundingError
-from v0lver.cfmm import CONSTANT_PRODUCT, Reserves, check_price, check_reserves
+from v0lver.cfmm import CONSTANT_PRODUCT, Reserves, check_live, check_price
 from v0lver.engine import COLLATERAL, POOL, VAULT, ChainState, Oct, _guard
 from v0lver.rebate import apply_rebated_move
 
@@ -497,7 +497,7 @@ def reference_update_refusal(chain: ChainState, producer: str, alloc_label: int,
     before = Reserves(*chain.balances[POOL])
     move = apply_rebated_move(before, p, beta)
     (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
-    snapshot = check_reserves(before.x - fx - vx, before.y - fy - vy)
+    snapshot = check_live(Reserves(before.x - fx - vx, before.y - fy - vy), "pool reserves")
     legs = [(POOL, producer, fx, fy), (POOL, VAULT, vx, vy)]
     n = sum(len(chain.inserted_by_height.get(h, ()))
             for h in range(chain.last_alloc_label + 1, alloc_label + 1))

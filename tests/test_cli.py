@@ -479,7 +479,7 @@ class TestExitCodes:
         scn.write_text(json.dumps(raw))
         assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "pool reserves must be finite and > 0" in err
+        assert err.count("\n") == 1 and "pool reserves must be live Reserves" in err
 
     def test_missing_scenario_file(self, tmp_path):
         out = str(tmp_path / "out")
