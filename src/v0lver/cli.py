@@ -61,10 +61,15 @@ def _resolve_scenario(spec: str):
     return load_scenario(spec)
 
 
-def _create(path: str, force: bool, newline=None):
-    """Open an ``--out`` file for writing; refuses to overwrite one without ``force``."""
-    if os.path.exists(path) and not force:
+def _check_target(path: str, force: bool):
+    """Refuse an ``--out`` file that is a directory, or that exists without ``force``."""
+    if os.path.isdir(path):
+        raise ConfigError(f"--out file {path!r} is a directory")
+    if os.path.lexists(path) and not force:
         raise V0lverError(f"refusing to overwrite --out file {path!r} (use --force)")
+
+
+def _create(path: str, newline=None):
     try:
         return open(path, "w", newline=newline)
     except OSError as e:
@@ -72,12 +77,14 @@ def _create(path: str, force: bool, newline=None):
 
 
 class _OutDir:
-    """An ``--out`` directory: refused when built if it can never be one, so before
-    any run, and created only with its first file, so after the run succeeds."""
+    """An ``--out`` directory and the files a command writes there: ``summary.json``, its
+    ``table`` in ``--format`` and, with ``events``, ``events.ndjson``. Refused when built,
+    so before any run, if it can never be a directory or if any of those files may not be
+    written; created only with its first file, so after the run succeeds."""
 
-    def __init__(self, path: str, force: bool):
-        self.path = path
-        self.force = force
+    def __init__(self, args, table: str, events: bool = False):
+        path = self.path = args.out
+        self.format, self.table = args.format, f"{table}.{args.format}"
         # The nearest path on the way that exists (a dangling link too) must be a directory.
         probe = os.path.abspath(path)
         while not os.path.lexists(probe):
@@ -85,6 +92,8 @@ class _OutDir:
         if not path or not os.path.isdir(probe):
             why = f"{probe!r} is not a directory" if path else "the path is empty"
             raise ConfigError(f"--out {path!r} is not a usable directory: {why}")
+        for name in ("summary.json", self.table) + ("events.ndjson",) * events:
+            _check_target(os.path.join(path, name), args.force)
 
     def open(self, name: str, newline=None):
         try:
@@ -92,31 +101,21 @@ class _OutDir:
         except OSError as e:
             raise ConfigError(f"--out {self.path!r} is not a usable directory: "
                               f"{e.strerror}") from None
-        return _create(os.path.join(self.path, name), self.force, newline)
+        return _create(os.path.join(self.path, name), newline)
 
     def write_json(self, name: str, payload):
         with self.open(name) as f:
             json.dump(_clean(payload), f, indent=2, sort_keys=True)
             f.write("\n")
 
-    def write_table(self, stem: str, columns: list, rows: list, fmt: str):
-        if fmt == "json":
-            self.write_json(f"{stem}.json", rows)
+    def write_table(self, columns: list, rows: list):
+        if self.format == "json":
+            self.write_json(self.table, rows)
             return
-        with self.open(f"{stem}.csv", newline="") as f:
+        with self.open(self.table, newline="") as f:
             w = csv.writer(f)
             w.writerow(columns)
             w.writerows([row.get(k) for k in columns] for row in rows)
-
-    def write_ndjson(self, name: str, records):
-        encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
-        with self.open(name) as f:
-            for rec in records:
-                try:
-                    line = encode(rec)
-                except ValueError:  # a NaN or inf: written as null
-                    line = json.dumps(_clean(rec), sort_keys=True)
-                f.write(line + "\n")
 
 
 def _summary(command: str, cfg, seed: int, body: dict) -> dict:
@@ -125,46 +124,46 @@ def _summary(command: str, cfg, seed: int, body: dict) -> dict:
 
 def cmd_run(args) -> int:
     cfg = _resolve_scenario(args.scenario)
-    out = _OutDir(args.out, args.force)
+    out = _OutDir(args, "blocks", events=cfg.record_events)
     result = sim.run_scenario(cfg, args.seed)
     out.write_json("summary.json", _summary("run", cfg, args.seed,
                                             {"metrics": result.metrics.to_dict()}))
     rows = result.blocks
-    out.write_table("blocks", list(rows[0]), rows, args.format)
+    out.write_table(list(rows[0]), rows)
     if cfg.record_events:
-        out.write_ndjson("events.ndjson", (e for block in result.receipts for e in block.events()))
+        with out.open("events.ndjson") as f:  # one block's lines at a time
+            f.writelines(block.ndjson() for block in result.receipts)
     return 0
 
 
 def cmd_lvr(args) -> int:
     cfg = _resolve_scenario(args.scenario)
-    out = _OutDir(args.out, args.force)
+    out = _OutDir(args, "ratios")
     res = sim.lvr_experiment(cfg, args.seed, runs=args.runs, jobs=args.jobs)
     ratios = res.pop("ratios")
     out.write_json("summary.json", _summary("lvr", cfg, args.seed, {"result": res}))
-    rows = [{"run": i, "ratio": r} for i, r in enumerate(ratios)]
-    out.write_table("ratios", ["run", "ratio"], rows, args.format)
+    out.write_table(["run", "ratio"], [{"run": i, "ratio": r} for i, r in enumerate(ratios)])
     return 0
 
 
 def cmd_equilibrium(args) -> int:
     cfg = _resolve_scenario(args.scenario)
-    out = _OutDir(args.out, args.force)
+    out = _OutDir(args, "gaps")
     res = sim.equilibrium_experiment(cfg, args.seed, runs=args.runs, jobs=args.jobs)
     out.write_json("summary.json", _summary("equilibrium", cfg, args.seed, {"result": res}))
     rows = [{"gap": g, "count": c} for g, c in sorted(
         (int(g), c) for g, c in res["updates_by_gap"].items())]
-    out.write_table("gaps", ["gap", "count"], rows, args.format)
+    out.write_table(["gap", "count"], rows)
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_scenario(args.scenario)
-    out = _OutDir(args.out, args.force)
+    out = _OutDir(args, "sweep")
     res = sim.dominance_sweep(cfg, args.seed, trials=args.trials)
     rows = res.pop("rows")
     out.write_json("summary.json", _summary("sweep", cfg, args.seed, {"result": res}))
-    out.write_table("sweep", ["multiplier", "alpha", "utility"], rows, args.format)
+    out.write_table(["multiplier", "alpha", "utility"], rows)
     return 0
 
 
@@ -172,7 +171,8 @@ def cmd_validate(args) -> int:
     cfg = _resolve_scenario(args.scenario)
     text = scenario_to_json(cfg)
     if args.out:
-        with _create(args.out, args.force) as f:
+        _check_target(args.out, args.force)
+        with _create(args.out) as f:
             f.write(text)
     else:
         sys.stdout.write(text)

@@ -34,12 +34,13 @@ the queue holding it: ``mempool`` (pending), ``inserted_by_height``,
 moves no OCT.
 
 What happens in a block is recorded once, in the ``BlockReceipt`` that
-``advance_block`` returns; events, block rows and run metrics derive from it.
+``advance_block`` returns; block rows, run metrics and ``events.ndjson`` derive from it.
 """
 from __future__ import annotations
 
 import hashlib
 import struct
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .allocation import (Book, Order, OrderSide, Settlement, clearing_price_with_limits,
@@ -154,12 +155,17 @@ class ReentryReceipt(NamedTuple):
     converter: str
 
 
+def _json_float(v: float) -> str:
+    """``v`` as ``json.dumps`` writes a float, with NaN and inf made null."""
+    return float.__repr__(v) if v - v == 0.0 else "null"
+
+
 class BlockReceipt(NamedTuple):
     """Everything that happened in one block, and its closing balances.
 
-    ``eps`` is the block's external price, the one the vault converts at;
-    ``inserts`` holds one ``(producer, ids)`` pair per non-empty insertion;
-    ``pool`` and ``vault`` are the ledger balances at block end.
+    ``eps`` is the block's external price, the one the vault converts at; ``inserts`` holds
+    one ``(producer, ids)`` pair per non-empty insertion; ``pool`` and ``vault`` are the
+    ledger balances at block end. ``ndjson`` renders the block's event-log lines from them.
     """
 
     height: int
@@ -173,36 +179,40 @@ class BlockReceipt(NamedTuple):
     pool: tuple[float, float]
     vault: tuple[float, float]
 
-    def events(self) -> list[dict]:
-        """The block's ``events.ndjson`` records, in protocol phase order."""
-        h = self.height
-
-        def ev(kind, **data):
-            return {"height": h, "kind": kind, **data}
-
-        out = [ev("oct_submitted", id=o.id, owner=o.owner, token=o.collateral_token,
-                  collateral=o.collateral) for o in self.submitted]
-        out += [ev("octs_inserted", ids=list(ids), producer=p) for p, ids in self.inserts]
-        u = self.update
-        if u is not None:
-            out.append(ev("update_applied", label=u.label, gap=u.gap, beta=u.beta, price=u.price,
-                          producer_flow=u.move.producer_flow,
-                          vault_deposit=u.move.vault_deposit, count=u.count,
-                          escrow=u.escrow, producer=u.producer))
-        out += [ev("oct_revealed", id=i) for i in self.revealed]
+    def ndjson(self) -> str:
+        """The block's ``events.ndjson`` lines in phase order, as ``json.dumps`` writes them."""
+        h, f, s = self.height, _json_float, encode_basestring_ascii
+        lines = [f'{{"collateral": {f(o.collateral)}, "height": {h}, "id": {o.id}, '
+                 f'"kind": "oct_submitted", "owner": {s(o.owner)}, '
+                 f'"token": {s(o.collateral_token)}}}\n' for o in self.submitted]
+        lines += [f'{{"height": {h}, "ids": [{", ".join(map(str, ids))}], '
+                  f'"kind": "octs_inserted", "producer": {s(p)}}}\n' for p, ids in self.inserts]
+        if (u := self.update) is not None:
+            (ex, ey), (fx, fy), (vx, vy) = u.escrow, u.move.producer_flow, u.move.vault_deposit
+            lines.append(f'{{"beta": {f(u.beta)}, "count": {u.count}, '
+                         f'"escrow": [{f(ex)}, {f(ey)}], "gap": {u.gap}, "height": {h}, '
+                         f'"kind": "update_applied", "label": {u.label}, "price": {f(u.price)}, '
+                         f'"producer": {s(u.producer)}, "producer_flow": [{f(fx)}, {f(fy)}], '
+                         f'"vault_deposit": [{f(vx)}, {f(vy)}]}}\n')
+        lines += [f'{{"height": {h}, "id": {i}, "kind": "oct_revealed"}}\n' for i in self.revealed]
         for e in self.executions:
-            out += [ev("oct_burned", id=o.id, owner=o.owner, amount=o.collateral)
-                    for o in e.burned]
-            out.append(ev("batch_executed", label=e.update.label, price=e.settlement.price,
-                          pool_delta=e.settlement.pool_delta, n_allocated=e.update.count,
-                          n_revealed=len(e.orders), n_burned=len(e.burned),
-                          to_pool=e.to_pool, to_producer=e.to_producer))
-        r = self.reentry
-        if r is not None:
-            out.append(ev("vault_reentered", eps=self.eps, added=r.added,
-                          converter_flow=r.converter_flow, converter=r.converter))
-        out.append(ev("block_end", pool=self.pool, vault=self.vault))
-        return out
+            lines += [f'{{"amount": {f(o.collateral)}, "height": {h}, "id": {o.id}, '
+                      f'"kind": "oct_burned", "owner": {s(o.owner)}}}\n' for o in e.burned]
+            (dx, dy), (px, py), (qx, qy) = e.settlement.pool_delta, e.to_pool, e.to_producer
+            lines.append(f'{{"height": {h}, "kind": "batch_executed", "label": {e.update.label}, '
+                         f'"n_allocated": {e.update.count}, "n_burned": {len(e.burned)}, '
+                         f'"n_revealed": {len(e.orders)}, "pool_delta": [{f(dx)}, {f(dy)}], '
+                         f'"price": {f(e.settlement.price)}, "to_pool": [{f(px)}, {f(py)}], '
+                         f'"to_producer": [{f(qx)}, {f(qy)}]}}\n')
+        if (r := self.reentry) is not None:
+            (ax, ay), (cx, cy) = r.added, r.converter_flow
+            lines.append(f'{{"added": [{f(ax)}, {f(ay)}], "converter": {s(r.converter)}, '
+                         f'"converter_flow": [{f(cx)}, {f(cy)}], "eps": {f(self.eps)}, '
+                         f'"height": {h}, "kind": "vault_reentered"}}\n')
+        (px, py), (vx, vy) = self.pool, self.vault
+        lines.append(f'{{"height": {h}, "kind": "block_end", "pool": [{f(px)}, {f(py)}], '
+                     f'"vault": [{f(vx)}, {f(vy)}]}}\n')
+        return "".join(lines)
 
 
 class ChainState:

@@ -13,14 +13,16 @@ must reproduce bit for bit. The reference clearing (``ReferenceBook``, ``referen
 and ``reference_verify_clearing_price``) is the quadratic uniform-price book
 the sorted book in ``allocation`` replaced: it re-sums each side per regime
 and settles every candidate exactly, and the sorted book must reproduce its
-solver and verifier bit for bit. ``reference_ndjson`` is the event-log
-writer the CLI's one strict encoder replaced: every record made JSON-safe
-(NaN and inf become null), then ``json.dumps`` per line; the CLI's log must
-match it byte for byte. ``reference_transfer`` is the guarded two-token
-ledger leg, and ``reference_transfer_token`` the one-token leg as it books
-it, which the engine's in-place ``_transfer_token`` must reproduce bit for
-bit, signed zeros and account order included. ``reference_guarded_leg`` is
-the per-leg guard the engine's one-token legs once had (every leg no
+solver and verifier bit for bit. ``reference_events`` is a block's
+event records as dicts, the schema ``BlockReceipt.ndjson`` renders, and
+``reference_ndjson`` the event-log writer over them: every record made
+JSON-safe (NaN and inf become null), then ``json.dumps`` per line;
+``BlockReceipt.ndjson`` and the CLI's log must match the two byte for byte.
+``reference_transfer`` is the guarded two-token ledger leg, and
+``reference_transfer_token`` the one-token leg as it books it, which the
+engine's in-place ``_transfer_token`` must reproduce bit for bit, signed
+zeros and account order included. ``reference_guarded_leg`` is the per-leg
+guard the engine's one-token legs once had (every leg no
 ``alloc:`` escrow pays or receives): the engine, which checks the owner once
 where it posts collateral and the collateral at block end, must refuse
 exactly when it does. ``reference_book_fill`` is a revealed order's fill as
@@ -35,8 +37,8 @@ party and message. ``reference_user_flow`` is a block's user flow drawn one
 scalar at a time, which the flow's one-call draws must reproduce bit for bit,
 the generator's state after them included. ``ReferenceBook`` sums with
 ``plain_sum``, the left-to-right adds of the sorted book's loops.
-``market_orders``, ``user_flow_trials``, ``settlement_bits``, ``InlineExecutor``
-and ``pool_price`` are test plumbing, not references.
+``market_orders``, ``user_flow_trials``, ``settlement_bits``, ``InlineExecutor``,
+``pool_price`` and ``strict_records`` are test plumbing, not references.
 """
 from __future__ import annotations
 
@@ -556,6 +558,47 @@ def _json_safe(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
     return obj
+
+
+def reference_events(block) -> list[dict]:
+    """The block's ``events.ndjson`` records, in protocol phase order."""
+    h = block.height
+
+    def ev(kind, **data):
+        return {"height": h, "kind": kind, **data}
+
+    out = [ev("oct_submitted", id=o.id, owner=o.owner, token=o.collateral_token,
+              collateral=o.collateral) for o in block.submitted]
+    out += [ev("octs_inserted", ids=list(ids), producer=p) for p, ids in block.inserts]
+    u = block.update
+    if u is not None:
+        out.append(ev("update_applied", label=u.label, gap=u.gap, beta=u.beta, price=u.price,
+                      producer_flow=u.move.producer_flow,
+                      vault_deposit=u.move.vault_deposit, count=u.count,
+                      escrow=u.escrow, producer=u.producer))
+    out += [ev("oct_revealed", id=i) for i in block.revealed]
+    for e in block.executions:
+        out += [ev("oct_burned", id=o.id, owner=o.owner, amount=o.collateral)
+                for o in e.burned]
+        out.append(ev("batch_executed", label=e.update.label, price=e.settlement.price,
+                      pool_delta=e.settlement.pool_delta, n_allocated=e.update.count,
+                      n_revealed=len(e.orders), n_burned=len(e.burned),
+                      to_pool=e.to_pool, to_producer=e.to_producer))
+    r = block.reentry
+    if r is not None:
+        out.append(ev("vault_reentered", eps=block.eps, added=r.added,
+                      converter_flow=r.converter_flow, converter=r.converter))
+    out.append(ev("block_end", pool=block.pool, vault=block.vault))
+    return out
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def strict_records(text: str) -> list:
+    """The records of ``events.ndjson`` text, each line read as strict JSON (no NaN or inf)."""
+    return [json.loads(line, parse_constant=_refuse_constant) for line in text.splitlines()]
 
 
 def reference_ndjson(records) -> str:

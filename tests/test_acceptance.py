@@ -270,7 +270,8 @@ class TestCriterion8Properties:
             {
                 "metrics": r.metrics.to_dict(),
                 "blocks": r.blocks,
-                "events": [e for block in r.receipts for e in block.events()],
+                "events": [json.loads(line) for block in r.receipts
+                           for line in block.ndjson().splitlines()],
             },
             sort_keys=True,
         ).encode()

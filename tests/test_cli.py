@@ -1,19 +1,23 @@
 import csv
+import dataclasses
 import json
 import math
 import os
-import tempfile
 
 import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
 from v0lver import sim
-from v0lver.cli import _OutDir, main
-from v0lver.config import builtin_scenarios, scenario_to_dict
+from v0lver.allocation import Order, OrderSide, Settlement
+from v0lver.cfmm import Reserves
+from v0lver.cli import main
+from v0lver.config import builtin_scenarios, scenario_to_dict, scenario_to_json
+from v0lver.engine import BlockReceipt, ExecutionReceipt, Oct, ReentryReceipt, UpdateReceipt
 from v0lver.errors import InvariantViolation
+from v0lver.rebate import RebatedMoveResult
 
-from oracles import reference_ndjson
+from oracles import reference_events, reference_ndjson, strict_records
 
 DEFAULT_FLOW = scenario_to_dict(builtin_scenarios()["default"])["flow"]
 LVR = scenario_to_dict(builtin_scenarios()["lvr"])
@@ -144,47 +148,56 @@ class TestRun:
                 assert f1.read() == f2.read()
 
 
-NON_FINITE = (math.nan, math.inf, -math.inf)
-SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
-                    st.floats(allow_nan=False, allow_infinity=False),
-                    st.sampled_from(NON_FINITE))
-VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
-    st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
-    st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=10)
-RECORDS = st.lists(st.dictionaries(st.text(max_size=3), VALUES, max_size=4), max_size=5)
+# Every float slot of a hand-built receipt: signed zeros, subnormals, the top of the
+# range and the non-finite values, which events.ndjson writes as null.
+FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e308, -1e308, math.nan, math.inf,
+                          -math.inf]) | st.floats()
+# Every str slot: quotes, backslashes, control characters, non-ASCII and lone surrogates.
+TEXT = (st.sampled_from(['"', "\\", "\x00\n\x1f\x7f", "caf\xe9 \u20ac \U0001f600", "\ud800"])
+        | st.text(st.characters(exclude_categories=())))
+PAIRS = st.tuples(FLOATS, FLOATS)
+IDS = st.lists(st.integers(), max_size=3).map(tuple)
+OCTS = st.builds(Oct, st.integers(), TEXT, st.just("c"), TEXT, FLOATS)
+UPDATES = st.builds(UpdateReceipt, st.integers(), st.integers(), FLOATS, FLOATS,
+                    st.just(Reserves(1.0, 1.0)), st.builds(RebatedMoveResult, PAIRS, PAIRS),
+                    PAIRS, st.just(Reserves(1.0, 1.0)), TEXT, IDS)
+EXECUTIONS = st.builds(
+    ExecutionReceipt, UPDATES, st.builds(Settlement, FLOATS, PAIRS, st.just(()), FLOATS),
+    st.lists(st.just(Order(OrderSide.BUY_Y, 1.0)), max_size=3).map(tuple), st.just(()),
+    st.lists(OCTS, max_size=2).map(tuple), PAIRS, PAIRS)
+BLOCKS = st.builds(
+    BlockReceipt, st.integers(), FLOATS, st.lists(OCTS, max_size=3).map(tuple),
+    st.lists(st.tuples(TEXT, IDS), max_size=2).map(tuple), st.none() | UPDATES, IDS,
+    st.lists(EXECUTIONS, max_size=2).map(tuple),
+    st.none() | st.builds(ReentryReceipt, PAIRS, PAIRS, TEXT), PAIRS, PAIRS)
 
 
-def written_ndjson(records) -> str:
-    with tempfile.TemporaryDirectory() as d:
-        _OutDir(d, force=False).write_ndjson("events.ndjson", iter(records))
-        with open(os.path.join(d, "events.ndjson"), newline="") as f:
-            return f.read()
+class TestEventRenderer:
+    @given(BLOCKS)
+    def test_matches_the_reference_on_hand_built_receipts(self, block):
+        for e in reference_events(block):
+            event(e["kind"])
+        text = block.ndjson()
+        assert text == reference_ndjson(reference_events(block))
+        strict_records(text)
 
+    def test_nan_and_inf_read_back_as_null(self):
+        block = BlockReceipt(7, math.nan, (), (), None, (), (), None, (1.5, math.inf),
+                             (-math.inf, -0.0))
+        assert strict_records(block.ndjson()) == [
+            {"height": 7, "kind": "block_end", "pool": [1.5, None], "vault": [None, -0.0]}]
 
-def has_non_finite(obj) -> bool:
-    if isinstance(obj, float):
-        return not math.isfinite(obj)
-    if isinstance(obj, dict):
-        return any(map(has_non_finite, obj.values()))
-    return isinstance(obj, (list, tuple)) and any(map(has_non_finite, obj))
-
-
-class TestEventWriter:
-    @given(RECORDS)
-    def test_matches_the_per_line_reference(self, records):
-        if any(map(has_non_finite, records)):
-            event("a record holds NaN or inf")
-        text = written_ndjson(records)
-        assert text == reference_ndjson(records)
-        for line in text.splitlines():
-            json.loads(line, parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
-
-    def test_nan_inside_a_tuple_reads_back_as_null(self):
-        records = [{"kind": "a", "pool": (1.5, math.nan)}, {"kind": "b", "v": [-math.inf]}]
-        text = written_ndjson(records)
-        assert text == reference_ndjson(records)
-        assert [json.loads(line) for line in text.splitlines()] == [
-            {"kind": "a", "pool": [1.5, None]}, {"kind": "b", "v": [None]}]
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+    def test_a_builtin_log_is_the_reference_byte_for_byte(self, name, seed, tmp_path):
+        cfg = dataclasses.replace(builtin_scenarios()[name], blocks=40, record_events=True)
+        scn = tmp_path / "s.json"
+        scn.write_text(scenario_to_json(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scn), "--seed", str(seed), "--out", str(out)]) == 0
+        receipts = sim.run_scenario(cfg, seed).receipts
+        expected = reference_ndjson(e for block in receipts for e in reference_events(block))
+        assert (out / "events.ndjson").read_bytes() == expected.encode()
 
 
 class TestExperimentCommands:
@@ -334,6 +347,34 @@ class TestExitCodes:
         assert main([command, "--scenario", str(scn), "--out", out]) == 1
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command, name, flags, later", [
+        ("run", "default", [], "events.ndjson"),
+        ("lvr", "lvr", ["--runs", "2"], "ratios.csv"),
+        ("equilibrium", "equilibrium", ["--runs", "2", "--format", "json"], "gaps.json"),
+        ("sweep", "dominance", ["--trials", "20"], "sweep.csv"),
+    ])
+    @pytest.mark.parametrize("directory", [False, True])
+    def test_a_refused_later_target_writes_nothing(self, command, name, flags, later, directory,
+                                                   tmp_path, capsys):
+        # The target written last exists: as a file without --force, or as a directory.
+        cfg = dataclasses.replace(builtin_scenarios()[name], blocks=60, record_events=True)
+        scn = tmp_path / "s.json"
+        scn.write_text(scenario_to_json(cfg))
+        out = tmp_path / "out"
+        out.mkdir()
+        if directory:
+            (out / later).mkdir()
+            flags = flags + ["--force"]
+        else:
+            (out / later).write_bytes(b"stale\n")
+        assert main([command, "--scenario", str(scn), "--out", str(out), *flags]) == 1
+        assert later in capsys.readouterr().err
+        assert os.listdir(out) == [later]
+        if directory:
+            assert os.listdir(out / later) == []
+        else:
+            assert (out / later).read_bytes() == b"stale\n"
 
     @pytest.mark.parametrize("command, experiment", [
         ("run", "run_scenario"), ("lvr", "lvr_experiment"),

@@ -31,7 +31,8 @@ from v0lver.errors import (
 from v0lver.rebate import RebateSchedule, apply_rebated_move
 
 from oracles import (pool_price, reference_book_fill, reference_guarded_leg,
-                     reference_transfer, reference_transfer_token, reference_update_refusal)
+                     reference_transfer, reference_transfer_token, reference_update_refusal,
+                     strict_records)
 
 C = CONSTANT_PRODUCT
 SCHEDULE = RebateSchedule(z_max=4, beta0=0.8)
@@ -482,7 +483,8 @@ class TestTransitionGuards:
         assert er.burned == (oct_b,) and er.orders == (o_a,)
         assert chain.balances[BURNED][0] == pytest.approx(10.0)
         block = chain.advance_block(101.0)
-        assert [e["id"] for e in block.events() if e["kind"] == "oct_burned"] == [oct_b.id]
+        burned = [e["id"] for e in strict_records(block.ndjson()) if e["kind"] == "oct_burned"]
+        assert burned == [oct_b.id]
 
     def test_proposing_the_solver_price_settles_as_the_solver(self):
         orders = [("alice", buy(5.0, limit=103.0)), ("bob", sell(0.05, limit=100.5)),
@@ -634,8 +636,8 @@ class TestIdsAndLabelsAreInts:
         assert ledger_and_queues(chain) == state
         assert (chain._next_oct_id, chain._inserts, chain._revealed, chain._executions,
                 chain._update) == block
-        call(0)  # the id itself is accepted, and the block's events encode
-        json.dumps(chain.advance_block(100.0).events(), allow_nan=False)
+        call(0)  # the id itself is accepted, and the block's events are strict JSON
+        strict_records(chain.advance_block(100.0).ndjson())
 
 
 class TestOrdersAreOrders:
@@ -807,14 +809,14 @@ class TestLedger:
         assert block.reentry is not None
         assert block.pool == tuple(chain.balances[POOL])
         assert block.vault == tuple(chain.balances[VAULT])
-        kinds = [e["kind"] for e in block.events()]
+        kinds = [e["kind"] for e in strict_records(block.ndjson())]
         assert kinds == ["oct_submitted", "octs_inserted", "update_applied", "oct_revealed",
                          "batch_executed", "vault_reentered", "block_end"]
-        assert {e["height"] for e in block.events()} == {0}
+        assert {e["height"] for e in strict_records(block.ndjson())} == {0}
         # the next block starts empty
         empty = chain.advance_block(102.0)
         assert (empty.height, empty.submitted, empty.update, empty.executions) == (1, (), None, ())
-        assert [e["kind"] for e in empty.events()] == ["block_end"]
+        assert [e["kind"] for e in strict_records(empty.ndjson())] == ["block_end"]
 
     def test_every_record_of_a_block_is_immutable(self):
         chain = make_chain()
@@ -973,7 +975,7 @@ class TestLedger:
 
         (c1, b1), (c2, b2) = run(), run()
         assert c1.balances == c2.balances
-        assert b1.events() == b2.events()
+        assert b1.ndjson() == b2.ndjson()
 
 
 # One operation of a random protocol history: (kind, a, b, f). Hypothesis favours

@@ -228,7 +228,7 @@ class TestReceipts:
         # json.dumps keeps column order and spells NaN, so equal text is equal rows.
         assert json.dumps(rows) == json.dumps(res.blocks)
         # Each re-entry converts at its own block's price.
-        reentries = [(b, e) for b in res.receipts for e in b.events()
+        reentries = [(b, e) for b in res.receipts for e in map(json.loads, b.ndjson().splitlines())
                      if e["kind"] == "vault_reentered"]
         assert len(reentries) == sum(b.reentry is not None for b in res.receipts) > 0
         assert all(e["eps"] == b.eps for b, e in reentries)
