@@ -65,6 +65,8 @@ def gen_user_orders(
     state = rng.bit_generator.state if p > 0 else None
     u = rng.random((4 if p > 0 else 2) * n).tolist()  # an order draws at most 4
     orders, j = [], 0
+    append, new, inf = orders.append, tuple.__new__, math.inf
+    buy, sell = OrderSide.BUY_Y, OrderSide.SELL_Y
     for _ in range(n):
         sells_x, value = u[j] < 0.5, cap * u[j + 1]
         j += 2
@@ -77,15 +79,28 @@ def gen_user_orders(
                 # numpy's uniform(-1, 1) is -1 + 2 * u; 2 * u is exact, so even fused adds agree.
                 limit = eps * (1.0 + width * (-1.0 + 2.0 * u[j]))
                 j += 1
-        side, size = (OrderSide.BUY_Y, value) if sells_x else (OrderSide.SELL_Y, value / eps)
-        if size == 0.0:  # value / eps underflowed
-            raise DomainError(f"flow.value_frac {flow.value_frac!r} is too small: an order "
-                              f"worth {value!r} x has no size in y at price {eps!r}")
-        orders.append(Order(side, size, limit))
+        side, size = (buy, value) if sells_x else (sell, value / eps)
+        # ``Order.__new__``'s test of a float size and limit, then its body.
+        if not (0.0 < size < inf and (limit is None or 0.0 < limit < inf)):
+            raise _unorderable(flow, eps, max_y, value, size, limit)
+        append(new(Order, (side, size, limit)))
     if state is not None:  # rewind, then draw exactly the j values the orders used
         rng.bit_generator.state = state
         rng.random(j)
     return orders
+
+
+def _unorderable(flow: FlowModel, eps: float, max_y: float, value: float, size: float,
+                 limit: float | None) -> DomainError:
+    """The error for a drawn order that ``Order`` refuses, naming the scenario field behind it."""
+    if size == 0.0:  # value / eps underflowed
+        return DomainError(f"flow.value_frac {flow.value_frac!r} is too small: an order "
+                           f"worth {value!r} x has no size in y at price {eps!r}")
+    if size == math.inf:  # value / eps overflowed
+        return DomainError(f"bounds.max_y {max_y!r} is too large: an order worth {value!r} x has "
+                           f"no finite size in y at price {eps!r}")
+    return DomainError(f"flow.limit_width {flow.limit_width!r} is too wide at price {eps!r}: "
+                       f"an order limit of {limit!r} is not finite and > 0")
 
 
 def producer_utility(

@@ -54,6 +54,21 @@ def _clean(obj):
     return obj
 
 
+# A table row's items at indent 2, written by the C encoder (``indent`` selects the Python one).
+_encode_rows = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+
+
+def _table_json(rows: list) -> str:
+    r"""``json.dumps(_clean(rows), indent=2, sort_keys=True)`` for a list of non-empty dicts
+    of scalars. The rows are written with their items' separator, which between two rows
+    comes as ``},\n    {`` and inside one is followed by a key's quote (JSON strings hold no
+    raw newline), so only the frames around and between the rows are rewritten."""
+    if not rows:
+        return "[]"
+    body = _encode_rows(_clean(rows))[2:-2]  # less the outer ``[{`` and ``}]``
+    return "[\n  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
+
+
 def _resolve_scenario(spec: str):
     builtins = builtin_scenarios()
     if spec in builtins:
@@ -110,7 +125,8 @@ class _OutDir:
 
     def write_table(self, columns: list, rows: list):
         if self.format == "json":
-            self.write_json(self.table, rows)
+            with self.open(self.table) as f:
+                f.write(_table_json(rows) + "\n")
             return
         with self.open(self.table, newline="") as f:
             w = csv.writer(f)

@@ -38,8 +38,8 @@ What happens in a block is recorded once, in the ``BlockReceipt`` that
 """
 from __future__ import annotations
 
-import hashlib
 import struct
+from hashlib import sha256
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -87,17 +87,17 @@ def _guard(src, dst, s, d, dx, dy):
                                f"holds {list(acct)!r}", party=party)
 
 
-_ORDER_BITS = struct.Struct("<?dd")  # 17 bytes: sells x, size, limit or -1.0 (market; limits > 0)
+_pack_order_bits = struct.Struct("<?dd").pack  # sells x, size, limit or -1.0 (market; limits > 0)
+_BUY_Y = OrderSide.BUY_Y
 
 
 def commit_order(order: Order, salt: str) -> str:
     """Salted binding commitment to the exact bits of an order's side, size and limit."""
     if type(order) is not Order:  # a plain tuple of the same fields would compare equal
         raise DomainError(f"order must be an Order, got {order!r}")
-    limit = order.limit
-    bits = _ORDER_BITS.pack(order.side is OrderSide.BUY_Y, order.size,
-                            -1.0 if limit is None else limit)
-    return hashlib.sha256(bits + salt.encode()).hexdigest()
+    side, size, limit = order
+    bits = _pack_order_bits(side is _BUY_Y, size, -1.0 if limit is None else limit)
+    return sha256(bits + salt.encode()).hexdigest()
 
 
 class Oct(NamedTuple):
@@ -385,20 +385,23 @@ class ChainState:
         only the owner, the commitment, the sold token and the collateral stay
         visible until reveal.
         """
-        _refuse_engine_account(owner, "owner")
+        if type(owner) is not str or owner in ENGINE_ACCOUNTS or owner.startswith("alloc:"):
+            _refuse_engine_account(owner, "owner")  # raises
         oct_id = self._next_oct_id
         commitment = commit_order(order, str(oct_id))  # refuses what is not an Order
-        token = order.sells_token
-        bound = self.max_x if token == "x" else self.max_y
-        if order.size > bound:
-            raise DomainError(f"order size {order.size!r} exceeds the {token} bound {bound!r}")
-        funds, i = self.balances.get(owner) or (0.0, 0.0), 0 if token == "x" else 1
+        if order[0] is _BUY_Y:
+            token, bound, i = "x", self.max_x, 0
+        else:
+            token, bound, i = "y", self.max_y, 1
+        if order[1] > bound:
+            raise DomainError(f"order size {order[1]!r} exceeds the {token} bound {bound!r}")
+        funds = self.balances.get(owner) or (0.0, 0.0)
         if funds[i] - bound < -_NEG_TOL * (bound + 1.0):  # the leg's one payer, as _guard tests
             _guard(owner, COLLATERAL, funds, self.balances[COLLATERAL],
                    *((bound, 0.0), (0.0, bound))[i])
-        oct = Oct(oct_id, owner, commitment, token, bound)
+        oct = tuple.__new__(Oct, (oct_id, owner, commitment, token, bound))
         self._transfer_token(owner, COLLATERAL, token, bound)
-        self._next_oct_id += 1
+        self._next_oct_id = oct_id + 1
         self.mempool[oct_id] = oct
         self._submitted.append(oct)
         return oct
@@ -502,9 +505,10 @@ class ChainState:
         oct = self.allocated.get(oct_id) if type(oct_id) is int else None
         if oct is None:
             raise InvalidTransition(f"oct {oct_id!r} is not allocated and unrevealed")
-        if commit_order(order, salt=str(oct_id)) != oct.commitment:
+        if commit_order(order, str(oct_id)) != oct.commitment:
             raise InvalidTransition(f"order does not match the commitment of oct {oct_id}")
-        self.reveals[oct_id] = (self.allocated.pop(oct_id), order)
+        del self.allocated[oct_id]
+        self.reveals[oct_id] = (oct, order)
         self._revealed.append(oct_id)
 
     def execute_batch(self, label: int, proposed_price=None) -> ExecutionReceipt:

@@ -97,6 +97,34 @@ class TestUserFlow:
         assert gen_user_orders(rng, flow, 100.0, 10.0, 0.1) == []
 
 
+class TestUserFlowRefusals:
+    """The flow builds each ``Order`` positionally after ``Order.__new__``'s test of its
+    floats: it refuses a block exactly where building its orders with ``Order`` would."""
+
+    @pytest.mark.parametrize("eps, width, max_y, named", [
+        (1.7e308, 0.5, 0.1, r"flow\.limit_width 0\.5 is too wide at price 1\.7e\+308: "
+                            r"an order limit of inf"),  # limits above ~1.06 eps overflow
+        (5e-324, 0.9, 1e6, r"flow\.limit_width 0\.9 is too wide at price 5e-324: "
+                           r"an order limit of 0\.0"),  # limits below eps / 2 underflow
+    ])
+    def test_refuses_exactly_where_order_does(self, eps, width, max_y, named):
+        flow = FlowModel(arrival=2.0, limit_prob=1.0, limit_width=width, value_frac=1.0)
+        refused = 0
+        for seed in range(60):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            try:
+                expected = reference_user_flow(slow, flow, eps, 10.0, max_y)[0]
+            except DomainError as e:
+                assert "order limit must be finite and > 0" in str(e)
+                with pytest.raises(DomainError, match=named):
+                    gen_user_orders(fast, flow, eps, 10.0, max_y)
+                refused += 1
+            else:
+                assert order_bits(gen_user_orders(fast, flow, eps, 10.0, max_y)) == \
+                    order_bits(expected)
+        assert 0 < refused < 60
+
+
 BIT_GENERATORS = {"PCG64": np.random.PCG64, "MT19937": np.random.MT19937,
                   "Philox": np.random.Philox}
 DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
@@ -106,8 +134,9 @@ PROB = st.one_of(st.sampled_from([0.0, 1.0]),
 
 
 def order_bits(orders):
-    """Each order field by field, floats as their exact bits."""
-    return [(o.side, o.size.hex(), None if o.limit is None else o.limit.hex()) for o in orders]
+    """Each order's type and fields, floats as their exact bits."""
+    return [(type(o), o.side, o.size.hex(), None if o.limit is None else o.limit.hex())
+            for o in orders]
 
 
 def state_of(rng):

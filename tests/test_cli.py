@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from v0lver import sim
+from v0lver import cli, sim
 from v0lver.allocation import Order, OrderSide, Settlement
 from v0lver.cfmm import Reserves
 from v0lver.cli import main
@@ -198,6 +198,62 @@ class TestEventRenderer:
         receipts = sim.run_scenario(cfg, seed).receipts
         expected = reference_ndjson(e for block in receipts for e in reference_events(block))
         assert (out / "events.ndjson").read_bytes() == expected.encode()
+
+
+def _poisoned(experiment, poison):
+    """``experiment`` with ``poison`` applied to its result before the CLI writes it."""
+    def run(*args, **kwargs):
+        result = experiment(*args, **kwargs)
+        poison(result)
+        return result
+    return run
+
+
+def _poison_lvr(result):
+    result["ratios"][:2] = [math.nan, -math.inf]
+
+
+def _poison_gaps(result):
+    result["updates_by_gap"]["7"] = math.nan
+
+
+def _poison_sweep(result):
+    result["rows"][0]["utility"], result["rows"][1]["alpha"] = math.nan, math.inf
+
+
+# Each command's JSON table, written from a result with NaN or infinite values in it: the
+# monopolist's blocks without an update have a NaN update price, and the experiments'
+# results are poisoned.
+JSON_TABLES = [
+    ("run", "monopolist", "run_scenario", lambda result: None, [], "blocks.json"),
+    ("lvr", "lvr", "lvr_experiment", _poison_lvr, ["--runs", "3"], "ratios.json"),
+    ("equilibrium", "equilibrium", "equilibrium_experiment", _poison_gaps, ["--runs", "2"],
+     "gaps.json"),
+    ("sweep", "dominance", "dominance_sweep", _poison_sweep, ["--trials", "50"], "sweep.json"),
+]
+
+
+class TestJsonTables:
+    @pytest.mark.parametrize("command, name, experiment, poison, flags, table", JSON_TABLES)
+    def test_a_json_table_is_the_indented_sorted_dump(self, command, name, experiment, poison,
+                                                      flags, table, tmp_path, monkeypatch):
+        monkeypatch.setattr(sim, experiment, _poisoned(getattr(sim, experiment), poison))
+        raw = scenario_to_dict(builtin_scenarios()[name])
+        raw["blocks"] = 30
+        scenario = tmp_path / "short.json"
+        scenario.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(scenario), "--out", str(out), "--format", "json",
+                     *flags]) == 0
+        written = (out / table).read_bytes()
+        rows = json.loads(written)
+        assert any(None in row.values() for row in rows)  # NaN and inf read back as null
+        assert written == (json.dumps(rows, indent=2, sort_keys=True) + "\n").encode()
+
+    @given(st.lists(st.dictionaries(TEXT, FLOATS | st.integers() | TEXT | st.none()
+                                    | st.booleans(), min_size=1, max_size=4), max_size=4))
+    def test_any_rows_of_scalars_write_as_the_indented_sorted_dump(self, rows):
+        assert cli._table_json(rows) == json.dumps(cli._clean(rows), indent=2, sort_keys=True)
 
 
 class TestExperimentCommands:
@@ -454,6 +510,17 @@ class TestExitCodes:
         assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and path in err
+
+    def test_an_overflowing_limit_exits_one_naming_the_width_and_the_price(self, tmp_path,
+                                                                          capsys):
+        scn = tmp_path / "overflow.json"
+        scn.write_text(json.dumps({"blocks": 3, "price": {"initial": 1.7e308, "sigma": 0.0},
+                                   "flow": {"arrival": 50.0, "limit_prob": 1.0,
+                                            "limit_width": 0.5}}))
+        assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "flow.limit_width 0.5" in err and "1.7e+308" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "lvr", "equilibrium", "sweep"])
     def test_negative_seed_exits_one(self, command, tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 import types
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from v0lver.engine import (
     VAULT,
     _NEG_TOL,
     ChainState,
+    Oct,
     commit_order,
 )
 from v0lver.errors import (
@@ -125,6 +127,20 @@ class TestCommitments:
         with pytest.raises(InvalidTransition, match="commitment"):
             chain.reveal_order(oct.id, altered)
         chain.reveal_order(oct.id, order)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(first=COMMITTED, second=COMMITTED)
+    def test_submit_builds_the_oct_of_its_fields(self, first, second):
+        top = sys.float_info.max  # bounds every size COMMITTED draws
+        chain = make_chain(max_x=top, max_y=top,
+                           balances={"alice": (top, top), "bob": (top, top)})
+        for oct_id, owner, (order, _) in ((0, "alice", first), (1, "bob", second)):
+            oct = chain.submit_oct(owner, order)
+            assert type(oct) is Oct
+            assert oct == Oct(oct_id, owner, commit_order(order, str(oct_id)),
+                              order.sells_token, top)
+            assert oct.commitment == commit_order(order, str(oct.id))
 
 
 class TestLifecycle:
