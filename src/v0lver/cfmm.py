@@ -90,7 +90,7 @@ class ConstantProduct:
 
     def reserves_at_price(self, k: float, p: float) -> Reserves:
         """The unique point on level curve ``k`` > 0 with pool price ``p`` > 0."""
-        return Reserves(math.sqrt(k * p), math.sqrt(k / p))
+        return tuple.__new__(Reserves, (math.sqrt(k * p), math.sqrt(k / p)))
 
     def x_matching_price(self, p: float, y: float) -> float:
         """The x reserve that puts a pool with y reserve ``y`` at price ``p``."""

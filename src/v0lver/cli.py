@@ -60,12 +60,14 @@ _encode_rows = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).en
 
 def _table_json(rows: list) -> str:
     r"""``json.dumps(_clean(rows), indent=2, sort_keys=True)`` for a list of non-empty dicts
-    of scalars. The rows are written with their items' separator, which between two rows
-    comes as ``},\n    {`` and inside one is followed by a key's quote (JSON strings hold no
-    raw newline), so only the frames around and between the rows are rewritten."""
+    of scalars, cleaned flat by ``_clean``'s rule. The rows are written with their items'
+    separator, which between rows comes as ``},\n    {`` and inside one is followed by a key's
+    quote (JSON strings hold no raw newline), so only the frames around rows are rewritten."""
     if not rows:
         return "[]"
-    body = _encode_rows(_clean(rows))[2:-2]  # less the outer ``[{`` and ``}]``
+    rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in row.items()} for row in rows]
+    body = _encode_rows(rows)[2:-2]  # less the outer ``[{`` and ``}]``
     return "[\n  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
 
 

@@ -347,9 +347,10 @@ class ChainState:
         if not (abs(tx - x0) <= _SUPPLY_RTOL * abs(x0) and abs(ty - y0) <= _SUPPLY_RTOL * abs(y0)):
             raise InvariantViolation(f"token supply drifted from ({x0!r}, {y0!r}) "
                                      f"to ({tx!r}, {ty!r})")
-        (ex, ey), (vx, vy) = self.earmark(), self.balances[VAULT]
+        ex, ey = self.earmark() if self.open_allocations else (0.0, 0.0)
+        vx, vy = self.balances[VAULT]
         try:
-            px, py = check_live(Reserves(*self.balances[POOL]), "pool reserves")
+            px, py = check_live(tuple.__new__(Reserves, self.balances[POOL]), "pool reserves")
         except DomainError as e:
             raise InvariantViolation(str(e)) from None
         if not (ex <= px and ey <= py):
@@ -364,8 +365,7 @@ class ChainState:
     # ------------------------------------------------------------------- views
 
     def pool_reserves(self) -> Reserves:
-        bx, by = self.balances[POOL]
-        return Reserves(bx, by)
+        return tuple.__new__(Reserves, self.balances[POOL])
 
     def earmark(self) -> tuple[float, float]:
         """Pool-backed escrow share of the open allocations."""
@@ -438,7 +438,8 @@ class ChainState:
         heights up to it (and after the previous label) become the batch.
         The rebate fraction follows the schedule at gap ``H - H_a``.
         """
-        _refuse_engine_account(producer, "producer")
+        if type(producer) is not str or producer in ENGINE_ACCOUNTS or producer.startswith("alloc:"):
+            _refuse_engine_account(producer, "producer")  # raises
         h = self.height
         if self._update is not None:
             raise InvalidTransition(f"block {h} already carries an update transaction")
@@ -451,27 +452,28 @@ class ChainState:
         p = check_price(price)
         beta = self.schedule.value_at(h - alloc_label)
 
-        before = Reserves(*self.balances[POOL])
+        before = tuple.__new__(Reserves, self.balances[POOL])
         move = apply_rebated_move(before, p, beta)
-        (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
+        (vx, vy), (fx, fy) = move
         # The pool after the two move legs, subtracted in the order they book.
         # Live, it bounds the pool after the first leg too (the vault deposit is
         # >= 0) and the vault only receives, so of the move legs' payers only
         # the producer can overdraw: tested as ``_guard`` would, refused by it.
-        snapshot = check_live(Reserves(before.x - fx - vx, before.y - fy - vy), "pool reserves")
+        snapshot = tuple.__new__(Reserves, (before.x - fx - vx, before.y - fy - vy))
+        check_live(snapshot, "pool reserves")  # float parts: returns ``snapshot`` or raises
         funds = self.balances.get(producer) or (0.0, 0.0)
         if ((fx < 0.0 and funds[0] + fx < -_NEG_TOL * (abs(fx) + 1.0))
                 or (fy < 0.0 and funds[1] + fy < -_NEG_TOL * (abs(fy) + 1.0))):
             _guard(POOL, producer, self.balances[POOL], funds, fx, fy)
 
-        heights = range(self.last_alloc_label + 1, alloc_label + 1)
         batch: list[Oct] = []
-        if self.inserted_by_height:
+        if self.inserted_by_height:  # the label range holds OCTs only when an insertion waits
+            heights = range(self.last_alloc_label + 1, alloc_label + 1)
             for height in heights:
                 batch += self.inserted_by_height.get(height, ())
         ex, ey = escrow = (len(batch) * self.max_y * p, len(batch) * self.max_x / p)
         # The moved pool must back the open batches' earmarks and this one's.
-        held_x, held_y = self.earmark()
+        held_x, held_y = self.earmark() if self.open_allocations else (0.0, 0.0)
         need_x = held_x + (1.0 - beta) * ex
         need_y = held_y + (1.0 - beta) * ey
         if need_x > snapshot.x or need_y > snapshot.y:
@@ -489,8 +491,8 @@ class ChainState:
             self._transfer(producer, account, beta * ex, beta * ey)
 
         self.last_alloc_label = alloc_label
-        self._update = UpdateReceipt(h, alloc_label, beta, p, before, move, escrow, snapshot,
-                                     producer, tuple(oct.id for oct in batch))
+        self._update = tuple.__new__(UpdateReceipt, (h, alloc_label, beta, p, before, move, escrow,
+                                                     snapshot, producer, tuple(o.id for o in batch)))
         if batch:  # every insertion sits in a non-empty list
             for height in heights:
                 self.inserted_by_height.pop(height, None)
@@ -597,7 +599,8 @@ class ChainState:
         """
         eps = check_price(eps, "eps")
         who = converter if converter is not None else "converter"
-        _refuse_engine_account(who, "converter")
+        if type(who) is not str or who in ENGINE_ACCOUNTS or who.startswith("alloc:"):
+            _refuse_engine_account(who, "converter")  # raises
         h = self.height
         if self.open_allocations:
             for label in sorted(self.open_allocations):
@@ -615,12 +618,13 @@ class ChainState:
             # a transiently negative account.
             self._transfer(VAULT, who, *vault)
             self._transfer(who, POOL, *added)
-            reentry = ReentryReceipt(added, flow, who)
+            reentry = tuple.__new__(ReentryReceipt, (added, flow, who))
 
         self.check_books()
-        block = BlockReceipt(h, eps, tuple(self._submitted), tuple(self._inserts), self._update,
-                             tuple(self._revealed), tuple(self._executions), reentry,
-                             tuple(self.balances[POOL]), tuple(self.balances[VAULT]))
+        closing = tuple(self.balances[POOL]), tuple(self.balances[VAULT])
+        block = tuple.__new__(BlockReceipt, (h, eps, tuple(self._submitted), tuple(self._inserts),
+                                             self._update, tuple(self._revealed),
+                                             tuple(self._executions), reentry, *closing))
         self._open_block()
         self.height = h + 1
         return block

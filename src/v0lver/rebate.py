@@ -89,7 +89,7 @@ def apply_rebated_move(reserves: Reserves, target_price, rebate: float) -> Rebat
         raise DomainError(f"rebate must lie in [0, 1), got {rebate!r}")
     p0 = CONSTANT_PRODUCT.price(reserves)
     if target_price == p0:
-        return RebatedMoveResult((0.0, 0.0), (0.0, 0.0))
+        return tuple.__new__(RebatedMoveResult, ((0.0, 0.0), (0.0, 0.0)))
     full = CONSTANT_PRODUCT.reserves_at_price(CONSTANT_PRODUCT.invariant(reserves), target_price)
     dx = full.x - reserves.x
     dy = full.y - reserves.y
@@ -105,7 +105,7 @@ def apply_rebated_move(reserves: Reserves, target_price, rebate: float) -> Rebat
         deposit = (0.0, max(0.0, mid_y - CONSTANT_PRODUCT.y_matching_price(target_price, mid_x)))
     else:
         deposit = (max(0.0, mid_x - CONSTANT_PRODUCT.x_matching_price(target_price, mid_y)), 0.0)
-    return RebatedMoveResult(deposit, (-keep * dx, -keep * dy))
+    return tuple.__new__(RebatedMoveResult, (deposit, (-keep * dx, -keep * dy)))
 
 
 def vault_reenter(

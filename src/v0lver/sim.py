@@ -19,7 +19,6 @@ rebates disabled it equals the classic loss-versus-rebalancing sum exactly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -171,14 +170,16 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
             oct = chain.submit_oct(USERS, order)
             if not hide:
                 private_orders[oct.id] = order
-        chain.insert_octs(PRODUCER, list(chain.mempool))  # ascending ids: submission order
+        if chain.mempool:  # ascending ids: submission order; an empty insertion changes nothing
+            chain.insert_octs(PRODUCER, list(chain.mempool))
         decision = decide_update(cfg.producer, chain.schedule, chain.pool_reserves(), h,
                                  chain.last_alloc_label, eps)
         if decision is not None:
             update = chain.apply_update_tx(PRODUCER, *decision)
-            for oct_id in sorted(update.oct_ids):
-                if oct_id in private_orders:
-                    chain.reveal_order(oct_id, private_orders.pop(oct_id))
+            if update.oct_ids:
+                for oct_id in sorted(update.oct_ids):
+                    if oct_id in private_orders:
+                        chain.reveal_order(oct_id, private_orders.pop(oct_id))
 
         yield chain.advance_block(eps, converter=PRODUCER)
 
@@ -275,6 +276,7 @@ def run_many(cfg: ScenarioConfig, seed: int, runs: int, jobs: int = 1) -> list[R
     args = [(cfg, int(s)) for s in seeds]
     if jobs <= 1:
         return [_metrics_worker(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a run asks for a pool
     with ProcessPoolExecutor(max_workers=min(jobs, runs)) as ex:
         return list(ex.map(_metrics_worker, args, chunksize=max(1, runs // (4 * jobs))))
 

@@ -9,6 +9,7 @@ stderr; with one bad it exits 1 with one stderr line naming that flag (never
 2, which is kept for internal faults). Process pools run inline, so no
 example starts a process.
 """
+import concurrent.futures
 import contextlib
 import io
 import itertools
@@ -95,7 +96,7 @@ def test_one_bad_flag_exits_one_naming_it(workdir, command, data):
 
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "ProcessPoolExecutor", InlineExecutor)
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
     err = err.getvalue()

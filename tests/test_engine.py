@@ -385,6 +385,23 @@ class TestTransitionGuards:
         assert chain.balances[COLLATERAL] == [0.0, 0.0]
         assert chain.balances[BURNED] == pytest.approx([10.0, 0.0])
 
+    def test_an_empty_insertion_before_the_update_changes_nothing(self):
+        # The premise of the driver's skip: ``insert_octs(producer, [])`` books nothing.
+        def run(insert_nothing):
+            chain = make_chain()
+            first = chain.submit_oct("alice", buy(5.0))
+            chain.insert_octs("prod", [first.id])
+            chain.advance_block(100.0)
+            chain.submit_oct("bob", sell(0.05))  # pending beside a waiting insertion
+            if insert_nothing:
+                state = ledger_and_queues(chain)
+                assert chain.insert_octs("prod", []) == []
+                assert ledger_and_queues(chain) == state
+            chain.apply_update_tx("prod", 1, 101.0)
+            return chain.advance_block(101.0, converter="prod"), ledger_and_queues(chain)
+
+        assert run(True) == run(False)
+
     def test_one_update_per_block(self):
         chain = make_chain()
         chain.apply_update_tx("prod", 0, 101.0)

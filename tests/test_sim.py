@@ -1,6 +1,10 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -13,7 +17,9 @@ from v0lver.allocation import OrderSide
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
 from v0lver.cli import main
 from v0lver.config import builtin_scenarios, scenario_from_dict, scenario_to_dict
+from v0lver.engine import BlockReceipt, ExecutionReceipt, ReentryReceipt, UpdateReceipt
 from v0lver.errors import ConfigError, DomainError
+from v0lver.rebate import RebatedMoveResult, vault_reenter
 from v0lver.sim import (
     RunMetrics,
     dominance_sweep,
@@ -63,7 +69,7 @@ class TestDeterminism:
         assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
 
     def test_run_many_starts_no_more_workers_than_runs(self, monkeypatch):
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(InlineExecutor, "workers", [])
         cfg = shrink(SCN["lvr"], 5)
         pooled = run_many(cfg, 3, 2, jobs=100_000)  # runs inline: no process is started
@@ -78,7 +84,7 @@ class TestDeterminism:
 
         # Neither seeds nor runs nor a process pool may come before the check.
         monkeypatch.setattr(sim.np.random, "SeedSequence", no_work)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
         monkeypatch.setattr(sim, "_metrics_worker", no_work)
         counts = {"runs": 2, "jobs": 1, name: value}
         with pytest.raises(ConfigError, match=rf"^{name} must be an integer >= 1, got "):
@@ -108,7 +114,7 @@ class TestDeterminism:
             raise AssertionError("work began before the scenario was checked")
 
         monkeypatch.setattr(sim.np.random, "SeedSequence", no_work)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
         call = {"run_scenario": lambda: run_scenario(cfg, 1),
                 "run_many": lambda: run_many(cfg, 1, 2, jobs=2),
                 "lvr_experiment": lambda: lvr_experiment(cfg, 1, runs=2),
@@ -116,6 +122,18 @@ class TestDeterminism:
         with pytest.raises(ConfigError) as e:
             call()
         assert str(e.value) == f"cfg must be a ScenarioConfig, got {cfg!r}"
+
+    def test_a_run_in_one_process_loads_no_process_pool(self):
+        code = ("import dataclasses, sys, v0lver\n"
+                "cfg = dataclasses.replace(v0lver.builtin_scenarios()['lvr'], blocks=5)\n"
+                "v0lver.run_scenario(cfg, 0)\n"
+                "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
     def test_a_uint64_seed_runs(self):
         cfg = shrink(SCN["lvr"], 5)
@@ -232,6 +250,41 @@ class TestReceipts:
                      if e["kind"] == "vault_reentered"]
         assert len(reentries) == sum(b.reentry is not None for b in res.receipts) > 0
         assert all(e["eps"] == b.eps for b, e in reentries)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(SCN))
+    def test_positional_records_hold_what_their_fields_name(self, name, seed):
+        # The engine builds its per-block records with ``tuple.__new__``, past their
+        # field names; each field must still hold what its name says.
+        cfg = shrink(SCN[name], 60)
+        pool, vault = (cfg.pool_x, cfg.pool_y), (0.0, 0.0)  # the opening balances
+        for height, block in enumerate(run_scenario(cfg, seed).receipts):
+            assert type(block) is BlockReceipt and block.height == height
+            assert all(type(o) is engine.Oct for o in block.submitted)
+            assert all(type(e) is ExecutionReceipt for e in block.executions)
+            u = block.update
+            if u is not None:
+                assert (type(u), type(u.before), type(u.move), type(u.snapshot)) == (
+                    UpdateReceipt, Reserves, RebatedMoveResult, Reserves)
+                assert u.height == block.height and 0 <= u.label <= u.height
+                assert (u.beta, u.price, u.producer) == (cfg.rebate.value_at(u.gap), block.eps,
+                                                         sim.PRODUCER)
+                assert u.before == pool  # the previous block's closing pool
+                (fx, fy), (vx, vy) = u.move.producer_flow, u.move.vault_deposit
+                assert u.snapshot == (u.before.x - fx - vx, u.before.y - fy - vy)
+                assert u.escrow == (u.count * cfg.max_y * u.price, u.count * cfg.max_x / u.price)
+                assert type(u.oct_ids) is tuple and all(type(i) is int for i in u.oct_ids)
+                vault = (vault[0] + vx, vault[1] + vy)
+            r = block.reentry
+            if r is not None:
+                assert type(r) is ReentryReceipt and r.converter == sim.PRODUCER
+                assert (r.added, r.converter_flow) == vault_reenter(vault, block.eps)
+            pool, vault = block.pool, block.vault
+
+    def test_a_run_without_user_flow_inserts_nothing(self):
+        # The premise of the driver's skip of an empty insertion, on the criterion-3 scenario.
+        receipts = run_scenario(shrink(SCN["lvr"], 60), 0).receipts
+        assert all(b.update is not None and b.inserts == () for b in receipts)
 
     def test_integer_initial_price_reads_as_a_float(self):
         cfg = scenario_from_dict({"blocks": 3, "price": {"initial": 100}})
