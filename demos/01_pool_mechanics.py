@@ -11,7 +11,8 @@ the pool's price lags the outside market.
 import numpy as np
 
 from v0lver import CONSTANT_PRODUCT as curve
-from v0lver import Reserves, max_lvr
+from v0lver import Reserves
+from v0lver.cfmm import max_lvr
 
 r = Reserves(10_000.0, 100.0)
 k = curve.invariant(r)

@@ -11,13 +11,9 @@ at the then-current price. Net effect: the producer keeps (1 - beta) of the
 arbitrage, the pool recovers the rest.
 """
 from v0lver import CONSTANT_PRODUCT as curve
-from v0lver import (
-    RebateSchedule,
-    Reserves,
-    apply_rebated_move,
-    max_lvr,
-    vault_reenter,
-)
+from v0lver import RebateSchedule, Reserves
+from v0lver.cfmm import max_lvr
+from v0lver.rebate import apply_rebated_move, vault_reenter
 
 # The schedule pays beta0 at gap zero and fades linearly to zero at z_max.
 # The gap z = H - H_a is how far back the update's allocation label sits.

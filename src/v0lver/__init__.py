@@ -19,12 +19,7 @@ from .allocation import (
     clearing_price_with_limits,
     verify_clearing_price,
 )
-from .cfmm import (
-    CONSTANT_PRODUCT,
-    Reserves,
-    check_price,
-    max_lvr,
-)
+from .cfmm import CONSTANT_PRODUCT, Reserves
 from .config import (
     FlowModel,
     PriceModel,
@@ -45,7 +40,7 @@ from .errors import (
     V0lverError,
     VerificationError,
 )
-from .rebate import RebateSchedule, apply_rebated_move, vault_reenter
+from .rebate import RebateSchedule
 from .sim import (
     RunMetrics,
     RunResult,

@@ -22,21 +22,20 @@ from .rebate import RebateSchedule, apply_rebated_move
 
 @dataclass(slots=True)
 class PriceProcess:
-    """Log-normal multiplicative walk; a martingale when drift is zero."""
+    """Log-normal multiplicative walk, a martingale."""
 
     eps: float
     sigma: float
-    drift: float = 0.0
 
     def step(self, rng: np.random.Generator) -> float:
         z = rng.standard_normal()
         try:
-            self.eps *= math.exp(self.drift - 0.5 * self.sigma**2 + self.sigma * z)
+            self.eps *= math.exp(-0.5 * self.sigma**2 + self.sigma * z)
         except OverflowError:
             self.eps = math.inf
         if not 0.0 < self.eps < math.inf:
-            raise DomainError(f"price walk left the float range at {self.eps!r}: price.drift "
-                              f"{self.drift!r} or price.sigma {self.sigma!r} is too extreme")
+            raise DomainError(f"price walk left the float range at {self.eps!r}: "
+                              f"price.sigma {self.sigma!r} is too extreme")
         return self.eps
 
 

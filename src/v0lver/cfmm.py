@@ -11,9 +11,10 @@ price equals the external price, and the value ``(x - x_t) + (y - y_t) * eps``
 of moving the pool there, marked at the external price.
 
 All quantities are plain floats; token amounts are assumed divisible. Values
-are checked where they enter the package, not each time one is computed:
-the exported functions check their arguments, internal steps do not. What
-each export refuses and accepts is the table in ``tests/test_boundary.py``.
+are checked where they enter the package, not each time one is computed: the
+exports check their arguments by the ``check_*`` rules here, and internal
+steps such as ``max_lvr`` do not. What each export refuses and accepts is the
+table in ``tests/test_boundary.py``.
 """
 from __future__ import annotations
 
@@ -115,12 +116,10 @@ CONSTANT_PRODUCT = ConstantProduct()
 def max_lvr(r: Reserves, eps: float) -> tuple[Reserves, float]:
     """Optimal arbitrage target against external price ``eps`` and its value.
 
-    ``r`` must be a live pool and ``eps`` a price > 0 (else DomainError).
-    Returns ``(target_reserves, value)`` where ``value >= 0`` and is zero
-    exactly when the pool already prices at ``eps``.
+    Unchecked: ``r`` is a live pool and ``eps`` a float price > 0, as the
+    callers' checks leave them. Returns ``(target_reserves, value)`` where
+    ``value >= 0`` and is zero exactly when the pool already prices at ``eps``.
     """
-    r = check_live(r, "r")
-    eps = check_price(eps, "eps")
     if CONSTANT_PRODUCT.price(r) == eps:
         return r, 0.0
     target = CONSTANT_PRODUCT.reserves_at_price(CONSTANT_PRODUCT.invariant(r), eps)

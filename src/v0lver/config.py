@@ -60,8 +60,9 @@ def _check_types(obj, section: str = ""):
 class PriceModel:
     """Multiplicative log-normal walk for the external market price.
 
-    With ``drift == 0`` the walk is a martingale: each step multiplies by
-    ``exp(sigma * Z - sigma^2 / 2)``.
+    The walk is a martingale: each step multiplies by
+    ``exp(sigma * Z - sigma^2 / 2)``. ``drift`` stays in the schema pinned
+    to 0.0; any other value is refused.
     """
 
     initial: float = 100.0
@@ -72,6 +73,7 @@ class PriceModel:
         _check_types(self, "price")
         _require(self.initial > 0, "price.initial must be > 0")
         _require(self.sigma >= 0, "price.sigma must be >= 0")
+        _require(self.drift == 0, "price.drift must be 0.0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,6 +169,8 @@ class ScenarioConfig:
         _require(self.pool_x > 0 and self.pool_y > 0, "pool.x and pool.y must be > 0")
         _require(sys.float_info.min <= self.pool_x * self.pool_y <= sys.float_info.max,
                  "pool.x * pool.y must lie in the normal float range (2.2e-308 to 1.8e308)")
+        _require(0 < self.pool_x / self.pool_y <= sys.float_info.max,
+                 "pool.x / pool.y (the pool's price) must be finite and > 0")
         _require(self.curve == "constant_product", 'curve must be "constant_product"')
         _require(self.max_x > 0 and self.max_y > 0, "bounds.max_x and bounds.max_y must be > 0")
         _require(self.reveal_window >= 0, "reveal_window must be >= 0")

@@ -12,13 +12,16 @@ pool: the imbalance is converted at the external price (an idealized
 arbitrageur takes the other side) and the proceeds are deposited in a
 price-preserving ratio, so the pool constant weakly increases at every
 re-entry.
+
+The move and the re-entry are internal and check nothing: the engine and the
+agents pass them values checked where those entered the package.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cfmm import CONSTANT_PRODUCT, Reserves, check_int, check_live, check_pair, check_price
+from .cfmm import CONSTANT_PRODUCT, Reserves, check_int, check_price
 from .errors import DomainError
 
 
@@ -81,12 +84,9 @@ def apply_rebated_move(reserves: Reserves, target_price, rebate: float) -> Rebat
     is closed by removing tokens from the rich side into the vault, so the
     post-move pool prices at exactly ``target_price``. The pool constant
     weakly drops (strictly, whenever the move is real and ``rebate > 0``).
-    ``reserves`` must be a live pool and ``target_price`` a price > 0 (else DomainError).
+    Unchecked: ``reserves`` is a live pool, ``target_price`` a float price > 0
+    and ``rebate`` a float in [0, 1), as the callers' checks leave them.
     """
-    reserves = check_live(reserves, "reserves")
-    target_price = check_price(target_price, "target_price")
-    if not check_price(rebate, "rebate", or_zero=True) < 1.0:
-        raise DomainError(f"rebate must lie in [0, 1), got {rebate!r}")
     p0 = CONSTANT_PRODUCT.price(reserves)
     if target_price == p0:
         return tuple.__new__(RebatedMoveResult, ((0.0, 0.0), (0.0, 0.0)))
@@ -118,12 +118,11 @@ def vault_reenter(
     (signed, value zero at ``eps``). The vault's total value ``v`` (at
     ``eps``) is split into equal-value halves ``(v/2, v/(2*eps))``, the split
     of a price-preserving deposit for a pool sitting at price ``eps``, so the
-    pool constant weakly increases. ``vault`` is the ``(x, y)`` holding to
-    fold in, two numbers finite and >= 0; callers drain it when they route
-    the token movements. ``eps`` must be a price > 0 (else DomainError).
+    pool constant weakly increases. Unchecked: ``vault`` is the ``(x, y)``
+    holding to fold in, two floats finite and >= 0, and ``eps`` a float price
+    > 0; callers drain the vault when they route the token movements.
     """
-    vx, vy = check_pair(vault, "vault", or_zero=True)
-    eps = check_price(eps, "eps")
+    vx, vy = vault
     v = vx + vy * eps
     if v == 0.0:
         return (0.0, 0.0), (0.0, 0.0)

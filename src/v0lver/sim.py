@@ -156,7 +156,7 @@ def _drive(cfg: ScenarioConfig, seed: int, chain: ChainState):
     """Advance ``chain`` through the scenario, yielding each block's receipt."""
     ss = np.random.SeedSequence(seed)
     price_rng, flow_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    proc = PriceProcess(eps=cfg.price.initial, sigma=cfg.price.sigma, drift=cfg.price.drift)
+    proc = PriceProcess(eps=cfg.price.initial, sigma=cfg.price.sigma)
     eps = proc.eps
     # The bodies of the committed orders that will reveal once allocated.
     private_orders: dict[int, Order] = {}

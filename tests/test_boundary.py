@@ -41,21 +41,17 @@ from v0lver import (
     Reserves,
     ScenarioConfig,
     V0lverError,
-    apply_rebated_move,
     builtin_scenarios,
-    check_price,
     clearing_price_with_limits,
     dominance_sweep,
     equilibrium_experiment,
     load_scenario,
     lvr_experiment,
-    max_lvr,
     run_many,
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
     user_price_experiment,
-    vault_reenter,
     verify_clearing_price,
 )
 from v0lver.config import _JSON_PATH, scenario_to_json
@@ -190,13 +186,7 @@ ROWS = {
     "CONSTANT_PRODUCT": Kept("constant", "the one curve; its methods are unchecked formulas "
                                          "that the checked functions call with live values"),
     "Reserves": Kept("record", "a plain (x, y) pair; what reads one checks it live "
-                               "(the r, reserves and snapshot rows)"),
-    "check_price": Row(check_price, {"value": 2.0, "what": "price", "or_zero": False}, {
-        "value": PRICE._replace(named="price"),
-        "what": Arg(accepts=HOSTILE, why="a label for the message, any value"),
-        "or_zero": Arg(accepts=HOSTILE, why="a flag read for its truth, any value"),
-    }),
-    "max_lvr": Row(max_lvr, {"r": SNAP, "eps": 2.0}, {"r": LIVE, "eps": PRICE}),
+                               "(the ChainState reserves and snapshot rows)"),
     # --- rebate
     "RebateSchedule": Row(RebateSchedule, {"z_max": 4, "beta0": 0.8}, {
         "z_max": COUNT._replace(refuses=COUNT.refuses + (False, np.False_)),
@@ -206,20 +196,6 @@ ROWS = {
     }),
     "RebateSchedule.value_at": Row(lambda **kw: RebateSchedule().value_at(**kw), {"gap": 0}, {
         "gap": COUNT._replace(accepts=COUNT.accepts + (7,), refuses=COUNT.refuses + (2.5,)),
-    }),
-    "apply_rebated_move": Row(apply_rebated_move,
-                              {"reserves": SNAP, "target_price": 2.0, "rebate": 0.5}, {
-        "reserves": LIVE,
-        "target_price": PRICE,
-        "rebate": Arg(accepts=(0.0, np.float64(0.5)), refuses=(1.0, -0.1, "0.5", b"0.5"),
-                      why="a real number in [0, 1)"),
-    }),
-    "vault_reenter": Row(vault_reenter, {"vault": (1.0, 1.0), "eps": 2.0}, {
-        "vault": Arg(accepts=((3.5, 0.0), [0.0, 0.0], Reserves(1.0, 2.0)),
-                     refuses=tuple((v, 0.0) for v in HOSTILE if v != 3.5)
-                     + ((1.0,), (1.0, 2.0, 3.0), (-1.0, 0.0)),
-                     why="a pair of real numbers, each finite and >= 0"),
-        "eps": PRICE,
     }),
     # --- allocation
     "Order": Row(Order, {"side": OrderSide.BUY_Y, "size": 5.0, "limit": None}, {
@@ -258,8 +234,8 @@ ROWS = {
         }),
     # --- config
     "PriceModel": model_row(PriceModel, "price",
-                            {"initial": (3.5,), "sigma": (3.5, 0.0), "drift": (3.5, -1.0)},
-                            {"initial": (0.0,), "sigma": (-0.5, "0.02")}),
+                            {"initial": (3.5,), "sigma": (3.5, 0.0)},
+                            {"initial": (0.0,), "sigma": (-0.5, "0.02"), "drift": (0.01,)}),
     "FlowModel": model_row(FlowModel, "flow", {"arrival": (3.5,)}),
     "ProducerModel": model_row(ProducerModel, "producer", {
         "update_cost": (3.5,), "budget_x": (3.5,), "budget_y": (3.5,)}),

@@ -154,10 +154,26 @@ class TestValidation:
         ({"producer": {"censor_rate": False}}, "producer.censor_rate"),
         ({"pool": {"x": 1e300, "y": 1e300}}, "pool.x * pool.y"),
         ({"pool": {"y": 5e-324}}, "pool.x * pool.y"),
+        ({"pool": {"x": 1e250, "y": 1e-60}}, "pool.x / pool.y"),
+        ({"pool": {"x": 1e-200, "y": 1e200}}, "pool.x / pool.y"),
+        ({"price": {"drift": 0.01}}, "price.drift"),
     ])
     def test_errors_name_the_json_path(self, raw, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)} "):
             scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("pool", [{"x": 1e250, "y": 1e-60}, {"x": 1e-200, "y": 1e200}])
+    @pytest.mark.parametrize("command", ["validate", "run", "lvr", "sweep"])
+    def test_a_pool_priced_out_of_range_exits_one_naming_both_fields(self, pool, command,
+                                                                     tmp_path, capsys):
+        # pool.x * pool.y lies in the float range; pool.x / pool.y does not
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"pool": pool}))
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([command, "--scenario", str(path), *out]) == 1
+        assert capsys.readouterr() == ("", "error: pool.x / pool.y (the pool's price) "
+                                           "must be finite and > 0\n")
+        assert not (tmp_path / "out").exists()
 
     def test_sections_must_be_objects(self):
         for key in ("pool", "rebate", "price", "producer"):

@@ -1,4 +1,6 @@
-"""The narrated demos run end to end against the public API."""
+"""The narrated demos run end to end. They call the exports, and demos 01 and 02
+also the internal steps ``v0lver.cfmm.max_lvr``, ``v0lver.rebate.apply_rebated_move``
+and ``v0lver.rebate.vault_reenter``, which check nothing, with values they chose."""
 import os
 import subprocess
 import sys

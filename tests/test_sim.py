@@ -11,16 +11,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from v0lver import engine, sim
+from v0lver import agents, engine, sim
 from v0lver.agents import producer_utility
 from v0lver.allocation import OrderSide
-from v0lver.cfmm import CONSTANT_PRODUCT, Reserves
+from v0lver.cfmm import CONSTANT_PRODUCT, Reserves, check_live, check_pair, check_price
 from v0lver.cli import main
 from v0lver.config import builtin_scenarios, scenario_from_dict, scenario_to_dict
 from v0lver.engine import BlockReceipt, ExecutionReceipt, ReentryReceipt, UpdateReceipt
 from v0lver.errors import ConfigError, DomainError
 from v0lver.rebate import RebatedMoveResult, vault_reenter
 from v0lver.sim import (
+    SWEEP_ALPHAS,
+    SWEEP_MULTIPLIERS,
     RunMetrics,
     dominance_sweep,
     equilibrium_experiment,
@@ -280,6 +282,50 @@ class TestReceipts:
                 assert type(r) is ReentryReceipt and r.converter == sim.PRODUCER
                 assert (r.added, r.converter_flow) == vault_reenter(vault, block.eps)
             pool, vault = block.pool, block.vault
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(SCN))
+    def test_the_unchecked_moves_get_values_their_callers_checked(self, name, seed, monkeypatch):
+        # max_lvr, apply_rebated_move and vault_reenter check nothing on entry; every
+        # value a run hands them must pass the rules they once applied, already as floats.
+        def price(v):
+            assert type(v) is float and check_price(v) == v
+
+        def live(r):
+            assert check_live(r, "pool") is r  # ``r`` itself: live, with float parts
+
+        def lvr(r, eps):
+            live(r)
+            price(eps)
+
+        def move(reserves, target, rebate):
+            lvr(reserves, target)
+            assert type(rebate) is float and 0.0 <= rebate < 1.0
+
+        def reenter(vault, eps):
+            assert type(vault) is tuple and all(type(v) is float for v in vault)
+            check_pair(vault, "vault", or_zero=True)
+            price(eps)
+
+        calls = {}
+        for module, fn, check in ((engine, "apply_rebated_move", move),
+                                  (engine, "vault_reenter", reenter),
+                                  (sim, "max_lvr", lvr),
+                                  (agents, "apply_rebated_move", move)):
+            def wrapped(*args, _fn=getattr(module, fn), _check=check, _key=(module, fn)):
+                _check(*args)
+                calls[_key] = calls.get(_key, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(module, fn, wrapped)
+        cfg = SCN[name]
+        receipts = run_scenario(cfg, seed).receipts
+        updates = sum(b.update is not None for b in receipts)
+        assert calls.get((engine, "apply_rebated_move")) == calls.get((sim, "max_lvr")) == updates
+        assert calls.get((engine, "vault_reenter"), 0) == sum(b.reentry is not None
+                                                                for b in receipts)
+        if cfg.flow.limit_prob == 0:  # the sweep clears market flow only
+            dominance_sweep(cfg, seed, trials=5)
+            assert calls[agents, "apply_rebated_move"] == len(SWEEP_MULTIPLIERS) * len(SWEEP_ALPHAS)
 
     def test_a_run_without_user_flow_inserts_nothing(self):
         # The premise of the driver's skip of an empty insertion, on the criterion-3 scenario.
