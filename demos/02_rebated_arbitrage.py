@@ -26,23 +26,22 @@ r = Reserves(100.0, 100.0)
 eps = 4.0
 full = curve.reserves_at_price(curve.invariant(r), eps)
 print(f"\nfull swap would land on ({full.x:.1f}, {full.y:.1f})")
-# The move returns the two legs the pool pays out: the producer's flow and
-# the vault deposit. The pool the engine books is what is left.
-move = apply_rebated_move(r, eps, rebate=0.5)
-fx, fy = move.producer_flow
-vx, vy = move.vault_deposit
+# The move returns the two legs the pool pays out: the vault deposit and the
+# producer's flow. The pool the engine books is what is left.
+deposit, (fx, fy) = apply_rebated_move(r, eps, rebate=0.5)
+vx, vy = deposit
 pool = Reserves(r.x - fx - vx, r.y - fy - vy)
 print(f"half swap lands the pool on ({pool.x:.1f}, {pool.y:.1f}) at price "
       f"{curve.price(pool):.1f}")
-print(f"vault receives {move.vault_deposit}")
-print(f"producer flow: {fx:+.1f} x, {fy:+.1f} y "
-      f"-> payoff at eps: {move.producer_payoff_at(eps):.1f}")
+print(f"vault receives {deposit}")
+payoff = fx + fy * eps  # the producer's flow marked at the external price
+print(f"producer flow: {fx:+.1f} x, {fy:+.1f} y -> payoff at eps: {payoff:.1f}")
 
 # Compare with the unrebated arbitrage value: the producer kept exactly
 # (1 - beta) of it.
 _, full_value = max_lvr(r, eps)
 print(f"full arbitrage value {full_value:.1f}; kept fraction "
-      f"{move.producer_payoff_at(eps) / full_value:.2f}")
+      f"{payoff / full_value:.2f}")
 
 # Value accounting at eps: the pool plus vault together hold what the full
 # swap would have left the pool, plus the clawed-back beta * L. Nothing
@@ -55,7 +54,7 @@ print(f"pool {pool_v:.1f} + vault {vx + vy * eps:.1f} = "
 # Re-entry: fold the vault back in as a price-preserving deposit. The
 # converting agent swaps the vault basket for the (v/2, v/2eps) shape; the
 # swap happens at eps, so the converter breaks even.
-(ax, ay), (cx, cy) = vault_reenter(move.vault_deposit, eps)
+(ax, ay), (cx, cy) = vault_reenter(deposit, eps)
 after = Reserves(pool.x + ax, pool.y + ay)
 print(f"\nre-entry adds {(ax, ay)} to the pool")
 print(f"pool after: ({after.x:.2f}, {after.y:.2f}), price {curve.price(after):.1f}, "
@@ -65,8 +64,7 @@ print(f"converter flow ({cx:+.2f}, {cy:+.2f}) is worth {cx + cy * eps:+.2f} at e
 # The pool's constant ends higher than it started whenever beta > 0: the
 # rebate is a real transfer from the arbitrageur back to the LPs.
 for beta in (0.0, 0.2, 0.5, 0.8):
-    m = apply_rebated_move(r, eps, beta)
-    (fx, fy), (vx, vy) = m.producer_flow, m.vault_deposit
-    (ax, ay), _ = vault_reenter(m.vault_deposit, eps)
+    (vx, vy), (fx, fy) = apply_rebated_move(r, eps, beta)
+    (ax, ay), _ = vault_reenter((vx, vy), eps)
     k_end = curve.invariant(Reserves(r.x - fx - vx + ax, r.y - fy - vy + ay))
     print(f"beta {beta:.1f}: k after move + re-entry = {k_end:10.1f}")

@@ -69,7 +69,7 @@ s = er.settlement
 print(f"\nbatch settled at {s.price:.4f} "
       f"(snapshot price was {receipt.snapshot.x / receipt.snapshot.y:.4f})")
 for f in s.fills:
-    print(f"    {er.owners[f.index]} sold {f.sold:.4f}, bought {f.bought:.6f}")
+    print(f"    {er.revealed[f.index].owner} sold {f.sold:.4f}, bought {f.bought:.6f}")
 print(f"escrow remainder split pool/producer: {er.to_pool} / {er.to_producer}")
 show(chain, "after block 0 (settled, vault re-entered)")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import Order, OrderSide
-from .cfmm import CONSTANT_PRODUCT, Reserves, check_live
+from .cfmm import Reserves, check_live, max_lvr
 from .config import FlowModel, ProducerModel
 from .errors import DomainError
 from .rebate import RebateSchedule, apply_rebated_move
@@ -128,8 +128,7 @@ def producer_utility(
     update costs are omitted: they are constant across the grid.
     """
     beta = schedule.value_at(0)
-    move = apply_rebated_move(reserves, multiplier * eps, beta)
-    (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
+    (vx, vy), (fx, fy) = apply_rebated_move(reserves, multiplier * eps, beta)
     sx, sy = reserves.x - fx - vx, reserves.y - fy - vy
     check_live(Reserves(sx, sy), "pool reserves")  # as the engine's update requires
     own_x, own_y = (0.0, alpha * max_y) if multiplier >= 1.0 else (alpha * max_x, 0.0)
@@ -137,7 +136,7 @@ def producer_utility(
     p_e = (sx + x_in) / (sy + y_in)
     own = own_y * (p_e - eps) + own_x * (eps / p_e - 1.0)
     escrow = beta * ((x_in - y_in * p_e) + (y_in - x_in / p_e) * eps)
-    return move.producer_payoff_at(eps) + float(np.mean(own + escrow))
+    return fx + fy * eps + float(np.mean(own + escrow))
 
 
 def decide_update(
@@ -172,9 +171,8 @@ def decide_update(
     keep = 1.0 - schedule.value_at(height - label)
     if producer.update_policy == "threshold" and keep < producer.min_keep:
         return None
-    full = CONSTANT_PRODUCT.reserves_at_price(CONSTANT_PRODUCT.invariant(reserves), eps)
+    full, value = max_lvr(reserves, eps)
     check_live(full, "pool reserves")  # a target whose reserves overflow cannot be reached
-    value = (reserves.x - full.x) + (reserves.y - full.y) * eps
     if keep * value < producer.update_cost:
         return None
     return label, eps

@@ -98,10 +98,6 @@ class Order(_OrderFields):
     def __reduce__(self):
         return type(self), tuple(self)
 
-    @property
-    def sells_token(self) -> str:
-        return "x" if self.side is OrderSide.BUY_Y else "y"
-
 
 class Fill(NamedTuple):
     """Executed part of one order: what it sold and what it received."""

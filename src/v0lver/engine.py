@@ -30,11 +30,12 @@ sized from, and a batch closes with its reveal window, so a late reveal finds
 its OCT gone. An ``Oct`` is an immutable ``NamedTuple`` record whose stage is
 the queue holding it: ``mempool`` (pending), ``inserted_by_height``,
 ``allocated`` (in an open batch, unrevealed), ``reveals``, then its batch's
-``ExecutionReceipt`` (filled or burned). A refused action books nothing and
-moves no OCT.
+``ExecutionReceipt``, in ``revealed`` beside its order or in ``burned``. A
+refused action books nothing and moves no OCT.
 
 What happens in a block is recorded once, in the ``BlockReceipt`` that
 ``advance_block`` returns; block rows, run metrics and ``events.ndjson`` derive from it.
+An update's receipt holds its move's two legs, a batch's the OCTs it revealed.
 """
 from __future__ import annotations
 
@@ -53,12 +54,7 @@ from .errors import (
     InvariantViolation,
     VerificationError,
 )
-from .rebate import (
-    RebateSchedule,
-    RebatedMoveResult,
-    apply_rebated_move,
-    vault_reenter,
-)
+from .rebate import RebateSchedule, apply_rebated_move, vault_reenter
 
 POOL = "pool"
 VAULT = "vault"
@@ -113,10 +109,11 @@ class Oct(NamedTuple):
 class UpdateReceipt(NamedTuple):
     """One update transaction at ``height`` and the batch ``oct_ids`` it allocated.
 
-    ``before`` is the pool the move started from, ``snapshot`` the pool the
-    move's legs book, ``before - producer_flow - vault_deposit``, which the
-    batch settles against. The producer funds the ``beta`` share of the
-    booked ``(x, y)`` escrow into the batch's account; the pool earmarks the rest.
+    ``before`` is the pool the move started from, ``vault_deposit`` and
+    ``producer_flow`` the move's legs, ``snapshot`` the pool they book,
+    ``before - producer_flow - vault_deposit``, which the batch settles against.
+    The producer funds the ``beta`` share of the booked ``(x, y)`` escrow into
+    the batch's account; the pool earmarks the rest.
     """
 
     height: int
@@ -124,7 +121,8 @@ class UpdateReceipt(NamedTuple):
     beta: float
     price: float
     before: Reserves
-    move: RebatedMoveResult
+    vault_deposit: tuple[float, float]
+    producer_flow: tuple[float, float]
     escrow: tuple[float, float]
     snapshot: Reserves
     producer: str
@@ -143,7 +141,7 @@ class ExecutionReceipt(NamedTuple):
     update: UpdateReceipt
     settlement: Settlement
     orders: tuple[Order, ...]
-    owners: tuple[str, ...]  # owners[i] submitted the OCT that carried orders[i]
+    revealed: tuple[Oct, ...]  # revealed[i] is the OCT that carried orders[i]
     burned: tuple[Oct, ...]
     to_pool: tuple[float, float]
     to_producer: tuple[float, float]
@@ -188,7 +186,7 @@ class BlockReceipt(NamedTuple):
         lines += [f'{{"height": {h}, "ids": [{", ".join(map(str, ids))}], '
                   f'"kind": "octs_inserted", "producer": {s(p)}}}\n' for p, ids in self.inserts]
         if (u := self.update) is not None:
-            (ex, ey), (fx, fy), (vx, vy) = u.escrow, u.move.producer_flow, u.move.vault_deposit
+            (ex, ey), (fx, fy), (vx, vy) = u.escrow, u.producer_flow, u.vault_deposit
             lines.append(f'{{"beta": {f(u.beta)}, "count": {u.count}, '
                          f'"escrow": [{f(ex)}, {f(ey)}], "gap": {u.gap}, "height": {h}, '
                          f'"kind": "update_applied", "label": {u.label}, "price": {f(u.price)}, '
@@ -491,7 +489,7 @@ class ChainState:
             self._transfer(producer, account, beta * ex, beta * ey)
 
         self.last_alloc_label = alloc_label
-        self._update = tuple.__new__(UpdateReceipt, (h, alloc_label, beta, p, before, move, escrow,
+        self._update = tuple.__new__(UpdateReceipt, (h, alloc_label, beta, p, before, *move, escrow,
                                                      snapshot, producer, tuple(o.id for o in batch)))
         if batch:  # every insertion sits in a non-empty list
             for height in heights:
@@ -583,7 +581,7 @@ class ChainState:
         self._transfer(escrow, u.producer, min(ax, 0.0), min(ay, 0.0))
         del self.balances[escrow], self.open_allocations[label]
 
-        receipt = ExecutionReceipt(u, settlement, orders, tuple(oct.owner for oct, _ in revealed),
+        receipt = ExecutionReceipt(u, settlement, orders, tuple(oct for oct, _ in revealed),
                                    burned, to_pool, to_producer)
         self._executions.append(receipt)
         return receipt

@@ -14,12 +14,12 @@ price-preserving ratio, so the pool constant weakly increases at every
 re-entry.
 
 The move and the re-entry are internal and check nothing: the engine and the
-agents pass them values checked where those entered the package.
+agents pass them values checked where those entered the package. Each returns
+its two legs as a plain pair, which the engine books and records as they are.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .cfmm import CONSTANT_PRODUCT, Reserves, check_int, check_price
 from .errors import DomainError
@@ -58,38 +58,24 @@ class RebateSchedule:
         return self.beta0 * (1.0 - gap / self.z_max)
 
 
-class RebatedMoveResult(NamedTuple):
-    """Outcome of one rebated price move.
-
-    ``producer_flow`` is signed from the producer's point of view (positive
-    components are received by the producer, negative are paid in).
-    ``vault_deposit`` is the non-negative amount shed to the vault. These are
-    the two legs the pool pays out, so the moved pool is
-    ``reserves - producer_flow - vault_deposit``.
-    """
-
-    vault_deposit: tuple[float, float]
-    producer_flow: tuple[float, float]
-
-    def producer_payoff_at(self, eps: float) -> float:
-        fx, fy = self.producer_flow
-        return fx + fy * float(eps)
-
-
-def apply_rebated_move(reserves: Reserves, target_price, rebate: float) -> RebatedMoveResult:
+def apply_rebated_move(
+    reserves: Reserves, target_price, rebate: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
     """Move the pool price to ``target_price`` paying rebate fraction ``rebate``.
 
-    The producer trades ``(1 - rebate)`` of the full reserve swap that would
-    land the pool on ``target_price``; the price gap left by the partial move
-    is closed by removing tokens from the rich side into the vault, so the
-    post-move pool prices at exactly ``target_price``. The pool constant
-    weakly drops (strictly, whenever the move is real and ``rebate > 0``).
+    Returns ``(vault_deposit, producer_flow)``, the two legs the pool pays out,
+    so the moved pool is ``reserves - producer_flow - vault_deposit``. The
+    producer trades ``(1 - rebate)`` of the full reserve swap that would land
+    the pool on ``target_price`` (its flow is signed: positive received); the
+    vault takes the non-negative rest of the rich side that puts the moved pool
+    at exactly ``target_price``. The pool constant weakly drops (strictly,
+    whenever the move is real and ``rebate > 0``).
     Unchecked: ``reserves`` is a live pool, ``target_price`` a float price > 0
     and ``rebate`` a float in [0, 1), as the callers' checks leave them.
     """
     p0 = CONSTANT_PRODUCT.price(reserves)
     if target_price == p0:
-        return tuple.__new__(RebatedMoveResult, ((0.0, 0.0), (0.0, 0.0)))
+        return (0.0, 0.0), (0.0, 0.0)
     full = CONSTANT_PRODUCT.reserves_at_price(CONSTANT_PRODUCT.invariant(reserves), target_price)
     dx = full.x - reserves.x
     dy = full.y - reserves.y
@@ -105,7 +91,7 @@ def apply_rebated_move(reserves: Reserves, target_price, rebate: float) -> Rebat
         deposit = (0.0, max(0.0, mid_y - CONSTANT_PRODUCT.y_matching_price(target_price, mid_x)))
     else:
         deposit = (max(0.0, mid_x - CONSTANT_PRODUCT.x_matching_price(target_price, mid_y)), 0.0)
-    return tuple.__new__(RebatedMoveResult, (deposit, (-keep * dx, -keep * dy)))
+    return deposit, (-keep * dx, -keep * dy)
 
 
 def vault_reenter(

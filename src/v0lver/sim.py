@@ -221,14 +221,16 @@ def _tally(m: RunMetrics, cfg: ScenarioConfig, block: BlockReceipt, receipts: li
     """Add one block's share of the run metrics; float sums go per update, execution and fill."""
     eps, u, n_submitted = block.eps, block.update, len(block.submitted)
     m.n_octs += n_submitted
-    m.ops += (n_submitted + sum(len(ids) for _, ids in block.inserts) + (u is not None)
-              + len(block.revealed) + 1 + len(block.executions) + (block.reentry is not None))
+    m.ops += (n_submitted + (u is not None) + len(block.revealed) + 1 + len(block.executions)
+              + (block.reentry is not None))
+    if block.inserts:
+        m.ops += sum(len(ids) for _, ids in block.inserts)
     if u is not None:
         m.n_updates += 1
-        m.updates_by_gap[u.gap] = m.updates_by_gap.get(u.gap, 0) + 1
+        gap = u.gap
+        m.updates_by_gap[gap] = m.updates_by_gap.get(gap, 0) + 1
         m.update_costs += cfg.producer.update_cost
-        fx, fy = u.move.producer_flow
-        vx, vy = u.move.vault_deposit
+        (fx, fy), (vx, vy) = u.producer_flow, u.vault_deposit
         m.producer_flow_value += fx + fy * eps
         m.realized_lvr += (fx + vx) + (fy + vy) * eps
         m.full_lvr += max_lvr(u.before, eps)[1]
@@ -242,7 +244,7 @@ def _tally(m: RunMetrics, cfg: ScenarioConfig, block: BlockReceipt, receipts: li
         tx, ty = er.to_producer
         m.producer_escrow_net += (tx - beta * ex) + (ty - beta * ey) * eps
         for f in er.settlement.fills:
-            if er.owners[f.index] == USERS:
+            if er.revealed[f.index].owner == USERS:
                 m.n_user_fills += 1
                 dev = er.settlement.price / eps_alloc - 1.0
                 m.user_dev_sum += dev

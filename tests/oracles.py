@@ -38,7 +38,8 @@ scalar at a time, which the flow's one-call draws must reproduce bit for bit,
 the generator's state after them included. ``ReferenceBook`` sums with
 ``plain_sum``, the left-to-right adds of the sorted book's loops.
 ``market_orders``, ``user_flow_trials``, ``settlement_bits``, ``InlineExecutor``,
-``pool_price`` and ``strict_records`` are test plumbing, not references.
+``pool_price``, ``sold_token``, ``producer_payoff`` and ``strict_records`` are test
+plumbing, not references.
 """
 from __future__ import annotations
 
@@ -497,8 +498,7 @@ def reference_update_refusal(chain: ChainState, producer: str, alloc_label: int,
     p = check_price(price)
     beta = chain.schedule.value_at(chain.height - alloc_label)
     before = Reserves(*chain.balances[POOL])
-    move = apply_rebated_move(before, p, beta)
-    (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
+    (vx, vy), (fx, fy) = apply_rebated_move(before, p, beta)
     snapshot = check_live(Reserves(before.x - fx - vx, before.y - fy - vy), "pool reserves")
     legs = [(POOL, producer, fx, fy), (POOL, VAULT, vx, vy)]
     n = sum(len(chain.inserted_by_height.get(h, ()))
@@ -550,6 +550,17 @@ def pool_price(chain: ChainState) -> float:
     return CONSTANT_PRODUCT.price(chain.pool_reserves())
 
 
+def sold_token(order: Order) -> str:
+    """The token ``order`` sells, ``"x"`` or ``"y"``, read from its side."""
+    return "x" if order.side is OrderSide.BUY_Y else "y"
+
+
+def producer_payoff(move, eps: float) -> float:
+    """The producer's leg of an ``apply_rebated_move`` result, marked at ``eps``."""
+    _, (fx, fy) = move
+    return fx + fy * eps
+
+
 def _json_safe(obj):
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
@@ -573,8 +584,7 @@ def reference_events(block) -> list[dict]:
     u = block.update
     if u is not None:
         out.append(ev("update_applied", label=u.label, gap=u.gap, beta=u.beta, price=u.price,
-                      producer_flow=u.move.producer_flow,
-                      vault_deposit=u.move.vault_deposit, count=u.count,
+                      producer_flow=u.producer_flow, vault_deposit=u.vault_deposit, count=u.count,
                       escrow=u.escrow, producer=u.producer))
     out += [ev("oct_revealed", id=i) for i in block.revealed]
     for e in block.executions:

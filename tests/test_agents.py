@@ -251,3 +251,13 @@ class TestUpdateDecision:
         zero = RebateSchedule(z_max=0, beta0=0.0)
         got = decide_update(p, zero, self.R, 5, 2, 104.0)
         assert got == (5, 104.0)
+
+    @pytest.mark.parametrize("policy", ["threshold", "best_response"])
+    def test_zero_cost_producer_updates_a_pool_already_at_the_price(self, policy):
+        # At a pool already at eps the move is worth exactly zero, not float dust
+        # below it, so a kept fraction always covers a zero update cost.
+        p = self.prod(update_policy=policy)
+        rng = np.random.default_rng(5)
+        for x, y in rng.uniform(1.0, 1e6, size=(2000, 2)).tolist():
+            eps = x / y
+            assert decide_update(p, SCHEDULE, Reserves(x, y), 5, 2, eps) is not None, (x, y)

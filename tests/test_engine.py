@@ -34,7 +34,7 @@ from v0lver.rebate import RebateSchedule, apply_rebated_move
 
 from oracles import (pool_price, reference_book_fill, reference_guarded_leg,
                      reference_transfer, reference_transfer_token, reference_update_refusal,
-                     strict_records)
+                     sold_token, strict_records)
 
 C = CONSTANT_PRODUCT
 SCHEDULE = RebateSchedule(z_max=4, beta0=0.8)
@@ -139,7 +139,7 @@ class TestCommitments:
             oct = chain.submit_oct(owner, order)
             assert type(oct) is Oct
             assert oct == Oct(oct_id, owner, commit_order(order, str(oct_id)),
-                              order.sells_token, top)
+                              sold_token(order), top)
             assert oct.commitment == commit_order(order, str(oct.id))
 
 
@@ -219,15 +219,16 @@ class TestLifecycle:
         octs = [chain.submit_oct(who, o) for who, o in submitted]
         chain.insert_octs("prod", [oct.id for oct in octs])
         update = chain.apply_update_tx("prod", 0, 100.0)
-        assert update.move.producer_flow == (0.0, 0.0) and update.beta == 0.0
+        assert update.producer_flow == (0.0, 0.0) and update.beta == 0.0
         for oct, (_, o) in reversed(list(zip(octs, submitted))):
             chain.reveal_order(oct.id, o)
         er = chain.advance_block(100.0, converter="prod").executions[0]
-        assert er.owners == ("alice", "prod", "bob")
+        assert er.revealed == tuple(octs)
+        assert tuple(oct.owner for oct in er.revealed) == ("alice", "prod", "bob")
         assert er.orders == tuple(o for _, o in submitted)
         assert sorted(f.index for f in er.settlement.fills) == [0, 1, 2]
         for f in er.settlement.fills:
-            owner, sells = er.owners[f.index], "xy".index(er.orders[f.index].sells_token)
+            owner, sells = er.revealed[f.index].owner, "xy".index(sold_token(er.orders[f.index]))
             change = [now - then for now, then in zip(chain.balances[owner], before[owner])]
             assert change[sells] == pytest.approx(-f.sold, rel=1e-12, abs=1e-12), owner
             assert change[1 - sells] == pytest.approx(f.bought, rel=1e-12, abs=1e-12), owner
@@ -259,7 +260,7 @@ class TestLifecycle:
         block = chain.advance_block(104.0)
         assert block.executions == ()
         # producer paid x in, took y out at less than the full swap
-        fx, fy = receipt.move.producer_flow
+        fx, fy = receipt.producer_flow
         assert fx < 0 < fy
         assert chain.conservation_error() < 1e-11
 
@@ -859,12 +860,11 @@ class TestLedger:
         chain.reveal_order(oct.id, buy(5.0))
         block = chain.advance_block(102.0, converter="prod")
         er = block.executions[0]
-        records = [block, block.submitted[0], block.update, block.update.before,
-                   block.update.move, er, er.settlement, er.settlement.fills[0], er.orders[0],
-                   block.reentry]
+        records = [block, block.submitted[0], block.update, block.update.before, er,
+                   er.settlement, er.settlement.fills[0], er.orders[0], block.reentry]
         assert [type(r).__name__ for r in records] == [
-            "BlockReceipt", "Oct", "UpdateReceipt", "Reserves", "RebatedMoveResult",
-            "ExecutionReceipt", "Settlement", "Fill", "Order", "ReentryReceipt"]
+            "BlockReceipt", "Oct", "UpdateReceipt", "Reserves", "ExecutionReceipt",
+            "Settlement", "Fill", "Order", "ReentryReceipt"]
         for r in records:
             for name in r._fields:
                 value = getattr(r, name)
@@ -1281,12 +1281,12 @@ class TestUpdateDryRun:
     def test_refuses_exactly_as_a_dry_run_of_every_leg(self, beta0, ratio, n, max_y, holdings):
         schedule = RebateSchedule(z_max=1 if beta0 else 0, beta0=beta0)
         price = 100.0 * ratio
-        move = apply_rebated_move(Reserves(10_000.0, 100.0), price, beta0)
+        _, flow = apply_rebated_move(Reserves(10_000.0, 100.0), price, beta0)
         escrow = (beta0 * n * max_y * price, beta0 * n * 10.0 / price)
         balances = {"alice": (1_000.0, 10.0)}
         if holdings is not None:  # else the producer holds no account
             balances["prod"] = tuple(holding(kind, ulps, f, e) for (kind, ulps), f, e
-                                     in zip(holdings, move.producer_flow, escrow))
+                                     in zip(holdings, flow, escrow))
         chain = make_chain(schedule=schedule, max_y=max_y, balances=balances)
         octs = [chain.submit_oct("alice", buy(5.0)) for _ in range(n)]
         chain.insert_octs("prod", [oct.id for oct in octs])

@@ -5,14 +5,14 @@ from v0lver.cfmm import CONSTANT_PRODUCT, Reserves, max_lvr
 from v0lver.errors import DomainError
 from v0lver.rebate import RebateSchedule, apply_rebated_move, vault_reenter
 
-from oracles import bisect_vault_shed
+from oracles import bisect_vault_shed, producer_payoff
 
 C = CONSTANT_PRODUCT
 
 
 def booked(r, move):
     """The pool the engine books: ``r`` less the producer and vault legs."""
-    (fx, fy), (vx, vy) = move.producer_flow, move.vault_deposit
+    (vx, vy), (fx, fy) = move
     return Reserves(r.x - fx - vx, r.y - fy - vy)
 
 
@@ -40,13 +40,13 @@ class TestRebatedMove:
         # half of the full swap, the pool sheds the leftover y into the vault
         # and lands exactly on price 4.
         r = Reserves(100, 100)
-        res = apply_rebated_move(r, 4.0, 0.5)
+        res = deposit, flow = apply_rebated_move(r, 4.0, 0.5)
         assert booked(r, res).x == pytest.approx(150.0, rel=1e-12)
         assert booked(r, res).y == pytest.approx(37.5, rel=1e-12)
-        assert res.vault_deposit == pytest.approx((0.0, 37.5))
-        assert res.producer_flow == pytest.approx((-50.0, 25.0))
+        assert deposit == pytest.approx((0.0, 37.5))
+        assert flow == pytest.approx((-50.0, 25.0))
         # payoff at eps = 4 is (1 - beta) * L = 0.5 * 100
-        assert res.producer_payoff_at(4.0) == pytest.approx(50.0, rel=1e-12)
+        assert producer_payoff(res, 4.0) == pytest.approx(50.0, rel=1e-12)
 
     def test_matches_root_finding_oracle(self):
         for x, y, tp, beta in [
@@ -56,27 +56,27 @@ class TestRebatedMove:
             (10_000.0, 100.0, 95.7, 0.2),
             (3.0, 7.0, 1.0, 0.6),
         ]:
-            res = apply_rebated_move(Reserves(x, y), tp, beta)
+            res = (dx, dy), _ = apply_rebated_move(Reserves(x, y), tp, beta)
             ox, oy, sx, sy = bisect_vault_shed(x, y, tp, beta)
             pool = booked(Reserves(x, y), res)
             assert pool.x == pytest.approx(ox, rel=1e-9)
             assert pool.y == pytest.approx(oy, rel=1e-9)
-            assert res.vault_deposit[0] == pytest.approx(sx, rel=1e-9, abs=1e-9)
-            assert res.vault_deposit[1] == pytest.approx(sy, rel=1e-9, abs=1e-9)
+            assert dx == pytest.approx(sx, rel=1e-9, abs=1e-9)
+            assert dy == pytest.approx(sy, rel=1e-9, abs=1e-9)
 
     def test_noop_at_current_price(self):
         r = Reserves(123.0, 45.0)
-        res = apply_rebated_move(r, 123.0 / 45.0, 0.7)
+        res = deposit, flow = apply_rebated_move(r, 123.0 / 45.0, 0.7)
         assert booked(r, res) == r
-        assert res.vault_deposit == (0.0, 0.0)
-        assert res.producer_flow == (0.0, 0.0)
+        assert deposit == (0.0, 0.0)
+        assert flow == (0.0, 0.0)
 
     def test_zero_rebate_is_the_full_swap(self):
         # The full swap from (100, 100) to price 4 lands on (200, 50).
         r = Reserves(100, 100)
-        res = apply_rebated_move(r, 4.0, 0.0)
+        res = deposit, _ = apply_rebated_move(r, 4.0, 0.0)
         assert booked(r, res) == Reserves(200.0, 50.0) == C.reserves_at_price(C.invariant(r), 4.0)
-        assert res.vault_deposit == (0.0, 0.0)
+        assert deposit == (0.0, 0.0)
         assert C.invariant(booked(r, res)) == pytest.approx(10_000.0, rel=1e-12)
 
     @given(
@@ -88,14 +88,13 @@ class TestRebatedMove:
     def test_lands_on_target_and_never_grows_k(self, x, y, mult, beta):
         r = Reserves(x, y)
         tp = float(C.price(r)) * mult
-        res = apply_rebated_move(r, tp, beta)
+        res = (dx, dy), _ = apply_rebated_move(r, tp, beta)
         pool = booked(r, res)
         assert C.price(pool) == pytest.approx(tp, rel=1e-9)
         k0 = C.invariant(r)
         k1 = C.invariant(pool)
         assert k1 <= k0 * (1.0 + 1e-12)
-        # deposits are one-sided and non-negative
-        dx, dy = res.vault_deposit
+        # vault deposits are one-sided and non-negative
         assert dx >= 0.0 and dy >= 0.0
         assert dx == 0.0 or dy == 0.0
 
@@ -113,11 +112,11 @@ class TestRebatedMove:
         eps = float(C.price(r)) * eps_mult
         _, best_value = max_lvr(r, eps)
         at_eps = apply_rebated_move(r, eps, beta)
-        assert at_eps.producer_payoff_at(eps) == pytest.approx(
+        assert producer_payoff(at_eps, eps) == pytest.approx(
             (1.0 - beta) * best_value, rel=1e-9, abs=1e-9 * (x + y * eps)
         )
         probe = apply_rebated_move(r, eps * probe_mult, beta)
-        assert probe.producer_payoff_at(eps) <= at_eps.producer_payoff_at(eps) + 1e-9 * (
+        assert producer_payoff(probe, eps) <= producer_payoff(at_eps, eps) + 1e-9 * (
             x + y * eps
         )
 

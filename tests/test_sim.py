@@ -19,7 +19,7 @@ from v0lver.cli import main
 from v0lver.config import builtin_scenarios, scenario_from_dict, scenario_to_dict
 from v0lver.engine import BlockReceipt, ExecutionReceipt, ReentryReceipt, UpdateReceipt
 from v0lver.errors import ConfigError, DomainError
-from v0lver.rebate import RebatedMoveResult, vault_reenter
+from v0lver.rebate import apply_rebated_move, vault_reenter
 from v0lver.sim import (
     SWEEP_ALPHAS,
     SWEEP_MULTIPLIERS,
@@ -264,15 +264,22 @@ class TestReceipts:
             assert type(block) is BlockReceipt and block.height == height
             assert all(type(o) is engine.Oct for o in block.submitted)
             assert all(type(e) is ExecutionReceipt for e in block.executions)
+            for er in block.executions:  # revealed[i] is the OCT that committed to orders[i]
+                assert len(er.revealed) == len(er.orders)
+                for order, oct in zip(er.orders, er.revealed):
+                    assert type(oct) is engine.Oct and oct.id in er.update.oct_ids
+                    assert engine.commit_order(order, str(oct.id)) == oct.commitment
             u = block.update
             if u is not None:
-                assert (type(u), type(u.before), type(u.move), type(u.snapshot)) == (
-                    UpdateReceipt, Reserves, RebatedMoveResult, Reserves)
+                assert (type(u), type(u.before), type(u.vault_deposit), type(u.producer_flow),
+                        type(u.snapshot)) == (UpdateReceipt, Reserves, tuple, tuple, Reserves)
+                move = apply_rebated_move(u.before, u.price, u.beta)
+                assert (u.vault_deposit, u.producer_flow) == move
                 assert u.height == block.height and 0 <= u.label <= u.height
                 assert (u.beta, u.price, u.producer) == (cfg.rebate.value_at(u.gap), block.eps,
                                                          sim.PRODUCER)
                 assert u.before == pool  # the previous block's closing pool
-                (fx, fy), (vx, vy) = u.move.producer_flow, u.move.vault_deposit
+                (fx, fy), (vx, vy) = u.producer_flow, u.vault_deposit
                 assert u.snapshot == (u.before.x - fx - vx, u.before.y - fy - vy)
                 assert u.escrow == (u.count * cfg.max_y * u.price, u.count * cfg.max_x / u.price)
                 assert type(u.oct_ids) is tuple and all(type(i) is int for i in u.oct_ids)
@@ -311,6 +318,7 @@ class TestReceipts:
         for module, fn, check in ((engine, "apply_rebated_move", move),
                                   (engine, "vault_reenter", reenter),
                                   (sim, "max_lvr", lvr),
+                                  (agents, "max_lvr", lvr),
                                   (agents, "apply_rebated_move", move)):
             def wrapped(*args, _fn=getattr(module, fn), _check=check, _key=(module, fn)):
                 _check(*args)
