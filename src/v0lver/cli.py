@@ -5,7 +5,8 @@ Subcommands map onto the simulation API: ``run`` (one scenario run),
 distribution), ``sweep`` (producer strategy grid), and ``validate``
 (normalize and check a scenario). Outputs are deterministic in
 (scenario, seed) — no timestamps, stable key order — so reruns are
-byte-identical and diffable.
+byte-identical and diffable. Every JSON file, a ``--format json`` table too, is
+one ``json.dump`` at indent 2 with sorted keys, NaN and infinities as null.
 
 Exit codes: 0 success, 1 bad input or infeasible scenario, 2 internal
 invariant violation (a bug, not a user error).
@@ -52,23 +53,6 @@ def _clean(obj):
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
     return obj
-
-
-# A table row's items at indent 2, written by the C encoder (``indent`` selects the Python one).
-_encode_rows = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
-
-
-def _table_json(rows: list) -> str:
-    r"""``json.dumps(_clean(rows), indent=2, sort_keys=True)`` for a list of non-empty dicts
-    of scalars, cleaned flat by ``_clean``'s rule. The rows are written with their items'
-    separator, which between rows comes as ``},\n    {`` and inside one is followed by a key's
-    quote (JSON strings hold no raw newline), so only the frames around rows are rewritten."""
-    if not rows:
-        return "[]"
-    rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
-             for k, v in row.items()} for row in rows]
-    body = _encode_rows(rows)[2:-2]  # less the outer ``[{`` and ``}]``
-    return "[\n  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
 
 
 def _resolve_scenario(spec: str):
@@ -127,9 +111,7 @@ class _OutDir:
 
     def write_table(self, columns: list, rows: list):
         if self.format == "json":
-            with self.open(self.table) as f:
-                f.write(_table_json(rows) + "\n")
-            return
+            return self.write_json(self.table, rows)
         with self.open(self.table, newline="") as f:
             w = csv.writer(f)
             w.writerow(columns)

@@ -3,8 +3,11 @@
 A scenario pins everything a simulation run depends on except the seed, so a
 (scenario, seed) pair is fully reproducible. Unknown keys are rejected
 rather than ignored — silent typos in experiment configs are worse than a
-loud failure. The ``rebate`` section is the engine's ``RebateSchedule``
-itself, which checks its fields when it is built.
+loud failure. A scenario checks itself once, when it is built: each model,
+the ``rebate`` section (the engine's ``RebateSchedule`` itself) included,
+refuses a bad field in ``__post_init__``, naming its JSON path, so
+``dataclasses.replace`` checks too and a built scenario is never checked
+again. ``ScenarioConfig.validate()`` re-checks the top level and returns it.
 """
 from __future__ import annotations
 
@@ -69,7 +72,7 @@ class PriceModel:
     sigma: float = 0.02
     drift: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         _check_types(self, "price")
         _require(self.initial > 0, "price.initial must be > 0")
         _require(self.sigma >= 0, "price.sigma must be >= 0")
@@ -94,7 +97,7 @@ class FlowModel:
     value_frac: float = 1.0
     no_reveal_prob: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         _check_types(self, "flow")
         # Orders per block: numpy's Poisson draw fails near 1e19, memory far sooner.
         _require(0 <= self.arrival <= 1e5, "flow.arrival must lie in [0, 1e5]")
@@ -129,7 +132,7 @@ class ProducerModel:
     budget_x: float = 100_000.0
     budget_y: float = 1_000.0
 
-    def validate(self):
+    def __post_init__(self):
         _check_types(self, "producer")
         _require(self.update_policy in UPDATE_POLICIES,
                  f"producer.update_policy must be one of {UPDATE_POLICIES}")
@@ -162,7 +165,7 @@ class ScenarioConfig:
     flow: FlowModel = field(default_factory=FlowModel)
     producer: ProducerModel = field(default_factory=ProducerModel)
 
-    def validate(self) -> "ScenarioConfig":
+    def __post_init__(self):
         _check_types(self)
         _require(bool(self.name), "name must be non-empty")
         _require(self.blocks > 0, "blocks must be > 0")
@@ -177,17 +180,17 @@ class ScenarioConfig:
         _require(self.conversion_frequency >= 0, "conversion_frequency must be >= 0")
         _require(self.user_budget_x >= 0 and self.user_budget_y >= 0,
                  "users.budget_x and users.budget_y must be >= 0")
-        self.price.validate()
-        self.flow.validate()
-        self.producer.validate()
+
+    def validate(self) -> "ScenarioConfig":
+        """This scenario, checked again (its models are frozen and checked when built)."""
+        self.__post_init__()
         return self
 
 
-def check_scenario(cfg) -> ScenarioConfig:
-    """``cfg`` validated; ConfigError unless it is a valid ``ScenarioConfig``."""
+def check_scenario(cfg):
+    """ConfigError unless ``cfg`` is a ``ScenarioConfig``, which checked itself when built."""
     if not isinstance(cfg, ScenarioConfig):
         raise ConfigError(f"cfg must be a ScenarioConfig, got {cfg!r}")
-    return cfg.validate()
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -231,7 +234,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         elif f.name not in _JSON_PATH and f.name in raw:
             given[f.name] = raw.pop(f.name)
     _require(not raw, f"unknown scenario keys: {sorted(raw)}")
-    return ScenarioConfig(**given).validate()
+    return ScenarioConfig(**given)
 
 
 def scenario_to_json(cfg: ScenarioConfig) -> str:
@@ -300,4 +303,4 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
             producer=ProducerModel(update_policy="threshold", min_keep=1.0),
         ),
     ]
-    return {cfg.name: cfg.validate() for cfg in scenarios}
+    return {cfg.name: cfg for cfg in scenarios}

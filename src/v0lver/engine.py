@@ -8,6 +8,9 @@ construction. Legs book unchecked; the two outside payers, an order's owner
 and the update's producer, are checked where they pay. Every block end checks
 the supply, that the pool is live and holds its earmarks, and that neither the
 vault nor the collateral is overdrawn. No agent acts as an engine account.
+The chain keeps no settings of its own: its caller names the order bounds, the
+reveal window, the conversion frequency and each block's converter, and opening
+balances fund agents only, so every engine account opens empty.
 
 Escrow accounting: the update that allocates a batch sizes its escrow to pay
 out the worst case, ``count`` orders all selling the same side at the
@@ -230,8 +233,8 @@ class ChainState:
         *,
         max_x: float,
         max_y: float,
-        reveal_window: int = 2,
-        conversion_frequency: int = 1,
+        reveal_window: int,
+        conversion_frequency: int,
         balances: dict[str, tuple[float, float]] | None = None,
     ):
         max_x, max_y = check_price(max_x, what="max_x"), check_price(max_y, what="max_y")
@@ -253,11 +256,10 @@ class ChainState:
         pool = list(check_live(Reserves(*check_pair(reserves, "reserves")), "reserves"))
         self.balances: dict[str, list[float]] = {POOL: pool}
         for party, opening in (balances or {}).items():
-            if party != VAULT:
-                _refuse_engine_account(party, "opening balances")
+            _refuse_engine_account(party, "opening balances")
             self.balances[party] = check_pair(opening, f"opening balance of {party!r}", True)
         for party in (VAULT, COLLATERAL, BURNED):
-            self.balances.setdefault(party, [0.0, 0.0])
+            self.balances[party] = [0.0, 0.0]
         self._next_oct_id = 0
         self._supply0 = self.total_supply()
         self._open_block()
@@ -586,7 +588,7 @@ class ChainState:
         self._executions.append(receipt)
         return receipt
 
-    def advance_block(self, eps, converter: str | None = None) -> BlockReceipt:
+    def advance_block(self, eps, converter: str) -> BlockReceipt:
         """Close the block: execute due batches, maybe re-enter the vault.
 
         A batch is due once all its OCTs revealed or its window elapsed.
@@ -596,9 +598,9 @@ class ChainState:
         (``check_books``), the closing pool included.
         """
         eps = check_price(eps, "eps")
-        who = converter if converter is not None else "converter"
-        if type(who) is not str or who in ENGINE_ACCOUNTS or who.startswith("alloc:"):
-            _refuse_engine_account(who, "converter")  # raises
+        if (type(converter) is not str or converter in ENGINE_ACCOUNTS
+                or converter.startswith("alloc:")):
+            _refuse_engine_account(converter, "converter")  # raises
         h = self.height
         if self.open_allocations:
             for label in sorted(self.open_allocations):
@@ -614,9 +616,9 @@ class ChainState:
             # The converter swaps the vault basket for the price-preserving
             # one; value-neutral at eps, so outside liquidity may go through
             # a transiently negative account.
-            self._transfer(VAULT, who, *vault)
-            self._transfer(who, POOL, *added)
-            reentry = tuple.__new__(ReentryReceipt, (added, flow, who))
+            self._transfer(VAULT, converter, *vault)
+            self._transfer(converter, POOL, *added)
+            reentry = tuple.__new__(ReentryReceipt, (added, flow, converter))
 
         self.check_books()
         closing = tuple(self.balances[POOL]), tuple(self.balances[VAULT])

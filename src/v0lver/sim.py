@@ -19,6 +19,7 @@ rebates disabled it equals the classic loss-versus-rebalancing sum exactly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -267,8 +268,10 @@ def _metrics_worker(args) -> RunMetrics:
 def run_many(cfg: ScenarioConfig, seed: int, runs: int, jobs: int = 1) -> list[RunMetrics]:
     """Independent runs with per-run seeds derived from ``seed``.
 
-    The per-run seeds do not depend on ``jobs``, so outputs are identical
-    however the work is spread.
+    ``jobs`` bounds the worker processes, which are never more than the runs or
+    the CPUs; with one worker the runs go inline, and no pool is loaded. The
+    per-run seeds do not depend on ``jobs``, so outputs are identical however
+    the work is spread.
     """
     _check_int("runs", runs)
     _check_int("jobs", jobs)
@@ -276,11 +279,12 @@ def run_many(cfg: ScenarioConfig, seed: int, runs: int, jobs: int = 1) -> list[R
     check_scenario(cfg)
     seeds = np.random.SeedSequence(seed).generate_state(runs, dtype=np.uint64)
     args = [(cfg, int(s)) for s in seeds]
-    if jobs <= 1:
+    workers = min(jobs, runs, os.cpu_count() or 1)
+    if workers == 1:
         return [_metrics_worker(a) for a in args]
     from concurrent.futures import ProcessPoolExecutor  # loaded only when a run asks for a pool
-    with ProcessPoolExecutor(max_workers=min(jobs, runs)) as ex:
-        return list(ex.map(_metrics_worker, args, chunksize=max(1, runs // (4 * jobs))))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(_metrics_worker, args, chunksize=max(1, runs // (4 * workers))))
 
 
 def lvr_experiment(cfg: ScenarioConfig, seed: int, runs: int = 200, jobs: int = 1) -> dict:

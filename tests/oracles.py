@@ -406,7 +406,7 @@ def engine_producer_payoffs(reserves: Reserves, eps: float, schedule, max_x: flo
     out = []
     for orders in blocks:
         chain = ChainState(reserves, schedule, max_x=max_x, max_y=max_y,
-                           conversion_frequency=0,
+                           reveal_window=2, conversion_frequency=0,
                            balances={"users": (1e6, 1e4), "producer": (1e5, 1e3)})
         octs = [(chain.submit_oct("users", o), o) for o in orders]
         x0, y0 = chain.balances["producer"]
@@ -426,9 +426,11 @@ def engine_producer_payoffs(reserves: Reserves, eps: float, schedule, max_x: flo
 
 class InlineExecutor:
     """Stand-in for ``ProcessPoolExecutor``: maps in this process and records
-    the ``max_workers`` each pool was asked for in ``InlineExecutor.workers``."""
+    the ``max_workers`` each pool was asked for in ``InlineExecutor.workers``,
+    and the ``chunksize`` of each map in ``InlineExecutor.chunksizes``."""
 
     workers: list[int] = []
+    chunksizes: list[int] = []
 
     def __init__(self, max_workers):
         InlineExecutor.workers.append(max_workers)
@@ -440,6 +442,7 @@ class InlineExecutor:
         return False
 
     def map(self, fn, iterable, chunksize=1):
+        InlineExecutor.chunksizes.append(chunksize)
         return map(fn, iterable)
 
 

@@ -55,7 +55,7 @@ def allocated(orders, price=102.0):
     """A chain at price 100 whose update at ``price`` allocated ``orders``
     (label 0, beta 0.8, bounds 10 x and 0.1 y), all revealed."""
     chain = ChainState(Reserves(10_000.0, 100.0), RebateSchedule(z_max=4, beta0=0.8),
-                       max_x=10.0, max_y=0.1,
+                       max_x=10.0, max_y=0.1, reveal_window=2, conversion_frequency=1,
                        balances={"u": (1_000.0, 10.0), "prod": (10_000.0, 100.0)})
     octs = [chain.submit_oct("u", o) for o in orders]
     chain.insert_octs("prod", [o.id for o in octs])
@@ -343,7 +343,8 @@ class TestVerification:
         assert verify_clearing_price(C, snapshot, orders, solved.price) == solved
 
         chain = ChainState(snapshot, RebateSchedule(z_max=4, beta0=0.8), max_x=1.0,
-                           max_y=0.01, balances={"u": (1.0, 0.0), "prod": (10.0, 1.0)})
+                           max_y=0.01, reveal_window=2, conversion_frequency=1,
+                           balances={"u": (1.0, 0.0), "prod": (10.0, 1.0)})
         oct = chain.submit_oct("u", orders[0])
         chain.insert_octs("prod", [oct.id])
         assert chain.apply_update_tx("prod", 0, 100.0).snapshot == snapshot
@@ -672,7 +673,7 @@ class TestEscrowSizing:
         # three orders, bounds 4 x and 1 y, allocated at price 2: the escrow
         # covers three max-size sells of either token, (3 * 1 * 2, 3 * 4 / 2)
         chain = ChainState(Reserves(2_000.0, 1_000.0), RebateSchedule(z_max=4, beta0=0.8),
-                           max_x=4.0, max_y=1.0,
+                           max_x=4.0, max_y=1.0, reveal_window=2, conversion_frequency=1,
                            balances={"u": (100.0, 100.0), "prod": (100.0, 100.0)})
         octs = [chain.submit_oct("u", o) for o in (buy(4.0), buy(1.0), sell(1.0))]
         chain.insert_octs("prod", [o.id for o in octs])

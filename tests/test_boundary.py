@@ -110,12 +110,11 @@ AGENT = Arg(accepts=("2",), refuses=ENGINE_ACCOUNTS,
             why="any str but the engine's own accounts names an agent ('2' is funded here)")
 
 TINY = dataclasses.replace(builtin_scenarios()["lvr"], blocks=3)
-#: Scenarios that are ScenarioConfigs, refused for a field they name.
-BAD_SCENARIOS = (dataclasses.replace(TINY, blocks=0),
-                 dataclasses.replace(TINY, flow=FlowModel(arrival=2.0, value_frac=5e-324)))
+#: A ScenarioConfig, checked when built, that a run refuses for the field behind it.
+UNRUNNABLE = dataclasses.replace(TINY, flow=FlowModel(arrival=2.0, value_frac=5e-324))
 NOT_SCENARIOS = ({}, "lvr", scenario_to_dict(TINY))
-SCENARIO = Arg(refuses=NOT_SCENARIOS + BAD_SCENARIOS,
-               named=r"(cfg|blocks) must|flow\.value_frac \S+ is too small")
+SCENARIO = Arg(refuses=NOT_SCENARIOS + (UNRUNNABLE,),
+               named=r"cfg must|flow\.value_frac \S+ is too small")
 BUY = Order(OrderSide.BUY_Y, 5.0)
 SNAP = Reserves(100.0, 100.0)
 ORDERS = r"orders(\[\d+\])? must"
@@ -124,6 +123,7 @@ ORDERS = r"orders(\[\d+\])? must"
 def chain():
     """A chain at height 0 whose agents ``u``, ``p`` and ``2`` are funded."""
     return ChainState(Reserves(10_000.0, 100.0), RebateSchedule(), max_x=10.0, max_y=0.1,
+                      reveal_window=2, conversion_frequency=1,
                       balances={"u": (1_000.0, 10.0), "p": (1e6, 1e4), "2": (1_000.0, 10.0)})
 
 
@@ -158,12 +158,9 @@ def verified(**kw):
 
 
 def model_row(model, section, accepts=None, refuses=None):
-    """The row of a scenario model, built unchecked and checked by its ``validate``:
-    every field takes ``accepts[field]``, refuses the hostile values and
-    ``refuses[field]``, and a refusal names the field by its JSON path."""
-    def call(**fields):
-        model(**fields).validate()
-
+    """The row of a scenario model, which checks itself when built: every field
+    takes ``accepts[field]``, refuses the hostile values and ``refuses[field]``,
+    and a refusal names the field by its JSON path."""
     accepts, refuses, defaults, args = accepts or {}, refuses or {}, model(), {}
     for f in dataclasses.fields(model):
         path = f"{section}.{f.name}" if section else _JSON_PATH.get(f.name, f.name)
@@ -171,7 +168,7 @@ def model_row(model, section, accepts=None, refuses=None):
         named = rf"(\S+ and )?{re.escape(path)}( and \S+)? must"  # or both of a pair
         args[f.name] = Arg(accepts=taken, refuses=refuses.get(f.name, ()), named=named,
                            why="a value of the field's type inside its range" if taken else "")
-    return Row(call, {f.name: getattr(defaults, f.name) for f in dataclasses.fields(model)}, args)
+    return Row(model, {f.name: getattr(defaults, f.name) for f in dataclasses.fields(model)}, args)
 
 
 def experiment_row(fn, **valid):
@@ -256,8 +253,7 @@ ROWS = {
                    why="a JSON object; a key left out takes its default"),
     }),
     "scenario_to_dict": Row(scenario_to_dict, {"cfg": TINY}, {
-        "cfg": Arg(refuses=NOT_SCENARIOS + (BAD_SCENARIOS[0], ScenarioConfig(rebate="x")),
-                   named="(cfg|blocks|rebate) must"),
+        "cfg": Arg(refuses=NOT_SCENARIOS),
     }),
     # --- engine
     "ChainState": Row(ChainState, {
@@ -274,14 +270,14 @@ ROWS = {
         "reveal_window": COUNT._replace(accepts=COUNT.accepts + (0,)),
         "conversion_frequency": COUNT._replace(accepts=COUNT.accepts + (0,)),
         "balances": Arg(
-            accepts=(None, {}, {"2": (1.0, 1.0)}, {"u": (3.5, 0.0)}, {"vault": (5.0, 0.0)}),
+            accepts=(None, {}, {"2": (1.0, 1.0)}, {"u": (3.5, 0.0)}),
             refuses=tuple({v: (1.0, 1.0)} for v in HOSTILE if v != "2")
             + tuple({"u": (v, 0.0)} for v in HOSTILE if v != 3.5)
-            + tuple({name: (1.0, 1.0)} for name in ENGINE_ACCOUNTS if name != "vault")
+            + tuple({name: (1.0, 1.0)} for name in ENGINE_ACCOUNTS)
             + ({"u": (1.0, 2.0, 3.0)}, {"u": (b"2", 0.0)}, {"u": (0.0, False)},
                [("u", (1.0, 1.0))], (("u", (1.0, 1.0)),)),
             named="(opening )?balances?( of '[^']*')? must",
-            why="a dict of agent -> pair of real numbers >= 0; the vault may open funded"),
+            why="a dict of agent -> pair of real numbers >= 0; engine accounts open empty"),
     }),
     "ChainState.submit_oct": Row(lambda **kw: chain().submit_oct(**kw),
                                  {"owner": "u", "order": BUY}, {
@@ -319,10 +315,9 @@ ROWS = {
                               why="None settles at the solver's price"),
     }),
     "ChainState.advance_block": Row(lambda **kw: chain().advance_block(**kw),
-                                    {"eps": 100.0, "converter": None}, {
+                                    {"eps": 100.0, "converter": "2"}, {
         "eps": PRICE,
-        "converter": AGENT._replace(accepts=("2", None),
-                                    why=AGENT.why + "; None is the default 'converter'"),
+        "converter": AGENT,
     }),
     "BlockReceipt": Kept("record", RECORD),
     "ExecutionReceipt": Kept("record", RECORD),

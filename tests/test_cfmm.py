@@ -31,11 +31,12 @@ class TestPrimitives:
             with pytest.raises(DomainError, match="order limit"):
                 Order(OrderSide.BUY_Y, 1.0, limit=flag)
             with pytest.raises(DomainError, match="max_x"):
-                ChainState(Reserves(1.0, 1.0), zero, max_x=flag, max_y=1.0)
+                ChainState(Reserves(1.0, 1.0), zero, max_x=flag, max_y=1.0, reveal_window=2,
+                           conversion_frequency=1)
         for opening in ((True, 0.0), (0.0, False)):
             with pytest.raises(DomainError, match="opening balance of 'a'"):
-                ChainState(Reserves(1.0, 1.0), zero, max_x=1.0, max_y=1.0,
-                           balances={"a": opening})
+                ChainState(Reserves(1.0, 1.0), zero, max_x=1.0, max_y=1.0, reveal_window=2,
+                           conversion_frequency=1, balances={"a": opening})
         orders = [Order(OrderSide.BUY_Y, 1.0), Order(OrderSide.SELL_Y, 1.0)]
         assert verify_clearing_price(C, Reserves(100.0, 100.0), orders, 1.0)
         assert verify_clearing_price(C, Reserves(100.0, 100.0), orders, True) is None

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from v0lver import cli, sim
+from v0lver import sim
 from v0lver.allocation import Order, OrderSide, Settlement
 from v0lver.cfmm import Reserves
 from v0lver.cli import main
@@ -248,11 +248,6 @@ class TestJsonTables:
         rows = json.loads(written)
         assert any(None in row.values() for row in rows)  # NaN and inf read back as null
         assert written == (json.dumps(rows, indent=2, sort_keys=True) + "\n").encode()
-
-    @given(st.lists(st.dictionaries(TEXT, FLOATS | st.integers() | TEXT | st.none()
-                                    | st.booleans(), min_size=1, max_size=4), max_size=4))
-    def test_any_rows_of_scalars_write_as_the_indented_sorted_dump(self, rows):
-        assert cli._table_json(rows) == json.dumps(cli._clean(rows), indent=2, sort_keys=True)
 
 
 class TestExperimentCommands:

@@ -108,6 +108,14 @@ class TestValidation:
         assert main(["validate", "--scenario", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: rebate.{named} ")
 
+    def test_a_scenario_checks_itself_when_built(self):
+        cfg = builtin_scenarios()["lvr"]
+        with pytest.raises(ConfigError, match="^blocks must be > 0$"):
+            dataclasses.replace(cfg, blocks=0)
+        with pytest.raises(ConfigError, match="^flow.arrival must lie in"):
+            dataclasses.replace(cfg.flow, arrival=-1.0)
+        assert cfg.validate() is cfg
+
     def test_rejects_bad_field_values(self):
         cfg = builtin_scenarios()["default"]
         for change in (
@@ -126,20 +134,25 @@ class TestValidation:
             {"curve": ["x"]},
             {"pool_x": math.inf},
             {"max_y": 10**400},
-            {"price": PriceModel(sigma=math.inf)},
-            {"flow": FlowModel(arrival="4")},
-            {"flow": FlowModel(limit_width=1.0)},
-            {"flow": FlowModel(limit_width=5)},
-            {"flow": FlowModel(arrival=1e6)},
-            {"producer": ProducerModel(self_trade_alpha=2.0)},
-            {"producer": ProducerModel(self_trade_alpha=1.5)},
             {"rebate": None},
             {"rebate": (4, 0.8)},
             {"price": None},
             {"flow": {"arrival": 2.0}},
         ):
             with pytest.raises(ConfigError):
-                dataclasses.replace(cfg, **change).validate()
+                dataclasses.replace(cfg, **change)
+        # A model checks itself when built, before any scenario holds it.
+        for section, model, bad in (
+            ("price", PriceModel, {"sigma": math.inf}),
+            ("flow", FlowModel, {"arrival": "4"}),
+            ("flow", FlowModel, {"limit_width": 1.0}),
+            ("flow", FlowModel, {"limit_width": 5}),
+            ("flow", FlowModel, {"arrival": 1e6}),
+            ("producer", ProducerModel, {"self_trade_alpha": 2.0}),
+            ("producer", ProducerModel, {"self_trade_alpha": 1.5}),
+        ):
+            with pytest.raises(ConfigError, match=rf"^{section}\.{next(iter(bad))} must"):
+                dataclasses.replace(cfg, **{section: model(**bad)})
 
     @pytest.mark.parametrize("raw, path", [
         ({"blocks": "10"}, "blocks"),

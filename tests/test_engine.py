@@ -238,10 +238,10 @@ class TestLifecycle:
         oct = chain.submit_oct("alice", buy(5.0))
         chain.insert_octs("prod", [oct.id])
         chain.apply_update_tx("prod", 0, 101.0)
-        chain.advance_block(101.0)  # not due yet (window 2, no reveal)
+        chain.advance_block(101.0, converter="prod")  # not due yet (window 2, no reveal)
         assert stages(chain, oct.id) == ["allocated"]
-        chain.advance_block(101.0)
-        block = chain.advance_block(101.0)
+        chain.advance_block(101.0, converter="prod")
+        block = chain.advance_block(101.0, converter="prod")
         assert stages(chain, oct.id) == []
         assert block.executions[0].burned == (oct,)
         with pytest.raises(AttributeError):
@@ -257,7 +257,7 @@ class TestLifecycle:
         receipt = chain.apply_update_tx("prod", 0, 104.0)
         assert receipt.count == 0
         assert receipt.escrow == (0.0, 0.0)
-        block = chain.advance_block(104.0)
+        block = chain.advance_block(104.0, converter="prod")
         assert block.executions == ()
         # producer paid x in, took y out at less than the full swap
         fx, fy = receipt.producer_flow
@@ -271,7 +271,7 @@ class TestLifecycle:
         chain.insert_octs("prod", [oct.id])
         chain.apply_update_tx("prod", 0, 101.0)
         chain.reveal_order(oct.id, o)
-        block = chain.advance_block(101.0)
+        block = chain.advance_block(101.0, converter="prod")
         assert len(block.executions) == 1
         assert stages(chain, oct.id) == [] and block.executions[0].orders == (o,)
 
@@ -288,16 +288,42 @@ class TestConstruction:
     @pytest.mark.parametrize("reserves", [(100.0, 100.0), [100.0, 100.0], (100, 100)],
                              ids=["tuple", "list", "ints"])
     def test_reserves_are_any_pair_of_numbers(self, reserves):
-        chain = ChainState(reserves, SCHEDULE, max_x=1.0, max_y=1.0)
+        chain = ChainState(reserves, SCHEDULE, max_x=1.0, max_y=1.0, reveal_window=2,
+                           conversion_frequency=1)
         assert chain.pool_reserves() == Reserves(100.0, 100.0)
         assert chain.balances[POOL] == [100.0, 100.0]
         assert all(type(v) is float for v in chain.balances[POOL])
 
     def test_zero_opening_balances_are_kept(self):
-        chain = make_chain(balances={"alice": (0.0, 0.0), VAULT: (5.0, 0.0)})
+        chain = make_chain(balances={"alice": (0.0, 0.0)})
         assert chain.balances["alice"] == [0.0, 0.0]
-        assert chain.balances[VAULT] == [5.0, 0.0]
+        assert chain.balances[VAULT] == [0.0, 0.0]
         assert chain.balances[POOL] == [10_000.0, 100.0]
+
+    def test_an_opening_funds_agents_only(self):
+        with pytest.raises(DomainError, match="^opening balances must .* got 'vault'$"):
+            make_chain(balances={"alice": (0.0, 0.0), VAULT: (5.0, 0.0)})
+
+    @pytest.mark.parametrize("setting", ["reveal_window", "conversion_frequency"])
+    def test_the_caller_names_every_setting(self, setting):
+        kwargs = dict(max_x=10.0, max_y=0.1, reveal_window=2, conversion_frequency=1)
+        del kwargs[setting]
+        with pytest.raises(TypeError, match=setting):
+            ChainState(Reserves(10_000.0, 100.0), SCHEDULE, **kwargs)
+
+    def test_the_ledger_keeps_its_account_order(self):
+        # total_supply adds the accounts in this order, so a reordering would move
+        # conservation_error, and with it the summary.json digests, with no test
+        # saying which line did it.
+        chain = make_chain(balances={"bob": (1_000.0, 10.0), "prod": (10_000.0, 100.0),
+                                     "alice": (1_000.0, 10.0)})
+        assert list(chain.balances) == [POOL, "bob", "prod", "alice", VAULT, COLLATERAL, BURNED]
+        o = buy(3.0)
+        oct = chain.submit_oct("alice", o)
+        chain.insert_octs("prod", [oct.id])
+        chain.apply_update_tx("prod", 0, 101.0)
+        assert list(chain.balances) == [POOL, "bob", "prod", "alice", VAULT, COLLATERAL, BURNED,
+                                        "alloc:0"]
 
 
 class TestOneNumberRule:
@@ -308,7 +334,7 @@ class TestOneNumberRule:
                              ids=["np_int", "np_float", "fraction"])
     def test_numpy_numbers_and_fractions_pass_as_floats(self, good):
         assert check_price(good) == 100.0 and type(check_price(good)) is float
-        assert make_chain().advance_block(good).eps == 100.0
+        assert make_chain().advance_block(good, converter="prod").eps == 100.0
         assert verify_clearing_price(C, Reserves(100.0, 1.0), [], good) is not None
 
 
@@ -374,12 +400,12 @@ class TestTransitionGuards:
             chain.insert_octs("prod", [oct.id])
         assert stages(chain, oct.id) == ["pending"]
         assert chain.inserted_by_height == {}
-        chain.advance_block(101.0)
+        chain.advance_block(101.0, converter="prod")
         chain.insert_octs("prod", [oct.id])
         update = chain.apply_update_tx("prod", 1, 101.0)
         assert update.oct_ids == (oct.id,)
         for h in range(2, 5):
-            chain.advance_block(101.0)
+            chain.advance_block(101.0, converter="prod")
             chain.apply_update_tx("prod", h, 101.0)
         # the next block's insertion was allocated, burned at the window and freed its collateral
         assert stages(chain, oct.id) == []
@@ -392,7 +418,7 @@ class TestTransitionGuards:
             chain = make_chain()
             first = chain.submit_oct("alice", buy(5.0))
             chain.insert_octs("prod", [first.id])
-            chain.advance_block(100.0)
+            chain.advance_block(100.0, converter="prod")
             chain.submit_oct("bob", sell(0.05))  # pending beside a waiting insertion
             if insert_nothing:
                 state = ledger_and_queues(chain)
@@ -414,8 +440,8 @@ class TestTransitionGuards:
         with pytest.raises(InvalidTransition):
             chain.apply_update_tx("prod", 1, 101.0)  # future label
         chain.apply_update_tx("prod", 0, 101.0)
-        chain.advance_block(101.0)
-        chain.advance_block(101.0)
+        chain.advance_block(101.0, converter="prod")
+        chain.advance_block(101.0, converter="prod")
         chain.apply_update_tx("prod", 2, 101.5)
         with pytest.raises(InvalidTransition):
             chain.apply_update_tx("prod", 2, 102.0)  # reused label
@@ -432,9 +458,9 @@ class TestTransitionGuards:
         chain.apply_update_tx("prod", 0, 101.0)
         with pytest.raises(InvalidTransition):
             chain.reveal_order(oct.id, buy(4.0))  # wrong body
-        chain.advance_block(101.0)
-        chain.advance_block(101.0)
-        chain.advance_block(101.0)
+        chain.advance_block(101.0, converter="prod")
+        chain.advance_block(101.0, converter="prod")
+        chain.advance_block(101.0, converter="prod")
         with pytest.raises(InvalidTransition):
             chain.reveal_order(oct.id, o)  # window closed (burned by now)
 
@@ -446,16 +472,16 @@ class TestTransitionGuards:
             chain.insert_octs("prod", [oct.id])
             chain.apply_update_tx("prod", 0, 101.0)
             for _ in range(window):
-                chain.advance_block(101.0)
+                chain.advance_block(101.0, converter="prod")
             return chain, oct
 
         o = buy(5.0)
         chain, oct = allocated_chain()  # at the window's last height: still in time
         chain.reveal_order(oct.id, o)
-        assert chain.advance_block(101.0).executions[0].orders == (o,)
+        assert chain.advance_block(101.0, converter="prod").executions[0].orders == (o,)
         chain, oct = allocated_chain()
         # the batch executes as the window closes and burns what is unrevealed
-        assert chain.advance_block(101.0).executions[0].burned == (oct,)
+        assert chain.advance_block(101.0, converter="prod").executions[0].burned == (oct,)
         state = ledger_and_queues(chain)
         with pytest.raises(InvalidTransition, match="not allocated and unrevealed"):
             chain.reveal_order(oct.id, o)
@@ -506,7 +532,8 @@ class TestTransitionGuards:
         chain.insert_octs("prod", [oct_a.id, oct_b.id])
         u = chain.apply_update_tx("prod", 0, 101.0)
         chain.reveal_order(oct_a.id, o_a)
-        chain.advance_block(101.0)  # bob's reveal is outstanding, window 1: not due yet
+        # bob's reveal is outstanding, window 1: not due yet
+        chain.advance_block(101.0, converter="prod")
         balances = {party: list(acct) for party, acct in chain.balances.items()}
         with pytest.raises(VerificationError):
             chain.execute_batch(0, proposed_price=1.5 * u.price)
@@ -516,7 +543,7 @@ class TestTransitionGuards:
         er = chain.execute_batch(0)
         assert er.burned == (oct_b,) and er.orders == (o_a,)
         assert chain.balances[BURNED][0] == pytest.approx(10.0)
-        block = chain.advance_block(101.0)
+        block = chain.advance_block(101.0, converter="prod")
         burned = [e["id"] for e in strict_records(block.ndjson()) if e["kind"] == "oct_burned"]
         assert burned == [oct_b.id]
 
@@ -543,6 +570,8 @@ class TestTransitionGuards:
             RebateSchedule(z_max=0, beta0=0.0),
             max_x=10.0,
             max_y=0.1,
+            reveal_window=2,
+            conversion_frequency=1,
             balances={"u": (1_000.0, 10.0), "prod": (1_000.0, 10.0)},
         )
         # pool y reserve (1.0) cannot back escrow for 20 x-bound orders
@@ -556,7 +585,7 @@ class TestTransitionGuards:
         assert chain.balances == balances
         assert pool_price(chain) == price
         assert chain.open_allocations == {}
-        assert chain.advance_block(110.0).update is None
+        assert chain.advance_block(110.0, converter="prod").update is None
 
     @pytest.mark.parametrize("name", [POOL, VAULT, COLLATERAL, BURNED, "alloc:0"])
     @pytest.mark.parametrize("entry, arg", [("submit_oct", "owner"), ("insert_octs", "producer"),
@@ -599,7 +628,7 @@ class TestTransitionGuards:
             chain.apply_update_tx("prod", 0, 1e303)
         assert chain.balances == balances
         assert pool_price(chain) == price
-        assert chain.advance_block(100.0).update is None
+        assert chain.advance_block(100.0, converter="prod").update is None
 
     def test_non_numeric_update_price_books_nothing(self):
         chain = make_chain()
@@ -607,13 +636,13 @@ class TestTransitionGuards:
         with pytest.raises(DomainError, match="price"):
             chain.apply_update_tx("prod", 0, "abc")
         assert chain.balances == balances
-        assert chain.advance_block(100.0).update is None
+        assert chain.advance_block(100.0, converter="prod").update is None
 
     def test_advance_block_checks_the_external_price(self):
         chain = make_chain()
         for bad in (0.0, -1.0, float("nan"), float("inf"), "abc", None):
             with pytest.raises(DomainError):
-                chain.advance_block(bad)
+                chain.advance_block(bad, converter="prod")
         assert chain.height == 0
 
 
@@ -634,7 +663,7 @@ class TestIdsAndLabelsAreInts:
         if entry == "execute_batch":  # batches 0 and 1, both revealed and due
             chain.insert_octs("prod", [0])
             chain.apply_update_tx("prod", 0, 100.0)
-            chain.advance_block(100.0)
+            chain.advance_block(100.0, converter="prod")
             chain.insert_octs("prod", [1])
             chain.apply_update_tx("prod", 1, 100.0)
             for oct, o in zip(octs, orders):
@@ -644,7 +673,7 @@ class TestIdsAndLabelsAreInts:
             if entry == "reveal_order":
                 chain.apply_update_tx("prod", 0, 100.0)
             else:  # at height 1 with nothing allocated, labels 0 and 1 are open
-                chain.advance_block(100.0)
+                chain.advance_block(100.0, converter="prod")
         return chain, orders
 
     @pytest.mark.parametrize("bad", NOT_INTS, ids=repr)
@@ -671,7 +700,7 @@ class TestIdsAndLabelsAreInts:
         assert (chain._next_oct_id, chain._inserts, chain._revealed, chain._executions,
                 chain._update) == block
         call(0)  # the id itself is accepted, and the block's events are strict JSON
-        strict_records(chain.advance_block(100.0).ndjson())
+        strict_records(chain.advance_block(100.0, converter="prod").ndjson())
 
 
 class TestOrdersAreOrders:
@@ -729,7 +758,7 @@ class TestInvariantBreaks:
         state = ledger_and_queues(chain)
         monkeypatch.setattr(engine, "verify_clearing_price", verify)
         with pytest.raises(InvariantViolation, match=message):
-            chain.advance_block(101.0)
+            chain.advance_block(101.0, converter="prod")
         if message == "failed self-verification":
             # refused before the unrevealed OCT burns or any order is paid
             assert ledger_and_queues(chain) == state
@@ -750,6 +779,8 @@ class TestZeroRebateFallback:
             RebateSchedule(z_max=0, beta0=0.0),
             max_x=10.0,
             max_y=0.1,
+            reveal_window=2,
+            conversion_frequency=1,
             balances={"prod": (10_000.0, 100.0)},
         )
         k0 = C.invariant(chain.pool_reserves())
@@ -760,7 +791,7 @@ class TestZeroRebateFallback:
             assert got.x == pytest.approx(expect.x, rel=1e-12)
             assert got.y == pytest.approx(expect.y, rel=1e-12)
             assert chain.balances[VAULT] == [0.0, 0.0]
-            chain.advance_block(price)
+            chain.advance_block(price, converter="prod")
         assert C.invariant(chain.pool_reserves()) == pytest.approx(k0, rel=1e-12)
         assert chain.balances[VAULT] == [0.0, 0.0]
         assert chain.conservation_error() < 1e-11
@@ -785,22 +816,40 @@ class TestVaultConversion:
         assert chain.conservation_error() < 1e-9
 
     def test_funded_vault_reenters_at_first_block_end(self):
-        chain = make_chain(balances={"prod": (10_000.0, 100.0), VAULT: (5.0, 0.0)})
+        chain = make_chain(balances={"prod": (10_000.0, 100.0)})
+        chain.apply_update_tx("prod", 0, 104.0)
+        vx, vy = chain.balances[VAULT]
+        assert vx == 0.0 and vy > 0.0  # the pool shed y to land on 104
         s0 = chain.total_supply()
         k0 = C.invariant(chain.pool_reserves())
         block = chain.advance_block(100.0, converter="prod")
         assert block.reentry is not None
-        assert block.reentry.added == pytest.approx((2.5, 0.025))
+        assert block.reentry.added == pytest.approx((vy / 2 * 100.0, vy / 2))
         assert chain.balances[VAULT] == [0.0, 0.0]
         assert C.invariant(chain.pool_reserves()) > k0
         assert chain.total_supply() == pytest.approx(s0, rel=1e-12)
         assert chain.conservation_error() < 1e-9
 
+    def test_an_agent_named_converter_keeps_its_balance(self):
+        # The vault's other side is the converter the caller names, never an
+        # account that merely shares the word.
+        chain = make_chain(balances={"converter": (500.0, 5.0), "prod": (10_000.0, 100.0)})
+        chain.apply_update_tx("prod", 0, 104.0)
+        block = chain.advance_block(104.0, converter="prod")
+        assert block.reentry is not None and block.reentry.converter == "prod"
+        assert chain.balances["converter"] == [500.0, 5.0]
+
+    def test_a_block_names_its_converter(self):
+        chain = make_chain()
+        with pytest.raises(DomainError, match="^converter must .* got None$"):
+            chain.advance_block(100.0, None)
+        assert chain.height == 0
+
     def test_conversion_disabled(self):
         chain = make_chain(conversion_frequency=0)
         chain.apply_update_tx("prod", 0, 103.0)
         for _ in range(5):
-            assert chain.advance_block(103.0).reentry is None
+            assert chain.advance_block(103.0, converter="prod").reentry is None
         assert chain.balances[VAULT] != [0.0, 0.0]
 
 
@@ -848,7 +897,7 @@ class TestLedger:
                          "batch_executed", "vault_reentered", "block_end"]
         assert {e["height"] for e in strict_records(block.ndjson())} == {0}
         # the next block starts empty
-        empty = chain.advance_block(102.0)
+        empty = chain.advance_block(102.0, converter="prod")
         assert (empty.height, empty.submitted, empty.update, empty.executions) == (1, (), None, ())
         assert [e["kind"] for e in strict_records(empty.ndjson())] == ["block_end"]
 
@@ -923,18 +972,18 @@ class TestLedger:
         chain = make_chain()
         chain.balances["alice"][0] += 1e-3  # x from nowhere
         with pytest.raises(InvariantViolation, match="supply drifted"):
-            chain.advance_block(100.0)
+            chain.advance_block(100.0, converter="prod")
 
         chain = make_chain()
         oct = chain.submit_oct("alice", buy(5.0))
         chain.insert_octs("prod", [oct.id])
         chain.apply_update_tx("prod", 0, 100.0)
-        chain.advance_block(100.0)  # the batch waits for its reveal
+        chain.advance_block(100.0, converter="prod")  # the batch waits for its reveal
         _, earmark_y = chain.earmark()
         # move pool y below the earmark without changing the supply
         reference_transfer(chain, POOL, "thief", 0.0, chain.balances[POOL][1] - earmark_y / 2)
         with pytest.raises(InvariantViolation, match="earmarks"):
-            chain.advance_block(100.0)
+            chain.advance_block(100.0, converter="prod")
 
     def test_check_books_catches_non_finite_values(self):
         for bad in (float("nan"), float("inf")):
@@ -957,12 +1006,12 @@ class TestLedger:
         chain = make_chain()
         chain.balances[POOL][0] = float("nan")
         with pytest.raises(InvariantViolation):
-            chain.advance_block(100.0)
+            chain.advance_block(100.0, converter="prod")
         # supply conserved, but the pool's x drained into another account
         chain = make_chain()
         chain._transfer(POOL, "thief", chain.balances[POOL][0], 0.0)
         with pytest.raises(InvariantViolation, match="pool reserves"):
-            chain.advance_block(100.0)
+            chain.advance_block(100.0, converter="prod")
 
     def test_a_negative_vault_is_an_invariant_break(self):
         chain = make_chain()
@@ -975,7 +1024,7 @@ class TestLedger:
         chain = make_chain()
         chain._transfer(COLLATERAL, "alice", 1e-13, 1e-13)  # supply conserved
         chain.check_books()
-        chain.advance_block(100.0)
+        chain.advance_block(100.0, converter="prod")
 
     def test_overdrawn_collateral_is_an_invariant_break(self, monkeypatch):
         for token, bound in (("x", 10.0), ("y", 0.1)):

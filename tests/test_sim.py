@@ -16,7 +16,8 @@ from v0lver.agents import producer_utility
 from v0lver.allocation import OrderSide
 from v0lver.cfmm import CONSTANT_PRODUCT, Reserves, check_live, check_pair, check_price
 from v0lver.cli import main
-from v0lver.config import builtin_scenarios, scenario_from_dict, scenario_to_dict
+from v0lver.config import (ScenarioConfig, builtin_scenarios, scenario_from_dict,
+                           scenario_to_dict)
 from v0lver.engine import BlockReceipt, ExecutionReceipt, ReentryReceipt, UpdateReceipt
 from v0lver.errors import ConfigError, DomainError
 from v0lver.rebate import apply_rebated_move, vault_reenter
@@ -73,10 +74,29 @@ class TestDeterminism:
     def test_run_many_starts_no_more_workers_than_runs(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(InlineExecutor, "workers", [])
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         cfg = shrink(SCN["lvr"], 5)
         pooled = run_many(cfg, 3, 2, jobs=100_000)  # runs inline: no process is started
         assert InlineExecutor.workers == [2]
         assert pooled == run_many(cfg, 3, 2, jobs=1)
+
+    @pytest.mark.parametrize("cpus, runs, jobs, workers, chunksizes", [
+        (None, 4, 4, [], []),  # an unknown CPU count is one CPU: the runs go inline
+        (1, 4, 4, [], []),
+        (8, 1, 4, [], []),  # one run goes inline, however many jobs it may use
+        (8, 4, 3, [3], [1]),
+        (8, 64, 100_000, [8], [2]),  # the chunks are sized from the 8 workers started
+    ])
+    def test_run_many_starts_at_most_one_worker_per_cpu(self, cpus, runs, jobs, workers,
+                                                         chunksizes, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(InlineExecutor, "workers", [])
+        monkeypatch.setattr(InlineExecutor, "chunksizes", [])
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = shrink(SCN["lvr"], 2)
+        spread = run_many(cfg, 3, runs, jobs=jobs)
+        assert (InlineExecutor.workers, InlineExecutor.chunksizes) == (workers, chunksizes)
+        assert spread == run_many(cfg, 3, runs, jobs=1)
 
     @pytest.mark.parametrize("value", [2.5, "2", True, 0, -1])
     @pytest.mark.parametrize("name", ["runs", "jobs"])
@@ -125,10 +145,20 @@ class TestDeterminism:
             call()
         assert str(e.value) == f"cfg must be a ScenarioConfig, got {cfg!r}"
 
+    def test_a_built_scenario_is_not_checked_again(self, monkeypatch):
+        # It checked itself when built; a check on every entry would make 401 here.
+        checks = []
+        cfg = shrink(SCN["lvr"], 2)
+        monkeypatch.setattr(ScenarioConfig, "validate", lambda self: checks.append(self) or self)
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", lambda self: checks.append(self))
+        assert lvr_experiment(cfg, 0, runs=400)["runs"] == 400
+        assert checks == []
+
     def test_a_run_in_one_process_loads_no_process_pool(self):
         code = ("import dataclasses, sys, v0lver\n"
                 "cfg = dataclasses.replace(v0lver.builtin_scenarios()['lvr'], blocks=5)\n"
                 "v0lver.run_scenario(cfg, 0)\n"
+                "v0lver.run_many(cfg, 0, 1, jobs=4)\n"
                 "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
